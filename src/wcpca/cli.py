@@ -96,11 +96,13 @@ def cmd_fit(args) -> int:
     ids = [d.id for d in collection]
     per_domain = {}
     wc = {}
+    eigensums: dict = {}  # one top-k eigendecomposition per domain
     for kind in LossKind:
         per_domain[kind.value] = [
-            loss(kind, result.frame, d.covariance, k=args.k) for d in collection
+            loss(kind, result.frame, d.covariance, k=args.k, cache=eigensums, cache_key=d.id)
+            for d in collection
         ]
-        wc[kind.value] = worst_case(kind, result.frame, collection)
+        wc[kind.value] = worst_case(kind, result.frame, collection, cache=eigensums)
     report = {
         "objective": objective,
         "k": args.k,

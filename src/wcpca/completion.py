@@ -7,9 +7,9 @@ factor ``R`` constrained to orthonormal columns:
 * :func:`fit_pool_mc` minimizes the pooled squared error over all observed
   entries; the R-update is an exact per-column least squares.
 * :func:`fit_max_mc` minimizes the maximum across domains of the per-domain
-  mean squared error on observed entries; the R-update runs a projected
-  subgradient loop (Adam step through the active domain, then projection
-  back to orthonormal columns).
+  mean squared error on observed entries; the R-update runs the worst-case
+  PCA driver ``solvers.stiefel_adam`` (annealed Adam step through the active
+  domain, then retraction to orthonormal columns).
 
 After the pooled R-update the raw solution is re-orthonormalized through its
 polar factor and the compensating transform is absorbed into every ``L_e``,
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidRank, NoObservations, NumericalFailure
-from .linalg import stiefel_project
+from .errors import InvalidInput, InvalidRank, NoObservations
+from .linalg import stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps this name
+from .solvers import stiefel_adam
 
 __all__ = [
     "McConfig",
@@ -43,19 +44,18 @@ __all__ = [
     "ols_subset_stability_check",
 ]
 
-_PLATEAU_WINDOW = 50
 _LSTSQ_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Alternation budget and subgradient hyperparameters.
+    """Alternation budget and the inner Stiefel-Adam settings of maxMC.
 
     :param max_rounds: outer alternation rounds (R-update then L-update).
     :param tol_objective: stop when a round improves the objective by less
         than this (absolute).
-    :param inner_iters: subgradient iterations per maxMC R-update.
-    :param inner_tol: plateau tolerance of the inner subgradient loop.
+    :param inner_iters: Stiefel-Adam iterations per maxMC R-update.
+    :param inner_tol: plateau tolerance of the inner loop.
     :param inner_step: initial Adam step size of the inner loop; it anneals
         geometrically to one hundredth of this over the inner budget.
     """
@@ -65,9 +65,6 @@ class McConfig:
     inner_iters: int = 500
     inner_tol: float = 1e-6
     inner_step: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -320,53 +317,25 @@ def fit_pool_mc(data, k: int, cfg: McConfig | None = None) -> CompletionModel:
 
 
 def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray, unident, cfg: McConfig) -> np.ndarray:
-    """Projected subgradient descent on max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2.
+    """Minimize max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2 over orthonormal R.
 
-    Each iteration steps through the active domain's gradient with Adam and
-    projects back to orthonormal columns; the best feasible iterate seen
-    (including the incoming R) is returned, so the outer objective cannot
-    increase. Rows of unidentifiable columns contribute no gradient.
+    Runs :func:`stiefel_adam` from the incoming R with the active domain's
+    gradient; the best iterate seen (possibly R itself) is returned, so the
+    outer objective cannot increase. Rows of unidentifiable columns are
+    frozen: they receive no gradient.
     """
-    frozen = np.zeros(r0.shape[0], dtype=bool)
-    if unident:
-        frozen[list(unident)] = True
-    m = np.zeros_like(r0)
-    u = np.zeros_like(r0)
-    r = r0
-    vals = _domain_objectives(data, ls, r)
-    best_f = float(vals.max())
-    best_r = r0
-    best_hist = [best_f]
-    for t in range(1, cfg.inner_iters + 1):
+
+    def cost_and_grad(r):
+        vals = _domain_objectives(data, ls, r)
         a = int(np.argmax(vals))
         d = data[a]
         resid = (ls[a] @ r.T - d.x) * d.mask
-        g = (2.0 / d.n) * (resid.T @ ls[a])
-        # Keep only the tangential part; a persistent radial component would
-        # bias Adam's normalized steps away from equalized optima. Frozen
-        # rows are zeroed last so they never accumulate moment mass.
-        rg = r.T @ g
-        g = g - r @ ((rg + rg.T) / 2.0)
-        g[frozen] = 0.0
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
-        u = cfg.adam_beta2 * u + (1.0 - cfg.adam_beta2) * (g * g)
-        mhat = m / (1.0 - cfg.adam_beta1**t)
-        uhat = u / (1.0 - cfg.adam_beta2**t)
-        step = cfg.inner_step * 0.01 ** (t / cfg.inner_iters)
-        r = r - step * mhat / (np.sqrt(uhat) + cfg.adam_eps)
-        if not np.all(np.isfinite(r)):
-            raise NumericalFailure(f"non-finite right factor at inner iteration {t}")
-        r = stiefel_project(r)
-        vals = _domain_objectives(data, ls, r)
-        f = float(vals.max())
-        if f < best_f:
-            best_f = f
-            best_r = r
-        best_hist.append(best_f)
-        if t >= _PLATEAU_WINDOW:
-            if best_hist[-1 - _PLATEAU_WINDOW] - best_hist[-1] < cfg.inner_tol:
-                break
-    return best_r
+        return float(vals[a]), (2.0 / d.n) * (resid.T @ ls[a])
+
+    frozen = np.zeros(r0.shape[0], dtype=bool)
+    frozen[list(unident)] = True
+    r, _, _ = stiefel_adam(r0, cost_and_grad, cfg.inner_iters, cfg.inner_step, cfg.inner_tol, frozen)
+    return r
 
 
 def fit_max_mc(data, k: int, cfg: McConfig | None = None) -> CompletionModel:
@@ -374,8 +343,8 @@ def fit_max_mc(data, k: int, cfg: McConfig | None = None) -> CompletionModel:
 
     The objective is ``max_e (1/n_e) ||(X_e - L_e R.T) * mask_e||_F^2``. The
     L-update is the exact per-row OLS (it can only shrink every domain's
-    error); the R-update is the projected subgradient loop of
-    :func:`_max_r_update`. Stopping mirrors :func:`fit_pool_mc`.
+    error); the R-update is one :func:`stiefel_adam` run (see
+    :func:`_max_r_update`). Stopping mirrors :func:`fit_pool_mc`.
     """
     data = _ensure_dataset(data)
     cfg = cfg or McConfig()

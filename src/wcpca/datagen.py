@@ -29,6 +29,7 @@ __all__ = [
     "sample_source_covariances",
     "sample_target_covariance",
     "sample_gaussian_rows",
+    "second_moment_collection",
     "add_heterogeneous_noise",
     "sample_masks",
 ]
@@ -158,6 +159,22 @@ def sample_gaussian_rows(sigma, n: int, seed) -> np.ndarray:
     root = (spec.eigenvectors * np.sqrt(vals)) @ spec.eigenvectors.T
     rng = as_rng(seed)
     return rng.standard_normal((n, vals.shape[0])) @ root
+
+
+def second_moment_collection(sources, blocks) -> DomainCollection:
+    """Empirical domains from row blocks drawn for each source.
+
+    ``blocks`` yields one n_e x p array per source, in order (a generator
+    keeps only one block alive at a time). Domain e gets the uncentered
+    second moment ``X.T X / n_e`` as its covariance and keeps the source's id
+    and weight.
+    """
+    return DomainCollection(
+        tuple(
+            DomainSpec(id=d.id, covariance=x.T @ x / x.shape[0], weight=d.weight, n=x.shape[0])
+            for d, x in zip(sources, blocks)
+        )
+    )
 
 
 def add_heterogeneous_noise(rows, sigma_noise: float, seed) -> np.ndarray:

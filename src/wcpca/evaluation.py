@@ -4,26 +4,34 @@ For the unnormalized linear losses (Var, RCS) the extremum over the convex
 hull of the source covariances is attained at a vertex, so the reported hull
 supremum is exact; for the regret kind the vertex max is a certified upper
 bound. Normalized kinds are evaluated over the hull of the trace-normalized
-vertices instead. Monte-Carlo hull sampling exists only as a test oracle,
-never inside reported metrics.
+vertices instead. Either way the vertex extremum is ``losses.worst_case``.
+Monte-Carlo hull sampling exists only as a test oracle, never inside
+reported metrics.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .datagen import GenConfig, sample_gaussian_rows, sample_source_covariances
+from .datagen import (
+    GenConfig,
+    sample_gaussian_rows,
+    sample_source_covariances,
+    second_moment_collection,
+)
 from .completion import CompletionModel, MaskedDataset, inductive_ols
 from .errors import DegenerateBaseline, InvalidInput, InvalidKind
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
     DomainCollection,
-    DomainSpec,
     LossKind,
     as_kind,
     average_covariance,
     loss,
+    worst_case,
 )
 from .rng import as_rng, make_rng, spawn_seed
 from .solvers import SolverConfig, solve_wcpca
@@ -55,30 +63,22 @@ def hull_supremum(kind, v, sources) -> float:
     kind = as_kind(kind)
     if kind in NORMALIZED_KINDS:
         raise InvalidKind(f"use hull_supremum_normalized for {kind.value}")
-    specs = list(sources)
-    if not specs:
-        raise InvalidInput("need at least one source")
-    values = [loss(kind, v, d.covariance) for d in specs]
-    return float(min(values) if kind in MIN_KINDS else max(values))
+    return worst_case(kind, v, sources)
 
 
 def hull_supremum_normalized(kind, v, sources) -> float:
     """Extremum of a normalized loss over the trace-normalized hull.
 
-    Vertices are the sources divided by their traces; the loss is evaluated
-    on those explicitly (numerically this coincides with evaluating the
-    normalized loss on the originals, since the kinds are scale invariant).
+    Vertices are the sources divided by their traces. The normalized kinds
+    are scale invariant, so the loss on a normalized vertex equals the
+    normalized loss on the original source, which is what gets evaluated.
     NormVar takes the vertex min, NormRCS and NormReg the vertex max; for
     NormReg the value is an upper bound rather than the exact supremum.
     """
     kind = as_kind(kind)
     if kind not in NORMALIZED_KINDS:
         raise InvalidKind(f"use hull_supremum for {kind.value}")
-    specs = list(sources)
-    if not specs:
-        raise InvalidInput("need at least one source")
-    values = [loss(kind, v, d.covariance / d.trace) for d in specs]
-    return float(min(values) if kind in MIN_KINDS else max(values))
+    return worst_case(kind, v, sources)
 
 
 def sample_hull_members(sources, count: int, seed, normalized: bool = False) -> list[np.ndarray]:
@@ -162,12 +162,6 @@ def mc_metrics(model_a: CompletionModel, model_b: CompletionModel, test):
     return d_avg, d_wc
 
 
-def _hull_value(kind, frame, sources) -> float:
-    if kind in NORMALIZED_KINDS:
-        return hull_supremum_normalized(kind, frame, sources)
-    return hull_supremum(kind, frame, sources)
-
-
 def consistency_curve(
     gen: GenConfig,
     kind,
@@ -179,13 +173,14 @@ def consistency_curve(
     """Gap between empirical and population fits as sample size grows.
 
     For every replicate, one population collection is drawn from ``gen`` and
-    solved; for each n in ``n_grid``, n Gaussian rows per domain give
-    empirical covariances (uncentered second moments), the same problem is
-    solved on those, and the difference of hull-extremum losses on the
-    population sources is recorded. The difference is oriented so that 0
-    means the empirical fit matches the population one (empirical minus
-    population for max-type kinds, reversed for Var/NormVar). A
-    nonpositive n (or inf) feeds the population covariances directly.
+    solved with ``cfg`` (its seed replaced per fit); for each n in ``n_grid``,
+    n Gaussian rows per domain give empirical covariances (uncentered second
+    moments), the same problem is solved on those, and the difference of
+    hull-extremum losses on the population sources is recorded. The
+    difference is oriented so that 0 means the empirical fit matches the
+    population one (empirical minus population for max-type kinds, reversed
+    for Var/NormVar). A nonpositive n (or inf) feeds the population
+    covariances directly.
 
     Returns one summary dict per n: median, quartiles, mean, and count.
     """
@@ -196,35 +191,19 @@ def consistency_curve(
     diffs: dict[object, list[float]] = {n: [] for n in n_grid}
     for rep in range(replicates):
         base = spawn_seed(gen.seed, rep)
-        sources = sample_source_covariances(
-            GenConfig(
-                p=gen.p,
-                n_domains=gen.n_domains,
-                shared_rank=gen.shared_rank,
-                specific_rank=gen.specific_rank,
-                alpha=gen.alpha,
-                beta=gen.beta,
-                per_domain_gammas=gen.per_domain_gammas,
-                seed=spawn_seed(base, 0),
-            )
-        )
-        pop_fit = solve_wcpca(kind, sources, k, SolverConfig(seed=spawn_seed(base, 1)))
-        pop_val = _hull_value(kind, pop_fit.frame, sources)
+        sources = sample_source_covariances(replace(gen, seed=spawn_seed(base, 0)))
+        pop_fit = solve_wcpca(kind, sources, k, replace(cfg, seed=spawn_seed(base, 1)))
+        pop_val = worst_case(kind, pop_fit.frame, sources)
         for ni, n in enumerate(n_grid):
-            finite = np.isfinite(n) and n > 0
-            if finite:
+            if np.isfinite(n) and n > 0:
                 data_rng = make_rng(spawn_seed(base, 2 + ni))
-                specs = []
-                for d in sources:
-                    rows = sample_gaussian_rows(d.covariance, int(n), data_rng)
-                    specs.append(
-                        DomainSpec(id=d.id, covariance=rows.T @ rows / int(n), weight=d.weight, n=int(n))
-                    )
-                emp = DomainCollection(tuple(specs))
+                emp = second_moment_collection(
+                    sources, (sample_gaussian_rows(d.covariance, int(n), data_rng) for d in sources)
+                )
             else:
                 emp = sources
-            emp_fit = solve_wcpca(kind, emp, k, SolverConfig(seed=spawn_seed(base, 100 + ni)))
-            emp_val = _hull_value(kind, emp_fit.frame, sources)
+            emp_fit = solve_wcpca(kind, emp, k, replace(cfg, seed=spawn_seed(base, 100 + ni)))
+            emp_val = worst_case(kind, emp_fit.frame, sources)
             diff = (pop_val - emp_val) if kind in MIN_KINDS else (emp_val - pop_val)
             diffs[n].append(float(diff))
     table = []

@@ -38,10 +38,11 @@ from .datagen import (
     sample_masks,
     sample_source_covariances,
     sample_target_covariance,
+    second_moment_collection,
 )
 from .errors import InvalidConfig
 from .evaluation import hull_supremum, mc_domain_losses, mc_metrics, relative_deltas
-from .losses import DomainCollection, DomainSpec, LossKind, loss
+from .losses import LossKind, loss
 from .rng import make_rng, spawn_seed
 from .solvers import SolverConfig, pool_pca, solve_wcpca
 
@@ -123,7 +124,7 @@ def _component_ranks(p: int) -> tuple[int, int]:
 
 
 def _gen(cfg: ExperimentConfig, seed: int, **overrides) -> GenConfig:
-    p = cfg.p if cfg.p is not None else 20
+    p = overrides.pop("p", cfg.p if cfg.p is not None else 20)
     shared, specific = _component_ranks(p)
     kwargs = {
         "p": p,
@@ -136,14 +137,6 @@ def _gen(cfg: ExperimentConfig, seed: int, **overrides) -> GenConfig:
     }
     kwargs.update(overrides)
     return GenConfig(**kwargs)
-
-
-def _empirical_collection(sources, n: int, rng) -> DomainCollection:
-    specs = []
-    for d in sources:
-        rows = sample_gaussian_rows(d.covariance, n, rng)
-        specs.append(DomainSpec(id=d.id, covariance=rows.T @ rows / n, weight=d.weight, n=n))
-    return DomainCollection(tuple(specs))
 
 
 def _hull_bound_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict]:
@@ -190,7 +183,10 @@ def _finite_sample_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[
     pop_val = hull_supremum(LossKind.RCS, pop_wc.frame, sources)
     rows = []
     for ni, n in enumerate(n_grid):
-        emp = _empirical_collection(sources, n, make_rng(spawn_seed(rep_seed, 10 + ni)))
+        rng = make_rng(spawn_seed(rep_seed, 10 + ni))
+        emp = second_moment_collection(
+            sources, (sample_gaussian_rows(d.covariance, n, rng) for d in sources)
+        )
         emp_pool = pool_pca(emp, k)
         emp_wc = solve_wcpca(LossKind.RCS, emp, k, SolverConfig(seed=spawn_seed(rep_seed, 100 + ni)))
         wc_val = hull_supremum(LossKind.RCS, emp_wc.frame, sources)
@@ -210,20 +206,20 @@ def _het_noise_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict
     train_rng = make_rng(spawn_seed(rep_seed, 2))
     noise_rng = make_rng(spawn_seed(rep_seed, 3))
     test_rng = make_rng(spawn_seed(rep_seed, 4))
-    noisy_specs = []
-    test_specs = []
-    for e, d in enumerate(sources):
-        train = sample_gaussian_rows(d.covariance, n, train_rng)
-        noisy = add_heterogeneous_noise(train, float(noise_levels[e]), noise_rng)
-        noisy_specs.append(
-            DomainSpec(id=d.id, covariance=noisy.T @ noisy / n, weight=d.weight, n=n)
-        )
-        clean = sample_gaussian_rows(d.covariance, n, test_rng)
-        test_specs.append(
-            DomainSpec(id=d.id, covariance=clean.T @ clean / n, weight=d.weight, n=n)
-        )
-    noisy_coll = DomainCollection(tuple(noisy_specs))
-    test_coll = DomainCollection(tuple(test_specs))
+    # each collection draws from its own streams, so building one after the
+    # other gives the same draws as interleaving them per domain
+    noisy_coll = second_moment_collection(
+        sources,
+        (
+            add_heterogeneous_noise(
+                sample_gaussian_rows(d.covariance, n, train_rng), float(level), noise_rng
+            )
+            for d, level in zip(sources, noise_levels)
+        ),
+    )
+    test_coll = second_moment_collection(
+        sources, (sample_gaussian_rows(d.covariance, n, test_rng) for d in sources)
+    )
     rows = []
     for rank in ranks:
         wc_rcs = solve_wcpca(
@@ -246,17 +242,7 @@ def _mc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int, masked_sources: boo
     p = cfg.p if cfg.p is not None else (500 if cfg.paper_scale else 60)
     n = cfg.n if cfg.n is not None else (1000 if cfg.paper_scale else 200)
     k = cfg.k if cfg.k is not None else 5
-    shared, specific = _component_ranks(p)
-    gen = GenConfig(
-        p=p,
-        n_domains=cfg.n_domains,
-        shared_rank=shared,
-        specific_rank=specific,
-        alpha=cfg.alpha if cfg.alpha is not None else 0.1,
-        beta=cfg.beta if cfg.beta is not None else 1.0,
-        seed=spawn_seed(rep_seed, 0),
-    )
-    sources = sample_source_covariances(gen)
+    sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0), p=p))
     train_rng = make_rng(spawn_seed(rep_seed, 1))
     train_mask_rng = make_rng(spawn_seed(rep_seed, 2))
     test_rng = make_rng(spawn_seed(rep_seed, 3))

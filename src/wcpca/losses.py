@@ -35,6 +35,8 @@ __all__ = [
     "make_collection",
     "top_k_eigensum",
     "loss",
+    "domain_losses",
+    "worst_index",
     "worst_case",
     "pooled_covariance",
     "average_covariance",
@@ -93,7 +95,10 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class DomainCollection:
-    """Nonempty ordered set of domains sharing one dimension p."""
+    """Nonempty ordered set of uniquely named domains sharing one dimension p.
+
+    Ids must be unique because eigensum caches are keyed by domain id.
+    """
 
     domains: tuple[DomainSpec, ...]
 
@@ -104,6 +109,9 @@ class DomainCollection:
         dims = {d.p for d in self.domains}
         if len(dims) != 1:
             raise InvalidInput(f"domains disagree on dimension: {sorted(dims)}")
+        ids = [d.id for d in self.domains]
+        if len(set(ids)) != len(ids):
+            raise InvalidInput(f"domain ids must be unique, got {ids}")
 
     @property
     def p(self) -> int:
@@ -210,19 +218,62 @@ def loss(kind, v, sigma, k: int | None = None, cache: dict | None = None, cache_
     return (top_k_eigensum(s, k, cache, cache_key) - var) / tr
 
 
+def domain_losses(kind: LossKind, v, covs, traces, eigsums):
+    """Every domain's loss of frame ``v``, plus the products ``covs[e] @ v``.
+
+    ``traces`` (and, for the regret kinds, ``eigsums``, the top-k eigenvalue
+    sums at k = frame width) are arrays aligned with ``covs``. Returns
+    ``(values, products)`` with ``values[e]`` bitwise equal to
+    ``loss(kind, v, covs[e])`` and ``products`` of shape ``(E, p, k)``;
+    solvers reuse the active domain's product as its gradient. The
+    covariances are not copied into a stack, only the small products are.
+    """
+    frame = _as_frame(v)
+    if covs[0].shape[0] != frame.shape[0]:
+        raise InvalidInput(
+            f"frame rows {frame.shape[0]} do not match covariance dim {covs[0].shape[0]}"
+        )
+    products = np.stack([c @ frame for c in covs])
+    var = np.sum(frame * products, axis=(1, 2))
+    if kind in MIN_KINDS:
+        values = var
+    elif kind in REGRET_KINDS:
+        values = eigsums - var
+    else:
+        values = traces - var
+    if kind in NORMALIZED_KINDS:
+        values = values / traces
+    return values, products
+
+
+def worst_index(kind: LossKind, values) -> int:
+    """Index of the worst domain: argmin for Var/NormVar, argmax otherwise.
+
+    Ties go to the smallest index.
+    """
+    return int(np.argmin(values)) if kind in MIN_KINDS else int(np.argmax(values))
+
+
 def worst_case(kind, v, domains, return_index: bool = False, cache: dict | None = None):
     """Worst-case loss of ``v`` over a domain collection.
 
     Min over domains for Var/NormVar, max for the other kinds. Ties go to the
     smallest domain index. With ``return_index=True`` the attaining index is
-    returned alongside the value.
+    returned alongside the value. ``cache`` memoizes the regret baselines by
+    domain id, as in :func:`top_k_eigensum`.
     """
     kind = as_kind(kind)
     specs = list(domains)
     if not specs:
         raise InvalidInput("worst_case needs at least one domain")
-    values = [loss(kind, v, d.covariance, cache=cache, cache_key=d.id) for d in specs]
-    idx = int(np.argmin(values)) if kind in MIN_KINDS else int(np.argmax(values))
+    frame = _as_frame(v)
+    traces = np.array([d.trace for d in specs])
+    eigsums = None
+    if kind in REGRET_KINDS:
+        k = frame.shape[1]
+        eigsums = np.array([top_k_eigensum(d.covariance, k, cache, d.id) for d in specs])
+    values, _ = domain_losses(kind, frame, [d.covariance for d in specs], traces, eigsums)
+    idx = worst_index(kind, values)
     value = float(values[idx])
     return (value, idx) if return_index else value
 

@@ -1,4 +1,4 @@
-"""Baselines and projected-gradient solvers for worst-case subspace fitting.
+"""Baselines and the Stiefel-Adam solver for worst-case subspace fitting.
 
 The exact baselines (pooled, separate, average-covariance PCA) reduce to
 eigendecompositions. The worst-case problems
@@ -6,21 +6,26 @@ eigendecompositions. The worst-case problems
     maximize  min_e Var(V; Sigma_e)        (Var, NormVar)
     minimize  max_e L(V; Sigma_e)          (RCS, NormRCS, Reg, NormReg)
 
-are solved by projected gradient descent on the Stiefel manifold: at each
-iterate the active domain (the one attaining the worst case, smallest index
-on ties) supplies the subgradient, an Adam step is taken in the ambient
-p x k space, and the result is projected back via ``stiefel_project``. All
-six objectives share one update direction because the Euclidean gradient of
-the active domain's loss is +/- 2 Sigma_a V (divided by the trace for
-normalized kinds, and unchanged for the regret kinds whose baseline does not
-depend on V).
+are all solved by one driver, :func:`stiefel_adam`: at each iterate the
+active domain (the one attaining the worst case, smallest index on ties)
+supplies the subgradient, an annealed Adam step is taken in the ambient
+p x k space, and the result is retracted to orthonormal columns by
+``stiefel_project``. All six objectives share one update direction because
+every loss is linear in the covariance: the Euclidean gradient of the active
+domain's loss is +/- 2 Sigma_a V (divided by the trace for normalized kinds,
+and unchanged for the regret kinds whose baseline does not depend on V).
+The losses come from the single kernel ``losses.domain_losses``, whose
+products ``Sigma_e V`` double as the gradient. Worst-case matrix completion
+(``completion.fit_max_mc``) runs the same driver on its right factor.
 
 The step size anneals geometrically from ``step_size`` down to
 ``step_size / 100`` over the iteration budget; a constant step leaves Adam
 oscillating at the step scale near a max-min optimum where the active domain
 alternates. Restart r draws its initial frame from stream r of
 ``cfg.seed`` (a counter-offset of the same Philox key), so runs are
-reproducible and restarts are independent.
+reproducible and restarts are independent. Retraction-based descent follows
+Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*
+(2008); the update rule is Adam (Kingma & Ba, ICLR 2015).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank, NumericalFailure
-from .linalg import haar_frame, orthocomplement_frame, stiefel_project, sym_eigen
+from .linalg import haar_frame, orthocomplement_frame, stiefel_project, top_k_frame
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
@@ -40,9 +45,10 @@ from .losses import (
     LossKind,
     as_kind,
     average_covariance,
+    domain_losses,
     pooled_covariance,
     top_k_eigensum,
-    worst_case,
+    worst_index,
 )
 from .rng import make_rng, spawn_seed
 
@@ -52,14 +58,19 @@ __all__ = [
     "pool_pca",
     "sep_pca",
     "avgcov_pca",
+    "stiefel_adam",
     "solve_wcpca",
     "sequential_minpca",
     "order_basis",
 ]
 
-# Stop a PGD run when the best objective has improved by less than
-# cfg.tol_objective over this many iterations.
+# Stop a run when the best cost has improved by less than its tolerance over
+# this many iterations.
 _PLATEAU_WINDOW = 50
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 # Domains within this absolute gap of the worst-case value count as active.
 _ACTIVE_TOL = 1e-6
 # Reduced covariances whose trace falls below this get a diagonal jitter so
@@ -69,13 +80,10 @@ _TRACE_JITTER = 1e-15
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters for the projected-gradient solvers."""
+    """Budget, step size and restarts of the worst-case solvers."""
 
     max_iters: int = 2000
     step_size: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     restarts: int = 5
     tol_objective: float = 1e-8
     seed: int = 0
@@ -112,14 +120,6 @@ def _ensure_collection(domains) -> DomainCollection:
     return DomainCollection(tuple(domains))
 
 
-def _top_frame_of(sigma, k: int) -> np.ndarray:
-    spec = sym_eigen(sigma)
-    p = spec.eigenvalues.shape[0]
-    if not 1 <= k <= p:
-        raise InvalidRank(f"k must be in 1..{p}, got {k}")
-    return spec.eigenvectors[:, :k].copy()
-
-
 def pool_pca(domains, k: int) -> FitResult:
     """PCA on the weighted pooled covariance sum_e w_e Sigma_e.
 
@@ -128,7 +128,7 @@ def pool_pca(domains, k: int) -> FitResult:
     """
     domains = _ensure_collection(domains)
     sigma = pooled_covariance(domains)
-    frame = _top_frame_of(sigma, k)
+    frame = top_k_frame(sigma, k)
     objective = float(np.sum(frame * (sigma @ frame)))
     return FitResult(frame, objective, frozenset(), 0, 0)
 
@@ -146,7 +146,7 @@ def sep_pca(domains, k: int) -> FitResult:
         own = top_k_eigensum(d.covariance, k)
         if own < best_value:
             best_idx, best_value = idx, own
-    frame = _top_frame_of(domains[best_idx].covariance, k)
+    frame = top_k_frame(domains[best_idx].covariance, k)
     return FitResult(frame, best_value, frozenset({best_idx}), 0, 0)
 
 
@@ -154,86 +154,66 @@ def avgcov_pca(domains, k: int) -> FitResult:
     """PCA on the unweighted average covariance (1/E) sum_e Sigma_e."""
     domains = _ensure_collection(domains)
     sigma = average_covariance(domains)
-    frame = _top_frame_of(sigma, k)
+    frame = top_k_frame(sigma, k)
     objective = float(np.sum(frame * (sigma @ frame)))
     return FitResult(frame, objective, frozenset(), 0, 0)
 
 
-def _domain_values(kind, v, covs, traces, eigsums):
-    """Per-domain losses of frame v, plus the active (worst-case) index."""
-    values = np.empty(len(covs))
-    for e, c in enumerate(covs):
-        var = float(np.sum(v * (c @ v)))
-        if kind is LossKind.VAR:
-            values[e] = var
-        elif kind is LossKind.NORM_VAR:
-            values[e] = var / traces[e]
-        elif kind is LossKind.RCS:
-            values[e] = traces[e] - var
-        elif kind is LossKind.NORM_RCS:
-            values[e] = (traces[e] - var) / traces[e]
-        elif kind is LossKind.REG:
-            values[e] = eigsums[e] - var
-        else:
-            values[e] = (eigsums[e] - var) / traces[e]
-    idx = int(np.argmin(values)) if kind in MIN_KINDS else int(np.argmax(values))
-    return values, idx
+def stiefel_adam(v0, cost_and_grad, iters: int, step_size: float, tol: float, frozen=None):
+    """Minimize a worst-case cost over frames with orthonormal columns.
 
-
-def _pgd_restart(kind, covs, traces, eigsums, v0, cfg):
-    """One PGD run from v0; returns (best frame, best objective, iterations)."""
-    maximize = kind in MIN_KINDS
-    normalized = kind in NORMALIZED_KINDS
+    ``cost_and_grad(v)`` returns the cost at ``v`` and the Euclidean gradient
+    of the active (worst) piece. Each iteration keeps the gradient's tangent
+    part, zeroes the rows flagged in the boolean mask ``frozen``, takes an
+    Adam step whose size anneals geometrically from ``step_size`` to
+    ``step_size / 100`` over ``iters``, and retracts with ``stiefel_project``.
+    The run stops once the best cost has improved by less than ``tol`` over
+    the last 50 iterations. Returns ``(best frame, best cost, iterations)``;
+    the best frame may be ``v0`` itself.
+    """
     m = np.zeros_like(v0)
     u = np.zeros_like(v0)
     v = v0
-    values, idx = _domain_values(kind, v, covs, traces, eigsums)
-    best_obj = float(values[idx])
-    best_v = v
-    best_hist = [best_obj]
-    iterations = cfg.max_iters
-    for t in range(1, cfg.max_iters + 1):
-        # Subgradient through the active domain only; the minimization
-        # direction is the same expression for all six kinds.
-        trn = traces[idx] if normalized else 1.0
-        g = (-2.0 / trn) * (covs[idx] @ v)
+    cost, g = cost_and_grad(v)
+    best_cost, best_v = cost, v
+    best_hist = [best_cost]
+    for t in range(1, iters + 1):
         # The moments must see only the tangential part: the radial component
         # never flips sign, and Adam's coordinatewise normalization would
         # inflate it into a bias that stalls equalized optima off the KKT
-        # point (Example-1-type instances expose this).
+        # point (Example-1-type instances expose this). Frozen rows are zeroed
+        # last so they never accumulate moment mass.
         vg = v.T @ g
         g = g - v @ ((vg + vg.T) / 2.0)
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
-        u = cfg.adam_beta2 * u + (1.0 - cfg.adam_beta2) * (g * g)
-        mhat = m / (1.0 - cfg.adam_beta1**t)
-        uhat = u / (1.0 - cfg.adam_beta2**t)
-        step = cfg.step_size * 0.01 ** (t / cfg.max_iters)
-        v = v - step * mhat / (np.sqrt(uhat) + cfg.adam_eps)
+        if frozen is not None:
+            g[frozen] = 0.0
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+        u = _ADAM_BETA2 * u + (1.0 - _ADAM_BETA2) * (g * g)
+        mhat = m / (1.0 - _ADAM_BETA1**t)
+        uhat = u / (1.0 - _ADAM_BETA2**t)
+        step = step_size * 0.01 ** (t / iters)
+        v = v - step * mhat / (np.sqrt(uhat) + _ADAM_EPS)
         if not np.all(np.isfinite(v)):
             raise NumericalFailure(f"non-finite iterate at iteration {t}")
         v = stiefel_project(v)
-        values, idx = _domain_values(kind, v, covs, traces, eigsums)
-        obj = float(values[idx])
-        if (obj > best_obj) if maximize else (obj < best_obj):
-            best_obj = obj
-            best_v = v
-        best_hist.append(best_obj)
-        if t >= _PLATEAU_WINDOW:
-            if abs(best_hist[-1] - best_hist[-1 - _PLATEAU_WINDOW]) < cfg.tol_objective:
-                iterations = t
-                break
-    return best_v, best_obj, iterations
+        cost, g = cost_and_grad(v)
+        if cost < best_cost:
+            best_cost, best_v = cost, v
+        best_hist.append(best_cost)
+        if t >= _PLATEAU_WINDOW and best_hist[-1 - _PLATEAU_WINDOW] - best_cost < tol:
+            return best_v, best_cost, t
+    return best_v, best_cost, iters
 
 
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
-    """Solve a worst-case PCA problem by multi-restart projected gradient.
+    """Solve a worst-case PCA problem by multi-restart Stiefel-Adam.
 
-    Runs ``cfg.restarts`` independent PGD runs from Haar-random initial
-    frames (restart r uses stream r of ``cfg.seed``) and keeps the best final
-    objective. Non-convergence is not an error: the best frame found is
-    returned with ``iterations_used == cfg.max_iters``. The degenerate case
-    k = p short-circuits to the identity frame, where every objective is
-    constant over the manifold.
+    Runs ``cfg.restarts`` independent :func:`stiefel_adam` runs from
+    Haar-random initial frames (restart r uses stream r of ``cfg.seed``) and
+    keeps the best final objective. Non-convergence is not an error: the
+    best frame found is returned with ``iterations_used == cfg.max_iters``.
+    The degenerate case k = p short-circuits to the identity frame, where
+    every objective is constant over the manifold.
     """
     kind = as_kind(kind)
     domains = _ensure_collection(domains)
@@ -246,29 +226,32 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     eigsums = (
         np.array([top_k_eigensum(c, k) for c in covs]) if kind in REGRET_KINDS else None
     )
+    # The driver minimizes; Var and NormVar maximize their worst case.
+    sign = -1.0 if kind in MIN_KINDS else 1.0
+
+    def cost_and_grad(v):
+        values, products = domain_losses(kind, v, covs, traces, eigsums)
+        idx = worst_index(kind, values)
+        trn = traces[idx] if kind in NORMALIZED_KINDS else 1.0
+        return sign * float(values[idx]), (-2.0 / trn) * products[idx]
+
+    def result(frame, iters, restart):
+        values, _ = domain_losses(kind, frame, covs, traces, eigsums)
+        worst = values[worst_index(kind, values)]
+        active = np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL)
+        return FitResult(frame, float(worst), frozenset(int(i) for i in active), iters, restart)
 
     if k == p:
-        frame = np.eye(p)
-        values, idx = _domain_values(kind, frame, covs, traces, eigsums)
-        active = frozenset(
-            int(i) for i in np.flatnonzero(np.abs(values - values[idx]) <= _ACTIVE_TOL)
-        )
-        return FitResult(frame, float(values[idx]), active, 0, 0)
+        return result(np.eye(p), 0, 0)
 
-    maximize = kind in MIN_KINDS
     best = None
     for r in range(cfg.restarts):
         v0 = haar_frame(p, k, make_rng(cfg.seed, r))
-        v, obj, iters = _pgd_restart(kind, covs, traces, eigsums, v0, cfg)
-        if best is None or ((obj > best[1]) if maximize else (obj < best[1])):
-            best = (v, obj, iters, r)
-
+        v, cost, iters = stiefel_adam(v0, cost_and_grad, cfg.max_iters, cfg.step_size, cfg.tol_objective)
+        if best is None or cost < best[1]:
+            best = (v, cost, iters, r)
     frame, _, iters, restart = best
-    values, idx = _domain_values(kind, frame, covs, traces, eigsums)
-    active = frozenset(
-        int(i) for i in np.flatnonzero(np.abs(values - values[idx]) <= _ACTIVE_TOL)
-    )
-    return FitResult(frame, float(values[idx]), active, iters, restart)
+    return result(frame, iters, restart)
 
 
 def _jitter_if_flat(m: np.ndarray) -> np.ndarray:
@@ -338,7 +321,7 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     what remains. On the unit sphere the removal objective
     ``min_e (Tr(M_e) - a.T M_e a)`` equals ``min_e a.T (Tr(M_e) I - M_e) a``,
     so each removal is a rank-1 Var solve on the PSD matrices
-    ``Tr(M_e) I - M_e`` and reuses the main PGD solver. The last direction
+    ``Tr(M_e) I - M_e`` and reuses :func:`solve_wcpca`. The last direction
     standing is the best single direction in the span and comes first; the
     direction removed first needed the least and comes last. The output spans
     the same subspace as the input.

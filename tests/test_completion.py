@@ -62,6 +62,18 @@ class TestMaskedDomain:
             MaskedDataset((a, b))
 
 
+def check_unidentifiable_column_reported(fit):
+    data, _ = low_rank_dataset(12, p=6, k=2)
+    hidden = []
+    for d in data:
+        mask = d.mask.copy()
+        mask[:, 4] = 0.0
+        hidden.append(MaskedDomain(id=d.id, x=d.x, mask=mask))
+    model = fit(MaskedDataset(tuple(hidden)), 2)
+    assert 4 in model.unidentifiable_columns
+    assert np.isfinite(model.objective_trace[-1])
+
+
 class TestInductiveOls:
     def test_oracle_row(self):
         r = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
@@ -115,18 +127,14 @@ class TestPoolFit:
         )
 
     def test_unidentifiable_column_reported(self):
-        data, _ = low_rank_dataset(12, p=6, k=2)
-        hidden = []
-        for d in data:
-            mask = d.mask.copy()
-            mask[:, 4] = 0.0
-            hidden.append(MaskedDomain(id=d.id, x=d.x, mask=mask))
-        model = fit_pool_mc(MaskedDataset(tuple(hidden)), 2)
-        assert 4 in model.unidentifiable_columns
-        assert np.isfinite(model.objective_trace[-1])
+        check_unidentifiable_column_reported(fit_pool_mc)
 
 
 class TestMaxFit:
+    def test_unidentifiable_column_reported(self):
+        # exercises the frozen-row path of the shared Stiefel-Adam driver
+        check_unidentifiable_column_reported(fit_max_mc)
+
     def test_trace_monotone(self):
         data, _ = low_rank_dataset(20)
         model = fit_max_mc(data, 3)

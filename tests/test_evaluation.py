@@ -13,6 +13,7 @@ from wcpca import (
     LossKind,
     MaskedDataset,
     MaskedDomain,
+    SolverConfig,
     average_covariance,
     consistency_curve,
     fit_pool_mc,
@@ -164,3 +165,11 @@ class TestConsistencyCurve:
         # feeding the population covariances back in should solve the same
         # problem, up to solver tolerance
         assert abs(table[1]["median"]) <= 1e-4
+
+    def test_solver_config_is_used(self):
+        gen = GenConfig(p=8, n_domains=3, shared_rank=2, specific_rank=2, seed=51)
+        default = consistency_curve(gen, LossKind.RCS, 2, [50], replicates=2)
+        starved = consistency_curve(
+            gen, LossKind.RCS, 2, [50], replicates=2, cfg=SolverConfig(max_iters=1, restarts=1)
+        )
+        assert starved != default

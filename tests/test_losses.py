@@ -31,6 +31,7 @@ from wcpca import (
     top_k_eigensum,
     worst_case,
 )
+from wcpca.losses import domain_losses
 from conftest import random_covariance
 
 
@@ -93,7 +94,51 @@ class TestLossValues:
         assert loss("var", v, sigma) == loss(LossKind.VAR, v, sigma)
 
 
+class TestDomainLosses:
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(list(LossKind)),
+        st.sampled_from(["c", "fortran", "strided", "1-d"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_loss_exactly(self, seed, kind, layout):
+        rng = make_rng(seed)
+        p = int(rng.integers(1, 40))
+        k = 1 if layout == "1-d" else int(rng.integers(1, p + 1))
+        covs = [random_covariance(rng, p) for _ in range(int(rng.integers(1, 6)))]
+        v = haar_frame(p, k, rng)
+        if layout == "fortran":
+            v = np.asfortranarray(v)
+        elif layout == "strided":
+            v = np.repeat(v, 2, axis=1)[:, ::2]
+        elif layout == "1-d":
+            v = v[:, 0]
+        traces = np.array([float(np.trace(c)) for c in covs])
+        eigsums = np.array([top_k_eigensum(c, k) for c in covs])
+        values, products = domain_losses(kind, v, covs, traces, eigsums)
+        frame = v.reshape(p, k)
+        assert products.shape == (len(covs), p, k)
+        for e, c in enumerate(covs):
+            assert values[e] == loss(kind, v, c)
+            np.testing.assert_array_equal(products[e], c @ frame)
+
+    def test_row_mismatch(self):
+        with pytest.raises(InvalidInput):
+            domain_losses(LossKind.VAR, np.eye(3)[:, :1], [np.eye(2)], np.ones(1), None)
+
+
 class TestWorstCase:
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_invariant_under_common_rotation(self, kind):
+        rng = make_rng(31)
+        p, k = 7, 3
+        covs = [random_covariance(rng, p) for _ in range(4)]
+        v = haar_frame(p, k, rng)
+        q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        rotated = make_collection([q @ c @ q.T for c in covs])
+        before = worst_case(kind, v, make_collection(covs))
+        assert worst_case(kind, q @ v, rotated) == pytest.approx(before, abs=1e-12)
+
     def test_min_for_var_max_for_rcs(self, example1):
         v = np.eye(3)[:, :1]
         # domain a: var 0.9 / rcs 0.1; domain b: var 0.0 / rcs 1.0
@@ -115,6 +160,10 @@ class TestCollections:
         coll = make_collection([np.eye(2), 2 * np.eye(2)])
         assert [d.id for d in coll] == ["d0", "d1"]
         assert sum(d.weight for d in coll) == pytest.approx(1.0)
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(InvalidInput, match="unique"):
+            make_collection([np.eye(2), 2.0 * np.eye(2)], ids=["a", "a"])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):

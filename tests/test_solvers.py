@@ -23,6 +23,8 @@ from wcpca import (
     solve_wcpca,
     worst_case,
 )
+from wcpca.solvers import stiefel_adam
+from conftest import random_covariance
 
 
 class TestBaselines:
@@ -97,6 +99,49 @@ class TestSolveWcpca:
         fit = solve_wcpca(LossKind.RCS, coll, 2, SolverConfig(seed=4))
         # with one domain the worst case is plain PCA
         assert fit.objective == pytest.approx(1.1, abs=1e-5)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_domain_order_does_not_matter(self, kind):
+        rng = np.random.default_rng(17)
+        covs = [random_covariance(rng, 6) for _ in range(4)]
+        perm = [2, 0, 3, 1]
+        cfg = SolverConfig(max_iters=300, restarts=2, seed=9)
+        fit = solve_wcpca(kind, make_collection(covs), 2, cfg)
+        moved = solve_wcpca(kind, make_collection([covs[i] for i in perm]), 2, cfg)
+        np.testing.assert_array_equal(moved.frame, fit.frame)
+        assert moved.objective == fit.objective
+        assert moved.active_domains == frozenset(
+            i for i, src in enumerate(perm) if src in fit.active_domains
+        )
+
+
+class TestStiefelAdam:
+    @staticmethod
+    def _max_var(sigma):
+        def cost_and_grad(v):
+            return -float(np.sum(v * (sigma @ v))), -2.0 * (sigma @ v)
+
+        return cost_and_grad
+
+    def test_reaches_top_eigenspace(self):
+        v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
+        cost_and_grad = self._max_var(np.diag(np.arange(6, 0, -1.0)))
+        v, cost, iters = stiefel_adam(v0, cost_and_grad, 3000, 1e-2, 1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
+        assert cost == pytest.approx(-11.0, abs=1e-4)
+        assert 1 <= iters <= 3000
+
+    def test_frozen_row_gets_no_step(self):
+        rng = np.random.default_rng(4)
+        cost_and_grad = self._max_var(random_covariance(rng, 6))
+        v0 = np.insert(np.linalg.qr(rng.normal(size=(5, 2)))[0], 4, 0.0, axis=0)
+        frozen = np.zeros(6, dtype=bool)
+        frozen[4] = True
+        free, _, _ = stiefel_adam(v0, cost_and_grad, 200, 1e-2, 0.0)
+        held, _, _ = stiefel_adam(v0, cost_and_grad, 200, 1e-2, 0.0, frozen)
+        assert np.abs(free[4]).max() > 1e-3
+        assert np.abs(held[4]).max() <= 1e-12
+        assert np.abs(held - v0).max() > 1e-3
 
 
 class TestSequential:

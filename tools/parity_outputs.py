@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Write a fixed set of wcpca outputs and print one SHA-256 digest per file.
+
+Used to show that a refactor leaves results bit-for-bit unchanged: run it
+against two checkouts and compare the printed digests.
+
+    PYTHONPATH=src python3 tools/parity_outputs.py OUT_DIR > digests.txt
+
+Inputs are generated here with plain numpy from fixed seeds, so they do not
+depend on the package under test. The script covers every ``fit`` objective
+with and without ``--order``, the ``avg-vs-wc`` and ``het-noise`` studies,
+``complete --predict`` for both objectives, 240 library solves over the six
+loss kinds and four ``fit_max_mc`` fits (one with a never-observed column).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import numpy as np
+
+from wcpca import LossKind, MaskedDataset, MaskedDomain, SolverConfig, fit_max_mc, make_collection, solve_wcpca
+from wcpca.cli import main as cli_main
+
+OBJECTIVES = (
+    "pool", "sep", "avgcov", "min", "norm-min",
+    "max-rcs", "norm-max-rcs", "max-regret", "norm-max-regret",
+)
+
+
+def _covariances(rng, count, p):
+    out = []
+    for _ in range(count):
+        a = rng.normal(size=(p, p)) * rng.uniform(0.2, 2.0, p)
+        out.append(a @ a.T / p)
+    return out
+
+
+def _write_manifest(root, covs):
+    os.makedirs(root, exist_ok=True)
+    domains = []
+    for e, c in enumerate(covs):
+        name = f"d{e}.csv"
+        np.savetxt(os.path.join(root, name), c, delimiter=",", fmt="%.17g")
+        domains.append({"id": f"d{e}", "file": name})
+    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump({"domains": domains}, fh, indent=2)
+    return root
+
+
+def _write_masked_csv(path, rng, rows_per_domain, p, k, hide):
+    frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    lines = ["site," + ",".join(f"f{j}" for j in range(p))]
+    for label in ("a", "b", "c"):
+        for _ in range(rows_per_domain):
+            row = rng.normal(size=k) @ frame.T + 0.05 * rng.normal(size=p)
+            cells = [f"{x:.12f}" for x in row]
+            for j in rng.choice(p, size=hide, replace=False):
+                cells[int(j)] = ""
+            lines.append(label + "," + ",".join(cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"wcpca {' '.join(map(str, argv))} exited {code}")
+
+
+def _solves(out):
+    rng = np.random.default_rng(2024)
+    lines = []
+    for inst in range(40):
+        p = int(rng.integers(3, 13))
+        k = int(rng.integers(1, p))
+        coll = make_collection(_covariances(rng, int(rng.integers(1, 6)), p))
+        cfg = SolverConfig(max_iters=int(rng.integers(50, 400)), restarts=2, seed=inst)
+        for kind in LossKind:
+            fit = solve_wcpca(kind, coll, k, cfg)
+            lines.append(
+                f"{inst} {kind.value} {fit.objective!r} {sorted(fit.active_domains)} "
+                f"{fit.iterations_used} {fit.restart_index} "
+                f"{hashlib.sha256(fit.frame.tobytes()).hexdigest()}"
+            )
+    with open(os.path.join(out, "solves.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _max_mc_fits(out):
+    rng = np.random.default_rng(77)
+    lines = []
+    for fit_idx, hidden_col in enumerate((None, None, None, 3)):
+        p, k = 8, 2
+        frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        domains = []
+        for e in range(3):
+            x = rng.normal(size=(30, k)) @ frame.T * (1.0 + e) + 0.05 * rng.normal(size=(30, p))
+            mask = (rng.random((30, p)) > 0.3).astype(float)
+            mask[np.arange(30), rng.integers(0, p, 30)] = 1.0
+            if hidden_col is not None:
+                mask[:, hidden_col] = 0.0
+                mask[:, (hidden_col + 1) % p] = 1.0
+            domains.append(MaskedDomain(id=f"d{e}", x=x, mask=mask))
+        model = fit_max_mc(MaskedDataset(tuple(domains)), k)
+        lines.append(
+            f"{fit_idx} {model.unidentifiable_columns} {list(model.objective_trace)!r} "
+            f"{hashlib.sha256(model.right_factor.tobytes()).hexdigest()}"
+        )
+    with open(os.path.join(out, "max_mc.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def main(out):
+    rng = np.random.default_rng(11)
+    inputs = os.path.join(out, "inputs")
+    manifest = _write_manifest(os.path.join(inputs, "covs"), _covariances(rng, 5, 30))
+    train = _write_masked_csv(os.path.join(inputs, "train.csv"), rng, 40, 12, 3, 4)
+    holdout = _write_masked_csv(os.path.join(inputs, "holdout.csv"), rng, 10, 12, 3, 4)
+
+    for objective in OBJECTIVES:
+        for order in (False, True):
+            dest = os.path.join(out, f"fit-{objective}{'-order' if order else ''}")
+            _cli("fit", "--from-cov", manifest, "--k", 4, "--objective", objective,
+                 "--seed", 3, "--out", dest, *(["--order"] if order else []))
+    for study in ("avg-vs-wc", "het-noise"):
+        _cli("simulate", study, "--replicates", 2, "--seed", 5, "--out", os.path.join(out, "sim"))
+    for method in ("pool", "max"):
+        _cli("complete", "--csv", train, "--domain-col", "site", "--objective", method,
+             "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-{method}"))
+    _solves(out)
+    _max_mc_fits(out)
+
+    for root, _, files in sorted(os.walk(out)):
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  {os.path.relpath(path, out)}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: parity_outputs.py OUT_DIR")
+    main(sys.argv[1])
