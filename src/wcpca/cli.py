@@ -4,7 +4,7 @@ fit       estimate a shared frame (baseline or worst-case objective) from a
           long CSV or from exported covariance files, write frame + report.
 simulate  run one of the named desk-scale studies, write a long-format CSV.
 complete  fit a multi-domain matrix-completion model, optionally reconstruct
-          a held-out CSV row by row.
+          the rows of a held-out CSV from their observed cells.
 
 Exit codes: 0 success, 1 numerical failure, 2 input or schema error,
 3 invalid configuration. Semantic flag validation happens here so that bad
@@ -173,14 +173,15 @@ def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: s
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([domain_col, *feats])
         for label, (x, mask) in blocks.items():
-            for i in range(x.shape[0]):
-                if not mask[i].any():
-                    raise NoObservations(
-                        f"cannot predict row {i} of domain {label!r} in {path}: "
-                        "no observed entries"
-                    )
-                _, recon = inductive_ols(x[i], mask[i], r)
-                writer.writerow([label, *(_FLOAT_FMT % v for v in recon)])
+            empty = np.flatnonzero(~mask.any(axis=1))
+            if empty.size:
+                raise NoObservations(
+                    f"cannot predict row {int(empty[0])} of domain {label!r} in {path}: "
+                    "no observed entries"
+                )
+            _, recon = inductive_ols(x, mask, r)
+            for row in recon.tolist():
+                writer.writerow([label, *(_FLOAT_FMT % v for v in row)])
     return pred_path
 
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="additionally hide this fraction of entries per row",
     )
-    comp.add_argument("--predict", help="held-out CSV to reconstruct row by row")
+    comp.add_argument("--predict", help="held-out CSV whose rows to reconstruct")
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--out", default=".")
     comp.set_defaults(func=cmd_complete)

@@ -9,7 +9,14 @@ factor ``R`` constrained to orthonormal columns:
 * :func:`fit_max_mc` minimizes the maximum across domains of the per-domain
   mean squared error on observed entries; the R-update runs the worst-case
   PCA driver ``solvers.stiefel_adam`` (annealed Adam step through the active
-  domain, then retraction to orthonormal columns).
+  domain, then retraction to orthonormal columns) on per-column sufficient
+  statistics, so one inner iteration costs O(E p k^2) instead of O(n p k).
+
+Every least-squares problem here (the L-update, the pooled R-update,
+:func:`inductive_ols`) is a stack of masked problems solved array-at-a-time
+by :func:`_solve_masked`: all k x k normal equations are formed with one
+matrix product and solved in one batch, and only rows whose Gram matrix is
+ill-conditioned fall back to the exact minimum-norm ``lstsq``.
 
 After the pooled R-update the raw solution is re-orthonormalized through its
 polar factor and the compensating transform is absorbed into every ``L_e``,
@@ -45,6 +52,10 @@ __all__ = [
 ]
 
 _LSTSQ_RCOND = 1e-10
+# A k x k Gram with lambda_min <= _GRAM_RCOND * lambda_max is solved by the
+# exact lstsq instead: its design's singular values then span more than
+# 1e3, where the normal equations lose digits and rank may be deficient.
+_GRAM_RCOND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,34 +188,86 @@ class IncoherenceReport:
 
 
 def inductive_ols(x, omega, r):
-    """Reconstruct one partially observed row from a learned right factor.
+    """Reconstruct partially observed rows from a learned right factor.
 
-    Solves ``min_c sum_{i: omega_i=1} (x_i - [c R.T]_i)^2`` and returns
-    ``(coefficients, reconstruction)`` where the reconstruction covers all p
-    coordinates. A rank-deficient observed design falls back to the
-    minimum-norm solution (pseudoinverse with singular values below
+    Solves ``min_c sum_{i: omega_i=1} (x_i - [c R.T]_i)^2`` for each row and
+    returns ``(coefficients, reconstruction)`` where the reconstruction
+    covers all p coordinates. A rank-deficient observed design falls back
+    to the minimum-norm solution (pseudoinverse with singular values below
     ``1e-10 * s_max`` treated as zero).
 
-    :param x: length-p data row.
-    :param omega: length-p binary mask, 1 = observed.
+    :param x: length-p data row, or an n x p block of rows.
+    :param omega: binary mask of the same shape as ``x``, 1 = observed.
     :param r: p x k right factor.
-    :raises NoObservations: if the mask is all zero.
+    :returns: length-k coefficients and length-p reconstruction for a row;
+        n x k and n x p arrays for a block.
+    :raises NoObservations: if a row's mask is all zero.
     """
-    row = np.asarray(x, dtype=np.float64).ravel()
-    mask = np.asarray(omega, dtype=np.float64).ravel()
+    rows = np.asarray(x, dtype=np.float64)
+    mask = np.asarray(omega, dtype=np.float64)
     factor = np.asarray(r, dtype=np.float64)
     if factor.ndim != 2:
         raise InvalidInput(f"right factor must be 2-D, got shape {factor.shape}")
-    if row.shape[0] != factor.shape[0] or mask.shape[0] != factor.shape[0]:
+    single = rows.ndim != 2
+    if single:
+        rows, mask = rows.reshape(1, -1), mask.reshape(1, -1)
+    if rows.shape[1] != factor.shape[0] or mask.shape != rows.shape:
         raise InvalidInput(
-            f"row length {row.shape[0]} and mask length {mask.shape[0]} "
-            f"must match factor rows {factor.shape[0]}"
+            f"rows {rows.shape} and mask {mask.shape} must match "
+            f"factor rows {factor.shape[0]}"
         )
-    obs = mask != 0.0
-    if not obs.any():
-        raise NoObservations("row has no observed entries")
-    coef, *_ = np.linalg.lstsq(factor[obs], row[obs], rcond=_LSTSQ_RCOND)
-    return coef, factor @ coef
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise NoObservations(f"row {int(empty[0])} has no observed entries")
+    coef = _solve_masked(rows, mask, factor)
+    recon = coef @ factor.T
+    return (coef[0], recon[0]) if single else (coef, recon)
+
+
+def _solve_grams(gram: np.ndarray, rhs: np.ndarray, exact) -> np.ndarray:
+    """Solve the stacked k x k normal equations ``gram[i] c_i = rhs[i]``.
+
+    Rows whose Gram has ``lambda_min <= 1e-6 * lambda_max`` (all-zero Grams
+    included) take ``exact(i)`` instead, the minimum-norm lstsq solution of
+    the underlying problem, so rank-deficient semantics stay exact.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    ill = lam[:, 0] <= _GRAM_RCOND * lam[:, -1]
+    out = np.empty(rhs.shape)
+    out[~ill] = np.linalg.solve(gram[~ill], rhs[~ill][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(ill):
+        out[i] = exact(i)
+    return out
+
+
+def _solve_masked(x: np.ndarray, mask: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-wise masked least squares: ``c_i = argmin_c ||mask_i * (x_i - a c)||``.
+
+    ``x`` and ``mask`` are n x p, ``a`` is p x k; returns n x k. All Grams
+    are one product ``mask @ (a (x) a)`` and all right-hand sides one
+    product ``(x * mask) @ a``; no n x p x k design stack is formed.
+    """
+    p, k = a.shape
+    gram = (mask @ (a[:, :, None] * a[:, None, :]).reshape(p, k * k)).reshape(-1, k, k)
+    rhs = (x * mask) @ a
+
+    def exact(i):
+        obs = mask[i] != 0.0
+        return np.linalg.lstsq(a[obs], x[i, obs], rcond=_LSTSQ_RCOND)[0]
+
+    return _solve_grams(gram, rhs, exact)
+
+
+def _column_stats(d: MaskedDomain, l: np.ndarray):
+    """Per-column sufficient statistics of one domain for a fixed ``L``.
+
+    Returns ``H`` (p x k x k, ``H_j = sum_i m_ij l_i l_i.T``) and ``B``
+    (p x k, ``B = (M * X).T L``); the masked error of ``X - L R.T`` is then
+    ``||M * X||^2 - 2 <B, R> + sum_j r_j.T H_j r_j``.
+    """
+    n, k = l.shape
+    h = (d.mask.T @ (l[:, :, None] * l[:, None, :]).reshape(n, k * k)).reshape(-1, k, k)
+    return h, (d.x * d.mask).T @ l
 
 
 def _ensure_dataset(data) -> MaskedDataset:
@@ -234,17 +297,8 @@ def _init_factors(data: MaskedDataset, k: int):
 
 
 def _l_update(data: MaskedDataset, r: np.ndarray):
-    """Exact per-row OLS against the current right factor."""
-    k = r.shape[1]
-    ls = []
-    for d in data:
-        l = np.empty((d.n, k))
-        for i in range(d.n):
-            obs = d.mask[i] != 0.0
-            coef, *_ = np.linalg.lstsq(r[obs], d.x[i, obs], rcond=_LSTSQ_RCOND)
-            l[i] = coef
-        ls.append(l)
-    return ls
+    """Exact per-row OLS against the current right factor, one batch per domain."""
+    return [_solve_masked(d.x, d.mask, r) for d in data]
 
 
 def _domain_objectives(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
@@ -267,17 +321,29 @@ def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
 
 
 def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarray:
-    x_all = np.vstack([d.x for d in data])
-    m_all = np.vstack([d.mask for d in data])
-    l_all = np.vstack(ls)
+    """Exact per-column OLS over every domain's observed entries.
+
+    The k x k normal equations of each column are accumulated domain by
+    domain; rows of unidentifiable columns keep their incoming values.
+    """
+    p, k = r.shape
+    gram = np.zeros((p, k, k))
+    rhs = np.zeros((p, k))
+    for d, l in zip(data, ls):
+        h, b = _column_stats(d, l)
+        gram += h
+        rhs += b
+    cols = np.setdiff1d(np.arange(p), np.asarray(unident, dtype=int))
+
+    def exact(c):
+        j = cols[c]
+        obs = [d.mask[:, j] != 0.0 for d in data]
+        design = np.vstack([l[o] for l, o in zip(ls, obs)])
+        target = np.concatenate([d.x[o, j] for d, o in zip(data, obs)])
+        return np.linalg.lstsq(design, target, rcond=_LSTSQ_RCOND)[0]
+
     r_new = r.copy()
-    skip = set(unident)
-    for j in range(r.shape[0]):
-        if j in skip:
-            continue
-        rows = m_all[:, j] != 0.0
-        coef, *_ = np.linalg.lstsq(l_all[rows], x_all[rows, j], rcond=_LSTSQ_RCOND)
-        r_new[j] = coef
+    r_new[cols] = _solve_grams(gram[cols], rhs[cols], exact)
     return r_new
 
 
@@ -316,25 +382,43 @@ def fit_pool_mc(data, k: int, cfg: McConfig | None = None) -> CompletionModel:
     return CompletionModel(r, tuple(ls), tuple(trace), unident)
 
 
+def _max_r_cost(data: MaskedDataset, ls):
+    """Worst-case cost and active gradient in R, for fixed left factors.
+
+    Returns ``cost_and_grad(r)`` computing every domain's objective from the
+    sufficient statistics of :func:`_column_stats`, precomputed once, so one
+    call costs O(E p k^2) rather than rebuilding each ``L_e R.T``. The
+    active domain's gradient is ``2 (H_a r - B_a) / n_a``.
+    """
+    stats = [_column_stats(d, l) for d, l in zip(data, ls)]
+    h = np.stack([s[0] for s in stats])
+    b = np.stack([s[1] for s in stats])
+    xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])
+    n = np.array([float(d.n) for d in data])
+
+    def cost_and_grad(r):
+        hr = (h @ r[:, :, None])[..., 0]
+        vals = (xx + np.sum((hr - 2.0 * b) * r, axis=(1, 2))) / n
+        a = int(np.argmax(vals))
+        return float(vals[a]), (2.0 / n[a]) * (hr[a] - b[a])
+
+    return cost_and_grad
+
+
 def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray, unident, cfg: McConfig) -> np.ndarray:
     """Minimize max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2 over orthonormal R.
 
     Runs :func:`stiefel_adam` from the incoming R with the active domain's
-    gradient; the best iterate seen (possibly R itself) is returned, so the
-    outer objective cannot increase. Rows of unidentifiable columns are
-    frozen: they receive no gradient.
+    gradient (see :func:`_max_r_cost`); the best iterate seen (possibly R
+    itself) is returned, so the outer objective cannot increase beyond
+    rounding. Rows of unidentifiable columns are frozen: they receive no
+    gradient.
     """
-
-    def cost_and_grad(r):
-        vals = _domain_objectives(data, ls, r)
-        a = int(np.argmax(vals))
-        d = data[a]
-        resid = (ls[a] @ r.T - d.x) * d.mask
-        return float(vals[a]), (2.0 / d.n) * (resid.T @ ls[a])
-
     frozen = np.zeros(r0.shape[0], dtype=bool)
     frozen[list(unident)] = True
-    r, _, _ = stiefel_adam(r0, cost_and_grad, cfg.inner_iters, cfg.inner_step, cfg.inner_tol, frozen)
+    r, _, _ = stiefel_adam(
+        r0, _max_r_cost(data, ls), cfg.inner_iters, cfg.inner_step, cfg.inner_tol, frozen
+    )
     return r
 
 
@@ -417,7 +501,7 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     coef_full = row @ factor
     resid_full = row - factor @ coef_full
     den = float(resid_full @ resid_full)
-    coef_sub, *_ = np.linalg.lstsq(factor[keep], row[keep], rcond=_LSTSQ_RCOND)
+    coef_sub = _solve_masked(row[None], keep[None].astype(np.float64), factor)[0]
     resid_sub = row - factor @ coef_sub
     num = float(resid_sub @ resid_sub)
     if num <= 1e-14 and den <= 1e-14:

@@ -134,17 +134,11 @@ def mc_domain_losses(model: CompletionModel, test) -> np.ndarray:
     domain: ||X_e - Xhat_e||_F^2 / (n_e * p).
     """
     test = test if isinstance(test, MaskedDataset) else MaskedDataset(tuple(test))
-    r = model.right_factor
     out = np.empty(len(test))
     for e, d in enumerate(test):
-        if d.n == 0:
-            raise InvalidInput(f"test domain {d.id!r} is empty")
-        err = 0.0
-        for i in range(d.n):
-            _, recon = inductive_ols(d.x[i], d.mask[i], r)
-            diff = d.x[i] - recon
-            err += float(diff @ diff)
-        out[e] = err / (d.n * d.p)
+        _, recon = inductive_ols(d.x, d.mask, model.right_factor)
+        diff = d.x - recon
+        out[e] = float(np.sum(diff * diff)) / (d.n * d.p)
     return out
 
 

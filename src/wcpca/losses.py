@@ -59,14 +59,20 @@ MIN_KINDS = frozenset({LossKind.VAR, LossKind.NORM_VAR})
 NORMALIZED_KINDS = frozenset({LossKind.NORM_VAR, LossKind.NORM_RCS, LossKind.NORM_REG})
 REGRET_KINDS = frozenset({LossKind.REG, LossKind.NORM_REG})
 
+# Relative diagonal shift under which a covariance must admit a Cholesky
+# factor; it absorbs rounding in PSD inputs but not a real negative direction.
+_PSD_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DomainSpec:
     """One data source: a covariance plus sampling weight and sample count.
 
-    The covariance is symmetrized on construction and must have strictly
-    positive trace; the weight must be positive. ``n`` is optional and only
-    informational here (preprocessing fills it from data).
+    The covariance is symmetrized on construction, must have strictly
+    positive trace, and must be positive semidefinite up to a shift of
+    ``1e-10 * trace`` (generated covariances carry eigenvalues near -1e-17);
+    the weight must be positive. ``n`` is optional and only informational
+    here (preprocessing fills it from data).
     """
 
     id: str
@@ -76,8 +82,17 @@ class DomainSpec:
 
     def __post_init__(self):
         cov = as_covariance(self.covariance)
-        if float(np.trace(cov)) <= 0.0:
+        trace = float(np.trace(cov))
+        if trace <= 0.0:
             raise ZeroTrace(f"domain {self.id!r} has nonpositive trace")
+        shifted = cov.copy()
+        shifted.flat[:: cov.shape[0] + 1] += _PSD_RTOL * trace
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise InvalidInput(
+                f"domain {self.id!r} covariance is not positive semidefinite"
+            ) from None
         if not self.weight > 0.0:
             raise InvalidWeights(f"domain {self.id!r} has nonpositive weight {self.weight}")
         if self.n is not None and self.n < 1:

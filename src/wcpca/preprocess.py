@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -83,34 +85,65 @@ def _resolve_features(fieldnames, domain_col: str, feature_cols):
     return features
 
 
+def _cell(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _read_rows(path: str, domain_col: str, feature_cols=None, keep=None):
+    """Parse a labelled CSV into per-label lists of float rows.
+
+    Empty, unparseable and absent (short-row) cells read as nan, an absent
+    label as ``""``; blank lines are skipped and extra cells ignored. A
+    duplicated header name refers to its last column. Rows for which
+    ``keep(label, values)`` is false are counted and left out. Returns
+    ``(features, rows_by_label, left_out)`` with labels in the order of
+    their first kept row.
+    """
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyData(f"{path} has no header row")
+        features = _resolve_features(header, domain_col, feature_cols)
+        index = {name: i for i, name in enumerate(header)}
+        label_at = index[domain_col]
+        cols = [index[c] for c in features]
+        width = max(label_at, *cols) + 1
+        cells_of = operator.itemgetter(*cols)
+        by_label: dict[str, list] = {}
+        left_out = 0
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            label, cells = row[label_at], cells_of(row)
+            try:
+                values = [float(c) if c else math.nan for c in cells]
+            except ValueError:
+                values = [_cell(c) for c in cells]
+            if keep is not None and not keep(label, values):
+                left_out += 1
+                continue
+            by_label.setdefault(label, []).append(values)
+    return features, by_label, left_out
+
+
+def _complete_row(label: str, values) -> bool:
+    return label != "" and all(map(math.isfinite, values))
+
+
 def load_csv(path: str, domain_col: str, feature_cols=None) -> RawTable:
     """Read a delimited file with a header and one domain-label column.
 
-    Rows containing any non-finite or unparseable feature are dropped and
-    counted; a domain left with fewer than 2 rows is an error, and a file
-    left with no rows at all is EmptyData.
+    Rows with an empty label or any non-finite or unparseable feature are
+    dropped and counted; a domain left with fewer than 2 rows is an error,
+    and a file left with no rows at all is EmptyData.
     """
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyData(f"{path} has no header row")
-        features = _resolve_features(reader.fieldnames, domain_col, feature_cols)
-        rows_by_domain: dict[str, list] = {}
-        dropped = 0
-        for record in reader:
-            label = record.get(domain_col)
-            if label is None or label == "":
-                dropped += 1
-                continue
-            try:
-                values = [float(record[c]) for c in features]
-            except (TypeError, ValueError):
-                dropped += 1
-                continue
-            if not all(np.isfinite(values)):
-                dropped += 1
-                continue
-            rows_by_domain.setdefault(label, []).append(values)
+    features, rows_by_domain, dropped = _read_rows(path, domain_col, feature_cols, _complete_row)
     if not rows_by_domain:
         raise EmptyData(f"{path} has no usable data rows ({dropped} dropped)")
     for label, rows in rows_by_domain.items():
@@ -267,38 +300,15 @@ def load_masked_csv(path: str, domain_col: str, feature_cols=None):
     all-observed constraints are applied here, so callers decide whether an
     all-masked row is an error.
     """
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyData(f"{path} has no header row")
-        features = _resolve_features(reader.fieldnames, domain_col, feature_cols)
-        by_domain: dict[str, list] = {}
-        for record in reader:
-            label = record.get(domain_col)
-            if label is None:
-                label = ""
-            values = []
-            observed = []
-            for c in features:
-                cell = record.get(c)
-                try:
-                    v = float(cell)
-                except (TypeError, ValueError):
-                    v = np.nan
-                if np.isfinite(v):
-                    values.append(v)
-                    observed.append(1.0)
-                else:
-                    values.append(0.0)
-                    observed.append(0.0)
-            by_domain.setdefault(label, []).append((values, observed))
+    features, by_domain, _ = _read_rows(path, domain_col, feature_cols)
     if not by_domain:
         raise EmptyData(f"{path} has no data rows")
     blocks = {}
     for label, rows in by_domain.items():
-        x = np.array([r[0] for r in rows], dtype=np.float64)
-        mask = np.array([r[1] for r in rows], dtype=np.float64)
-        blocks[label] = (x, mask)
+        x = np.array(rows, dtype=np.float64)
+        observed = np.isfinite(x)
+        x[~observed] = 0.0
+        blocks[label] = (x, observed.astype(np.float64))
     return tuple(features), blocks
 
 

@@ -8,6 +8,8 @@ reconstruction (1, 1, 0).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcpca import (
     CompletionModel,
@@ -25,6 +27,15 @@ from wcpca import (
     ols_subset_stability_check,
     sample_masks,
 )
+from wcpca.completion import (
+    _domain_objectives,
+    _l_update,
+    _max_r_cost,
+    _pool_r_update,
+    _solve_masked,
+)
+
+RCOND = 1e-10
 
 
 def low_rank_dataset(seed, p=10, k=3, n=40, domains=2, missing=0.3):
@@ -85,11 +96,155 @@ class TestInductiveOls:
         with pytest.raises(NoObservations):
             inductive_ols([1.0, 2.0], [0, 0], np.eye(2))
 
+    def test_block_matches_rows(self):
+        rng = make_rng(3)
+        r = np.linalg.qr(rng.normal(size=(6, 2)))[0]
+        x = rng.normal(size=(5, 6))
+        mask = (rng.random((5, 6)) < 0.7).astype(float)
+        mask[:, 0] = 1.0
+        coef, recon = inductive_ols(x, mask, r)
+        assert coef.shape == (5, 2) and recon.shape == (5, 6)
+        for i in range(5):
+            c_i, rec_i = inductive_ols(x[i], mask[i], r)
+            np.testing.assert_allclose(coef[i], c_i, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(recon[i], rec_i, rtol=0, atol=1e-12)
+
+    def test_block_names_first_empty_row(self):
+        mask = np.ones((3, 2))
+        mask[1:] = 0.0
+        with pytest.raises(NoObservations, match="row 1"):
+            inductive_ols(np.zeros((3, 2)), mask, np.eye(2))
+
+    def test_block_shape_mismatch(self):
+        with pytest.raises(InvalidInput):
+            inductive_ols(np.zeros((3, 2)), np.ones((2, 2)), np.eye(2))
+        with pytest.raises(InvalidInput):
+            inductive_ols(np.zeros(3), np.ones(3), np.eye(2))
+
     def test_min_norm_on_deficient_design(self):
         # only one observed row: infinitely many coefficient solutions
         r = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         coef, _ = inductive_ols([0.0, 0.0, 2.0], [0, 0, 1], r)
         np.testing.assert_allclose(coef, [1.0, 1.0], atol=1e-10)
+
+
+def lstsq_rows(x, mask, a):
+    """Scalar reference: one minimum-norm lstsq per row."""
+    out = np.empty((x.shape[0], a.shape[1]))
+    for i in range(x.shape[0]):
+        obs = mask[i] != 0.0
+        out[i] = np.linalg.lstsq(a[obs], x[i, obs], rcond=RCOND)[0]
+    return out
+
+
+def assert_close_to_reference(got, ref):
+    # the normal equations lose at most ~cond(Gram) * eps <= 1e6 * eps
+    # relative to the coefficient scale before the exact fallback takes over
+    scale = np.maximum(1.0, np.abs(ref).max(axis=-1, keepdims=True))
+    assert np.all(np.abs(got - ref) <= 1e-10 * scale)
+
+
+class TestSolveMasked:
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_lstsq(self, seed, k, duplicate_column):
+        rng = make_rng(seed)
+        p = int(rng.integers(k, 14))
+        a = rng.normal(size=(p, k))
+        if duplicate_column and k > 1:
+            a[:, k - 1] = a[:, 0]  # every Gram singular: all rows take lstsq
+        x = rng.normal(size=(20, p))
+        mask = (rng.random((20, p)) < rng.uniform(0.1, 0.9)).astype(float)
+        mask[0] = 0.0
+        mask[0, : k - 1] = 1.0  # fewer observed cells than coefficients
+        got = _solve_masked(x, mask, a)
+        ref = lstsq_rows(x, mask, a)
+        assert got.shape == (20, k)
+        assert_close_to_reference(got, ref)
+
+    def test_rank_deficient_rows_are_exact(self):
+        # a single observed cell: lstsq's minimum-norm solution, bit for bit
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        x = np.array([[0.0, 0.0, 2.0], [1.0, 2.0, 3.0]])
+        mask = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        got = _solve_masked(x, mask, a)
+        np.testing.assert_array_equal(got[0], lstsq_rows(x[:1], mask[:1], a)[0])
+        np.testing.assert_allclose(got[0], [1.0, 1.0], atol=1e-12)
+
+    def test_l_update_matches_reference(self):
+        data, r = low_rank_dataset(31, p=9, k=3, missing=0.6)
+        for d, l in zip(data, _l_update(data, r)):
+            assert_close_to_reference(l, lstsq_rows(d.x, d.mask, r))
+
+
+class TestPoolRUpdate:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_column_lstsq(self, seed):
+        rng = make_rng(seed)
+        p, k = 7, 2
+        hidden, sparse = rng.choice(p, size=2, replace=False)
+        base, _ = low_rank_dataset(seed, p=p, k=k, n=12, missing=0.5)
+        domains = []
+        for e, d in enumerate(base):
+            mask = d.mask.copy()
+            mask[:, hidden] = 0.0  # never observed in any domain
+            mask[:, sparse] = 0.0
+            if e == 0:
+                mask[0, sparse] = 1.0  # one observed cell: rank-deficient column
+            mask[mask.sum(axis=1) == 0, (hidden + 1) % p] = 1.0
+            x = d.x + 0.1 * rng.normal(size=d.x.shape)
+            domains.append(MaskedDomain(id=d.id, x=x, mask=mask))
+        data = MaskedDataset(tuple(domains))
+        ls = [rng.normal(size=(d.n, k)) for d in data]
+        r = rng.normal(size=(p, k))
+        got = _pool_r_update(data, ls, r, (int(hidden),))
+        x_all = np.vstack([d.x for d in data])
+        m_all = np.vstack([d.mask for d in data])
+        l_all = np.vstack(ls)
+        for j in range(p):
+            if j == hidden:
+                np.testing.assert_array_equal(got[j], r[j])
+                continue
+            rows = m_all[:, j] != 0.0
+            ref = np.linalg.lstsq(l_all[rows], x_all[rows, j], rcond=RCOND)[0]
+            assert_close_to_reference(got[j], ref)
+
+
+class TestMaxRCost:
+    def _instance(self, seed):
+        rng = make_rng(seed)
+        data, _ = low_rank_dataset(seed, p=8, k=3, domains=3, missing=0.4)
+        noisy = MaskedDataset(
+            tuple(
+                MaskedDomain(id=d.id, x=d.x + 0.05 * rng.normal(size=d.x.shape), mask=d.mask)
+                for d in data
+            )
+        )
+        ls = [rng.normal(size=(d.n, 3)) for d in noisy]
+        r = np.linalg.qr(rng.normal(size=(8, 3)))[0]
+        return noisy, ls, r, rng
+
+    def test_cost_equals_direct_objective(self):
+        data, ls, r, _ = self._instance(40)
+        cost, _ = _max_r_cost(data, ls)(r)
+        direct = _domain_objectives(data, ls, r)
+        assert abs(cost - direct.max()) <= 1e-12 * direct.max()
+        for d, l, value in zip(data, ls, direct):
+            single, _ = _max_r_cost(MaskedDataset((d,)), [l])(r)
+            assert abs(single - value) <= 1e-12 * value
+
+    def test_gradient_matches_finite_differences(self):
+        data, ls, r, rng = self._instance(41)
+        cost_and_grad = _max_r_cost(data, ls)
+        _, grad = cost_and_grad(r)
+        h = 1e-6
+        for _ in range(5):
+            direction = rng.normal(size=r.shape)
+            plus, _ = cost_and_grad(r + h * direction)
+            minus, _ = cost_and_grad(r - h * direction)
+            fd = (plus - minus) / (2.0 * h)
+            assert fd == pytest.approx(float(np.sum(grad * direction)), rel=1e-6)
 
 
 class TestPoolFit:

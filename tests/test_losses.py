@@ -169,6 +169,21 @@ class TestCollections:
         with pytest.raises(InvalidInput):
             make_collection([np.eye(2), np.eye(3)])
 
+    def test_domain_spec_rejects_indefinite(self):
+        with pytest.raises(InvalidInput, match="positive semidefinite"):
+            DomainSpec(id="x", covariance=np.diag([1.0, -0.5]))
+
+    def test_domain_spec_psd_tolerance_is_trace_relative(self):
+        # rounding leaves PSD inputs with tiny negative eigenvalues; the
+        # allowance is 1e-10 * trace, so -1e-12 passes and -1e-9 does not
+        DomainSpec(id="x", covariance=np.diag([1.0, 0.5, -1e-12]))
+        DomainSpec(id="y", covariance=np.diag([1.0, 0.0]))
+        rng = make_rng(5)
+        x = rng.normal(size=(3, 8))
+        DomainSpec(id="z", covariance=x.T @ x / 3)
+        with pytest.raises(InvalidInput):
+            DomainSpec(id="w", covariance=np.diag([1.0, -1e-9]))
+
     def test_domain_spec_symmetrizes(self):
         d = DomainSpec(id="x", covariance=np.array([[1.0, 1e-8], [0.0, 1.0]]))
         np.testing.assert_allclose(d.covariance, d.covariance.T)

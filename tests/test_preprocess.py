@@ -1,5 +1,7 @@
 """CSV loading, the standardization pipeline, and covariance round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,131 @@ class TestMaskedCsv:
         data = masked_dataset_from_blocks(blocks)
         assert [d.id for d in data] == ["a", "b"]
         assert data.p == 2
+
+
+def reference_masked_csv(path, domain_col):
+    """Scalar reference loader: one DictReader record and one float() per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        features = [c for c in reader.fieldnames if c != domain_col]
+        rows = {}
+        for record in reader:
+            label = record.get(domain_col)
+            label = "" if label is None else label
+            values, observed = [], []
+            for c in features:
+                try:
+                    v = float(record.get(c))
+                except (TypeError, ValueError):
+                    v = np.nan
+                ok = bool(np.isfinite(v))
+                values.append(v if ok else 0.0)
+                observed.append(1.0 if ok else 0.0)
+            rows.setdefault(label, []).append((values, observed))
+    blocks = {
+        label: (np.array([r[0] for r in rs]), np.array([r[1] for r in rs]))
+        for label, rs in rows.items()
+    }
+    return tuple(features), blocks
+
+
+def reference_csv(path, domain_col):
+    """Scalar reference for load_csv's drop rule; returns (blocks, dropped)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        features = [c for c in reader.fieldnames if c != domain_col]
+        rows, dropped = {}, 0
+        for record in reader:
+            label = record.get(domain_col)
+            try:
+                values = [float(record[c]) for c in features]
+            except (TypeError, ValueError):
+                values = None
+            if not label or values is None or not all(np.isfinite(values)):
+                dropped += 1
+                continue
+            rows.setdefault(label, []).append(values)
+    return {label: np.array(rs) for label, rs in rows.items()}, dropped
+
+
+EDGE_CSV = (
+    "site,x,y,z\n"
+    "a,1,inf,3\n"
+    "b,1e999,nan,-inf\n"
+    "a, 2 ,abc,-0\n"
+    "\n"
+    "c,4\n"
+    "b\n"
+    "a,5,6,7,8,9\n"
+    ",1,2,3\n"
+    "b,NaN,+1.5e-3,1_0\n"
+    "\n"
+    "c,1,2,3\n"
+    "a,7,8,9\n"
+)
+
+
+def assert_identical(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def assert_masked_identical(path):
+    features, blocks = load_masked_csv(path, "site")
+    ref_features, ref_blocks = reference_masked_csv(path, "site")
+    assert features == ref_features
+    assert list(blocks) == list(ref_blocks)
+    for label, (ref_x, ref_mask) in ref_blocks.items():
+        assert_identical(blocks[label][0], ref_x)
+        assert_identical(blocks[label][1], ref_mask)
+    return blocks
+
+
+class TestRowReader:
+    def test_masked_edge_cases_match_reference(self, tmp_path):
+        blocks = assert_masked_identical(write(tmp_path / "edge.csv", EDGE_CSV))
+        assert list(blocks) == ["a", "b", "c", ""]
+        x, mask = blocks["a"]
+        np.testing.assert_array_equal(mask, [[1, 0, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]])
+        assert np.signbit(x[1, 2])  # "-0" is observed as negative zero
+
+    def test_masked_duplicate_header_reads_last_column(self, tmp_path):
+        blocks = assert_masked_identical(write(tmp_path / "dup.csv", "site,x,y,x\na,1,2,3\na,4,5\n"))
+        x, mask = blocks["a"]
+        np.testing.assert_array_equal(x, [[3, 2, 3], [0, 5, 0]])
+        np.testing.assert_array_equal(mask, [[1, 1, 1], [0, 1, 0]])
+
+    def test_masked_random_files_match_reference(self, tmp_path):
+        rng = np.random.default_rng(17)
+        tokens = ["1", "-2.5", "", "inf", "1e999", "nan", " 2 ", "abc", "-0", "1e-320"]
+        for f in range(20):
+            lines = ["x,site,y,z"]
+            for _ in range(15):
+                cells = [str(c) for c in rng.choice(tokens, size=int(rng.integers(0, 6)))]
+                if len(cells) > 1:
+                    cells.insert(1, str(rng.choice(["a", "b", ""])))
+                lines.append(",".join(cells))
+            assert_masked_identical(write(tmp_path / f"r{f}.csv", "\n".join(lines) + "\n"))
+
+    def test_load_csv_matches_reference(self, tmp_path):
+        # "b" first appears on a dropped row; block order follows kept rows
+        path = write(
+            tmp_path / "drop.csv",
+            "site,x,y\n"
+            "b,inf,1\n"
+            "a,1,2\n"
+            "a, 3 ,4,extra\n"
+            "\n"
+            "b,5,6\n"
+            "a,abc,1\n"
+            ",1,1\n"
+            "b\n"
+            "b,1e999,2\n"
+            "b,-0,7\n",
+        )
+        raw = load_csv(path, "site")
+        ref_blocks, ref_dropped = reference_csv(path, "site")
+        assert raw.dropped_rows == ref_dropped == 5
+        assert list(raw.blocks) == list(ref_blocks) == ["a", "b"]
+        for label, ref in ref_blocks.items():
+            assert_identical(raw.blocks[label], ref)

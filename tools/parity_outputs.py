@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
 """Write a fixed set of wcpca outputs and print one SHA-256 digest per file.
 
-Used to show that a refactor leaves results bit-for-bit unchanged: run it
-against two checkouts and compare the printed digests.
+Used to show that a refactor leaves results unchanged: run it against two
+checkouts, then compare the printed digests, or compare the two output
+directories number by number with ``--compare``.
 
     PYTHONPATH=src python3 tools/parity_outputs.py OUT_DIR > digests.txt
+    PYTHONPATH=src python3 tools/parity_outputs.py --compare OUT_A OUT_B
 
 Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
 with and without ``--order``, the ``avg-vs-wc`` and ``het-noise`` studies,
 ``complete --predict`` for both objectives, 240 library solves over the six
 loss kinds and four ``fit_max_mc`` fits (one with a never-observed column).
+
+``--compare`` prints, per file, ``identical`` for equal bytes, otherwise the
+largest absolute difference between the numbers the two files hold in the
+same places (completion outputs agree to a tolerance, not bit for bit), or
+``structure differs`` when their non-numeric text differs.
 """
 
 from __future__ import annotations
@@ -20,12 +27,15 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from wcpca import LossKind, MaskedDataset, MaskedDomain, SolverConfig, fit_max_mc, make_collection, solve_wcpca
 from wcpca.cli import main as cli_main
+
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
 OBJECTIVES = (
     "pool", "sep", "avgcov", "min", "norm-min",
@@ -112,7 +122,7 @@ def _max_mc_fits(out):
         model = fit_max_mc(MaskedDataset(tuple(domains)), k)
         lines.append(
             f"{fit_idx} {model.unidentifiable_columns} {list(model.objective_trace)!r} "
-            f"{hashlib.sha256(model.right_factor.tobytes()).hexdigest()}"
+            f"{model.right_factor.ravel().tolist()!r}"
         )
     with open(os.path.join(out, "max_mc.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -146,7 +156,48 @@ def main(out):
             print(f"{digest}  {os.path.relpath(path, out)}")
 
 
+def _files(root):
+    return {
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _, names in os.walk(root)
+        for name in names
+    }
+
+
+def _numbers(text):
+    """The text with every number replaced by ``#``, and the numbers."""
+    return _NUMBER.sub("#", text), [float(m) for m in _NUMBER.findall(text)]
+
+
+def compare(out_a, out_b):
+    """Print the largest absolute numeric difference per output file."""
+    worst = 0.0
+    for rel in sorted(_files(out_a) | _files(out_b)):
+        paths = [os.path.join(out_a, rel), os.path.join(out_b, rel)]
+        if not all(os.path.isfile(p) for p in paths):
+            print(f"missing on one side  {rel}")
+            continue
+        texts = []
+        for p in paths:
+            with open(p, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        if texts[0] == texts[1]:
+            print(f"identical  {rel}")
+            continue
+        (skel_a, num_a), (skel_b, num_b) = (_numbers(t) for t in texts)
+        if skel_a != skel_b:
+            print(f"structure differs  {rel}")
+            continue
+        diff = max(0.0 if a == b else abs(a - b) for a, b in zip(num_a, num_b))
+        worst = max(worst, diff)
+        print(f"max abs diff {diff:.3g}  {rel}")
+    print(f"largest numeric difference {worst:.3g}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: parity_outputs.py OUT_DIR")
-    main(sys.argv[1])
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 2:
+        main(sys.argv[1])
+    else:
+        raise SystemExit("usage: parity_outputs.py OUT_DIR | --compare OUT_A OUT_B")
