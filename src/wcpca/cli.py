@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 
 import numpy as np
 
-from .completion import fit_max_mc, fit_pool_mc, inductive_ols
+from .completion import _domain_objectives, fit_max_mc, fit_pool_mc, inductive_ols
 from .datagen import sample_masks
 from .errors import InvalidConfig, NoObservations, WcpcaError, exit_code_for
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-from .losses import LossKind, loss, worst_case
+from .losses import LossKind, domain_losses, worst_index
+from .losses import loss, worst_case  # noqa: F401 -- benchmarks/spans.py wraps these names
 from .preprocess import (
     load_covariances,
     load_csv,
@@ -94,15 +96,14 @@ def cmd_fit(args) -> int:
     _write_frame(frame_path, result.frame)
 
     ids = [d.id for d in collection]
+    covs, traces = collection.covariances, collection.traces
+    eigsums = collection.top_k_eigensums(args.k)
     per_domain = {}
     wc = {}
-    eigensums: dict = {}  # one top-k eigendecomposition per domain
     for kind in LossKind:
-        per_domain[kind.value] = [
-            loss(kind, result.frame, d.covariance, k=args.k, cache=eigensums, cache_key=d.id)
-            for d in collection
-        ]
-        wc[kind.value] = worst_case(kind, result.frame, collection, cache=eigensums)
+        values, _ = domain_losses(kind, result.frame, covs, traces, eigsums)
+        per_domain[kind.value] = values.tolist()
+        wc[kind.value] = float(values[worst_index(kind, values)])
     report = {
         "objective": objective,
         "k": args.k,
@@ -169,9 +170,9 @@ def cmd_simulate(args) -> int:
 def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: str) -> str:
     feats, blocks = load_masked_csv(path, domain_col, feature_cols=features)
     pred_path = os.path.join(out_dir, "predictions.csv")
+    cells = ",".join([_FLOAT_FMT] * len(feats)) + "\n"
     with open(pred_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([domain_col, *feats])
+        csv.writer(fh, lineterminator="\n").writerow([domain_col, *feats])
         for label, (x, mask) in blocks.items():
             empty = np.flatnonzero(~mask.any(axis=1))
             if empty.size:
@@ -180,8 +181,13 @@ def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: s
                     "no observed entries"
                 )
             _, recon = inductive_ols(x, mask, r)
-            for row in recon.tolist():
-                writer.writerow([label, *(_FLOAT_FMT % v for v in row)])
+            # The label is CSV-quoted once per block; the formatted numbers
+            # never need quoting. A trailing empty field keeps an empty label
+            # unquoted, as it is in a multi-field row.
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([label, ""])
+            head = buf.getvalue()[:-1]
+            fh.writelines(head + cells % tuple(row) for row in recon.tolist())
     return pred_path
 
 
@@ -210,10 +216,8 @@ def cmd_complete(args) -> int:
     factor_path = os.path.join(out, "right_factor.csv")
     _write_frame(factor_path, model.right_factor)
 
-    per_domain = {}
-    for d, l in zip(data, model.left_factors):
-        resid = (d.x - l @ model.right_factor.T) * d.mask
-        per_domain[d.id] = float((resid * resid).sum() / d.n)
+    objectives = _domain_objectives(data, model.left_factors, model.right_factor)
+    per_domain = {d.id: v for d, v in zip(data, objectives.tolist())}
     report = {
         "method": method,
         "k": k,

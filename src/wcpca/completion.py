@@ -301,23 +301,27 @@ def _l_update(data: MaskedDataset, r: np.ndarray):
     return [_solve_masked(d.x, d.mask, r) for d in data]
 
 
-def _domain_objectives(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
-    """Per-domain mean squared error over observed entries, normalized by n_e."""
-    vals = np.empty(len(ls))
+def _squared_errors(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
+    """Per-domain sum of squared errors of ``L_e R.T`` over observed entries."""
+    sse = np.empty(len(ls))
     for e, (d, l) in enumerate(zip(data, ls)):
         resid = (d.x - l @ r.T) * d.mask
-        vals[e] = float(np.sum(resid * resid)) / d.n
-    return vals
+        sse[e] = np.sum(resid * resid)
+    return sse
+
+
+def _domain_objectives(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
+    """Per-domain mean squared error over observed entries, normalized by n_e."""
+    return _squared_errors(data, ls, r) / np.array([d.n for d in data])
 
 
 def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
+    # A plain loop, not sum(): Python 3.12's float sum() is compensated, so
+    # its result would not be bitwise the running total.
     total = 0.0
-    rows = 0
-    for d, l in zip(data, ls):
-        resid = (d.x - l @ r.T) * d.mask
-        total += float(np.sum(resid * resid))
-        rows += d.n
-    return total / rows
+    for value in _squared_errors(data, ls, r).tolist():
+        total += value
+    return total / sum(d.n for d in data)
 
 
 def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarray:

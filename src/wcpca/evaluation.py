@@ -19,15 +19,17 @@ from .datagen import (
     GenConfig,
     sample_gaussian_rows,
     sample_source_covariances,
+    sample_target_covariance,
     second_moment_collection,
 )
-from .completion import CompletionModel, MaskedDataset, inductive_ols
+from .completion import CompletionModel, _ensure_dataset, inductive_ols
 from .errors import DegenerateBaseline, InvalidInput, InvalidKind
+from .linalg import as_frame
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
-    DomainCollection,
     LossKind,
+    as_collection,
     as_kind,
     average_covariance,
     loss,
@@ -45,12 +47,6 @@ __all__ = [
     "mc_metrics",
     "consistency_curve",
 ]
-
-
-def _frame_of(obj) -> np.ndarray:
-    frame = getattr(obj, "frame", obj)
-    frame = np.asarray(frame, dtype=np.float64)
-    return frame[:, None] if frame.ndim == 1 else frame
 
 
 def hull_supremum(kind, v, sources) -> float:
@@ -85,19 +81,14 @@ def sample_hull_members(sources, count: int, seed, normalized: bool = False) -> 
     """Random convex combinations of the source covariances (test oracle).
 
     With ``normalized`` the vertices are trace-normalized first, matching
-    the hull that the normalized losses are defined over.
+    the hull that the normalized losses are defined over. Each member is one
+    :func:`~wcpca.datagen.sample_target_covariance` draw from ``seed``.
     """
-    specs = list(sources)
-    if not specs:
-        raise InvalidInput("need at least one source")
-    covs = [d.covariance / d.trace if normalized else d.covariance for d in specs]
+    vertices = as_collection(sources)
+    if normalized:
+        vertices = [replace(d, covariance=d.covariance / d.trace) for d in vertices]
     rng = as_rng(seed)
-    members = []
-    for _ in range(count):
-        w = rng.standard_exponential(len(covs))
-        w = w / w.sum()
-        members.append(sum(wi * c for wi, c in zip(w, covs)))
-    return members
+    return [sample_target_covariance(vertices, rng) for _ in range(count)]
 
 
 def relative_deltas(method, baseline, sources):
@@ -111,9 +102,9 @@ def relative_deltas(method, baseline, sources):
 
     Accepts FitResults or plain frames.
     """
-    sources = sources if isinstance(sources, DomainCollection) else DomainCollection(tuple(sources))
-    vm = _frame_of(method)
-    vb = _frame_of(baseline)
+    sources = as_collection(sources)
+    vm = as_frame(getattr(method, "frame", method))
+    vb = as_frame(getattr(baseline, "frame", baseline))
     mean_cov = average_covariance(sources)
     base = loss(LossKind.RCS, vb, mean_cov)
     if base <= 1e-13 * float(np.trace(mean_cov)):
@@ -133,7 +124,7 @@ def mc_domain_losses(model: CompletionModel, test) -> np.ndarray:
     must carry ground truth even at masked positions. Returns one value per
     domain: ||X_e - Xhat_e||_F^2 / (n_e * p).
     """
-    test = test if isinstance(test, MaskedDataset) else MaskedDataset(tuple(test))
+    test = _ensure_dataset(test)
     out = np.empty(len(test))
     for e, d in enumerate(test):
         _, recon = inductive_ols(d.x, d.mask, model.right_factor)

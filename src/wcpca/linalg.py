@@ -19,6 +19,7 @@ from .rng import as_rng
 
 __all__ = [
     "Spectrum",
+    "as_frame",
     "as_covariance",
     "sym_eigen",
     "top_k_frame",
@@ -43,6 +44,22 @@ class Spectrum(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def as_frame(v) -> np.ndarray:
+    """Return ``v`` as a float64 p x k frame; 1-D input becomes one column.
+
+    Raises
+    ------
+    InvalidInput
+        If ``v`` has neither one nor two dimensions.
+    """
+    a = np.asarray(v, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2:
+        raise InvalidInput(f"frame must be 2-D, got shape {a.shape}")
+    return a
 
 
 def as_covariance(a) -> np.ndarray:
@@ -162,14 +179,10 @@ def projection_distance(v, w) -> float:
     Raises
     ------
     InvalidInput
-        If the frames differ in shape.
+        If either frame is not 1-D or 2-D, or the frames differ in shape.
     """
-    a = np.asarray(v, dtype=np.float64)
-    b = np.asarray(w, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
+    a = as_frame(v)
+    b = as_frame(w)
     if a.shape != b.shape:
         raise InvalidInput(f"frame shapes differ: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a @ a.T - b @ b.T, "fro"))
@@ -207,14 +220,14 @@ def orthocomplement_frame(v, k2: int, seed, max_retries: int = 5) -> np.ndarray:
 
     Raises
     ------
+    InvalidInput
+        If ``v`` is not 1-D or 2-D.
     InvalidRank
         If ``k + k2 > p`` or ``k2 < 1``.
     RankDeficient
         If ``max_retries`` draws in a row are rank-deficient.
     """
-    base = np.asarray(v, dtype=np.float64)
-    if base.ndim == 1:
-        base = base[:, None]
+    base = as_frame(v)
     p, k = base.shape
     if k2 < 1 or k + k2 > p:
         raise InvalidRank(f"cannot fit {k2} complement columns: k={k}, p={p}")

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidWeights, ZeroTrace
-from .linalg import as_covariance, sym_eigen
+from .linalg import as_covariance, as_frame, sym_eigen
 
 __all__ = [
     "LossKind",
@@ -33,6 +33,7 @@ __all__ = [
     "DomainSpec",
     "DomainCollection",
     "make_collection",
+    "as_collection",
     "top_k_eigensum",
     "loss",
     "domain_losses",
@@ -112,7 +113,10 @@ class DomainSpec:
 class DomainCollection:
     """Nonempty ordered set of uniquely named domains sharing one dimension p.
 
-    Ids must be unique because eigensum caches are keyed by domain id.
+    Ids must be unique because they label the rows of a fit report and the
+    ``active_domains`` it lists. The per-domain terms every loss needs
+    (``covariances``, ``traces``, ``top_k_eigensums(k)``) are computed on
+    each call; nothing is memoized.
     """
 
     domains: tuple[DomainSpec, ...]
@@ -141,6 +145,18 @@ class DomainCollection:
     def __getitem__(self, idx) -> DomainSpec:
         return self.domains[idx]
 
+    @property
+    def covariances(self) -> list[np.ndarray]:
+        return [d.covariance for d in self.domains]
+
+    @property
+    def traces(self) -> np.ndarray:
+        return np.array([d.trace for d in self.domains])
+
+    def top_k_eigensums(self, k: int) -> np.ndarray:
+        """Each domain's sum of its k largest eigenvalues (the regret baseline)."""
+        return np.array([top_k_eigensum(d.covariance, k) for d in self.domains])
+
 
 def make_collection(covariances, ids=None, weights=None, ns=None) -> DomainCollection:
     """Build a DomainCollection from raw covariance matrices.
@@ -165,13 +181,11 @@ def make_collection(covariances, ids=None, weights=None, ns=None) -> DomainColle
     )
 
 
-def _as_frame(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise InvalidInput(f"frame must be 2-D, got shape {a.shape}")
-    return a
+def as_collection(domains) -> DomainCollection:
+    """Return ``domains`` as a DomainCollection, wrapping an iterable of specs."""
+    if isinstance(domains, DomainCollection):
+        return domains
+    return DomainCollection(tuple(domains))
 
 
 def as_kind(kind) -> LossKind:
@@ -183,32 +197,25 @@ def as_kind(kind) -> LossKind:
         raise InvalidKind(f"unknown loss kind {kind!r}; known kinds: {known}") from None
 
 
-def top_k_eigensum(sigma, k: int, cache: dict | None = None, key=None) -> float:
-    """Sum of the k largest eigenvalues of ``sigma``.
+def top_k_eigensum(sigma, k: int) -> float:
+    """Sum of the k largest eigenvalues of ``sigma``, from one eigendecomposition.
 
-    ``cache`` is an explicit memo dict (never hidden global state) keyed by
-    ``(key, k)``; pass a stable ``key`` such as a domain id to reuse
-    eigendecompositions across calls.
+    Nothing is memoized; :meth:`DomainCollection.top_k_eigensums` gives every
+    domain's value at once.
     """
-    if cache is not None and key is not None:
-        hit = cache.get((key, k))
-        if hit is not None:
-            return hit
-    value = float(sym_eigen(sigma).eigenvalues[:k].sum())
-    if cache is not None and key is not None:
-        cache[(key, k)] = value
-    return value
+    return float(sym_eigen(sigma).eigenvalues[:k].sum())
 
 
-def loss(kind, v, sigma, k: int | None = None, cache: dict | None = None, cache_key=None) -> float:
+def loss(kind, v, sigma, k: int | None = None) -> float:
     """Evaluate one loss functional at frame ``v`` under covariance ``sigma``.
 
     ``k`` defaults to the frame width and, for the regret kinds, must equal
     it (the regret baseline is the top-k eigenvalue sum of ``sigma``).
-    Normalized kinds require a strictly positive trace.
+    Normalized kinds require a strictly positive trace. This scalar form is
+    the reference that :func:`domain_losses` is tested against.
     """
     kind = as_kind(kind)
-    frame = _as_frame(v)
+    frame = as_frame(v)
     s = np.asarray(sigma, dtype=np.float64)
     if s.shape[0] != frame.shape[0]:
         raise InvalidInput(f"frame rows {frame.shape[0]} do not match covariance dim {s.shape[0]}")
@@ -222,7 +229,7 @@ def loss(kind, v, sigma, k: int | None = None, cache: dict | None = None, cache_
     if kind is LossKind.RCS:
         return float(np.trace(s)) - var
     if kind is LossKind.REG:
-        return top_k_eigensum(s, k, cache, cache_key) - var
+        return top_k_eigensum(s, k) - var
     tr = float(np.trace(s))
     if tr <= 0.0:
         raise ZeroTrace(f"normalized loss needs positive trace, got {tr}")
@@ -230,7 +237,7 @@ def loss(kind, v, sigma, k: int | None = None, cache: dict | None = None, cache_
         return var / tr
     if kind is LossKind.NORM_RCS:
         return (tr - var) / tr
-    return (top_k_eigensum(s, k, cache, cache_key) - var) / tr
+    return (top_k_eigensum(s, k) - var) / tr
 
 
 def domain_losses(kind: LossKind, v, covs, traces, eigsums):
@@ -243,7 +250,7 @@ def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     solvers reuse the active domain's product as its gradient. The
     covariances are not copied into a stack, only the small products are.
     """
-    frame = _as_frame(v)
+    frame = as_frame(v)
     if covs[0].shape[0] != frame.shape[0]:
         raise InvalidInput(
             f"frame rows {frame.shape[0]} do not match covariance dim {covs[0].shape[0]}"
@@ -269,25 +276,21 @@ def worst_index(kind: LossKind, values) -> int:
     return int(np.argmin(values)) if kind in MIN_KINDS else int(np.argmax(values))
 
 
-def worst_case(kind, v, domains, return_index: bool = False, cache: dict | None = None):
-    """Worst-case loss of ``v`` over a domain collection.
+def worst_case(kind, v, domains, return_index: bool = False):
+    """Worst-case loss of ``v`` over a domain collection (or iterable of specs).
 
     Min over domains for Var/NormVar, max for the other kinds. Ties go to the
     smallest domain index. With ``return_index=True`` the attaining index is
-    returned alongside the value. ``cache`` memoizes the regret baselines by
-    domain id, as in :func:`top_k_eigensum`.
+    returned alongside the value. Every loss is linear in the covariance, so
+    this is also the extremum over the convex hull of the sources
+    (trace-normalized for the normalized kinds); for the regret kinds it is
+    an upper bound.
     """
     kind = as_kind(kind)
-    specs = list(domains)
-    if not specs:
-        raise InvalidInput("worst_case needs at least one domain")
-    frame = _as_frame(v)
-    traces = np.array([d.trace for d in specs])
-    eigsums = None
-    if kind in REGRET_KINDS:
-        k = frame.shape[1]
-        eigsums = np.array([top_k_eigensum(d.covariance, k, cache, d.id) for d in specs])
-    values, _ = domain_losses(kind, frame, [d.covariance for d in specs], traces, eigsums)
+    domains = as_collection(domains)
+    frame = as_frame(v)
+    eigsums = domains.top_k_eigensums(frame.shape[1]) if kind in REGRET_KINDS else None
+    values, _ = domain_losses(kind, frame, domains.covariances, domains.traces, eigsums)
     idx = worst_index(kind, values)
     value = float(values[idx])
     return (value, idx) if return_index else value

@@ -20,7 +20,8 @@ import numpy as np
 
 from .completion import MaskedDataset, MaskedDomain
 from .errors import ConstantColumn, EmptyData, InvalidInput, SchemaError
-from .losses import DomainCollection, DomainSpec
+from .linalg import as_frame
+from .losses import DomainCollection, DomainSpec, as_collection
 
 __all__ = [
     "RawTable",
@@ -198,10 +199,8 @@ def explained_variance_table(frame, collection) -> list[dict]:
     frame (see the solvers' order_basis) for prefix-optimal semantics.
     """
     domains = collection.collection if isinstance(collection, PreprocessedCollection) else collection
-    domains = domains if isinstance(domains, DomainCollection) else DomainCollection(tuple(domains))
-    b = np.asarray(frame, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
+    domains = as_collection(domains)
+    b = as_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match dimension {domains.p}")
     rows = []
@@ -229,7 +228,7 @@ def save_covariances(collection, out_dir: str, feature_names=None) -> str:
     Entries are formatted at 17 significant digits, so reloading recovers
     the exact float64 values.
     """
-    domains = collection if isinstance(collection, DomainCollection) else DomainCollection(tuple(collection))
+    domains = as_collection(collection)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, d in enumerate(domains):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank, NumericalFailure
-from .linalg import haar_frame, orthocomplement_frame, stiefel_project, top_k_frame
+from .linalg import as_frame, haar_frame, orthocomplement_frame, stiefel_project, top_k_frame
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
@@ -43,11 +43,12 @@ from .losses import (
     DomainCollection,
     DomainSpec,
     LossKind,
+    as_collection,
     as_kind,
     average_covariance,
     domain_losses,
     pooled_covariance,
-    top_k_eigensum,
+    top_k_eigensum,  # noqa: F401 -- benchmarks/spans.py wraps this name
     worst_index,
 )
 from .rng import make_rng, spawn_seed
@@ -114,19 +115,13 @@ class FitResult:
     restart_index: int
 
 
-def _ensure_collection(domains) -> DomainCollection:
-    if isinstance(domains, DomainCollection):
-        return domains
-    return DomainCollection(tuple(domains))
-
-
 def pool_pca(domains, k: int) -> FitResult:
     """PCA on the weighted pooled covariance sum_e w_e Sigma_e.
 
     The reported objective is the explained variance of the frame on the
     pooled covariance.
     """
-    domains = _ensure_collection(domains)
+    domains = as_collection(domains)
     sigma = pooled_covariance(domains)
     frame = top_k_frame(sigma, k)
     objective = float(np.sum(frame * (sigma @ frame)))
@@ -139,20 +134,16 @@ def sep_pca(domains, k: int) -> FitResult:
     Ties go to the smallest domain index. The objective is the chosen
     domain's own explained variance and ``active_domains`` holds its index.
     """
-    domains = _ensure_collection(domains)
-    best_idx = -1
-    best_value = np.inf
-    for idx, d in enumerate(domains):
-        own = top_k_eigensum(d.covariance, k)
-        if own < best_value:
-            best_idx, best_value = idx, own
+    domains = as_collection(domains)
+    eigsums = domains.top_k_eigensums(k)
+    best_idx = int(np.argmin(eigsums))
     frame = top_k_frame(domains[best_idx].covariance, k)
-    return FitResult(frame, best_value, frozenset({best_idx}), 0, 0)
+    return FitResult(frame, float(eigsums[best_idx]), frozenset({best_idx}), 0, 0)
 
 
 def avgcov_pca(domains, k: int) -> FitResult:
     """PCA on the unweighted average covariance (1/E) sum_e Sigma_e."""
-    domains = _ensure_collection(domains)
+    domains = as_collection(domains)
     sigma = average_covariance(domains)
     frame = top_k_frame(sigma, k)
     objective = float(np.sum(frame * (sigma @ frame)))
@@ -216,16 +207,13 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     every objective is constant over the manifold.
     """
     kind = as_kind(kind)
-    domains = _ensure_collection(domains)
+    domains = as_collection(domains)
     cfg = cfg or SolverConfig()
     p = domains.p
     if not 1 <= k <= p:
         raise InvalidRank(f"k must be in 1..{p}, got {k}")
-    covs = [d.covariance for d in domains]
-    traces = np.array([d.trace for d in domains])
-    eigsums = (
-        np.array([top_k_eigensum(c, k) for c in covs]) if kind in REGRET_KINDS else None
-    )
+    covs, traces = domains.covariances, domains.traces
+    eigsums = domains.top_k_eigensums(k) if kind in REGRET_KINDS else None
     # The driver minimizes; Var and NormVar maximize their worst case.
     sign = -1.0 if kind in MIN_KINDS else 1.0
 
@@ -292,7 +280,7 @@ def sequential_minpca(kind, domains, k: int, cfg: SolverConfig | None = None) ->
     kind = as_kind(kind)
     if kind not in MIN_KINDS:
         raise InvalidKind(f"sequential variant is defined for var and norm-var, got {kind.value}")
-    domains = _ensure_collection(domains)
+    domains = as_collection(domains)
     cfg = cfg or SolverConfig()
     p = domains.p
     if not 1 <= k <= p:
@@ -321,7 +309,8 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     what remains. On the unit sphere the removal objective
     ``min_e (Tr(M_e) - a.T M_e a)`` equals ``min_e a.T (Tr(M_e) I - M_e) a``,
     so each removal is a rank-1 Var solve on the PSD matrices
-    ``Tr(M_e) I - M_e`` and reuses :func:`solve_wcpca`. The last direction
+    ``Tr(M_e) I - M_e``, with ``M_e`` from :func:`_reduced_collection`, and
+    reuses :func:`solve_wcpca`. The last direction
     standing is the best single direction in the span and comes first; the
     direction removed first needed the least and comes last. The output spans
     the same subspace as the input.
@@ -329,11 +318,9 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     kind = as_kind(kind)
     if kind not in MIN_KINDS:
         raise InvalidKind(f"basis ordering is defined for var and norm-var, got {kind.value}")
-    domains = _ensure_collection(domains)
+    domains = as_collection(domains)
     cfg = cfg or SolverConfig()
-    b = np.asarray(frame, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
+    b = as_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match domain dimension {domains.p}")
     k = b.shape[1]
@@ -343,17 +330,10 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     removed: list[np.ndarray] = []
     b = b.copy()
     for j in range(k, 1, -1):
-        specs = []
-        for d in domains:
-            m = b.T @ (d.covariance @ b)
-            m = (m + m.T) / 2.0
-            if kind is LossKind.NORM_VAR:
-                m = m / d.trace
-            m = _jitter_if_flat(m)
-            kmat = float(np.trace(m)) * np.eye(j) - m
-            specs.append(DomainSpec(id=d.id, covariance=kmat, weight=d.weight, n=d.n))
+        reduced = _reduced_collection(domains, b, kind is LossKind.NORM_VAR)
+        removal = [replace(d, covariance=d.trace * np.eye(j) - d.covariance) for d in reduced]
         inner_cfg = replace(cfg, seed=spawn_seed(cfg.seed, j))
-        res = solve_wcpca(LossKind.VAR, DomainCollection(tuple(specs)), 1, inner_cfg)
+        res = solve_wcpca(LossKind.VAR, removal, 1, inner_cfg)
         a = res.frame[:, 0]
         removed.append(b @ a)
         b = b @ orthocomplement_frame(a, j - 1, comp_rng)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from wcpca import LossKind, load_covariances, loss, save_covariances, worst_case
+from wcpca import LossKind, load_covariances, loss, make_collection, save_covariances, worst_case
 from wcpca.cli import main
 
 
@@ -98,6 +98,25 @@ class TestFit:
             assert report["worst_case"][kind.value] == pytest.approx(
                 worst_case(kind, frame, collection), abs=1e-10
             )
+
+    def test_report_losses_equal_scalar_reference(self, tmp_path):
+        rng = np.random.default_rng(31)
+        covs = []
+        for _ in range(4):
+            a = rng.normal(size=(6, 6)) * rng.uniform(0.2, 2.0, 6)
+            covs.append(a @ a.T / 6)
+        cov_dir = tmp_path / "covs"
+        save_covariances(make_collection(covs), str(cov_dir))
+        out = tmp_path / "fit"
+        argv = ["fit", "--from-cov", str(cov_dir), "--k", "2", "--objective", "norm-max-regret"]
+        assert main([*argv, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        frame = read_frame(out / "frame.csv")
+        collection, _ = load_covariances(str(cov_dir))
+        for kind in LossKind:
+            per = [loss(kind, frame, d.covariance, k=2) for d in collection]
+            assert report["per_domain_losses"][kind.value] == per
+            assert report["worst_case"][kind.value] == worst_case(kind, frame, collection)
 
     def test_fit_from_long_csv(self, tmp_path, long_csv):
         out = tmp_path / "fit"

@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 from wcpca import (
     InvalidInput,
     InvalidRank,
+    LossKind,
     RankDeficient,
     as_covariance,
+    explained_variance_table,
     haar_frame,
     make_rng,
+    order_basis,
     orthocomplement_frame,
     projection_distance,
     stiefel_project,
@@ -165,3 +168,19 @@ class TestAsCovariance:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
             as_covariance(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda frame, coll: projection_distance(frame, frame),
+        lambda frame, coll: orthocomplement_frame(frame, 1, 0),
+        lambda frame, coll: explained_variance_table(frame, coll),
+        lambda frame, coll: order_basis(LossKind.VAR, frame, coll),
+    ],
+    ids=["projection_distance", "orthocomplement_frame", "explained_variance_table", "order_basis"],
+)
+def test_three_dimensional_frame_rejected(call, example1):
+    # every frame argument goes through one coercion, which names the shape
+    with pytest.raises(InvalidInput, match="2-D"):
+        call(np.ones((3, 2, 1)), example1)

@@ -202,13 +202,14 @@ class TestCollections:
         np.testing.assert_allclose(average_covariance(example1), pooled, atol=1e-15)
 
 
-class TestEigensumCache:
-    def test_cache_reused(self):
-        sigma = np.diag([3.0, 2.0, 1.0])
-        cache = {}
-        a = top_k_eigensum(sigma, 2, cache=cache, key="s")
-        assert ("s", 2) in cache
-        # poison the cache entry to prove the memo is honored
-        cache[("s", 2)] = -1.0
-        assert top_k_eigensum(sigma, 2, cache=cache, key="s") == -1.0
-        assert a == pytest.approx(5.0)
+class TestDomainTerms:
+    def test_terms_match_per_domain_values(self):
+        assert top_k_eigensum(np.diag([3.0, 2.0, 1.0]), 2) == pytest.approx(5.0)
+        rng = make_rng(17)
+        coll = make_collection([random_covariance(rng, 5) for _ in range(4)])
+        assert all(c is d.covariance for c, d in zip(coll.covariances, coll))
+        np.testing.assert_array_equal(coll.traces, [d.trace for d in coll])
+        for k in (1, 3, 5):
+            np.testing.assert_array_equal(
+                coll.top_k_eigensums(k), [top_k_eigensum(d.covariance, k) for d in coll]
+            )

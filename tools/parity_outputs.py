@@ -12,7 +12,9 @@ Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
 with and without ``--order``, the ``avg-vs-wc`` and ``het-noise`` studies,
 ``complete --predict`` for both objectives, 240 library solves over the six
-loss kinds and four ``fit_max_mc`` fits (one with a never-observed column).
+loss kinds, four ``fit_max_mc`` fits (one with a never-observed column), and
+the evaluation helpers ``sample_hull_members`` (plain and trace-normalized),
+``explained_variance_table`` and ``relative_deltas``.
 
 ``--compare`` prints, per file, ``identical`` for equal bytes, otherwise the
 largest absolute difference between the numbers the two files hold in the
@@ -32,7 +34,19 @@ import sys
 
 import numpy as np
 
-from wcpca import LossKind, MaskedDataset, MaskedDomain, SolverConfig, fit_max_mc, make_collection, solve_wcpca
+from wcpca import (
+    LossKind,
+    MaskedDataset,
+    MaskedDomain,
+    SolverConfig,
+    explained_variance_table,
+    fit_max_mc,
+    make_collection,
+    pool_pca,
+    relative_deltas,
+    sample_hull_members,
+    solve_wcpca,
+)
 from wcpca.cli import main as cli_main
 
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|inf|nan)")
@@ -128,6 +142,24 @@ def _max_mc_fits(out):
         fh.write("\n".join(lines) + "\n")
 
 
+def _evaluation(out):
+    rng = np.random.default_rng(303)
+    lines = []
+    for inst in range(6):
+        p = int(rng.integers(4, 10))
+        k = int(rng.integers(1, p))
+        coll = make_collection(_covariances(rng, int(rng.integers(2, 6)), p))
+        for normalized in (False, True):
+            members = sample_hull_members(list(coll), 3, inst, normalized=normalized)
+            lines.append(f"{inst} hull normalized={normalized} {[m.ravel().tolist() for m in members]!r}")
+        fit = solve_wcpca(LossKind.RCS, coll, k, SolverConfig(max_iters=200, restarts=2, seed=inst))
+        table = explained_variance_table(fit.frame, coll)
+        lines.append(f"{inst} explained {[row['explained_variance'] for row in table]!r}")
+        lines.append(f"{inst} deltas {relative_deltas(fit, pool_pca(coll, k), list(coll))!r}")
+    with open(os.path.join(out, "evaluation.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def main(out):
     rng = np.random.default_rng(11)
     inputs = os.path.join(out, "inputs")
@@ -147,6 +179,7 @@ def main(out):
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-{method}"))
     _solves(out)
     _max_mc_fits(out)
+    _evaluation(out)
 
     for root, _, files in sorted(os.walk(out)):
         for name in sorted(files):
