@@ -12,16 +12,20 @@ factor ``R`` constrained to orthonormal columns:
   domain, then retraction to orthonormal columns) on per-column sufficient
   statistics, so one inner iteration costs O(E p k^2) instead of O(n p k).
 
+Both run one alternation loop (R-update, then the exact per-row L-update,
+from a rank-k SVD start) whose budgets are module constants, not options: at
+most 100 rounds, a stop once a round gains less than 1e-4, and 500
+Stiefel-Adam iterations with plateau tolerance 1e-6 per maxMC R-update.
+
 Every least-squares problem here (the L-update, the pooled R-update,
 :func:`inductive_ols`) is a stack of masked problems solved array-at-a-time
 by :func:`_solve_masked`: all k x k normal equations are formed with one
 matrix product and solved in one batch, and only rows whose Gram matrix is
 ill-conditioned fall back to the exact minimum-norm ``lstsq``.
 
-After the pooled R-update the raw solution is re-orthonormalized through its
-polar factor and the compensating transform is absorbed into every ``L_e``,
-which preserves the products ``L_e R.T`` exactly. New rows are reconstructed
-with :func:`inductive_ols`, and the incoherence machinery
+After the pooled R-update the raw solution is replaced by its polar factor;
+the L-update that follows refits every ``L_e`` to it. New rows are
+reconstructed with :func:`inductive_ols`, and the incoherence machinery
 (:func:`incoherence`, :func:`missingness_budget`,
 :func:`ols_subset_stability_check`) quantifies how much masking a learned
 factor tolerates.
@@ -38,7 +42,6 @@ from .linalg import stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps t
 from .solvers import stiefel_adam
 
 __all__ = [
-    "McConfig",
     "MaskedDomain",
     "MaskedDataset",
     "CompletionModel",
@@ -56,34 +59,13 @@ _LSTSQ_RCOND = 1e-10
 # exact lstsq instead: its design's singular values then span more than
 # 1e3, where the normal equations lose digits and rank may be deficient.
 _GRAM_RCOND = 1e-6
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Alternation budget and the inner Stiefel-Adam settings of maxMC.
-
-    :param max_rounds: outer alternation rounds (R-update then L-update).
-    :param tol_objective: stop when a round improves the objective by less
-        than this (absolute).
-    :param inner_iters: Stiefel-Adam iterations per maxMC R-update.
-    :param inner_tol: plateau tolerance of the inner loop.
-    :param inner_step: initial Adam step size of the inner loop; it anneals
-        geometrically to one hundredth of this over the inner budget.
-    """
-
-    max_rounds: int = 100
-    tol_objective: float = 1e-4
-    inner_iters: int = 500
-    inner_tol: float = 1e-6
-    inner_step: float = 1e-2
-
-    def __post_init__(self):
-        if self.max_rounds < 1:
-            raise InvalidInput(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.inner_iters < 1:
-            raise InvalidInput(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if not self.inner_step > 0.0:
-            raise InvalidInput(f"inner_step must be positive, got {self.inner_step}")
+# Round budget of the alternation, and the least objective decrease that
+# counts as progress.
+_MAX_ROUNDS = 100
+_ROUND_TOL = 1e-4
+# Stiefel-Adam budget and plateau tolerance of one maxMC R-update.
+_INNER_ITERS = 500
+_INNER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -351,39 +333,41 @@ def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarra
     return r_new
 
 
-def _polar_absorb(r_raw: np.ndarray, ls):
-    """Orthonormalize R through its polar factor, moving the stretch into L.
-
-    With thin SVD R = U S W.T, the orthonormal part is U W.T and
-    L <- L (W S W.T) keeps every product L R.T bitwise-equal in exact
-    arithmetic.
-    """
-    u, s, wt = np.linalg.svd(r_raw, full_matrices=False)
-    r = u @ wt
-    pmat = (wt.T * s) @ wt
-    return r, [l @ pmat for l in ls]
+def _pool_r_step(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarray:
+    """The pooled R-update orthonormalized: the polar factor U W.T of R = U S W.T."""
+    u, _, wt = np.linalg.svd(_pool_r_update(data, ls, r, unident), full_matrices=False)
+    return u @ wt
 
 
-def fit_pool_mc(data, k: int, cfg: McConfig | None = None) -> CompletionModel:
-    """Alternating minimization of the pooled observed-entry squared error.
+def _alternate(data, k: int, r_update, objective) -> CompletionModel:
+    """Alternate ``r_update`` and the exact L-update from the SVD start.
 
-    The objective is ``sum_e ||(X_e - L_e R.T) * mask_e||_F^2 / sum_e n_e``.
-    Alternation stops after ``cfg.max_rounds`` rounds or when a round
-    improves the objective by less than ``cfg.tol_objective``; the trace of
-    objective values (initialization first) is kept on the model.
+    ``r_update(data, ls, r, unident)`` returns the new orthonormal R, to
+    which the L-update then refits every ``L_e``; ``objective(data, ls, r)``
+    is the scalar being minimized. Stops after ``_MAX_ROUNDS`` rounds or
+    when a round improves the objective by less than ``_ROUND_TOL``; the
+    trace of objective values (initialization first) is kept on the model.
     """
     data = _ensure_dataset(data)
-    cfg = cfg or McConfig()
     ls, r, unident = _init_factors(data, k)
-    trace = [_pooled_objective(data, ls, r)]
-    for _ in range(cfg.max_rounds):
-        r_raw = _pool_r_update(data, ls, r, unident)
-        r, ls = _polar_absorb(r_raw, ls)
+    trace = [objective(data, ls, r)]
+    for _ in range(_MAX_ROUNDS):
+        r = r_update(data, ls, r, unident)
         ls = _l_update(data, r)
-        trace.append(_pooled_objective(data, ls, r))
-        if trace[-2] - trace[-1] < cfg.tol_objective:
+        trace.append(objective(data, ls, r))
+        if trace[-2] - trace[-1] < _ROUND_TOL:
             break
     return CompletionModel(r, tuple(ls), tuple(trace), unident)
+
+
+def fit_pool_mc(data, k: int) -> CompletionModel:
+    """Alternating minimization of the pooled observed-entry squared error.
+
+    The objective is ``sum_e ||(X_e - L_e R.T) * mask_e||_F^2 / sum_e n_e``;
+    the R-update is the exact per-column least squares, re-orthonormalized
+    through its polar factor.
+    """
+    return _alternate(data, k, _pool_r_step, _pooled_objective)
 
 
 def _max_r_cost(data: MaskedDataset, ls):
@@ -409,42 +393,34 @@ def _max_r_cost(data: MaskedDataset, ls):
     return cost_and_grad
 
 
-def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray, unident, cfg: McConfig) -> np.ndarray:
+def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray, unident) -> np.ndarray:
     """Minimize max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2 over orthonormal R.
 
-    Runs :func:`stiefel_adam` from the incoming R with the active domain's
-    gradient (see :func:`_max_r_cost`); the best iterate seen (possibly R
-    itself) is returned, so the outer objective cannot increase beyond
-    rounding. Rows of unidentifiable columns are frozen: they receive no
-    gradient.
+    Runs :func:`stiefel_adam` (``_INNER_ITERS`` iterations, plateau tolerance
+    ``_INNER_TOL``) from the incoming R with the active domain's gradient (see
+    :func:`_max_r_cost`); the best iterate seen (possibly R itself) is
+    returned, so the outer objective cannot increase beyond rounding. Rows of unidentifiable columns are frozen: they
+    receive no gradient.
     """
     frozen = np.zeros(r0.shape[0], dtype=bool)
     frozen[list(unident)] = True
-    r, _, _ = stiefel_adam(
-        r0, _max_r_cost(data, ls), cfg.inner_iters, cfg.inner_step, cfg.inner_tol, frozen
-    )
+    r, _, _ = stiefel_adam(r0, _max_r_cost(data, ls), _INNER_ITERS, _INNER_TOL, frozen)
     return r
 
 
-def fit_max_mc(data, k: int, cfg: McConfig | None = None) -> CompletionModel:
+def _worst_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
+    return float(_domain_objectives(data, ls, r).max())
+
+
+def fit_max_mc(data, k: int) -> CompletionModel:
     """Alternating minimization of the worst per-domain observed-entry error.
 
     The objective is ``max_e (1/n_e) ||(X_e - L_e R.T) * mask_e||_F^2``. The
     L-update is the exact per-row OLS (it can only shrink every domain's
     error); the R-update is one :func:`stiefel_adam` run (see
-    :func:`_max_r_update`). Stopping mirrors :func:`fit_pool_mc`.
+    :func:`_max_r_update`).
     """
-    data = _ensure_dataset(data)
-    cfg = cfg or McConfig()
-    ls, r, unident = _init_factors(data, k)
-    trace = [float(_domain_objectives(data, ls, r).max())]
-    for _ in range(cfg.max_rounds):
-        r = _max_r_update(data, ls, r, unident, cfg)
-        ls = _l_update(data, r)
-        trace.append(float(_domain_objectives(data, ls, r).max()))
-        if trace[-2] - trace[-1] < cfg.tol_objective:
-            break
-    return CompletionModel(r, tuple(ls), tuple(trace), unident)
+    return _alternate(data, k, _max_r_update, _worst_objective)
 
 
 def incoherence(r) -> IncoherenceReport:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import haar_frame, orthocomplement_frame, sym_eigen
-from .losses import DomainCollection, DomainSpec
+from .losses import DomainCollection, DomainSpec, mixture
 from .rng import as_rng
 
 __all__ = [
@@ -129,17 +129,12 @@ def sample_target_covariance(sources, seed) -> np.ndarray:
 
     Weights are normalized i.i.d. standard exponentials, which is exactly the
     flat Dirichlet distribution on the simplex.
+
+    :raises InvalidInput: if there are no sources.
     """
     specs = list(sources)
-    if not specs:
-        raise InvalidInput("need at least one source")
-    rng = as_rng(seed)
-    w = rng.standard_exponential(len(specs))
-    w = w / w.sum()
-    out = np.zeros_like(specs[0].covariance)
-    for weight, d in zip(w, specs):
-        out += weight * d.covariance
-    return out
+    w = as_rng(seed).standard_exponential(len(specs))
+    return mixture(specs, w / w.sum())
 
 
 def sample_gaussian_rows(sigma, n: int, seed) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import McConfig, MaskedDataset, MaskedDomain, fit_max_mc, fit_pool_mc
+from .completion import MaskedDataset, MaskedDomain, fit_max_mc, fit_pool_mc
 from .datagen import (
     GenConfig,
     add_heterogeneous_noise,
@@ -261,9 +261,8 @@ def _mc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int, masked_sources: boo
         test_domains.append(MaskedDomain(id=d.id, x=x_test, mask=test_mask))
     train = MaskedDataset(tuple(train_domains))
     test = MaskedDataset(tuple(test_domains))
-    mc_cfg = McConfig()
-    pool_model = fit_pool_mc(train, k, mc_cfg)
-    max_model = fit_max_mc(train, k, mc_cfg)
+    pool_model = fit_pool_mc(train, k)
+    max_model = fit_max_mc(train, k)
     d_avg, d_wc = mc_metrics(max_model, pool_model, test)
     condition = "masked" if masked_sources else "observed"
     rows = []

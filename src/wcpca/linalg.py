@@ -33,6 +33,9 @@ __all__ = [
 _ASYMMETRY_RTOL = 1e-6
 # Singular values at or below s_max * this ratio count as numerically zero.
 _RANK_RTOL = 1e-12
+# Rank-deficient projected draws have probability zero; give up after this
+# many in a row.
+_COMPLEMENT_RETRIES = 5
 
 
 class Spectrum(NamedTuple):
@@ -210,13 +213,13 @@ def haar_frame(p: int, k: int, seed) -> np.ndarray:
     return (q * d)[:, :k]
 
 
-def orthocomplement_frame(v, k2: int, seed, max_retries: int = 5) -> np.ndarray:
+def orthocomplement_frame(v, k2: int, seed) -> np.ndarray:
     """Draw a random p x k2 frame orthogonal to the span of ``v``.
 
     A Gaussian p x k2 matrix is projected by ``I - v v.T`` and orthonormalized
     by QR; a second projection-and-QR pass tightens the orthogonality to
     ``v`` against rounding. A rank-deficient projected draw (probability
-    zero) is retried with a fresh Gaussian matrix.
+    zero) is retried with a fresh Gaussian matrix, up to 5 draws in all.
 
     Raises
     ------
@@ -225,14 +228,14 @@ def orthocomplement_frame(v, k2: int, seed, max_retries: int = 5) -> np.ndarray:
     InvalidRank
         If ``k + k2 > p`` or ``k2 < 1``.
     RankDeficient
-        If ``max_retries`` draws in a row are rank-deficient.
+        If 5 draws in a row are rank-deficient.
     """
     base = as_frame(v)
     p, k = base.shape
     if k2 < 1 or k + k2 > p:
         raise InvalidRank(f"cannot fit {k2} complement columns: k={k}, p={p}")
     rng = as_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_COMPLEMENT_RETRIES):
         g = rng.standard_normal((p, k2))
         q, r = np.linalg.qr(g - base @ (base.T @ g))
         diag = np.abs(np.diag(r))
@@ -242,4 +245,4 @@ def orthocomplement_frame(v, k2: int, seed, max_retries: int = 5) -> np.ndarray:
         d = np.sign(np.diag(r2))
         d[d == 0] = 1.0
         return q * d
-    raise RankDeficient(f"projected Gaussian draw rank-deficient {max_retries} times in a row")
+    raise RankDeficient(f"projected Gaussian draw rank-deficient {_COMPLEMENT_RETRIES} times in a row")

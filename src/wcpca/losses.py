@@ -39,6 +39,7 @@ __all__ = [
     "domain_losses",
     "worst_index",
     "worst_case",
+    "mixture",
     "pooled_covariance",
     "average_covariance",
 ]
@@ -209,8 +210,8 @@ def top_k_eigensum(sigma, k: int) -> float:
 def loss(kind, v, sigma, k: int | None = None) -> float:
     """Evaluate one loss functional at frame ``v`` under covariance ``sigma``.
 
-    ``k`` defaults to the frame width and, for the regret kinds, must equal
-    it (the regret baseline is the top-k eigenvalue sum of ``sigma``).
+    ``k`` defaults to the frame width and, for every kind, must equal it
+    (the regret baseline is the top-k eigenvalue sum of ``sigma``).
     Normalized kinds require a strictly positive trace. This scalar form is
     the reference that :func:`domain_losses` is tested against.
     """
@@ -221,8 +222,8 @@ def loss(kind, v, sigma, k: int | None = None) -> float:
         raise InvalidInput(f"frame rows {frame.shape[0]} do not match covariance dim {s.shape[0]}")
     if k is None:
         k = frame.shape[1]
-    if kind in REGRET_KINDS and k != frame.shape[1]:
-        raise InvalidInput(f"regret baseline rank {k} must equal the frame width {frame.shape[1]}")
+    if k != frame.shape[1]:
+        raise InvalidInput(f"rank k={k} must equal the frame width {frame.shape[1]}")
     var = float(np.sum(frame * (s @ frame)))
     if kind is LossKind.VAR:
         return var
@@ -296,6 +297,23 @@ def worst_case(kind, v, domains, return_index: bool = False):
     return (value, idx) if return_index else value
 
 
+def mixture(domains, weights) -> np.ndarray:
+    """The mixture covariance Sigma_w = sum_e w_e Sigma_e, summed in domain order.
+
+    With simplex weights, Sigma_w is a member of the sources' convex hull.
+
+    :raises InvalidInput: if there are no domains or not one weight per domain.
+    """
+    specs = list(domains)
+    w = list(weights)
+    if not specs or len(w) != len(specs):
+        raise InvalidInput(f"need domains and one weight each, got {len(w)} for {len(specs)}")
+    out = np.zeros_like(specs[0].covariance)
+    for weight, d in zip(w, specs):
+        out += weight * d.covariance
+    return out
+
+
 def pooled_covariance(domains) -> np.ndarray:
     """Weighted combination sum_e w_e Sigma_e; weights must sum to 1."""
     specs = list(domains)
@@ -304,18 +322,10 @@ def pooled_covariance(domains) -> np.ndarray:
     total = sum(d.weight for d in specs)
     if abs(total - 1.0) > 1e-8:
         raise InvalidWeights(f"domain weights sum to {total!r}, expected 1")
-    out = np.zeros_like(specs[0].covariance)
-    for d in specs:
-        out += d.weight * d.covariance
-    return out
+    return mixture(specs, [d.weight for d in specs])
 
 
 def average_covariance(domains) -> np.ndarray:
     """Unweighted mean covariance (1/E) sum_e Sigma_e."""
     specs = list(domains)
-    if not specs:
-        raise InvalidInput("average_covariance needs at least one domain")
-    out = np.zeros_like(specs[0].covariance)
-    for d in specs:
-        out += d.covariance
-    return out / len(specs)
+    return mixture(specs, [1.0] * len(specs)) / len(specs)

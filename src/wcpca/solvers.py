@@ -18,10 +18,9 @@ The losses come from the single kernel ``losses.domain_losses``, whose
 products ``Sigma_e V`` double as the gradient. Worst-case matrix completion
 (``completion.fit_max_mc``) runs the same driver on its right factor.
 
-The step size anneals geometrically from ``step_size`` down to
-``step_size / 100`` over the iteration budget; a constant step leaves Adam
-oscillating at the step scale near a max-min optimum where the active domain
-alternates. Restart r draws its initial frame from stream r of
+The step size anneals geometrically from 1e-2 down to 1e-4 over the
+iteration budget; a constant step leaves Adam oscillating at the step scale
+near a max-min optimum where the active domain alternates. Restart r draws its initial frame from stream r of
 ``cfg.seed`` (a counter-offset of the same Philox key), so runs are
 reproducible and restarts are independent. Retraction-based descent follows
 Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*
@@ -68,6 +67,8 @@ __all__ = [
 # Stop a run when the best cost has improved by less than its tolerance over
 # this many iterations.
 _PLATEAU_WINDOW = 50
+# Initial Adam step size; it anneals geometrically to a hundredth of this.
+_STEP_SIZE = 1e-2
 # Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -81,10 +82,9 @@ _TRACE_JITTER = 1e-15
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget, step size and restarts of the worst-case solvers."""
+    """Budget, plateau tolerance and restarts of the worst-case solvers."""
 
     max_iters: int = 2000
-    step_size: float = 1e-2
     restarts: int = 5
     tol_objective: float = 1e-8
     seed: int = 0
@@ -94,8 +94,6 @@ class SolverConfig:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise InvalidInput(f"restarts must be >= 1, got {self.restarts}")
-        if not self.step_size > 0.0:
-            raise InvalidInput(f"step_size must be positive, got {self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -115,17 +113,20 @@ class FitResult:
     restart_index: int
 
 
+def _pca_of(sigma: np.ndarray, k: int) -> FitResult:
+    """Top-k PCA of one covariance, reporting the frame's explained variance."""
+    frame = top_k_frame(sigma, k)
+    objective = float(np.sum(frame * (sigma @ frame)))
+    return FitResult(frame, objective, frozenset(), 0, 0)
+
+
 def pool_pca(domains, k: int) -> FitResult:
     """PCA on the weighted pooled covariance sum_e w_e Sigma_e.
 
     The reported objective is the explained variance of the frame on the
     pooled covariance.
     """
-    domains = as_collection(domains)
-    sigma = pooled_covariance(domains)
-    frame = top_k_frame(sigma, k)
-    objective = float(np.sum(frame * (sigma @ frame)))
-    return FitResult(frame, objective, frozenset(), 0, 0)
+    return _pca_of(pooled_covariance(as_collection(domains)), k)
 
 
 def sep_pca(domains, k: int) -> FitResult:
@@ -143,21 +144,17 @@ def sep_pca(domains, k: int) -> FitResult:
 
 def avgcov_pca(domains, k: int) -> FitResult:
     """PCA on the unweighted average covariance (1/E) sum_e Sigma_e."""
-    domains = as_collection(domains)
-    sigma = average_covariance(domains)
-    frame = top_k_frame(sigma, k)
-    objective = float(np.sum(frame * (sigma @ frame)))
-    return FitResult(frame, objective, frozenset(), 0, 0)
+    return _pca_of(average_covariance(as_collection(domains)), k)
 
 
-def stiefel_adam(v0, cost_and_grad, iters: int, step_size: float, tol: float, frozen=None):
+def stiefel_adam(v0, cost_and_grad, iters: int, tol: float, frozen=None):
     """Minimize a worst-case cost over frames with orthonormal columns.
 
     ``cost_and_grad(v)`` returns the cost at ``v`` and the Euclidean gradient
     of the active (worst) piece. Each iteration keeps the gradient's tangent
     part, zeroes the rows flagged in the boolean mask ``frozen``, takes an
-    Adam step whose size anneals geometrically from ``step_size`` to
-    ``step_size / 100`` over ``iters``, and retracts with ``stiefel_project``.
+    Adam step whose size anneals geometrically from 1e-2 to 1e-4 over
+    ``iters``, and retracts with ``stiefel_project``.
     The run stops once the best cost has improved by less than ``tol`` over
     the last 50 iterations. Returns ``(best frame, best cost, iterations)``;
     the best frame may be ``v0`` itself.
@@ -182,7 +179,7 @@ def stiefel_adam(v0, cost_and_grad, iters: int, step_size: float, tol: float, fr
         u = _ADAM_BETA2 * u + (1.0 - _ADAM_BETA2) * (g * g)
         mhat = m / (1.0 - _ADAM_BETA1**t)
         uhat = u / (1.0 - _ADAM_BETA2**t)
-        step = step_size * 0.01 ** (t / iters)
+        step = _STEP_SIZE * 0.01 ** (t / iters)
         v = v - step * mhat / (np.sqrt(uhat) + _ADAM_EPS)
         if not np.all(np.isfinite(v)):
             raise NumericalFailure(f"non-finite iterate at iteration {t}")
@@ -235,7 +232,7 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     best = None
     for r in range(cfg.restarts):
         v0 = haar_frame(p, k, make_rng(cfg.seed, r))
-        v, cost, iters = stiefel_adam(v0, cost_and_grad, cfg.max_iters, cfg.step_size, cfg.tol_objective)
+        v, cost, iters = stiefel_adam(v0, cost_and_grad, cfg.max_iters, cfg.tol_objective)
         if best is None or cost < best[1]:
             best = (v, cost, iters, r)
     frame, _, iters, restart = best

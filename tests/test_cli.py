@@ -195,6 +195,15 @@ class TestSimulate:
         for row in body:
             float(row[4])
 
+    def test_process_pool_matches_serial(self, tmp_path):
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["simulate", "het-noise", "--replicates", "3", "--jobs", jobs, "--out", str(out)]
+            assert main(argv) == 0
+            tables.append((out / "het-noise.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_replicates_must_be_positive(self, tmp_path):
         assert (
             main(["simulate", "avg-vs-wc", "--alpha", "1", "--beta", "2", "--replicates", "0", "--out", str(tmp_path)])

@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcpca import (
-    CompletionModel,
     InvalidInput,
     MaskedDataset,
     MaskedDomain,
-    McConfig,
     NoObservations,
     fit_max_mc,
     fit_pool_mc,
@@ -324,16 +322,10 @@ class TestMaxFit:
                 vals.append(float((resid * resid).sum() / d.n))
             return max(vals)
 
-        pool = fit_pool_mc(data, 2, McConfig())
-        mx = fit_max_mc(data, 2, McConfig())
+        pool = fit_pool_mc(data, 2)
+        mx = fit_max_mc(data, 2)
         assert mx.objective_trace[-1] == pytest.approx(worst(mx))
         assert worst(mx) <= worst(pool) + 1e-8
-
-    def test_accepts_mc_config(self):
-        data, _ = low_rank_dataset(23)
-        model = fit_max_mc(data, 3, McConfig(max_rounds=2, inner_iters=50))
-        assert model.rounds <= 2
-        assert isinstance(model, CompletionModel)
 
 
 class TestIncoherence:

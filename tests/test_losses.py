@@ -31,7 +31,7 @@ from wcpca import (
     top_k_eigensum,
     worst_case,
 )
-from wcpca.losses import domain_losses
+from wcpca.losses import domain_losses, mixture
 from conftest import random_covariance
 
 
@@ -76,9 +76,10 @@ class TestLossValues:
         v = np.eye(3)[:, :2]
         assert loss(LossKind.REG, v, sigma, k=2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_regret_needs_matching_k(self):
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_k_must_match_frame_width(self, kind):
         with pytest.raises(InvalidInput):
-            loss(LossKind.REG, np.eye(3)[:, :2], np.eye(3), k=1)
+            loss(kind, np.eye(3)[:, :2], np.eye(3), k=1)
 
     def test_normalized_rejects_zero_trace(self):
         with pytest.raises(ZeroTrace):
@@ -195,6 +196,16 @@ class TestCollections:
         )
         with pytest.raises(InvalidWeights):
             pooled_covariance(DomainCollection(specs))
+
+    def test_mixture_needs_one_weight_per_domain(self, example1):
+        np.testing.assert_array_equal(
+            mixture(example1, [0.5, 2.0]),
+            0.5 * example1[0].covariance + 2.0 * example1[1].covariance,
+        )
+        with pytest.raises(InvalidInput):
+            mixture(example1, [0.5])
+        with pytest.raises(InvalidInput):
+            mixture([], [])
 
     def test_pooled_and_average(self, example1):
         pooled = pooled_covariance(example1)

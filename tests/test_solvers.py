@@ -126,7 +126,7 @@ class TestStiefelAdam:
     def test_reaches_top_eigenspace(self):
         v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
         cost_and_grad = self._max_var(np.diag(np.arange(6, 0, -1.0)))
-        v, cost, iters = stiefel_adam(v0, cost_and_grad, 3000, 1e-2, 1e-12)
+        v, cost, iters = stiefel_adam(v0, cost_and_grad, 3000, 1e-12)
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
         assert cost == pytest.approx(-11.0, abs=1e-4)
         assert 1 <= iters <= 3000
@@ -137,8 +137,8 @@ class TestStiefelAdam:
         v0 = np.insert(np.linalg.qr(rng.normal(size=(5, 2)))[0], 4, 0.0, axis=0)
         frozen = np.zeros(6, dtype=bool)
         frozen[4] = True
-        free, _, _ = stiefel_adam(v0, cost_and_grad, 200, 1e-2, 0.0)
-        held, _, _ = stiefel_adam(v0, cost_and_grad, 200, 1e-2, 0.0, frozen)
+        free, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0)
+        held, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0, frozen)
         assert np.abs(free[4]).max() > 1e-3
         assert np.abs(held[4]).max() <= 1e-12
         assert np.abs(held - v0).max() > 1e-3

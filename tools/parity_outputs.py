@@ -10,11 +10,13 @@ directories number by number with ``--compare``.
 
 Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
-with and without ``--order``, the ``avg-vs-wc`` and ``het-noise`` studies,
-``complete --predict`` for both objectives, 240 library solves over the six
-loss kinds, four ``fit_max_mc`` fits (one with a never-observed column), and
-the evaluation helpers ``sample_hull_members`` (plain and trace-normalized),
-``explained_variance_table`` and ``relative_deltas``.
+with and without ``--order``, the ``avg-vs-wc``, ``het-noise`` and
+``mc-masked`` studies, ``complete --predict`` for both objectives, 240
+library solves over the six loss kinds, ``sequential_minpca`` on 6 instances,
+``fit_max_mc`` and ``fit_pool_mc`` fits on four datasets (one with a
+never-observed column), and the evaluation helpers ``sample_hull_members``
+(plain and trace-normalized), ``explained_variance_table`` and
+``relative_deltas``.
 
 ``--compare`` prints, per file, ``identical`` for equal bytes, otherwise the
 largest absolute difference between the numbers the two files hold in the
@@ -41,10 +43,12 @@ from wcpca import (
     SolverConfig,
     explained_variance_table,
     fit_max_mc,
+    fit_pool_mc,
     make_collection,
     pool_pca,
     relative_deltas,
     sample_hull_members,
+    sequential_minpca,
     solve_wcpca,
 )
 from wcpca.cli import main as cli_main
@@ -118,9 +122,9 @@ def _solves(out):
         fh.write("\n".join(lines) + "\n")
 
 
-def _max_mc_fits(out):
+def _mc_fits(out):
     rng = np.random.default_rng(77)
-    lines = []
+    lines = {"max_mc.txt": [], "pool_mc.txt": []}
     for fit_idx, hidden_col in enumerate((None, None, None, 3)):
         p, k = 8, 2
         frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
@@ -133,12 +137,30 @@ def _max_mc_fits(out):
                 mask[:, hidden_col] = 0.0
                 mask[:, (hidden_col + 1) % p] = 1.0
             domains.append(MaskedDomain(id=f"d{e}", x=x, mask=mask))
-        model = fit_max_mc(MaskedDataset(tuple(domains)), k)
-        lines.append(
-            f"{fit_idx} {model.unidentifiable_columns} {list(model.objective_trace)!r} "
-            f"{model.right_factor.ravel().tolist()!r}"
-        )
-    with open(os.path.join(out, "max_mc.txt"), "w", encoding="utf-8") as fh:
+        data = MaskedDataset(tuple(domains))
+        for name, fit in (("max_mc.txt", fit_max_mc), ("pool_mc.txt", fit_pool_mc)):
+            model = fit(data, k)
+            lines[name].append(
+                f"{fit_idx} {model.unidentifiable_columns} {list(model.objective_trace)!r} "
+                f"{model.right_factor.ravel().tolist()!r}"
+            )
+    for name, text in lines.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(text) + "\n")
+
+
+def _sequential(out):
+    rng = np.random.default_rng(505)
+    lines = []
+    for inst in range(6):
+        p = int(rng.integers(3, 9))
+        k = int(rng.integers(1, p + 1))
+        coll = make_collection(_covariances(rng, int(rng.integers(1, 5)), p))
+        cfg = SolverConfig(max_iters=200, restarts=2, seed=inst)
+        for kind in (LossKind.VAR, LossKind.NORM_VAR):
+            dirs = sequential_minpca(kind, coll, k, cfg)
+            lines.append(f"{inst} {kind.value} {[d.tolist() for d in dirs]!r}")
+    with open(os.path.join(out, "sequential.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -174,11 +196,13 @@ def main(out):
                  "--seed", 3, "--out", dest, *(["--order"] if order else []))
     for study in ("avg-vs-wc", "het-noise"):
         _cli("simulate", study, "--replicates", 2, "--seed", 5, "--out", os.path.join(out, "sim"))
+    _cli("simulate", "mc-masked", "--replicates", 1, "--seed", 5, "--out", os.path.join(out, "sim"))
     for method in ("pool", "max"):
         _cli("complete", "--csv", train, "--domain-col", "site", "--objective", method,
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-{method}"))
     _solves(out)
-    _max_mc_fits(out)
+    _sequential(out)
+    _mc_fits(out)
     _evaluation(out)
 
     for root, _, files in sorted(os.walk(out)):
