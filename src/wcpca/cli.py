@@ -112,6 +112,7 @@ def cmd_fit(args) -> int:
         "active_domains": sorted(ids[i] for i in result.active_domains),
         "iterations_used": result.iterations_used,
         "restart_index": result.restart_index,
+        "restarts": [r._asdict() for r in result.restarts],
         "domain_ids": ids,
         "per_domain_losses": per_domain,
         "worst_case": wc,

@@ -373,10 +373,11 @@ def fit_pool_mc(data, k: int) -> CompletionModel:
 def _max_r_cost(data: MaskedDataset, ls):
     """Worst-case cost and active gradient in R, for fixed left factors.
 
-    Returns ``cost_and_grad(r)`` computing every domain's objective from the
-    sufficient statistics of :func:`_column_stats`, precomputed once, so one
-    call costs O(E p k^2) rather than rebuilding each ``L_e R.T``. The
-    active domain's gradient is ``2 (H_a r - B_a) / n_a``.
+    Returns ``cost_and_grad(r)`` for an ``(n, p, k)`` batch of factors,
+    computing every domain's objective from the sufficient statistics of
+    :func:`_column_stats`, precomputed once, so one member costs
+    O(E p k^2) rather than rebuilding each ``L_e R.T``. The active domain's
+    gradient is ``2 (H_a r - B_a) / n_a``.
     """
     stats = [_column_stats(d, l) for d, l in zip(data, ls)]
     h = np.stack([s[0] for s in stats])
@@ -385,10 +386,12 @@ def _max_r_cost(data: MaskedDataset, ls):
     n = np.array([float(d.n) for d in data])
 
     def cost_and_grad(r):
-        hr = (h @ r[:, :, None])[..., 0]
-        vals = (xx + np.sum((hr - 2.0 * b) * r, axis=(1, 2))) / n
-        a = int(np.argmax(vals))
-        return float(vals[a]), (2.0 / n[a]) * (hr[a] - b[a])
+        rows = r[:, None]
+        hr = (h @ rows[..., None])[..., 0]
+        vals = (xx + np.sum((hr - 2.0 * b) * rows, axis=(-2, -1))) / n
+        a = vals.argmax(axis=-1)
+        members = np.arange(len(a))
+        return vals[members, a], (2.0 / n[a])[:, None, None] * (hr[members, a] - b[a])
 
     return cost_and_grad
 
@@ -397,15 +400,16 @@ def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray, unident) -> np.ndarra
     """Minimize max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2 over orthonormal R.
 
     Runs :func:`stiefel_adam` (``_INNER_ITERS`` iterations, plateau tolerance
-    ``_INNER_TOL``) from the incoming R with the active domain's gradient (see
-    :func:`_max_r_cost`); the best iterate seen (possibly R itself) is
-    returned, so the outer objective cannot increase beyond rounding. Rows of unidentifiable columns are frozen: they
+    ``_INNER_TOL``) from the incoming R, as a batch of one, with the active
+    domain's gradient (see :func:`_max_r_cost`); the best iterate seen
+    (possibly R itself) is returned, so the outer objective cannot increase
+    beyond rounding. Rows of unidentifiable columns are frozen: they
     receive no gradient.
     """
     frozen = np.zeros(r0.shape[0], dtype=bool)
     frozen[list(unident)] = True
-    r, _, _ = stiefel_adam(r0, _max_r_cost(data, ls), _INNER_ITERS, _INNER_TOL, frozen)
-    return r
+    r, _, _, _ = stiefel_adam(r0[None], _max_r_cost(data, ls), _INNER_ITERS, _INNER_TOL, frozen)
+    return r[0]
 
 
 def _worst_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:

@@ -147,27 +147,31 @@ def top_k_frame(sigma, k: int) -> np.ndarray:
 
 
 def stiefel_project(m) -> np.ndarray:
-    """Project a full-column-rank p x k matrix onto the orthonormal frames.
+    """Project a full-column-rank p x k matrix, or an (R, p, k) batch of them,
+    onto the orthonormal frames.
 
     Returns the polar factor U @ W.T of the thin SVD ``m = U S W.T``, the
-    closest orthonormal frame in Frobenius norm. Matrices that already have
-    orthonormal columns map to themselves within 1e-10.
+    closest orthonormal frame in Frobenius norm; a batch is retracted by one
+    batched SVD, and each member equals its own 2-D projection bit for bit.
+    Matrices that already have orthonormal columns map to themselves within
+    1e-10.
 
     Raises
     ------
     InvalidInput
-        If ``m`` is not 2-D or has more columns than rows.
+        If ``m`` is not 2-D or 3-D or has more columns than rows.
     RankDeficient
-        If the smallest singular value is at or below 1e-12 times the
-        largest (no well-defined polar factor).
+        If, in any member, the smallest singular value is at or below 1e-12
+        times the largest (no well-defined polar factor).
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidInput(f"expected a 2-D array, got shape {a.shape}")
-    if a.shape[1] > a.shape[0]:
-        raise InvalidInput(f"cannot orthonormalize {a.shape[1]} columns in {a.shape[0]} rows")
+    if a.ndim not in (2, 3):
+        raise InvalidInput(f"expected a 2-D array or a 3-D batch, got shape {a.shape}")
+    if a.shape[-1] > a.shape[-2]:
+        raise InvalidInput(f"cannot orthonormalize {a.shape[-1]} columns in {a.shape[-2]} rows")
     u, s, wt = np.linalg.svd(a, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= s[0] * _RANK_RTOL:
+    # Singular values are nonnegative, so this also rejects an all-zero s.
+    if not (s[..., -1] > s[..., 0] * _RANK_RTOL).all():
         raise RankDeficient("matrix is numerically rank-deficient")
     return u @ wt
 
@@ -196,8 +200,9 @@ def haar_frame(p: int, k: int, seed) -> np.ndarray:
 
     QR-decomposes a p x p standard Gaussian matrix and normalizes the signs of
     R's diagonal to positive, which makes the Q factor exactly Haar; the first
-    k columns are returned. Deterministic given ``seed`` (an int or a
-    ``numpy.random.Generator``).
+    k columns are returned as an array that owns its data, so a kept frame
+    does not hold the whole p x p factor alive. Deterministic given ``seed``
+    (an int or a ``numpy.random.Generator``).
 
     Raises
     ------
@@ -210,7 +215,7 @@ def haar_frame(p: int, k: int, seed) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((p, p)))
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
-    return (q * d)[:, :k]
+    return (q * d)[:, :k].copy()
 
 
 def orthocomplement_frame(v, k2: int, seed) -> np.ndarray:

@@ -244,20 +244,23 @@ def loss(kind, v, sigma, k: int | None = None) -> float:
 def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     """Every domain's loss of frame ``v``, plus the products ``covs[e] @ v``.
 
-    ``traces`` (and, for the regret kinds, ``eigsums``, the top-k eigenvalue
-    sums at k = frame width) are arrays aligned with ``covs``. Returns
-    ``(values, products)`` with ``values[e]`` bitwise equal to
-    ``loss(kind, v, covs[e])`` and ``products`` of shape ``(E, p, k)``;
-    solvers reuse the active domain's product as its gradient. The
-    covariances are not copied into a stack, only the small products are.
+    ``v`` is one p x k frame (1-D input is one column) or a batch of frames
+    of shape ``(..., p, k)``. ``traces`` (and, for the regret kinds,
+    ``eigsums``, the top-k eigenvalue sums at k = frame width) are arrays
+    aligned with ``covs``. Returns ``(values, products)`` with values of
+    shape ``(..., E)``, each bitwise equal to ``loss(kind, frame, covs[e])``,
+    and products of shape ``(..., E, p, k)``; solvers reuse the active
+    domain's product as its gradient. One ``c @ v`` per domain covers the
+    whole batch, and the covariances are not copied into a stack, only the
+    small products are.
     """
-    frame = as_frame(v)
-    if covs[0].shape[0] != frame.shape[0]:
+    frame = as_frame(v) if np.ndim(v) < 3 else np.asarray(v, dtype=np.float64)
+    if covs[0].shape[0] != frame.shape[-2]:
         raise InvalidInput(
-            f"frame rows {frame.shape[0]} do not match covariance dim {covs[0].shape[0]}"
+            f"frame rows {frame.shape[-2]} do not match covariance dim {covs[0].shape[0]}"
         )
-    products = np.stack([c @ frame for c in covs])
-    var = np.sum(frame * products, axis=(1, 2))
+    products = np.stack([c @ frame for c in covs], axis=-3)
+    var = np.sum(frame[..., None, :, :] * products, axis=(-2, -1))
     if kind in MIN_KINDS:
         values = var
     elif kind in REGRET_KINDS:
@@ -269,12 +272,14 @@ def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     return values, products
 
 
-def worst_index(kind: LossKind, values) -> int:
+def worst_index(kind: LossKind, values):
     """Index of the worst domain: argmin for Var/NormVar, argmax otherwise.
 
-    Ties go to the smallest index.
+    Ties go to the smallest index. Values of shape ``(..., E)`` give an
+    index array over the leading axes; a 1-D vector gives an int.
     """
-    return int(np.argmin(values)) if kind in MIN_KINDS else int(np.argmax(values))
+    idx = np.argmin(values, axis=-1) if kind in MIN_KINDS else np.argmax(values, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def worst_case(kind, v, domains, return_index: bool = False):

@@ -16,20 +16,28 @@ domain's loss is +/- 2 Sigma_a V (divided by the trace for normalized kinds,
 and unchanged for the regret kinds whose baseline does not depend on V).
 The losses come from the single kernel ``losses.domain_losses``, whose
 products ``Sigma_e V`` double as the gradient. Worst-case matrix completion
-(``completion.fit_max_mc``) runs the same driver on its right factor.
+(``completion.fit_max_mc``) runs the same driver on its right factor, as a
+batch of one.
 
-The step size anneals geometrically from 1e-2 down to 1e-4 over the
-iteration budget; a constant step leaves Adam oscillating at the step scale
-near a max-min optimum where the active domain alternates. Restart r draws its initial frame from stream r of
-``cfg.seed`` (a counter-offset of the same Philox key), so runs are
-reproducible and restarts are independent. Retraction-based descent follows
+The driver advances an ``(R, p, k)`` batch: :func:`solve_wcpca` runs all of
+its restarts in one loop, each with its own Adam moments and plateau stop,
+so a solve takes as many iterations as its slowest restart rather than the
+sum over restarts, and each restart's result is bitwise the one a lone run
+would give. The step size anneals geometrically from 1e-2 down to 1e-4 over
+the iteration budget; a constant step leaves Adam oscillating at the step
+scale near a max-min optimum where the active domain alternates. Restart r
+draws its initial frame from stream r of ``cfg.seed`` (a counter-offset of
+the same Philox key), so runs are reproducible and restarts are
+independent. Retraction-based descent follows
 Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*
 (2008); the update rule is Adam (Kingma & Ba, ICLR 2015).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +63,7 @@ from .rng import make_rng, spawn_seed
 __all__ = [
     "SolverConfig",
     "FitResult",
+    "Restart",
     "pool_pca",
     "sep_pca",
     "avgcov_pca",
@@ -96,14 +105,29 @@ class SolverConfig:
             raise InvalidInput(f"restarts must be >= 1, got {self.restarts}")
 
 
+class Restart(NamedTuple):
+    """One restart's final objective, iterations run and stop reason.
+
+    ``stop`` is ``"plateau"`` when the best objective stalled within the
+    tolerance over the plateau window, ``"budget"`` when the iterations ran
+    out first.
+    """
+
+    objective: float
+    iterations: int
+    stop: str
+
+
 @dataclass(frozen=True)
 class FitResult:
     """A fitted frame with its objective and solver diagnostics.
 
     ``active_domains`` holds the indices of domains within 1e-6 of the
-    worst-case value at the returned frame. Exact baselines report an empty
-    set (pooled/average PCA) or the selected domain (separate PCA), zero
-    iterations, and restart 0.
+    worst-case value at the returned frame. ``restarts`` lists every
+    restart's :class:`Restart` in restart order; entry ``restart_index`` is
+    the one returned. Exact baselines report an empty set (pooled/average
+    PCA) or the selected domain (separate PCA), zero iterations, restart 0
+    and no restarts.
     """
 
     frame: np.ndarray
@@ -111,6 +135,7 @@ class FitResult:
     active_domains: frozenset[int]
     iterations_used: int
     restart_index: int
+    restarts: tuple[Restart, ...] = ()
 
 
 def _pca_of(sigma: np.ndarray, k: int) -> FitResult:
@@ -148,60 +173,95 @@ def avgcov_pca(domains, k: int) -> FitResult:
 
 
 def stiefel_adam(v0, cost_and_grad, iters: int, tol: float, frozen=None):
-    """Minimize a worst-case cost over frames with orthonormal columns.
+    """Minimize a worst-case cost over frames with orthonormal columns, for a
+    batch of starting frames at once.
 
-    ``cost_and_grad(v)`` returns the cost at ``v`` and the Euclidean gradient
-    of the active (worst) piece. Each iteration keeps the gradient's tangent
-    part, zeroes the rows flagged in the boolean mask ``frozen``, takes an
-    Adam step whose size anneals geometrically from 1e-2 to 1e-4 over
-    ``iters``, and retracts with ``stiefel_project``.
-    The run stops once the best cost has improved by less than ``tol`` over
-    the last 50 iterations. Returns ``(best frame, best cost, iterations)``;
-    the best frame may be ``v0`` itself.
+    ``v0`` is an ``(R, p, k)`` batch of starts, and ``cost_and_grad(v)``
+    maps an ``(r, p, k)`` batch to the costs ``(r,)`` and the Euclidean
+    gradients ``(r, p, k)`` of each member's active (worst) piece. Each
+    iteration keeps every gradient's tangent part, zeroes the rows flagged in
+    the boolean mask ``frozen``, takes an Adam step whose size anneals
+    geometrically from 1e-2 to 1e-4 over ``iters``, and retracts the batch
+    with one ``stiefel_project`` call. Each member keeps its own moments and
+    stops once its best cost has improved by less than ``tol`` over its last
+    50 iterations; it then leaves the batch, so the loop runs as many
+    iterations as the slowest member. Every member's result is bitwise equal
+    to a run of that member alone.
+
+    Returns ``(frames, costs, iterations, plateaued)``, each indexed by
+    member: the best frame (possibly the start itself), its cost, the
+    iterations run, and whether the plateau rule (rather than the budget)
+    stopped the member.
     """
-    m = np.zeros_like(v0)
-    u = np.zeros_like(v0)
-    v = v0
+    v = np.asarray(v0, dtype=np.float64)
+    count = v.shape[0]
+    frames, costs = [None] * count, [0.0] * count
+    used, plateaued = [iters] * count, [False] * count
+    # Row j of the live state belongs to member live[j]; the arrays are
+    # compacted only when a member stops. The per-member bookkeeping is in
+    # Python floats and frame views: for a handful of restarts that is
+    # cheaper than array calls, and it compares exactly as a lone run does.
+    live = list(range(count))
+    m = np.zeros_like(v)
+    u = np.zeros_like(v)
     cost, g = cost_and_grad(v)
-    best_cost, best_v = cost, v
-    best_hist = [best_cost]
+    best_cost, best_v = cost.tolist(), list(v)
+    best_hist = deque([best_cost], maxlen=_PLATEAU_WINDOW + 1)
     for t in range(1, iters + 1):
         # The moments must see only the tangential part: the radial component
         # never flips sign, and Adam's coordinatewise normalization would
         # inflate it into a bias that stalls equalized optima off the KKT
         # point (Example-1-type instances expose this). Frozen rows are zeroed
         # last so they never accumulate moment mass.
-        vg = v.T @ g
-        g = g - v @ ((vg + vg.T) / 2.0)
+        vg = v.swapaxes(1, 2) @ g
+        g = g - v @ ((vg + vg.swapaxes(1, 2)) / 2.0)
         if frozen is not None:
-            g[frozen] = 0.0
+            g[:, frozen] = 0.0
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
         u = _ADAM_BETA2 * u + (1.0 - _ADAM_BETA2) * (g * g)
         mhat = m / (1.0 - _ADAM_BETA1**t)
         uhat = u / (1.0 - _ADAM_BETA2**t)
         step = _STEP_SIZE * 0.01 ** (t / iters)
         v = v - step * mhat / (np.sqrt(uhat) + _ADAM_EPS)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericalFailure(f"non-finite iterate at iteration {t}")
         v = stiefel_project(v)
         cost, g = cost_and_grad(v)
-        if cost < best_cost:
-            best_cost, best_v = cost, v
+        best_cost = best_cost.copy()
+        for j, c in enumerate(cost.tolist()):
+            if c < best_cost[j]:
+                best_cost[j], best_v[j] = c, v[j]
         best_hist.append(best_cost)
-        if t >= _PLATEAU_WINDOW and best_hist[-1 - _PLATEAU_WINDOW] - best_cost < tol:
-            return best_v, best_cost, t
-    return best_v, best_cost, iters
+        if t < _PLATEAU_WINDOW:
+            continue
+        stopped = [j for j, old in enumerate(best_hist[0]) if old - best_cost[j] < tol]
+        if not stopped:
+            continue
+        for j in stopped:
+            i = live[j]
+            frames[i], costs[i], used[i], plateaued[i] = best_v[j], best_cost[j], t, True
+        keep = [j for j in range(len(live)) if j not in stopped]
+        live, best_v = [live[j] for j in keep], [best_v[j] for j in keep]
+        if not live:
+            break
+        v, g, m, u = v[keep], g[keep], m[keep], u[keep]
+        best_hist = deque(([h[j] for j in keep] for h in best_hist), maxlen=_PLATEAU_WINDOW + 1)
+        best_cost = best_hist[-1]
+    for j, i in enumerate(live):
+        frames[i], costs[i] = best_v[j], best_cost[j]
+    return np.stack(frames), np.array(costs), np.array(used), np.array(plateaued)
 
 
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
     """Solve a worst-case PCA problem by multi-restart Stiefel-Adam.
 
-    Runs ``cfg.restarts`` independent :func:`stiefel_adam` runs from
-    Haar-random initial frames (restart r uses stream r of ``cfg.seed``) and
-    keeps the best final objective. Non-convergence is not an error: the
-    best frame found is returned with ``iterations_used == cfg.max_iters``.
-    The degenerate case k = p short-circuits to the identity frame, where
-    every objective is constant over the manifold.
+    Runs ``cfg.restarts`` independent restarts from Haar-random initial
+    frames (restart r uses stream r of ``cfg.seed``) as one
+    :func:`stiefel_adam` batch and keeps the best final objective, the first
+    restart on ties. Non-convergence is not an error: the best frame found is
+    returned with ``iterations_used == cfg.max_iters``. The degenerate case
+    k = p short-circuits to the identity frame, where every objective is
+    constant over the manifold.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
@@ -211,32 +271,36 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
         raise InvalidRank(f"k must be in 1..{p}, got {k}")
     covs, traces = domains.covariances, domains.traces
     eigsums = domains.top_k_eigensums(k) if kind in REGRET_KINDS else None
-    # The driver minimizes; Var and NormVar maximize their worst case.
+    # The driver minimizes; Var and NormVar maximize their worst case. The
+    # gradient of domain e's loss is scale[e] * Sigma_e V.
     sign = -1.0 if kind in MIN_KINDS else 1.0
+    scale = -2.0 / (traces if kind in NORMALIZED_KINDS else np.ones(len(covs)))
 
     def cost_and_grad(v):
         values, products = domain_losses(kind, v, covs, traces, eigsums)
+        members = np.arange(v.shape[0])
         idx = worst_index(kind, values)
-        trn = traces[idx] if kind in NORMALIZED_KINDS else 1.0
-        return sign * float(values[idx]), (-2.0 / trn) * products[idx]
+        return sign * values[members, idx], scale[idx, None, None] * products[members, idx]
 
-    def result(frame, iters, restart):
+    def result(frame, iters, restart, restarts):
         values, _ = domain_losses(kind, frame, covs, traces, eigsums)
         worst = values[worst_index(kind, values)]
-        active = np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL)
-        return FitResult(frame, float(worst), frozenset(int(i) for i in active), iters, restart)
+        active = frozenset(int(i) for i in np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL))
+        return FitResult(frame, float(worst), active, iters, restart, restarts)
 
     if k == p:
-        return result(np.eye(p), 0, 0)
+        return result(np.eye(p), 0, 0, ())
 
-    best = None
-    for r in range(cfg.restarts):
-        v0 = haar_frame(p, k, make_rng(cfg.seed, r))
-        v, cost, iters = stiefel_adam(v0, cost_and_grad, cfg.max_iters, cfg.tol_objective)
-        if best is None or cost < best[1]:
-            best = (v, cost, iters, r)
-    frame, _, iters, restart = best
-    return result(frame, iters, restart)
+    v0 = np.stack([haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
+    frames, costs, iters, plateaued = stiefel_adam(
+        v0, cost_and_grad, cfg.max_iters, cfg.tol_objective
+    )
+    restarts = tuple(
+        Restart(float(sign * c), int(n), "plateau" if stopped else "budget")
+        for c, n, stopped in zip(costs, iters, plateaued)
+    )
+    best = int(np.argmin(costs))
+    return result(frames[best], int(iters[best]), best, restarts)
 
 
 def _jitter_if_flat(m: np.ndarray) -> np.ndarray:

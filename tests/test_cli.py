@@ -118,6 +118,24 @@ class TestFit:
             assert report["per_domain_losses"][kind.value] == per
             assert report["worst_case"][kind.value] == worst_case(kind, frame, collection)
 
+    def test_report_lists_every_restart(self, tmp_path, cov_dir):
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            argv = ["fit", "--from-cov", cov_dir, "--k", "2", "--objective", "max-rcs"]
+            assert main([*argv, "--seed", "6", "--out", str(out)]) == 0
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+        report = json.loads((outs[0] / "report.json").read_text())
+        restarts = report["restarts"]
+        assert len(restarts) == 5
+        for r in restarts:
+            assert set(r) == {"objective", "iterations", "stop"}
+            assert r["stop"] in ("plateau", "budget")
+            assert 1 <= r["iterations"] <= 2000
+            assert r["objective"] >= report["objective_value"]
+        chosen = restarts[report["restart_index"]]
+        assert chosen["objective"] == report["objective_value"]
+        assert chosen["iterations"] == report["iterations_used"]
+
     def test_fit_from_long_csv(self, tmp_path, long_csv):
         out = tmp_path / "fit"
         code = main(

@@ -223,24 +223,30 @@ class TestMaxRCost:
         r = np.linalg.qr(rng.normal(size=(8, 3)))[0]
         return noisy, ls, r, rng
 
+    @staticmethod
+    def _at(cost_and_grad, r):
+        # the cost function takes a batch of factors; evaluate a batch of one
+        cost, grad = cost_and_grad(r[None])
+        return float(cost[0]), grad[0]
+
     def test_cost_equals_direct_objective(self):
         data, ls, r, _ = self._instance(40)
-        cost, _ = _max_r_cost(data, ls)(r)
+        cost, _ = self._at(_max_r_cost(data, ls), r)
         direct = _domain_objectives(data, ls, r)
         assert abs(cost - direct.max()) <= 1e-12 * direct.max()
         for d, l, value in zip(data, ls, direct):
-            single, _ = _max_r_cost(MaskedDataset((d,)), [l])(r)
+            single, _ = self._at(_max_r_cost(MaskedDataset((d,)), [l]), r)
             assert abs(single - value) <= 1e-12 * value
 
     def test_gradient_matches_finite_differences(self):
         data, ls, r, rng = self._instance(41)
         cost_and_grad = _max_r_cost(data, ls)
-        _, grad = cost_and_grad(r)
+        _, grad = self._at(cost_and_grad, r)
         h = 1e-6
         for _ in range(5):
             direction = rng.normal(size=r.shape)
-            plus, _ = cost_and_grad(r + h * direction)
-            minus, _ = cost_and_grad(r - h * direction)
+            plus, _ = self._at(cost_and_grad, r + h * direction)
+            minus, _ = self._at(cost_and_grad, r - h * direction)
             fd = (plus - minus) / (2.0 * h)
             assert fd == pytest.approx(float(np.sum(grad * direction)), rel=1e-6)
 

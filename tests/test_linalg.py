@@ -86,6 +86,28 @@ class TestStiefelProject:
         with pytest.raises(InvalidInput):
             stiefel_project(np.ones((2, 3)))
 
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_members_equal_single_projections(self, seed, count):
+        rng = make_rng(seed)
+        p = int(rng.integers(1, 12))
+        k = int(rng.integers(1, p + 1))
+        m = rng.normal(size=(count, p, k))
+        v = stiefel_project(m)
+        assert v.shape == m.shape
+        for r in range(count):
+            assert np.array_equal(v[r], stiefel_project(m[r]))
+
+    def test_batch_with_one_rank_deficient_member_rejected(self):
+        m = make_rng(6).normal(size=(3, 4, 2))
+        m[1] = 1.0
+        with pytest.raises(RankDeficient):
+            stiefel_project(m)
+
+    def test_four_dimensional_input_rejected(self):
+        with pytest.raises(InvalidInput):
+            stiefel_project(np.ones((2, 2, 4, 2)))
+
 
 class TestProjectionDistance:
     def test_basis_invariance(self):
@@ -130,6 +152,12 @@ class TestHaarFrame:
             v = haar_frame(p, k, rng)
             acc += v @ v.T
         np.testing.assert_allclose(acc / draws, (k / p) * np.eye(p), atol=0.05)
+
+    def test_frame_owns_its_data(self):
+        # a view would keep the whole p x p Q factor alive with the frame
+        v = haar_frame(30, 2, 9)
+        assert v.base is None and v.flags.owndata
+        assert v.flags.c_contiguous
 
 
 class TestOrthocomplementFrame:

@@ -7,22 +7,32 @@ monotonicity, orthonormal outputs, prefix optimality of ordered bases.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcpca import (
+    MIN_KINDS,
+    NORMALIZED_KINDS,
     InvalidKind,
     InvalidRank,
     LossKind,
     SolverConfig,
     avgcov_pca,
+    haar_frame,
     make_collection,
+    make_rng,
     order_basis,
     pool_pca,
     projection_distance,
     sep_pca,
     sequential_minpca,
     solve_wcpca,
+    solvers,
+    stiefel_project,
+    top_k_eigensum,
     worst_case,
 )
+from wcpca.losses import domain_losses, worst_index
 from wcpca.solvers import stiefel_adam
 from conftest import random_covariance
 
@@ -101,6 +111,33 @@ class TestSolveWcpca:
         assert fit.objective == pytest.approx(1.1, abs=1e-5)
 
     @pytest.mark.parametrize("kind", list(LossKind))
+    def test_restarts_equal_lone_reference_runs(self, kind):
+        rng = np.random.default_rng(5)
+        collection = make_collection([random_covariance(rng, 6) for _ in range(3)])
+        cfg = SolverConfig(max_iters=600, restarts=4, seed=12, tol_objective=3e-4)
+        fit = solve_wcpca(kind, collection, 2, cfg)
+        single, _ = _worst_case_costs(kind, collection.covariances, 2)
+        sign = -1.0 if kind in MIN_KINDS else 1.0
+        refs = [
+            _reference_adam(haar_frame(6, 2, make_rng(12, r)), single, 600, 3e-4)
+            for r in range(4)
+        ]
+        assert len(fit.restarts) == 4
+        for (_, cost, iters), restart in zip(refs, fit.restarts):
+            assert restart.objective == sign * cost
+            assert restart.iterations == iters
+            assert restart.stop == ("plateau" if iters < 600 else "budget")
+        best = min(range(4), key=lambda r: refs[r][1])
+        assert fit.restart_index == best
+        assert np.array_equal(fit.frame, refs[best][0])
+        assert fit.iterations_used == refs[best][2]
+        assert fit.restarts[fit.restart_index].objective == fit.objective
+
+    def test_exact_paths_report_no_restarts(self, example1):
+        assert pool_pca(example1, 1).restarts == ()
+        assert solve_wcpca(LossKind.VAR, example1, 3).restarts == ()
+
+    @pytest.mark.parametrize("kind", list(LossKind))
     def test_domain_order_does_not_matter(self, kind):
         rng = np.random.default_rng(17)
         covs = [random_covariance(rng, 6) for _ in range(4)]
@@ -115,33 +152,163 @@ class TestSolveWcpca:
         )
 
 
+def _reference_adam(v0, cost_and_grad, iters, tol, frozen=None):
+    """The single-frame Stiefel-Adam loop that the batched driver replaced.
+
+    Kept as the reference each batch member must match bit for bit.
+    ``cost_and_grad(v)`` takes one p x k frame and returns a float cost and
+    a p x k gradient.
+    """
+    m = np.zeros_like(v0)
+    u = np.zeros_like(v0)
+    v = v0
+    cost, g = cost_and_grad(v)
+    best_cost, best_v = cost, v
+    best_hist = [best_cost]
+    for t in range(1, iters + 1):
+        vg = v.T @ g
+        g = g - v @ ((vg + vg.T) / 2.0)
+        if frozen is not None:
+            g[frozen] = 0.0
+        m = solvers._ADAM_BETA1 * m + (1.0 - solvers._ADAM_BETA1) * g
+        u = solvers._ADAM_BETA2 * u + (1.0 - solvers._ADAM_BETA2) * (g * g)
+        mhat = m / (1.0 - solvers._ADAM_BETA1**t)
+        uhat = u / (1.0 - solvers._ADAM_BETA2**t)
+        step = solvers._STEP_SIZE * 0.01 ** (t / iters)
+        v = v - step * mhat / (np.sqrt(uhat) + solvers._ADAM_EPS)
+        v = stiefel_project(v)
+        cost, g = cost_and_grad(v)
+        if cost < best_cost:
+            best_cost, best_v = cost, v
+        best_hist.append(best_cost)
+        window = solvers._PLATEAU_WINDOW
+        if t >= window and best_hist[-1 - window] - best_cost < tol:
+            return best_v, best_cost, t
+    return best_v, best_cost, iters
+
+
+def _worst_case_costs(kind, covs, k):
+    """Single-frame and batched worst-case cost functions of one problem."""
+    traces = np.array([float(np.trace(c)) for c in covs])
+    eigsums = np.array([top_k_eigensum(c, k) for c in covs])
+    sign = -1.0 if kind in MIN_KINDS else 1.0
+    scale = -2.0 / (traces if kind in NORMALIZED_KINDS else np.ones(len(covs)))
+
+    def single(v):
+        values, products = domain_losses(kind, v, covs, traces, eigsums)
+        a = worst_index(kind, values)
+        return sign * float(values[a]), scale[a] * products[a]
+
+    def batch(v):
+        values, products = domain_losses(kind, v, covs, traces, eigsums)
+        members = np.arange(v.shape[0])
+        a = worst_index(kind, values)
+        return sign * values[members, a], scale[a][:, None, None] * products[members, a]
+
+    return single, batch
+
+
+def _assert_members_match_reference(v0, single, batch, iters, tol, frozen=None):
+    frames, costs, used, plateaued = stiefel_adam(v0, batch, iters, tol, frozen)
+    assert frames.shape == v0.shape
+    for r in range(v0.shape[0]):
+        ref_v, ref_cost, ref_iters = _reference_adam(v0[r], single, iters, tol, frozen)
+        assert np.array_equal(frames[r], ref_v)
+        assert costs[r] == ref_cost
+        assert used[r] == ref_iters
+        # only a member that plateaued can stop before the budget
+        assert plateaued[r] or ref_iters == iters
+    return used
+
+
 class TestStiefelAdam:
     @staticmethod
     def _max_var(sigma):
         def cost_and_grad(v):
-            return -float(np.sum(v * (sigma @ v))), -2.0 * (sigma @ v)
+            products = sigma @ v
+            return -np.sum(v * products, axis=(1, 2)), -2.0 * products
 
         return cost_and_grad
 
     def test_reaches_top_eigenspace(self):
         v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
         cost_and_grad = self._max_var(np.diag(np.arange(6, 0, -1.0)))
-        v, cost, iters = stiefel_adam(v0, cost_and_grad, 3000, 1e-12)
-        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
-        assert cost == pytest.approx(-11.0, abs=1e-4)
-        assert 1 <= iters <= 3000
+        v, cost, iters, _ = stiefel_adam(v0[None], cost_and_grad, 3000, 1e-12)
+        np.testing.assert_allclose(v[0].T @ v[0], np.eye(2), atol=1e-10)
+        assert cost[0] == pytest.approx(-11.0, abs=1e-4)
+        assert 1 <= iters[0] <= 3000
 
     def test_frozen_row_gets_no_step(self):
         rng = np.random.default_rng(4)
         cost_and_grad = self._max_var(random_covariance(rng, 6))
-        v0 = np.insert(np.linalg.qr(rng.normal(size=(5, 2)))[0], 4, 0.0, axis=0)
+        v0 = np.insert(np.linalg.qr(rng.normal(size=(5, 2)))[0], 4, 0.0, axis=0)[None]
         frozen = np.zeros(6, dtype=bool)
         frozen[4] = True
-        free, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0)
-        held, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0, frozen)
-        assert np.abs(free[4]).max() > 1e-3
-        assert np.abs(held[4]).max() <= 1e-12
-        assert np.abs(held - v0).max() > 1e-3
+        free, _, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0)
+        held, _, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0, frozen)
+        assert np.abs(free[0, 4]).max() > 1e-3
+        assert np.abs(held[0, 4]).max() <= 1e-12
+        assert np.abs(held[0] - v0[0]).max() > 1e-3
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 5),
+        st.sampled_from(list(LossKind)),
+        st.sampled_from([0.0, 1e-8, 1e-6, 1e-3]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_members_equal_lone_reference_runs(self, seed, count, kind, tol, freeze):
+        rng = make_rng(seed)
+        p = int(rng.integers(2, 9))
+        k = int(rng.integers(1, p))
+        covs = [random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))]
+        v0 = np.stack([haar_frame(p, k, rng) for _ in range(count)])
+        frozen = None
+        if freeze:
+            frozen = np.zeros(p, dtype=bool)
+            frozen[int(rng.integers(p))] = True
+        single, batch = _worst_case_costs(kind, covs, k)
+        # budgets long enough that most members plateau, at different
+        # iterations, while some run out the budget
+        iters = int(rng.integers(100, 700))
+        _assert_members_match_reference(v0, single, batch, iters, tol, frozen)
+
+    def test_members_stop_apart_and_at_budget(self):
+        rng = make_rng(10)
+        covs = [random_covariance(rng, 7) for _ in range(3)]
+        v0 = np.stack([haar_frame(7, 3, make_rng(10, r)) for r in range(5)])
+        single, batch = _worst_case_costs(LossKind.VAR, covs, 3)
+        used = _assert_members_match_reference(v0, single, batch, 1000, 1e-6)
+        # the case the loop's compaction exists for: members leave the batch
+        # at different iterations while another runs out the budget
+        assert len(set(used.tolist())) == 5
+        assert 1000 in used.tolist()
+
+    def test_flat_cost_stops_after_one_window(self):
+        def flat(v):
+            return np.zeros(v.shape[0]), np.zeros_like(v)
+
+        v0 = np.stack([haar_frame(5, 2, make_rng(3, r)) for r in range(2)])
+        frames, _, used, plateaued = stiefel_adam(v0, flat, 1000, 1e-12)
+        assert used.tolist() == [solvers._PLATEAU_WINDOW] * 2
+        assert plateaued.all()
+        # no iterate beats the start, so the start is returned
+        assert np.array_equal(frames, v0)
+
+    def test_member_result_ignores_its_companions(self):
+        rng = make_rng(21)
+        covs = [random_covariance(rng, 6) for _ in range(4)]
+        v0 = np.stack([haar_frame(6, 2, make_rng(21, r)) for r in range(4)])
+        _, batch = _worst_case_costs(LossKind.NORM_REG, covs, 2)
+        full = stiefel_adam(v0, batch, 200, 1e-6)
+        for members in ([2], [3, 2], [2, 0, 1]):
+            part = stiefel_adam(v0[members], batch, 200, 1e-6)
+            i = members.index(2)
+            assert np.array_equal(part[0][i], full[0][2])
+            assert part[1][i] == full[1][2]
+            assert part[2][i] == full[2][2]
+            assert part[3][i] == full[3][2]
 
 
 class TestSequential:

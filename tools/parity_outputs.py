@@ -20,8 +20,9 @@ never-observed column), and the evaluation helpers ``sample_hull_members``
 
 ``--compare`` prints, per file, ``identical`` for equal bytes, otherwise the
 largest absolute difference between the numbers the two files hold in the
-same places (completion outputs agree to a tolerance, not bit for bit), or
-``structure differs`` when their non-numeric text differs.
+same places, or ``structure differs`` when their non-numeric text differs.
+It exits 1 when any file is missing on one side or not byte-identical, so
+parity can gate a refactor.
 """
 
 from __future__ import annotations
@@ -227,12 +228,17 @@ def _numbers(text):
 
 
 def compare(out_a, out_b):
-    """Print the largest absolute numeric difference per output file."""
+    """Print the largest absolute numeric difference per output file.
+
+    Returns the number of files that are not byte-identical on both sides.
+    """
     worst = 0.0
+    differing = 0
     for rel in sorted(_files(out_a) | _files(out_b)):
         paths = [os.path.join(out_a, rel), os.path.join(out_b, rel)]
         if not all(os.path.isfile(p) for p in paths):
             print(f"missing on one side  {rel}")
+            differing += 1
             continue
         texts = []
         for p in paths:
@@ -241,6 +247,7 @@ def compare(out_a, out_b):
         if texts[0] == texts[1]:
             print(f"identical  {rel}")
             continue
+        differing += 1
         (skel_a, num_a), (skel_b, num_b) = (_numbers(t) for t in texts)
         if skel_a != skel_b:
             print(f"structure differs  {rel}")
@@ -249,11 +256,12 @@ def compare(out_a, out_b):
         worst = max(worst, diff)
         print(f"max abs diff {diff:.3g}  {rel}")
     print(f"largest numeric difference {worst:.3g}")
+    return differing
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(1 if compare(sys.argv[2], sys.argv[3]) else 0)
     elif len(sys.argv) == 2:
         main(sys.argv[1])
     else:
