@@ -113,6 +113,8 @@ def cmd_fit(args) -> int:
         "iterations_used": result.iterations_used,
         "restart_index": result.restart_index,
         "restarts": [r._asdict() for r in result.restarts],
+        "dual_bound": result.dual_bound,
+        "gap": result.gap,
         "domain_ids": ids,
         "per_domain_losses": per_domain,
         "worst_case": wc,

@@ -377,17 +377,21 @@ def _max_r_cost(data: MaskedDataset, ls):
     computing every domain's objective from the sufficient statistics of
     :func:`_column_stats`, precomputed once, so one member costs
     O(E p k^2) rather than rebuilding each ``L_e R.T``. The active domain's
-    gradient is ``2 (H_a r - B_a) / n_a``.
+    gradient is ``2 (H_a r - B_a) / n_a``. The H blocks are stacked per
+    column, ``(p, E k, k)``, so every ``H_ej r_j`` comes from p small
+    products rather than E p.
     """
     stats = [_column_stats(d, l) for d, l in zip(data, ls)]
-    h = np.stack([s[0] for s in stats])
+    h = np.concatenate([s[0] for s in stats], axis=1)
     b = np.stack([s[1] for s in stats])
     xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])
     n = np.array([float(d.n) for d in data])
+    count, k = len(n), b.shape[-1]
 
     def cost_and_grad(r):
         rows = r[:, None]
-        hr = (h @ rows[..., None])[..., 0]
+        hr = (h @ r[..., None]).reshape(r.shape[0], r.shape[1], count, k)
+        hr = np.ascontiguousarray(hr.swapaxes(1, 2))
         vals = (xx + np.sum((hr - 2.0 * b) * rows, axis=(-2, -1))) / n
         a = vals.argmax(axis=-1)
         members = np.arange(len(a))

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidWeights, ZeroTrace
-from .linalg import as_covariance, as_frame, sym_eigen
+from .linalg import as_covariance, as_frame, sym_eigenvalues
 
 __all__ = [
     "LossKind",
@@ -199,12 +199,12 @@ def as_kind(kind) -> LossKind:
 
 
 def top_k_eigensum(sigma, k: int) -> float:
-    """Sum of the k largest eigenvalues of ``sigma``, from one eigendecomposition.
+    """Sum of the k largest eigenvalues of ``sigma``, from one ``eigvalsh`` call.
 
     Nothing is memoized; :meth:`DomainCollection.top_k_eigensums` gives every
     domain's value at once.
     """
-    return float(sym_eigen(sigma).eigenvalues[:k].sum())
+    return float(sym_eigenvalues(sigma)[:k].sum())
 
 
 def loss(kind, v, sigma, k: int | None = None) -> float:

@@ -1,4 +1,5 @@
-"""Baselines and the Stiefel-Adam solver for worst-case subspace fitting.
+"""Baselines, the mixture dual and the Stiefel-Adam solver for worst-case
+subspace fitting.
 
 The exact baselines (pooled, separate, average-covariance PCA) reduce to
 eigendecompositions. The worst-case problems
@@ -6,18 +7,35 @@ eigendecompositions. The worst-case problems
     maximize  min_e Var(V; Sigma_e)        (Var, NormVar)
     minimize  max_e L(V; Sigma_e)          (RCS, NormRCS, Reg, NormReg)
 
-are all solved by one driver, :func:`stiefel_adam`: at each iterate the
-active domain (the one attaining the worst case, smallest index on ties)
-supplies the subgradient, an annealed Adam step is taken in the ambient
-p x k space, and the result is retracted to orthonormal columns by
-``stiefel_project``. All six objectives share one update direction because
-every loss is linear in the covariance: the Euclidean gradient of the active
-domain's loss is +/- 2 Sigma_a V (divided by the trace for normalized kinds,
-and unchanged for the regret kinds whose baseline does not depend on V).
-The losses come from the single kernel ``losses.domain_losses``, whose
-products ``Sigma_e V`` double as the gradient. Worst-case matrix completion
-(``completion.fit_max_mc``) runs the same driver on its right factor, as a
-batch of one.
+are solved dual first, with Stiefel-Adam as the fallback.
+
+Every loss is linear in the covariance, so relaxing V V.T to the Fantope
+{0 <= P <= I, Tr P = k} and swapping min and max gives a dual over simplex
+weights w on the domains (trace-normalized covariances for the normalized
+kinds): by Ky Fan's maximum principle it is max_w sum_e w_e b_e - s_k(Sigma_w)
+for the max kinds, with b_e the trace or the top-k eigensum, and
+min_w s_k(Sigma_w) for Var, where s_k sums the k largest eigenvalues of
+the mixture Sigma_w. Any w gives a bound on the optimum, and every domain's
+loss at the top-k frame of Sigma_w is a supergradient (Overton & Womersley,
+*Math. Programming* 1993). :func:`_mixture_dual` ascends it by
+exponentiated gradient; once the best of those frames is within 1e-9
+(relative) of the best bound, it is optimal and the gap certifies it. The
+relaxation need not be tight: its optimum can have rank k+1 (Tantipongpipat
+et al., NeurIPS 2019), and then the gap stays open.
+
+:func:`solve_wcpca` tries the dual first when one p x p eigendecomposition
+costs no more than one batched Adam iteration (small p). An uncertified or
+skipped dual falls back to :func:`stiefel_adam`: at each iterate the active
+domain (the one attaining the worst case, smallest index on ties) supplies
+the subgradient, an annealed Adam step is taken in the ambient p x k space,
+and the result is retracted to orthonormal columns by ``stiefel_project``.
+All six objectives share one update direction: the Euclidean gradient of
+the active domain's loss is +/- 2 Sigma_a V (divided by the trace for
+normalized kinds, and unchanged for the regret kinds whose baseline does not
+depend on V). The losses come from the single kernel
+``losses.domain_losses``, whose products ``Sigma_e V`` double as the
+gradient. Worst-case matrix completion (``completion.fit_max_mc``) runs the
+same driver on its right factor, as a batch of one.
 
 The driver advances an ``(R, p, k)`` batch: :func:`solve_wcpca` runs all of
 its restarts in one loop, each with its own Adam moments and plateau stop,
@@ -42,7 +60,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank, NumericalFailure
-from .linalg import as_frame, haar_frame, orthocomplement_frame, stiefel_project, top_k_frame
+from .linalg import (
+    as_frame,
+    haar_frame,
+    orthocomplement_frame,
+    stiefel_project,
+    sym_eigen,
+    top_k_frame,
+)
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
@@ -54,6 +79,7 @@ from .losses import (
     as_kind,
     average_covariance,
     domain_losses,
+    mixture,
     pooled_covariance,
     top_k_eigensum,  # noqa: F401 -- benchmarks/spans.py wraps this name
     worst_index,
@@ -87,11 +113,32 @@ _ACTIVE_TOL = 1e-6
 # Reduced covariances whose trace falls below this get a diagonal jitter so
 # they remain valid DomainSpec inputs (trace must be positive).
 _TRACE_JITTER = 1e-15
+# The mixture dual takes at most this many exponentiated-gradient steps. The
+# step t has size _DUAL_STEP / (sqrt(t) * spread), with spread the range of
+# the domain losses at the first step; 2 certified the most of 192 pca-study
+# solves among 1, 1.5, 2 and 2.5.
+_DUAL_STEPS = 300
+_DUAL_STEP = 2.0
+# A fit is certified when its gap is at most this times max(1, |objective|).
+_DUAL_GAP_RTOL = 1e-9
+# The dual runs first when _DUAL_EIGH_COST * p <= restarts * E * k, a flop
+# model of "one p x p eigh costs no more than one batched Adam iteration"
+# (E * R products of p x p by p x k). With numpy's eigh on one OpenBLAS
+# thread (2-core Xeon), at R = E = k = 5 the eigh costs 0.37 of an iteration
+# at p = 24 and 1.4 at p = 48, and at R = E = 5, k = 2, 0.83 at p = 24 and
+# 1.9 at p = 48; the rule admits p <= 27 and p <= 11 there, where the eigh
+# is the cheaper.
+_DUAL_EIGH_COST = 4.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget, plateau tolerance and restarts of the worst-case solvers."""
+    """Budget, plateau tolerance, restarts and seed of the Stiefel-Adam path.
+
+    The mixture dual that :func:`solve_wcpca` may run first has fixed
+    settings; of these fields only ``restarts`` reaches it, through the cost
+    rule that decides whether it runs.
+    """
 
     max_iters: int = 2000
     restarts: int = 5
@@ -123,11 +170,16 @@ class FitResult:
     """A fitted frame with its objective and solver diagnostics.
 
     ``active_domains`` holds the indices of domains within 1e-6 of the
-    worst-case value at the returned frame. ``restarts`` lists every
+    worst-case value at the returned frame. ``restarts`` lists every Adam
     restart's :class:`Restart` in restart order; entry ``restart_index`` is
-    the one returned. Exact baselines report an empty set (pooled/average
-    PCA) or the selected domain (separate PCA), zero iterations, restart 0
-    and no restarts.
+    the one returned. ``dual_bound`` is the best mixture-dual bound on the
+    optimum (a lower bound for the max kinds, an upper bound for Var and
+    NormVar) and ``gap`` how far the objective lies from it on the worse
+    side, nonnegative up to rounding; both are None when no dual ran. A
+    fit certified by the dual reports its steps as ``iterations_used``,
+    restart 0 and no restarts. Exact baselines report an empty set
+    (pooled/average PCA) or the selected domain (separate PCA), zero
+    iterations, restart 0, no restarts and no bound.
     """
 
     frame: np.ndarray
@@ -136,6 +188,8 @@ class FitResult:
     iterations_used: int
     restart_index: int
     restarts: tuple[Restart, ...] = ()
+    dual_bound: float | None = None
+    gap: float | None = None
 
 
 def _pca_of(sigma: np.ndarray, k: int) -> FitResult:
@@ -252,16 +306,81 @@ def stiefel_adam(v0, cost_and_grad, iters: int, tol: float, frozen=None):
     return np.stack(frames), np.array(costs), np.array(used), np.array(plateaued)
 
 
-def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
-    """Solve a worst-case PCA problem by multi-restart Stiefel-Adam.
+def _certifies(gap: float, objective: float) -> bool:
+    """Whether a gap certifies the objective: at most 1e-9 * max(1, |objective|)."""
+    return gap <= _DUAL_GAP_RTOL * max(1.0, abs(objective))
 
-    Runs ``cfg.restarts`` independent restarts from Haar-random initial
-    frames (restart r uses stream r of ``cfg.seed``) as one
-    :func:`stiefel_adam` batch and keeps the best final objective, the first
-    restart on ties. Non-convergence is not an error: the best frame found is
-    returned with ``iterations_used == cfg.max_iters``. The degenerate case
-    k = p short-circuits to the identity frame, where every objective is
-    constant over the manifold.
+
+def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
+    """Search the mixture dual of a worst-case PCA problem over simplex weights.
+
+    Starts from uniform weights and takes at most ``_DUAL_STEPS``
+    exponentiated-gradient steps. Each step builds ``Sigma_w`` with
+    :func:`losses.mixture` (weights ``w / traces`` for the normalized
+    kinds), takes one :func:`sym_eigen` of it and one ``domain_losses`` call
+    at its top-k frame U: the domain losses at U are the supergradient, and
+    the top-k eigenvalue sum gives the bound. It stops once the best frame
+    seen is within ``_DUAL_GAP_RTOL`` of the best bound. ``eigsums`` are
+    the top-k eigensums for the regret kinds, else None.
+
+    Returns ``(frame, bound, steps)``: the best frame (lowest worst-case
+    loss, highest for Var and NormVar), the best bound and the steps taken.
+    """
+    covs, traces = domains.covariances, domains.traces
+    normalized = kind in NORMALIZED_KINDS
+    # sign * (objective - bound) >= 0 for every frame and weight vector.
+    sign = -1.0 if kind in MIN_KINDS else 1.0
+    if kind in MIN_KINDS:
+        offsets = np.zeros(len(covs))
+    else:
+        offsets = eigsums if kind in REGRET_KINDS else traces
+        if normalized:
+            offsets = offsets / traces
+    w = np.full(len(covs), 1.0 / len(covs))
+    best_frame, best_value, best_bound = None, sign * np.inf, -sign * np.inf
+    scale = None
+    for t in range(1, _DUAL_STEPS + 1):
+        spec = sym_eigen(mixture(domains, w / traces if normalized else w))
+        frame = spec.eigenvectors[:, :k].copy()
+        values, _ = domain_losses(kind, frame, covs, traces, eigsums)
+        value = values[worst_index(kind, values)]
+        bound = float(w @ offsets) - sign * float(spec.eigenvalues[:k].sum())
+        if sign * (value - best_value) < 0.0:
+            best_frame, best_value = frame, value
+        if sign * (bound - best_bound) > 0.0:
+            best_bound = bound
+        if _certifies(sign * (best_value - best_bound), best_value):
+            break
+        if scale is None:
+            spread = float(values.max() - values.min())
+            if spread == 0.0:
+                break
+            scale = _DUAL_STEP / spread
+        # Ascent for the max kinds, descent for Var; shifting the exponent by
+        # its maximum keeps every factor at most 1.
+        step = sign * values
+        w = w * np.exp(scale / np.sqrt(t) * (step - step.max()))
+        w = w / w.sum()
+    return best_frame, best_bound, t
+
+
+def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
+    """Solve a worst-case PCA problem, dual first, else by multi-restart Stiefel-Adam.
+
+    When ``4.5 p <= cfg.restarts * E * k`` (one p x p eigendecomposition
+    costs no more than one batched Adam iteration), :func:`_mixture_dual`
+    runs first; if it certifies a frame, that frame is returned with its
+    bound, its gap and no restarts. Otherwise ``cfg.restarts`` independent
+    restarts from Haar-random initial frames (restart r uses stream r of
+    ``cfg.seed``) run as one :func:`stiefel_adam` batch and the best final
+    objective is kept, the first restart on ties; the fit carries the dual's
+    bound and gap when the dual ran. ``cfg.max_iters``, ``restarts``,
+    ``tol_objective`` and ``seed`` drive only this Adam path (and
+    ``restarts`` the cost rule).
+    Non-convergence is not an error: the best frame found is returned with
+    ``iterations_used == cfg.max_iters``. The degenerate case k = p
+    short-circuits to the identity frame, where every objective is constant
+    over the manifold.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
@@ -282,14 +401,22 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
         idx = worst_index(kind, values)
         return sign * values[members, idx], scale[idx, None, None] * products[members, idx]
 
-    def result(frame, iters, restart, restarts):
+    def result(frame, iters, restart, restarts, bound=None):
         values, _ = domain_losses(kind, frame, covs, traces, eigsums)
-        worst = values[worst_index(kind, values)]
+        worst = float(values[worst_index(kind, values)])
         active = frozenset(int(i) for i in np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL))
-        return FitResult(frame, float(worst), active, iters, restart, restarts)
+        gap = None if bound is None else sign * (worst - bound)
+        return FitResult(frame, worst, active, iters, restart, restarts, bound, gap)
 
     if k == p:
         return result(np.eye(p), 0, 0, ())
+
+    bound = None
+    if _DUAL_EIGH_COST * p <= cfg.restarts * len(covs) * k:
+        frame, bound, steps = _mixture_dual(kind, domains, k, eigsums)
+        fit = result(frame, steps, 0, (), bound)
+        if _certifies(fit.gap, fit.objective):
+            return fit
 
     v0 = np.stack([haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
     frames, costs, iters, plateaued = stiefel_adam(
@@ -300,7 +427,7 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
         for c, n, stopped in zip(costs, iters, plateaued)
     )
     best = int(np.argmin(costs))
-    return result(frames[best], int(iters[best]), best, restarts)
+    return result(frames[best], int(iters[best]), best, restarts, bound)
 
 
 def _jitter_if_flat(m: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 
 from wcpca import LossKind, load_covariances, loss, make_collection, save_covariances, worst_case
 from wcpca.cli import main
+from conftest import random_covariance
 
 
 @pytest.fixture
@@ -119,12 +120,14 @@ class TestFit:
             assert report["worst_case"][kind.value] == worst_case(kind, frame, collection)
 
     def test_report_lists_every_restart(self, tmp_path, cov_dir):
+        # at k=1 (4.5 p > R E k) the fit skips the dual and runs Adam alone
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:
-            argv = ["fit", "--from-cov", cov_dir, "--k", "2", "--objective", "max-rcs"]
+            argv = ["fit", "--from-cov", cov_dir, "--k", "1", "--objective", "max-rcs"]
             assert main([*argv, "--seed", "6", "--out", str(out)]) == 0
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         report = json.loads((outs[0] / "report.json").read_text())
+        assert report["dual_bound"] is None and report["gap"] is None
         restarts = report["restarts"]
         assert len(restarts) == 5
         for r in restarts:
@@ -135,6 +138,26 @@ class TestFit:
         chosen = restarts[report["restart_index"]]
         assert chosen["objective"] == report["objective_value"]
         assert chosen["iterations"] == report["iterations_used"]
+
+    def test_report_carries_dual_bound_and_gap(self, tmp_path):
+        rng = np.random.default_rng(0)
+        collection = make_collection([random_covariance(rng, 8) for _ in range(4)])
+        cov_dir = tmp_path / "covs"
+        save_covariances(collection, str(cov_dir))
+        reports = {}
+        for objective in ("norm-max-rcs", "max-rcs"):
+            out = tmp_path / objective
+            argv = ["fit", "--from-cov", str(cov_dir), "--k", "3", "--objective", objective]
+            assert main([*argv, "--out", str(out)]) == 0
+            reports[objective] = json.loads((out / "report.json").read_text())
+        # the dual certifies norm-max-rcs here and not max-rcs
+        certified, fallback = reports["norm-max-rcs"], reports["max-rcs"]
+        assert certified["restarts"] == []
+        assert 0.0 <= certified["gap"] <= 1e-9
+        assert certified["gap"] == certified["objective_value"] - certified["dual_bound"]
+        assert len(fallback["restarts"]) == 5
+        assert fallback["gap"] > 1e-9
+        assert fallback["dual_bound"] <= fallback["objective_value"]
 
     def test_fit_from_long_csv(self, tmp_path, long_csv):
         out = tmp_path / "fit"

@@ -26,6 +26,7 @@ from wcpca import (
     sample_masks,
 )
 from wcpca.completion import (
+    _column_stats,
     _domain_objectives,
     _l_update,
     _max_r_cost,
@@ -237,6 +238,22 @@ class TestMaxRCost:
         for d, l, value in zip(data, ls, direct):
             single, _ = self._at(_max_r_cost(MaskedDataset((d,)), [l]), r)
             assert abs(single - value) <= 1e-12 * value
+
+    def test_equals_per_domain_layout_bitwise(self):
+        # the reference stacks H as (E, p, k, k) and forms every H_ej r_j
+        data, ls, r, _ = self._instance(42)
+        stats = [_column_stats(d, l) for d, l in zip(data, ls)]
+        h = np.stack([s[0] for s in stats])
+        b = np.stack([s[1] for s in stats])
+        xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])
+        n = np.array([float(d.n) for d in data])
+        rows = r[None, None]
+        hr = (h @ rows[..., None])[..., 0]
+        vals = (xx + np.sum((hr - 2.0 * b) * rows, axis=(-2, -1))) / n
+        a = int(vals[0].argmax())
+        cost, grad = _max_r_cost(data, ls)(r[None])
+        assert cost[0] == vals[0, a]
+        assert np.array_equal(grad[0], 2.0 / n[a] * (hr[0, a] - b[a]))
 
     def test_gradient_matches_finite_differences(self):
         data, ls, r, rng = self._instance(41)

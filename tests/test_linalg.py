@@ -27,6 +27,7 @@ from wcpca import (
     projection_distance,
     stiefel_project,
     sym_eigen,
+    sym_eigenvalues,
     top_k_frame,
 )
 
@@ -46,6 +47,22 @@ class TestSymEigen:
         spec = sym_eigen(sigma)
         assert spec.eigenvalues.sum() == pytest.approx(6.0, abs=1e-12)
         np.testing.assert_allclose(spec.eigenvalues, [3.0, 2.0, 1.0], atol=1e-12)
+
+
+class TestSymEigenvalues:
+    def test_match_sym_eigen(self):
+        rng = make_rng(2)
+        a = rng.normal(size=(9, 9))
+        sigma = a @ a.T + 1e-12 * rng.normal(size=(9, 9))
+        np.testing.assert_allclose(
+            sym_eigenvalues(sigma), sym_eigen(sigma).eigenvalues, rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    def test_rejects_what_sym_eigen_rejects(self, bad):
+        for fn in (sym_eigen, sym_eigenvalues):
+            with pytest.raises(InvalidInput):
+                fn(bad)
 
 
 class TestTopKFrame:
@@ -188,6 +205,13 @@ class TestAsCovariance:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInput):
             as_covariance(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+    def test_asymmetry_tolerance_is_relative_to_largest_entry(self):
+        # |m - m.T| max 1.5e-6 against 1e-6 * 2.0: accepted; 2.5e-6: rejected
+        inside = np.array([[1.0, 0.3 + 1.5e-6], [0.3, 2.0]])
+        np.testing.assert_array_equal(as_covariance(inside), (inside + inside.T) / 2.0)
+        with pytest.raises(InvalidInput):
+            as_covariance(np.array([[1.0, 0.3 + 2.5e-6], [0.3, 2.0]]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):

@@ -128,6 +128,8 @@ class TestSolveWcpca:
             assert restart.iterations == iters
             assert restart.stop == ("plateau" if iters < 600 else "budget")
         best = min(range(4), key=lambda r: refs[r][1])
+        # 4.5 p > R E k here, so no dual runs and Adam alone decides the fit
+        assert fit.dual_bound is None
         assert fit.restart_index == best
         assert np.array_equal(fit.frame, refs[best][0])
         assert fit.iterations_used == refs[best][2]
@@ -150,6 +152,96 @@ class TestSolveWcpca:
         assert moved.active_domains == frozenset(
             i for i, src in enumerate(perm) if src in fit.active_domains
         )
+
+
+def _sign(kind):
+    """+1 where the dual bound lies below the objective (max kinds), -1 for Var."""
+    return -1.0 if kind in MIN_KINDS else 1.0
+
+
+class TestMixtureDual:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(list(LossKind)))
+    def test_bound_on_the_right_side(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 7))
+        k = int(rng.integers(1, p))
+        # enough domains that 4.5 p <= R E k with the default 5 restarts
+        count = max(2, -(-9 * p // (10 * k)))
+        coll = make_collection([random_covariance(rng, p) for _ in range(count)])
+        fit = solve_wcpca(kind, coll, k, SolverConfig(max_iters=200, seed=seed % 1000))
+        assert fit.dual_bound is not None
+        assert fit.gap == _sign(kind) * (fit.objective - fit.dual_bound)
+        assert fit.gap >= -1e-12 * max(1.0, abs(fit.objective))
+        # the bound holds for every frame, not only the returned one
+        for r in range(3):
+            other = worst_case(kind, haar_frame(p, k, make_rng(seed, r)), coll)
+            assert _sign(kind) * (other - fit.dual_bound) >= -1e-12 * max(1.0, abs(other))
+
+    def test_uncertified_fit_falls_back_to_adam(self, scale_pair):
+        # the bound 1/2 is the optimum (the diagonal frame attains it), but
+        # at the optimal weights Sigma_w = I/2 has a tied top eigenvalue, so
+        # the dual's eigenvector frames never reach it
+        fit = solve_wcpca(LossKind.NORM_VAR, scale_pair, 1)
+        assert len(fit.restarts) == 5
+        assert fit.dual_bound == pytest.approx(0.5, abs=1e-12)
+        assert 0.0 < fit.gap < 1e-4
+        assert fit.gap == fit.dual_bound - fit.objective
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_certified_fit_reports_gap_and_no_restarts(self, seed):
+        rng = np.random.default_rng(seed)
+        coll = make_collection([random_covariance(rng, 8) for _ in range(4)])
+        fit = solve_wcpca(LossKind.NORM_RCS, coll, 3)
+        assert fit.restarts == ()
+        assert fit.restart_index == 0
+        assert 1 <= fit.iterations_used <= solvers._DUAL_STEPS
+        assert fit.gap <= solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
+        assert fit.objective == worst_case(LossKind.NORM_RCS, fit.frame, coll)
+        np.testing.assert_allclose(fit.frame.T @ fit.frame, np.eye(3), atol=1e-12)
+
+    def test_certified_no_worse_than_adam_on_fixtures(
+        self, example1, scale_pair, quarter_triple, monkeypatch
+    ):
+        certified = [
+            (coll, kind, k, fit)
+            for coll in (example1, scale_pair, quarter_triple)
+            for k in range(1, coll.p)
+            for kind in LossKind
+            for fit in [solve_wcpca(kind, coll, k)]
+            if fit.restarts == ()
+        ]
+        assert len(certified) >= 10
+        # an infinite eigh cost sends every solve down the Adam path
+        monkeypatch.setattr(solvers, "_DUAL_EIGH_COST", np.inf)
+        for coll, kind, k, fit in certified:
+            adam = solve_wcpca(kind, coll, k)
+            assert adam.dual_bound is None
+            assert _sign(kind) * (fit.objective - adam.objective) <= 1e-9
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_domain_permutation_changes_nothing(self, kind):
+        # seed 0 certifies the normalized and regret kinds, not Var or RCS
+        rng = np.random.default_rng(0)
+        covs = [random_covariance(rng, 8) for _ in range(4)]
+        perm = [2, 0, 3, 1]
+        fit = solve_wcpca(kind, make_collection(covs), 3)
+        moved = solve_wcpca(kind, make_collection([covs[i] for i in perm]), 3)
+        assert fit.dual_bound is not None
+        assert (moved.restarts == ()) == (fit.restarts == ())
+        assert moved.objective == pytest.approx(fit.objective, abs=1e-9)
+        assert projection_distance(moved.frame, fit.frame) <= 1e-6
+
+    @pytest.mark.parametrize("kind", [LossKind.NORM_VAR, LossKind.NORM_RCS, LossKind.REG])
+    def test_common_rotation_rotates_certified_frame(self, kind):
+        rng = np.random.default_rng(0)
+        covs = [random_covariance(rng, 8) for _ in range(4)]
+        q = haar_frame(8, 8, make_rng(99))
+        fit = solve_wcpca(kind, make_collection(covs), 3)
+        turned = solve_wcpca(kind, make_collection([q @ c @ q.T for c in covs]), 3)
+        assert fit.restarts == () and turned.restarts == ()
+        assert turned.objective == pytest.approx(fit.objective, abs=1e-9)
+        assert projection_distance(turned.frame, q @ fit.frame) <= 1e-6
 
 
 def _reference_adam(v0, cost_and_grad, iters, tol, frozen=None):

@@ -12,7 +12,9 @@ Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
 with and without ``--order``, the ``avg-vs-wc``, ``het-noise`` and
 ``mc-masked`` studies, ``complete --predict`` for both objectives, 240
-library solves over the six loss kinds, ``sequential_minpca`` on 6 instances,
+library solves over the six loss kinds (each line in ``solves.txt`` carries
+the solve's dual ``gap``, ``None`` where no dual ran, so certified solves
+show), ``sequential_minpca`` on 6 instances,
 ``fit_max_mc`` and ``fit_pool_mc`` fits on four datasets (one with a
 never-observed column), and the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
@@ -116,7 +118,7 @@ def _solves(out):
             fit = solve_wcpca(kind, coll, k, cfg)
             lines.append(
                 f"{inst} {kind.value} {fit.objective!r} {sorted(fit.active_domains)} "
-                f"{fit.iterations_used} {fit.restart_index} "
+                f"{fit.iterations_used} {fit.restart_index} gap={fit.gap!r} "
                 f"{hashlib.sha256(fit.frame.tobytes()).hexdigest()}"
             )
     with open(os.path.join(out, "solves.txt"), "w", encoding="utf-8") as fh:
