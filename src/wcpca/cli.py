@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,18 +30,19 @@ from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .losses import LossKind, domain_losses, worst_index
 from .losses import loss, worst_case  # noqa: F401 -- benchmarks/spans.py wraps these names
 from .preprocess import (
+    _FLOAT_FMT,
     load_covariances,
     load_csv,
     load_masked_csv,
     masked_dataset_from_blocks,
     preprocess,
+    write_json,
+    write_matrix,
 )
 from .rng import make_rng
 from .solvers import SolverConfig, avgcov_pca, order_basis, pool_pca, sep_pca, solve_wcpca
 
 __all__ = ["main", "build_parser", "cmd_fit", "cmd_simulate", "cmd_complete"]
-
-_FLOAT_FMT = "%.17g"
 
 _WC_OBJECTIVES = {
     "min": LossKind.VAR,
@@ -57,16 +58,6 @@ _BASELINES = {"pool": pool_pca, "sep": sep_pca, "avgcov": avgcov_pca}
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _write_frame(path: str, frame: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(frame), delimiter=",", fmt=_FLOAT_FMT)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_fit(args) -> int:
@@ -93,7 +84,7 @@ def cmd_fit(args) -> int:
 
     out = _ensure_out(args.out)
     frame_path = os.path.join(out, "frame.csv")
-    _write_frame(frame_path, result.frame)
+    write_matrix(frame_path, result.frame)
 
     ids = [d.id for d in collection]
     covs, traces = collection.covariances, collection.traces
@@ -119,12 +110,12 @@ def cmd_fit(args) -> int:
         "per_domain_losses": per_domain,
         "worst_case": wc,
     }
-    _write_json(os.path.join(out, "report.json"), report)
+    write_json(os.path.join(out, "report.json"), report)
 
     if args.order:
         order_kind = LossKind.NORM_VAR if objective.startswith("norm-") else LossKind.VAR
         ordered = order_basis(order_kind, result.frame, collection, cfg)
-        _write_frame(os.path.join(out, "frame_ordered.csv"), ordered)
+        write_matrix(os.path.join(out, "frame_ordered.csv"), ordered)
 
     print(frame_path)
     return 0
@@ -132,19 +123,9 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Run one named study; stream long-format rows to <out>/<name>.csv."""
-    cfg = ExperimentConfig(
-        name=args.name,
-        p=args.p,
-        n_domains=args.domains,
-        alpha=args.alpha,
-        beta=args.beta,
-        n=args.n,
-        k=args.k,
-        replicates=args.replicates,
-        missing_frac=args.missing_frac,
-        paper_scale=args.paper_scale,
-        seed=args.seed,
-    )
+    # the parser sets only the flags given, so every default is ExperimentConfig's
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if hasattr(args, f.name)}
+    cfg = ExperimentConfig(**given)
     out = _ensure_out(args.out)
     table_path = os.path.join(out, f"{cfg.name}.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
@@ -217,7 +198,7 @@ def cmd_complete(args) -> int:
 
     out = _ensure_out(args.out)
     factor_path = os.path.join(out, "right_factor.csv")
-    _write_frame(factor_path, model.right_factor)
+    write_matrix(factor_path, model.right_factor)
 
     objectives = _domain_objectives(data, model.left_factors, model.right_factor)
     per_domain = {d.id: v for d, v in zip(data, objectives.tolist())}
@@ -231,7 +212,7 @@ def cmd_complete(args) -> int:
         "unidentifiable_columns": [int(c) for c in model.unidentifiable_columns],
         "per_domain_objective": per_domain,
     }
-    _write_json(os.path.join(out, "report.json"), report)
+    write_json(os.path.join(out, "report.json"), report)
 
     if args.predict is not None:
         _predict_csv(args.predict, args.domain_col, features, model.right_factor, out)
@@ -262,19 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", default=".")
     fit.set_defaults(func=cmd_fit)
 
-    sim = sub.add_parser("simulate", help="run one of the named studies")
+    # flags named like ExperimentConfig fields; a flag not given stays unset
+    sim = sub.add_parser(
+        "simulate", help="run one of the named studies", argument_default=argparse.SUPPRESS
+    )
     sim.add_argument("name", help=" | ".join(EXPERIMENTS))
     sim.add_argument("--p", type=int)
-    sim.add_argument("--domains", type=int, default=5)
+    sim.add_argument("--domains", dest="n_domains", metavar="DOMAINS", type=int)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--beta", type=float)
-    sim.add_argument("--n", type=int)
+    sim.add_argument("--n", type=int, help="finite-sample, het-noise, mc-* only")
     sim.add_argument("--k", type=int)
     sim.add_argument("--replicates", type=int)
-    sim.add_argument("--missing-frac", type=float, default=0.9)
-    sim.add_argument("--paper-scale", action="store_true")
+    sim.add_argument("--missing-frac", type=float, help="mc-* only")
+    sim.add_argument("--paper-scale", action="store_true", help="mc-* only")
+    sim.add_argument("--seed", type=int)
     sim.add_argument("--jobs", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=".")
     sim.set_defaults(func=cmd_simulate)
 

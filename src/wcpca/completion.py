@@ -162,11 +162,10 @@ class CompletionModel:
 
 @dataclass(frozen=True)
 class IncoherenceReport:
-    """Row-norm incoherence of a frame; ``s_max`` is filled by budget checks."""
+    """Row-norm incoherence of a frame."""
 
     mu: float
     max_row_norm: float
-    s_max: int | None = None
 
 
 def inductive_ols(x, omega, r):

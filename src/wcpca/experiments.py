@@ -19,14 +19,20 @@ het-noise       heterogeneous observation noise; worst-case RCS of maxRCS vs
 mc-observed     matrix completion with fully observed sources.
 mc-masked       matrix completion with masked source rows.
 
-The completion experiments default to p=60 and n=200 per domain;
-``paper_scale`` restores the published p=500, n=1000 (expect a long run).
+The completion experiments default to p=60, n=200 per domain and a missing
+fraction of 0.9; ``paper_scale`` restores the published p=500, n=1000
+(expect a long run). ``n`` is read by finite-sample, het-noise and the
+completion experiments, ``missing_frac`` and ``paper_scale`` by the
+completion experiments only; ``ExperimentConfig`` rejects them elsewhere.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,26 +54,12 @@ from .solvers import SolverConfig, pool_pca, solve_wcpca
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "run_experiment", "replicate_rows"]
 
-EXPERIMENTS = (
-    "hull-bound",
-    "avg-vs-wc",
-    "finite-sample",
-    "het-noise",
-    "mc-observed",
-    "mc-masked",
-)
-
 _ALPHA_BETA_GRID = ((0.1, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 5.0))
 _N_GRID = (100, 250, 500, 1000, 2000, 5000)
 _HULL_TARGETS = 50
-_DEFAULT_REPLICATES = {
-    "hull-bound": 1,
-    "avg-vs-wc": 25,
-    "finite-sample": 25,
-    "het-noise": 25,
-    "mc-observed": 1,
-    "mc-masked": 1,
-}
+_MISSING_FRAC = 0.9
+# settings only some studies read; every other field is read by all of them
+_OPTIONAL_SETTINGS = ("n", "missing_frac", "paper_scale")
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,8 @@ class ExperimentConfig:
 
     Fields left as None fall back to each experiment's defaults; ``alpha``
     and ``beta`` must be given together (a single value would make the grid
-    experiments ambiguous).
+    experiments ambiguous). ``n``, ``missing_frac`` and ``paper_scale`` may
+    only be given to a study that reads them.
     """
 
     name: str
@@ -87,32 +80,27 @@ class ExperimentConfig:
     n: int | None = None
     k: int | None = None
     replicates: int | None = None
-    missing_frac: float = 0.9
+    missing_frac: float | None = None
     paper_scale: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS:
+        if self.name not in _STUDIES:
             raise InvalidConfig(f"unknown experiment {self.name!r}; choose from {', '.join(EXPERIMENTS)}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _OPTIONAL_SETTINGS:
+            if getattr(self, name) != defaults[name] and name not in _STUDIES[self.name].reads:
+                flag = "--" + name.replace("_", "-")
+                raise InvalidConfig(f"{self.name} does not read {flag}")
         if (self.alpha is None) != (self.beta is None):
             raise InvalidConfig("--alpha and --beta must be given together")
         if self.replicates is not None and self.replicates < 1:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates}")
-        if not 0.0 <= self.missing_frac < 1.0:
+        if self.missing_frac is not None and not 0.0 <= self.missing_frac < 1.0:
             raise InvalidConfig(f"missing fraction must lie in [0, 1), got {self.missing_frac}")
 
     def resolved_replicates(self) -> int:
-        return self.replicates if self.replicates is not None else _DEFAULT_REPLICATES[self.name]
-
-
-def _row(rep: int, condition: str, method: str, metric: str, value: float) -> dict:
-    return {
-        "replicate": rep,
-        "condition": condition,
-        "method": method,
-        "metric": metric,
-        "value": float(value),
-    }
+        return self.replicates if self.replicates is not None else _STUDIES[self.name].replicates
 
 
 def _component_ranks(p: int) -> tuple[int, int]:
@@ -139,7 +127,7 @@ def _gen(cfg: ExperimentConfig, seed: int, **overrides) -> GenConfig:
     return GenConfig(**kwargs)
 
 
-def _hull_bound_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict]:
+def _hull_bound_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
     k = cfg.k if cfg.k is not None else 5
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0)))
     pool = pool_pca(sources, k)
@@ -150,13 +138,13 @@ def _hull_bound_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dic
     for j in range(_HULL_TARGETS):
         target = sample_target_covariance(sources, target_rng)
         condition = f"target-{j:02d}"
-        rows.append(_row(rep, condition, "pool", "rcs", loss(LossKind.RCS, pool.frame, target)))
-        rows.append(_row(rep, condition, "max-rcs", "rcs", loss(LossKind.RCS, wc.frame, target)))
-        rows.append(_row(rep, condition, "bound", "rcs", bound))
+        rows.append((condition, "pool", "rcs", loss(LossKind.RCS, pool.frame, target)))
+        rows.append((condition, "max-rcs", "rcs", loss(LossKind.RCS, wc.frame, target)))
+        rows.append((condition, "bound", "rcs", bound))
     return rows
 
 
-def _avg_vs_wc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict]:
+def _avg_vs_wc_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
     k = cfg.k if cfg.k is not None else 5
     pairs = [(cfg.alpha, cfg.beta)] if cfg.alpha is not None else list(_ALPHA_BETA_GRID)
     rows = []
@@ -170,12 +158,12 @@ def _avg_vs_wc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict
         d_avg, d_wc = relative_deltas(wc, pool, sources)
         # semicolon keeps the condition free of CSV quoting
         condition = f"alpha={alpha:g};beta={beta:g}"
-        rows.append(_row(rep, condition, "max-rcs-vs-pool", "rel-error-avg", d_avg))
-        rows.append(_row(rep, condition, "max-rcs-vs-pool", "rel-error-wc", d_wc))
+        rows.append((condition, "max-rcs-vs-pool", "rel-error-avg", d_avg))
+        rows.append((condition, "max-rcs-vs-pool", "rel-error-wc", d_wc))
     return rows
 
 
-def _finite_sample_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict]:
+def _finite_sample_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
     k = cfg.k if cfg.k is not None else 5
     n_grid = [cfg.n] if cfg.n is not None else list(_N_GRID)
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0)))
@@ -192,12 +180,12 @@ def _finite_sample_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[
         wc_val = hull_supremum(LossKind.RCS, emp_wc.frame, sources)
         pool_val = hull_supremum(LossKind.RCS, emp_pool.frame, sources)
         condition = f"n={n}"
-        rows.append(_row(rep, condition, "max-rcs", "diff-in-rcs", wc_val - pop_val))
-        rows.append(_row(rep, condition, "max-rcs-vs-pool", "rel-error-fs", wc_val - pool_val))
+        rows.append((condition, "max-rcs", "diff-in-rcs", wc_val - pop_val))
+        rows.append((condition, "max-rcs-vs-pool", "rel-error-fs", wc_val - pool_val))
     return rows
 
 
-def _het_noise_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict]:
+def _het_noise_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
     n = cfg.n if cfg.n is not None else 2000
     ranks = [cfg.k] if cfg.k is not None else [10, 5]
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0), per_domain_gammas=True))
@@ -228,20 +216,17 @@ def _het_noise_rows(cfg: ExperimentConfig, rep: int, rep_seed: int) -> list[dict
         wc_reg = solve_wcpca(
             LossKind.REG, noisy_coll, rank, SolverConfig(seed=spawn_seed(rep_seed, 50 + rank))
         )
-        condition = f"k={rank}"
-        rows.append(
-            _row(rep, condition, "max-rcs", "test-wc-rcs", hull_supremum(LossKind.RCS, wc_rcs.frame, test_coll))
-        )
-        rows.append(
-            _row(rep, condition, "max-regret", "test-wc-rcs", hull_supremum(LossKind.RCS, wc_reg.frame, test_coll))
-        )
+        for method, fit in (("max-rcs", wc_rcs), ("max-regret", wc_reg)):
+            test_wc = hull_supremum(LossKind.RCS, fit.frame, test_coll)
+            rows.append((f"k={rank}", method, "test-wc-rcs", test_wc))
     return rows
 
 
-def _mc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int, masked_sources: bool) -> list[dict]:
+def _mc_rows(cfg: ExperimentConfig, rep_seed: int, masked_sources: bool) -> list[tuple]:
     p = cfg.p if cfg.p is not None else (500 if cfg.paper_scale else 60)
     n = cfg.n if cfg.n is not None else (1000 if cfg.paper_scale else 200)
     k = cfg.k if cfg.k is not None else 5
+    missing_frac = cfg.missing_frac if cfg.missing_frac is not None else _MISSING_FRAC
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0), p=p))
     train_rng = make_rng(spawn_seed(rep_seed, 1))
     train_mask_rng = make_rng(spawn_seed(rep_seed, 2))
@@ -251,13 +236,10 @@ def _mc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int, masked_sources: boo
     test_domains = []
     for d in sources:
         x = sample_gaussian_rows(d.covariance, n, train_rng)
-        if masked_sources:
-            mask = sample_masks(n, p, cfg.missing_frac, train_mask_rng)
-        else:
-            mask = np.ones((n, p))
+        mask = sample_masks(n, p, missing_frac, train_mask_rng) if masked_sources else np.ones((n, p))
         train_domains.append(MaskedDomain(id=d.id, x=x, mask=mask))
         x_test = sample_gaussian_rows(d.covariance, n, test_rng)
-        test_mask = sample_masks(n, p, cfg.missing_frac, test_mask_rng)
+        test_mask = sample_masks(n, p, missing_frac, test_mask_rng)
         test_domains.append(MaskedDomain(id=d.id, x=x_test, mask=test_mask))
     train = MaskedDataset(tuple(train_domains))
     test = MaskedDataset(tuple(test_domains))
@@ -269,25 +251,37 @@ def _mc_rows(cfg: ExperimentConfig, rep: int, rep_seed: int, masked_sources: boo
     pool_losses = mc_domain_losses(pool_model, test)
     max_losses = mc_domain_losses(max_model, test)
     for e, d in enumerate(test):
-        rows.append(_row(rep, condition, "pool-mc", f"test-mse-{d.id}", pool_losses[e]))
-        rows.append(_row(rep, condition, "max-mc", f"test-mse-{d.id}", max_losses[e]))
-    rows.append(_row(rep, condition, "max-vs-pool", "delta-avg-x1e4", d_avg))
-    rows.append(_row(rep, condition, "max-vs-pool", "delta-wc-x1e4", d_wc))
+        rows.append((condition, "pool-mc", f"test-mse-{d.id}", pool_losses[e]))
+        rows.append((condition, "max-mc", f"test-mse-{d.id}", max_losses[e]))
+    rows.append((condition, "max-vs-pool", "delta-avg-x1e4", d_avg))
+    rows.append((condition, "max-vs-pool", "delta-wc-x1e4", d_wc))
     return rows
+
+
+class _Study(NamedTuple):
+    # (cfg, replicate seed) -> (condition, method, metric, value) rows
+    rows: Callable[[ExperimentConfig, int], list[tuple]]
+    replicates: int  # default replicate count
+    reads: tuple[str, ...] = ()  # the _OPTIONAL_SETTINGS this study reads
+
+
+_STUDIES = {
+    "hull-bound": _Study(_hull_bound_rows, 1),
+    "avg-vs-wc": _Study(_avg_vs_wc_rows, 25),
+    "finite-sample": _Study(_finite_sample_rows, 25, ("n",)),
+    "het-noise": _Study(_het_noise_rows, 25, ("n",)),
+    "mc-observed": _Study(partial(_mc_rows, masked_sources=False), 1, _OPTIONAL_SETTINGS),
+    "mc-masked": _Study(partial(_mc_rows, masked_sources=True), 1, _OPTIONAL_SETTINGS),
+}
+EXPERIMENTS = tuple(_STUDIES)
 
 
 def replicate_rows(cfg: ExperimentConfig, rep: int) -> list[dict]:
     """All rows of replicate ``rep``; pure function of (cfg, rep)."""
-    rep_seed = spawn_seed(cfg.seed, rep)
-    if cfg.name == "hull-bound":
-        return _hull_bound_rows(cfg, rep, rep_seed)
-    if cfg.name == "avg-vs-wc":
-        return _avg_vs_wc_rows(cfg, rep, rep_seed)
-    if cfg.name == "finite-sample":
-        return _finite_sample_rows(cfg, rep, rep_seed)
-    if cfg.name == "het-noise":
-        return _het_noise_rows(cfg, rep, rep_seed)
-    return _mc_rows(cfg, rep, rep_seed, masked_sources=cfg.name == "mc-masked")
+    return [
+        {"replicate": rep, "condition": c, "method": m, "metric": metric, "value": float(v)}
+        for c, m, metric, v in _STUDIES[cfg.name].rows(cfg, spawn_seed(cfg.seed, rep))
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1, row_sink=None) -> list[dict]:
@@ -300,16 +294,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, row_sink=None) -> list[
     if jobs < 1:
         raise InvalidConfig(f"jobs must be >= 1, got {jobs}")
     reps = cfg.resolved_replicates()
+    parallel = jobs > 1 and reps > 1
     all_rows: list[dict] = []
-    if jobs == 1 or reps == 1:
-        for rep in range(reps):
-            batch = replicate_rows(cfg, rep)
-            if row_sink is not None:
-                row_sink(batch)
-            all_rows.extend(batch)
-        return all_rows
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for batch in pool.map(replicate_rows, [cfg] * reps, range(reps)):
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        batches = (pool.map if parallel else map)(replicate_rows, [cfg] * reps, range(reps))
+        for batch in batches:
             if row_sink is not None:
                 row_sink(batch)
             all_rows.extend(batch)

@@ -282,24 +282,21 @@ def worst_index(kind: LossKind, values):
     return int(idx) if idx.ndim == 0 else idx
 
 
-def worst_case(kind, v, domains, return_index: bool = False):
+def worst_case(kind, v, domains):
     """Worst-case loss of ``v`` over a domain collection (or iterable of specs).
 
-    Min over domains for Var/NormVar, max for the other kinds. Ties go to the
-    smallest domain index. With ``return_index=True`` the attaining index is
-    returned alongside the value. Every loss is linear in the covariance, so
-    this is also the extremum over the convex hull of the sources
-    (trace-normalized for the normalized kinds); for the regret kinds it is
-    an upper bound.
+    Min over domains for Var/NormVar, max for the other kinds; the domain
+    that attains it is :func:`worst_index`. Every loss is linear in the
+    covariance, so this is also the extremum over the convex hull of the
+    sources (trace-normalized for the normalized kinds); for the regret kinds
+    it is an upper bound.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
     frame = as_frame(v)
     eigsums = domains.top_k_eigensums(frame.shape[1]) if kind in REGRET_KINDS else None
     values, _ = domain_losses(kind, frame, domains.covariances, domains.traces, eigsums)
-    idx = worst_index(kind, values)
-    value = float(values[idx])
-    return (value, idx) if return_index else value
+    return float(values[worst_index(kind, values)])
 
 
 def mixture(domains, weights) -> np.ndarray:

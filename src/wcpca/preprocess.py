@@ -4,7 +4,8 @@ The pipeline is: drop rows with non-finite features, remove each domain's
 column means, divide every column by its pooled (across-domain) standard
 deviation, and form uncentered second moments Sigma_e = X_e.T X_e / n_e with
 weights w_e = n_e / n. Covariance collections round-trip through CSV at 17
-significant digits, which is lossless for float64.
+significant digits, which is lossless for float64; ``write_matrix`` and
+``write_json`` are the package's one matrix and one JSON writer.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "load_csv",
     "preprocess",
     "explained_variance_table",
+    "write_matrix",
+    "write_json",
     "save_covariances",
     "load_covariances",
     "load_masked_csv",
@@ -222,6 +225,18 @@ def _safe_name(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
 
 
+def write_matrix(path: str, matrix) -> None:
+    """Write a matrix (a vector as one row) as CSV at 17 significant digits."""
+    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt=_FLOAT_FMT)
+
+
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_covariances(collection, out_dir: str, feature_names=None) -> str:
     """Write one p x p CSV per domain plus a JSON manifest; returns its path.
 
@@ -233,20 +248,20 @@ def save_covariances(collection, out_dir: str, feature_names=None) -> str:
     entries = []
     for i, d in enumerate(domains):
         fname = f"cov_{i:02d}_{_safe_name(d.id)}.csv"
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            for row in d.covariance:
-                fh.write(",".join(_FLOAT_FMT % v for v in row))
-                fh.write("\n")
+        write_matrix(os.path.join(out_dir, fname), d.covariance)
         entries.append({"id": d.id, "n": d.n, "weight": d.weight, "file": fname})
     manifest = {
         "columns": list(feature_names) if feature_names is not None else None,
         "domains": entries,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
+
+
+def _is_json_number(value, types) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def load_covariances(path: str):
@@ -263,14 +278,21 @@ def load_covariances(path: str):
         raise SchemaError(f"cannot read {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path} is not a JSON object")
     entries = manifest.get("domains")
     if not isinstance(entries, list) or not entries:
         raise SchemaError(f"{manifest_path} lists no domains")
     base = os.path.dirname(manifest_path)
     specs = []
     for i, entry in enumerate(entries):
-        if "id" not in entry or "file" not in entry:
-            raise SchemaError(f"manifest domain {i} needs 'id' and 'file' keys")
+        if not isinstance(entry, dict) or "id" not in entry or not isinstance(entry.get("file"), str):
+            raise SchemaError(f"manifest domain {i} must be an object with 'id' and a 'file' name")
+        weight, n = entry.get("weight"), entry.get("n")
+        if not (weight is None or _is_json_number(weight, (int, float))):
+            raise SchemaError(f"manifest domain {i} weight must be a number, got {weight!r}")
+        if not (n is None or _is_json_number(n, int)):
+            raise SchemaError(f"manifest domain {i} n must be an integer, got {n!r}")
         cov_path = os.path.join(base, entry["file"])
         try:
             cov = np.loadtxt(cov_path, delimiter=",", ndmin=2)
@@ -278,16 +300,17 @@ def load_covariances(path: str):
             raise SchemaError(f"cannot read {cov_path}: {exc}") from exc
         except ValueError as exc:
             raise SchemaError(f"{cov_path} is not a numeric matrix: {exc}") from exc
-        weight = entry.get("weight")
         specs.append(
             DomainSpec(
                 id=str(entry["id"]),
                 covariance=cov,
                 weight=float(weight) if weight is not None else 1.0 / len(entries),
-                n=entry.get("n"),
+                n=n,
             )
         )
     columns = manifest.get("columns")
+    if not (columns is None or isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        raise SchemaError(f"{manifest_path} columns must be a list of names, got {columns!r}")
     return DomainCollection(tuple(specs)), tuple(columns) if columns else None
 
 

@@ -195,8 +195,40 @@ class TestFit:
         missing = str(tmp_path / "nope")
         assert main(["fit", "--from-cov", missing, "--k", "1", "--objective", "pool"]) == 2
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"domains": [{"id": "a", "file": "cov_00_a.csv", "weight": "heavy"}]},
+            {"domains": [{"id": "a", "file": "cov_00_a.csv", "n": "ten"}]},
+            {"domains": [{"id": "a", "file": "cov_00_a.csv", "n": 2.5}]},
+            {"domains": ["id file"]},
+            [1, 2],
+            {"domains": [{"id": "a", "file": "cov_00_a.csv"}], "columns": 5},
+        ],
+        ids=["weight-text", "n-text", "n-fraction", "domain-not-object", "top-level-list", "columns-number"],
+    )
+    def test_malformed_manifest_is_schema_error(self, cov_dir, manifest, capsys):
+        path = f"{cov_dir}/manifest.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert main(["fit", "--from-cov", path, "--k", "1", "--objective", "pool"]) == 2
+        assert "SchemaError" in capsys.readouterr().err
+
     def test_bad_k_surfaces_as_config_error(self, cov_dir):
         assert main(["fit", "--from-cov", cov_dir, "--k", "9", "--objective", "pool"]) == 3
+
+
+# every study at a size that runs in about a second
+_SMALL_STUDIES = {
+    "hull-bound": ["--p", "6", "--k", "2"],
+    "avg-vs-wc": ["--p", "6", "--k", "2", "--alpha", "1", "--beta", "2"],
+    "finite-sample": ["--p", "6", "--k", "2", "--n", "40"],
+    "het-noise": ["--p", "6", "--k", "2", "--n", "40"],
+    "mc-observed": ["--p", "10", "--k", "2", "--n", "30"],
+    "mc-masked": ["--p", "10", "--k", "2", "--n", "30"],
+}
+# the settings only some studies read, each with a valid value
+_SETTINGS = {"--n": ["--n", "50"], "--missing-frac": ["--missing-frac", "0.3"], "--paper-scale": ["--paper-scale"]}
 
 
 class TestSimulate:
@@ -236,14 +268,28 @@ class TestSimulate:
         for row in body:
             float(row[4])
 
-    def test_process_pool_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("study", _SMALL_STUDIES)
+    def test_process_pool_matches_serial(self, tmp_path, study):
         tables = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
-            argv = ["simulate", "het-noise", "--replicates", "3", "--jobs", jobs, "--out", str(out)]
+            argv = ["simulate", study, *_SMALL_STUDIES[study], "--replicates", "2", "--jobs", jobs, "--out", str(out)]
             assert main(argv) == 0
-            tables.append((out / "het-noise.csv").read_bytes())
+            tables.append((out / f"{study}.csv").read_bytes())
         assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize(
+        "study, setting",
+        [
+            *((study, flag) for study in ("hull-bound", "avg-vs-wc") for flag in _SETTINGS),
+            *((study, flag) for study in ("finite-sample", "het-noise") for flag in ("--missing-frac", "--paper-scale")),
+        ],
+    )
+    def test_unread_setting_exits_3(self, tmp_path, study, setting, capsys):
+        argv = ["simulate", study, *_SETTINGS[setting], "--replicates", "1", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert f"does not read {setting}" in capsys.readouterr().err
+        assert not (tmp_path / f"{study}.csv").exists()
 
     def test_replicates_must_be_positive(self, tmp_path):
         assert (

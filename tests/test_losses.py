@@ -31,7 +31,7 @@ from wcpca import (
     top_k_eigensum,
     worst_case,
 )
-from wcpca.losses import domain_losses, mixture
+from wcpca.losses import domain_losses, mixture, worst_index
 from conftest import random_covariance
 
 
@@ -155,10 +155,10 @@ class TestWorstCase:
         assert worst_case(LossKind.VAR, v, example1) == pytest.approx(0.0)
         assert worst_case(LossKind.RCS, v, example1) == pytest.approx(1.0)
 
-    def test_return_index_breaks_ties_low(self):
+    def test_worst_index_breaks_ties_low(self):
         coll = make_collection([np.eye(2), np.eye(2)])
-        _, idx = worst_case(LossKind.VAR, np.eye(2)[:, :1], coll, return_index=True)
-        assert idx == 0
+        values, _ = domain_losses(LossKind.VAR, np.eye(2)[:, :1], coll.covariances, coll.traces, None)
+        assert worst_index(LossKind.VAR, values) == 0
 
     def test_kind_partition(self):
         assert LossKind.VAR in MIN_KINDS and LossKind.NORM_VAR in MIN_KINDS

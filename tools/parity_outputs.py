@@ -10,8 +10,9 @@ directories number by number with ``--compare``.
 
 Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
-with and without ``--order``, the ``avg-vs-wc``, ``het-noise`` and
-``mc-masked`` studies, ``complete --predict`` for both objectives, 240
+with and without ``--order``, all six ``simulate`` studies (1-2 replicates,
+a small ``--n`` or ``--missing-frac`` on some), a ``save_covariances`` directory,
+``complete --predict`` for both objectives, 240
 library solves over the six loss kinds (each line in ``solves.txt`` carries
 the solve's dual ``gap``, ``None`` where no dual ran, so certified solves
 show), ``sequential_minpca`` on 6 instances,
@@ -51,6 +52,7 @@ from wcpca import (
     pool_pca,
     relative_deltas,
     sample_hull_members,
+    save_covariances,
     sequential_minpca,
     solve_wcpca,
 )
@@ -197,9 +199,18 @@ def main(out):
             dest = os.path.join(out, f"fit-{objective}{'-order' if order else ''}")
             _cli("fit", "--from-cov", manifest, "--k", 4, "--objective", objective,
                  "--seed", 3, "--out", dest, *(["--order"] if order else []))
+    sim = os.path.join(out, "sim")
     for study in ("avg-vs-wc", "het-noise"):
-        _cli("simulate", study, "--replicates", 2, "--seed", 5, "--out", os.path.join(out, "sim"))
-    _cli("simulate", "mc-masked", "--replicates", 1, "--seed", 5, "--out", os.path.join(out, "sim"))
+        _cli("simulate", study, "--replicates", 2, "--seed", 5, "--out", sim)
+    _cli("simulate", "hull-bound", "--replicates", 2, "--p", 12, "--seed", 5, "--out", sim)
+    _cli("simulate", "finite-sample", "--replicates", 2, "--n", 150, "--seed", 5, "--out", sim)
+    _cli("simulate", "mc-observed", "--replicates", 1, "--n", 80, "--missing-frac", 0.5,
+         "--seed", 5, "--out", sim)
+    _cli("simulate", "mc-masked", "--replicates", 1, "--seed", 5, "--out", sim)
+    covs = make_collection(
+        _covariances(rng, 3, 6), ids=["a", "b c", "d/e"], weights=[0.5, 0.25, 0.25], ns=[10, 20, None]
+    )
+    save_covariances(covs, os.path.join(out, "saved-covs"), [f"x{j}" for j in range(6)])
     for method in ("pool", "max"):
         _cli("complete", "--csv", train, "--domain-col", "site", "--objective", method,
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-{method}"))
