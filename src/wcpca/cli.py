@@ -126,14 +126,18 @@ def cmd_simulate(args) -> int:
     # the parser sets only the flags given, so every default is ExperimentConfig's
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if hasattr(args, f.name)}
     cfg = ExperimentConfig(**given)
-    out = _ensure_out(args.out)
-    table_path = os.path.join(out, f"{cfg.name}.csv")
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replicate", "condition", "method", "metric", "value"])
+    table_path = os.path.join(_ensure_out(args.out), f"{cfg.name}.csv")
 
-        def sink(batch):
-            # flush after each replicate so long runs leave partial results
+    def sink(batch):
+        # Each replicate's rows are appended as they arrive, so long runs
+        # leave partial results. Replicate 0 creates the table, after
+        # run_experiment has checked its arguments, so a rejected run leaves
+        # an earlier table as it was.
+        first = batch[0]["replicate"] == 0
+        with open(table_path, "w" if first else "a", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if first:
+                writer.writerow(["replicate", "condition", "method", "metric", "value"])
             for row in batch:
                 writer.writerow(
                     [
@@ -144,9 +148,8 @@ def cmd_simulate(args) -> int:
                         _FLOAT_FMT % row["value"],
                     ]
                 )
-            fh.flush()
 
-        run_experiment(cfg, jobs=args.jobs, row_sink=sink)
+    run_experiment(cfg, jobs=args.jobs, row_sink=sink)
     print(table_path)
     return 0
 

@@ -16,6 +16,9 @@ Both run one alternation loop (R-update, then the exact per-row L-update,
 from a rank-k SVD start) whose budgets are module constants, not options: at
 most 100 rounds, a stop once a round gains less than 1e-4, and 500
 Stiefel-Adam iterations with plateau tolerance 1e-6 per maxMC R-update.
+A column that no domain observes says nothing about ``R``: the loop drops
+it before the SVD start and gives it an exact-zero row of the returned
+right factor, so ``k`` may not exceed the number of observed columns.
 
 Every least-squares problem here (the L-update, the pooled R-update,
 :func:`inductive_ols`) is a stack of masked problems solved array-at-a-time
@@ -144,10 +147,10 @@ class MaskedDataset:
 class CompletionModel:
     """Fitted factors plus the per-round objective trace.
 
-    ``unidentifiable_columns`` lists columns never observed in any domain;
-    their rows of ``right_factor`` were excluded from every data-driven
-    update (they keep their initialization up to re-orthonormalization), and
-    reconstructions in those columns carry no information.
+    ``unidentifiable_columns`` lists columns never observed in any domain.
+    The fit runs on the other columns only, so their number bounds ``k``;
+    the rows of ``right_factor`` for the unidentifiable columns are exactly
+    zero, and reconstructions in those columns are zero.
     """
 
     right_factor: np.ndarray
@@ -270,11 +273,7 @@ def _init_factors(data: MaskedDataset, k: int):
     for d in data:
         ls.append(l_all[start : start + d.n].copy())
         start += d.n
-    observed_per_col = np.zeros(data.p)
-    for d in data:
-        observed_per_col += d.mask.sum(axis=0)
-    unident = tuple(int(j) for j in np.flatnonzero(observed_per_col == 0))
-    return ls, r0, unident
+    return ls, r0
 
 
 def _l_update(data: MaskedDataset, r: np.ndarray):
@@ -305,11 +304,12 @@ def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
     return total / sum(d.n for d in data)
 
 
-def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarray:
+def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
     """Exact per-column OLS over every domain's observed entries.
 
     The k x k normal equations of each column are accumulated domain by
-    domain; rows of unidentifiable columns keep their incoming values.
+    domain; a column with no observed entry has an all-zero Gram, whose
+    minimum-norm solution is a zero row.
     """
     p, k = r.shape
     gram = np.zeros((p, k, k))
@@ -318,45 +318,52 @@ def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarra
         h, b = _column_stats(d, l)
         gram += h
         rhs += b
-    cols = np.setdiff1d(np.arange(p), np.asarray(unident, dtype=int))
 
-    def exact(c):
-        j = cols[c]
+    def exact(j):
         obs = [d.mask[:, j] != 0.0 for d in data]
         design = np.vstack([l[o] for l, o in zip(ls, obs)])
         target = np.concatenate([d.x[o, j] for d, o in zip(data, obs)])
         return np.linalg.lstsq(design, target, rcond=_LSTSQ_RCOND)[0]
 
-    r_new = r.copy()
-    r_new[cols] = _solve_grams(gram[cols], rhs[cols], exact)
-    return r_new
+    return _solve_grams(gram, rhs, exact)
 
 
-def _pool_r_step(data: MaskedDataset, ls, r: np.ndarray, unident) -> np.ndarray:
+def _pool_r_step(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
     """The pooled R-update orthonormalized: the polar factor U W.T of R = U S W.T."""
-    u, _, wt = np.linalg.svd(_pool_r_update(data, ls, r, unident), full_matrices=False)
+    u, _, wt = np.linalg.svd(_pool_r_update(data, ls, r), full_matrices=False)
     return u @ wt
 
 
 def _alternate(data, k: int, r_update, objective) -> CompletionModel:
     """Alternate ``r_update`` and the exact L-update from the SVD start.
 
-    ``r_update(data, ls, r, unident)`` returns the new orthonormal R, to
-    which the L-update then refits every ``L_e``; ``objective(data, ls, r)``
-    is the scalar being minimized. Stops after ``_MAX_ROUNDS`` rounds or
-    when a round improves the objective by less than ``_ROUND_TOL``; the
-    trace of objective values (initialization first) is kept on the model.
+    Columns that no domain observes are dropped before the fit and get
+    exact-zero rows in the returned right factor; everything else runs on
+    the observed columns, so ``k`` may not exceed their number.
+    ``r_update(data, ls, r)`` returns the new orthonormal R, to which the
+    L-update then refits every ``L_e``; ``objective(data, ls, r)`` is the
+    scalar being minimized. Stops after ``_MAX_ROUNDS`` rounds or when a
+    round improves the objective by less than ``_ROUND_TOL``; the trace of
+    objective values (initialization first) is kept on the model.
     """
     data = _ensure_dataset(data)
-    ls, r, unident = _init_factors(data, k)
+    seen = np.logical_or.reduce([d.mask.any(axis=0) for d in data])
+    if not seen.all():
+        data = MaskedDataset(
+            tuple(MaskedDomain(id=d.id, x=d.x[:, seen], mask=d.mask[:, seen]) for d in data)
+        )
+    ls, r = _init_factors(data, k)
     trace = [objective(data, ls, r)]
     for _ in range(_MAX_ROUNDS):
-        r = r_update(data, ls, r, unident)
+        r = r_update(data, ls, r)
         ls = _l_update(data, r)
         trace.append(objective(data, ls, r))
         if trace[-2] - trace[-1] < _ROUND_TOL:
             break
-    return CompletionModel(r, tuple(ls), tuple(trace), unident)
+    right = np.zeros((seen.size, r.shape[1]))
+    right[seen] = r
+    unseen = tuple(int(j) for j in np.flatnonzero(~seen))
+    return CompletionModel(right, tuple(ls), tuple(trace), unseen)
 
 
 def fit_pool_mc(data, k: int) -> CompletionModel:
@@ -399,19 +406,16 @@ def _max_r_cost(data: MaskedDataset, ls):
     return cost_and_grad
 
 
-def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray, unident) -> np.ndarray:
+def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray) -> np.ndarray:
     """Minimize max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2 over orthonormal R.
 
     Runs :func:`stiefel_adam` (``_INNER_ITERS`` iterations, plateau tolerance
     ``_INNER_TOL``) from the incoming R, as a batch of one, with the active
     domain's gradient (see :func:`_max_r_cost`); the best iterate seen
     (possibly R itself) is returned, so the outer objective cannot increase
-    beyond rounding. Rows of unidentifiable columns are frozen: they
-    receive no gradient.
+    beyond rounding.
     """
-    frozen = np.zeros(r0.shape[0], dtype=bool)
-    frozen[list(unident)] = True
-    r, _, _, _ = stiefel_adam(r0[None], _max_r_cost(data, ls), _INNER_ITERS, _INNER_TOL, frozen)
+    r, _, _, _ = stiefel_adam(r0[None], _max_r_cost(data, ls), _INNER_ITERS, _INNER_TOL)
     return r[0]
 
 

@@ -23,11 +23,10 @@ from .datagen import (
     second_moment_collection,
 )
 from .completion import CompletionModel, _ensure_dataset, inductive_ols
-from .errors import DegenerateBaseline, InvalidInput, InvalidKind
+from .errors import DegenerateBaseline, InvalidInput
 from .linalg import as_frame
 from .losses import (
     MIN_KINDS,
-    NORMALIZED_KINDS,
     LossKind,
     as_collection,
     as_kind,
@@ -40,7 +39,6 @@ from .solvers import SolverConfig, solve_wcpca
 
 __all__ = [
     "hull_supremum",
-    "hull_supremum_normalized",
     "sample_hull_members",
     "relative_deltas",
     "mc_domain_losses",
@@ -50,30 +48,16 @@ __all__ = [
 
 
 def hull_supremum(kind, v, sources) -> float:
-    """Extremum of an unnormalized loss over the hull of the sources.
+    """Extremum of a loss over the hull of the sources.
 
     Exact for Var (vertex min) and RCS (vertex max) by linearity of the
     trace; for Reg the vertex max is returned as the certified upper bound
-    on the hull supremum.
+    on the hull supremum. A normalized kind is evaluated over the hull of
+    the trace-normalized sources; it is scale invariant, so its loss on a
+    normalized vertex equals the loss on the original source: NormVar takes
+    the vertex min, NormRCS and NormReg the vertex max (an upper bound for
+    NormReg).
     """
-    kind = as_kind(kind)
-    if kind in NORMALIZED_KINDS:
-        raise InvalidKind(f"use hull_supremum_normalized for {kind.value}")
-    return worst_case(kind, v, sources)
-
-
-def hull_supremum_normalized(kind, v, sources) -> float:
-    """Extremum of a normalized loss over the trace-normalized hull.
-
-    Vertices are the sources divided by their traces. The normalized kinds
-    are scale invariant, so the loss on a normalized vertex equals the
-    normalized loss on the original source, which is what gets evaluated.
-    NormVar takes the vertex min, NormRCS and NormReg the vertex max; for
-    NormReg the value is an upper bound rather than the exact supremum.
-    """
-    kind = as_kind(kind)
-    if kind not in NORMALIZED_KINDS:
-        raise InvalidKind(f"use hull_supremum for {kind.value}")
     return worst_case(kind, v, sources)
 
 

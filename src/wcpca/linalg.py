@@ -108,7 +108,8 @@ def sym_eigen(sigma) -> Spectrum:
     Parameters
     ----------
     sigma : array_like
-        Symmetric p x p matrix. Sub-tolerance asymmetry is averaged away.
+        Square p x p matrix. Any asymmetry is averaged away: the
+        decomposition is that of ``(sigma + sigma.T) / 2``.
 
     Returns
     -------

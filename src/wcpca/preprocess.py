@@ -242,8 +242,12 @@ def save_covariances(collection, out_dir: str, feature_names=None) -> str:
 
     Entries are formatted at 17 significant digits, so reloading recovers
     the exact float64 values.
+
+    :raises InvalidInput: if ``feature_names`` does not name every column.
     """
     domains = as_collection(collection)
+    if feature_names is not None and len(feature_names) != domains.p:
+        raise InvalidInput(f"{len(feature_names)} feature names for dimension {domains.p}")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, d in enumerate(domains):
@@ -268,7 +272,8 @@ def load_covariances(path: str):
     """Load a covariance collection saved by :func:`save_covariances`.
 
     ``path`` may be the manifest file or the directory holding it. Returns
-    ``(collection, feature_names_or_None)``.
+    ``(collection, feature_names_or_None)``; the names, when present, must
+    number one per covariance column.
     """
     manifest_path = os.path.join(path, "manifest.json") if os.path.isdir(path) else path
     try:
@@ -311,7 +316,10 @@ def load_covariances(path: str):
     columns = manifest.get("columns")
     if not (columns is None or isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
         raise SchemaError(f"{manifest_path} columns must be a list of names, got {columns!r}")
-    return DomainCollection(tuple(specs)), tuple(columns) if columns else None
+    collection = DomainCollection(tuple(specs))
+    if columns is not None and len(columns) != collection.p:
+        raise SchemaError(f"{manifest_path} names {len(columns)} columns for dimension {collection.p}")
+    return collection, tuple(columns) if columns else None
 
 
 def load_masked_csv(path: str, domain_col: str, feature_cols=None):

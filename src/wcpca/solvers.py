@@ -226,21 +226,23 @@ def avgcov_pca(domains, k: int) -> FitResult:
     return _pca_of(average_covariance(as_collection(domains)), k)
 
 
-def stiefel_adam(v0, cost_and_grad, iters: int, tol: float, frozen=None):
+def stiefel_adam(v0, cost_and_grad, iters: int, tol: float):
     """Minimize a worst-case cost over frames with orthonormal columns, for a
     batch of starting frames at once.
 
     ``v0`` is an ``(R, p, k)`` batch of starts, and ``cost_and_grad(v)``
     maps an ``(r, p, k)`` batch to the costs ``(r,)`` and the Euclidean
-    gradients ``(r, p, k)`` of each member's active (worst) piece. Each
-    iteration keeps every gradient's tangent part, zeroes the rows flagged in
-    the boolean mask ``frozen``, takes an Adam step whose size anneals
-    geometrically from 1e-2 to 1e-4 over ``iters``, and retracts the batch
-    with one ``stiefel_project`` call. Each member keeps its own moments and
-    stops once its best cost has improved by less than ``tol`` over its last
-    50 iterations; it then leaves the batch, so the loop runs as many
-    iterations as the slowest member. Every member's result is bitwise equal
-    to a run of that member alone.
+    gradients ``(r, p, k)`` of each member's active (worst) piece. Every
+    row of the frame moves: a caller whose data leave some coordinates
+    undetermined drops them before the call (completion drops its
+    never-observed columns). Each iteration keeps every gradient's tangent
+    part, takes an Adam step whose size anneals geometrically from 1e-2 to
+    1e-4 over ``iters``, and retracts the batch with one ``stiefel_project``
+    call. Each member keeps its own moments and stops once its best cost has
+    improved by less than ``tol`` over its last 50 iterations; it then
+    leaves the batch, so the loop runs as many iterations as the slowest
+    member. Every member's result is bitwise equal to a run of that member
+    alone.
 
     Returns ``(frames, costs, iterations, plateaued)``, each indexed by
     member: the best frame (possibly the start itself), its cost, the
@@ -265,12 +267,9 @@ def stiefel_adam(v0, cost_and_grad, iters: int, tol: float, frozen=None):
         # The moments must see only the tangential part: the radial component
         # never flips sign, and Adam's coordinatewise normalization would
         # inflate it into a bias that stalls equalized optima off the KKT
-        # point (Example-1-type instances expose this). Frozen rows are zeroed
-        # last so they never accumulate moment mass.
+        # point (Example-1-type instances expose this).
         vg = v.swapaxes(1, 2) @ g
         g = g - v @ ((vg + vg.swapaxes(1, 2)) / 2.0)
-        if frozen is not None:
-            g[:, frozen] = 0.0
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
         u = _ADAM_BETA2 * u + (1.0 - _ADAM_BETA2) * (g * g)
         mhat = m / (1.0 - _ADAM_BETA1**t)

@@ -22,7 +22,6 @@ from wcpca import (
     fit_max_mc,
     haar_frame,
     hull_supremum,
-    hull_supremum_normalized,
     incoherence,
     inductive_ols,
     loss,
@@ -158,7 +157,7 @@ def test_criterion_04_hull_bound_property_suite():
                 checked += 1
 
         for kind in (LossKind.NORM_VAR, LossKind.NORM_RCS, LossKind.NORM_REG):
-            sup = hull_supremum_normalized(kind, v, coll)
+            sup = hull_supremum(kind, v, coll)
             for m in norm_members:
                 val = loss(kind, v, m, k=k)
                 if kind is LossKind.NORM_VAR:

@@ -214,6 +214,16 @@ class TestFit:
         assert main(["fit", "--from-cov", path, "--k", "1", "--objective", "pool"]) == 2
         assert "SchemaError" in capsys.readouterr().err
 
+    def test_manifest_columns_must_match_dimension(self, cov_dir, capsys):
+        path = f"{cov_dir}/manifest.json"
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["columns"] = ["x"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert main(["fit", "--from-cov", path, "--k", "1", "--objective", "pool"]) == 2
+        assert "names 1 columns for dimension 3" in capsys.readouterr().err
+
     def test_bad_k_surfaces_as_config_error(self, cov_dir):
         assert main(["fit", "--from-cov", cov_dir, "--k", "9", "--objective", "pool"]) == 3
 
@@ -290,6 +300,18 @@ class TestSimulate:
         assert main(argv) == 3
         assert f"does not read {setting}" in capsys.readouterr().err
         assert not (tmp_path / f"{study}.csv").exists()
+
+    def test_bad_jobs_leaves_tables_alone(self, tmp_path, capsys):
+        argv = ["simulate", "avg-vs-wc", "--alpha", "1", "--beta", "2", "--p", "6", "--replicates", "1"]
+        kept = tmp_path / "kept"
+        assert main([*argv, "--out", str(kept)]) == 0
+        before = (kept / "avg-vs-wc.csv").read_bytes()
+        assert main([*argv, "--jobs", "0", "--out", str(kept)]) == 3
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert (kept / "avg-vs-wc.csv").read_bytes() == before
+        empty = tmp_path / "empty"
+        assert main([*argv, "--jobs", "0", "--out", str(empty)]) == 3
+        assert not (empty / "avg-vs-wc.csv").exists()
 
     def test_replicates_must_be_positive(self, tmp_path):
         assert (
@@ -407,6 +429,22 @@ class TestComplete:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("objective", ["pool", "max"])
+    def test_k_above_observed_columns_exits_3(self, tmp_path, objective, capsys):
+        # f2 and f3 are never observed, so two columns carry data
+        rng = np.random.default_rng(9)
+        rows = [f"a,{x:.6f},{y:.6f},," for x, y in rng.normal(size=(12, 2))]
+        path = tmp_path / "two.csv"
+        path.write_text("\n".join(["site,f0,f1,f2,f3", *rows]) + "\n", encoding="utf-8")
+        argv = ["complete", "--csv", str(path), "--domain-col", "site", "--objective", objective]
+        assert main([*argv, "--k", "3", "--out", str(tmp_path / "k3")]) == 3
+        assert "InvalidRank" in capsys.readouterr().err
+        assert main([*argv, "--k", "2", "--out", str(tmp_path / "k2")]) == 0
+        report = json.loads((tmp_path / "k2" / "report.json").read_text())
+        assert report["unidentifiable_columns"] == [2, 3]
+        factor = read_frame(tmp_path / "k2" / "right_factor.csv")
+        assert np.all(factor[2:] == 0.0)
 
     def test_requires_csv(self):
         assert main(["complete", "--objective", "pool"]) == 3

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wcpca import (
     InvalidInput,
+    InvalidRank,
     MaskedDataset,
     MaskedDomain,
     NoObservations,
@@ -72,16 +73,52 @@ class TestMaskedDomain:
             MaskedDataset((a, b))
 
 
-def check_unidentifiable_column_reported(fit):
-    data, _ = low_rank_dataset(12, p=6, k=2)
-    hidden = []
+def hide_columns(data, cols, noise=0.0, seed=0):
+    """The dataset with ``cols`` never observed (and optional data noise).
+
+    A row left with no observed entry gets its first kept column back.
+    """
+    rng = make_rng(seed)
+    keep = np.setdiff1d(np.arange(data.p), cols)
+    domains = []
     for d in data:
         mask = d.mask.copy()
-        mask[:, 4] = 0.0
-        hidden.append(MaskedDomain(id=d.id, x=d.x, mask=mask))
-    model = fit(MaskedDataset(tuple(hidden)), 2)
-    assert 4 in model.unidentifiable_columns
-    assert np.isfinite(model.objective_trace[-1])
+        mask[:, cols] = 0.0
+        mask[mask.sum(axis=1) == 0, keep[0]] = 1.0
+        x = d.x + noise * rng.normal(size=d.x.shape)
+        domains.append(MaskedDomain(id=d.id, x=x, mask=mask))
+    return MaskedDataset(tuple(domains))
+
+
+def check_unidentifiable_column_reported(fit):
+    # noisy rank 3 at p = 8 with columns 4 and 6 never observed: those rows
+    # of R are exactly zero, and the rest of the model is bitwise the fit of
+    # the same data without the two columns
+    base, _ = low_rank_dataset(12, p=8, k=3)
+    data = hide_columns(base, [4, 6], noise=0.05, seed=13)
+    model = fit(data, 3)
+    keep = [0, 1, 2, 3, 5, 7]
+    dropped = fit(
+        MaskedDataset(
+            tuple(MaskedDomain(id=d.id, x=d.x[:, keep], mask=d.mask[:, keep]) for d in data)
+        ),
+        3,
+    )
+    assert model.unidentifiable_columns == (4, 6)
+    assert dropped.unidentifiable_columns == ()
+    assert np.all(model.right_factor[[4, 6]] == 0.0)
+    assert np.array_equal(model.right_factor[keep], dropped.right_factor)
+    assert all(np.array_equal(a, b) for a, b in zip(model.left_factors, dropped.left_factors))
+    assert model.objective_trace == dropped.objective_trace
+
+
+def check_rank_bounded_by_observed_columns(fit):
+    # 2 of 6 columns observed: a third factor column would be arbitrary
+    base, _ = low_rank_dataset(14, p=6, k=2, n=20)
+    data = hide_columns(base, [2, 3, 4, 5])
+    with pytest.raises(InvalidRank, match=r"1\.\.2"):
+        fit(data, 3)
+    assert fit(data, 2).right_factor.shape == (6, 2)
 
 
 class TestInductiveOls:
@@ -197,13 +234,14 @@ class TestPoolRUpdate:
         data = MaskedDataset(tuple(domains))
         ls = [rng.normal(size=(d.n, k)) for d in data]
         r = rng.normal(size=(p, k))
-        got = _pool_r_update(data, ls, r, (int(hidden),))
+        got = _pool_r_update(data, ls, r)
         x_all = np.vstack([d.x for d in data])
         m_all = np.vstack([d.mask for d in data])
         l_all = np.vstack(ls)
         for j in range(p):
             if j == hidden:
-                np.testing.assert_array_equal(got[j], r[j])
+                # an all-zero Gram: the minimum-norm solution is a zero row
+                np.testing.assert_array_equal(got[j], np.zeros(k))
                 continue
             rows = m_all[:, j] != 0.0
             ref = np.linalg.lstsq(l_all[rows], x_all[rows, j], rcond=RCOND)[0]
@@ -305,11 +343,16 @@ class TestPoolFit:
     def test_unidentifiable_column_reported(self):
         check_unidentifiable_column_reported(fit_pool_mc)
 
+    def test_rank_bounded_by_observed_columns(self):
+        check_rank_bounded_by_observed_columns(fit_pool_mc)
+
 
 class TestMaxFit:
     def test_unidentifiable_column_reported(self):
-        # exercises the frozen-row path of the shared Stiefel-Adam driver
         check_unidentifiable_column_reported(fit_max_mc)
+
+    def test_rank_bounded_by_observed_columns(self):
+        check_rank_bounded_by_observed_columns(fit_max_mc)
 
     def test_trace_monotone(self):
         data, _ = low_rank_dataset(20)

@@ -9,7 +9,6 @@ from wcpca import (
     DomainCollection,
     DomainSpec,
     GenConfig,
-    InvalidKind,
     LossKind,
     MaskedDataset,
     MaskedDomain,
@@ -18,7 +17,6 @@ from wcpca import (
     consistency_curve,
     fit_pool_mc,
     hull_supremum,
-    hull_supremum_normalized,
     loss,
     make_rng,
     mc_domain_losses,
@@ -41,16 +39,10 @@ def collection(seed, p=5, domains=3):
 class TestHullSupremum:
     def test_matches_vertex_worst_case(self, example1):
         v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        for kind in (LossKind.VAR, LossKind.RCS, LossKind.REG):
+        for kind in LossKind:
             assert hull_supremum(kind, v, example1) == pytest.approx(
                 worst_case(kind, v, example1)
             )
-
-    def test_rejects_normalized_kind(self, example1):
-        with pytest.raises(InvalidKind):
-            hull_supremum(LossKind.NORM_VAR, np.eye(3, 1), example1)
-        with pytest.raises(InvalidKind):
-            hull_supremum_normalized(LossKind.VAR, np.eye(3, 1), example1)
 
     def test_members_never_beat_vertex_extremum(self):
         sources = collection(31)
@@ -70,8 +62,8 @@ class TestHullSupremum:
         rng = make_rng(35)
         v = np.linalg.qr(rng.normal(size=(5, 2)))[0]
         members = sample_hull_members(sources, 64, make_rng(36), normalized=True)
-        nv_min = hull_supremum_normalized(LossKind.NORM_VAR, v, sources)
-        nr_max = hull_supremum_normalized(LossKind.NORM_RCS, v, sources)
+        nv_min = hull_supremum(LossKind.NORM_VAR, v, sources)
+        nr_max = hull_supremum(LossKind.NORM_RCS, v, sources)
         for m in members:
             assert loss(LossKind.NORM_VAR, v, m) >= nv_min - 1e-10
             assert loss(LossKind.NORM_RCS, v, m) <= nr_max + 1e-10

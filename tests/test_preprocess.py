@@ -189,6 +189,22 @@ class TestCovarianceRoundTrip:
         loaded, _ = load_covariances(manifest)
         assert all(d.weight == pytest.approx(0.5) for d in loaded)
 
+    def test_column_names_must_match_dimension(self, tmp_path, example1):
+        import json
+
+        with pytest.raises(InvalidInput, match="1 feature names for dimension 3"):
+            save_covariances(example1, str(tmp_path / "short"), ["x"])
+        assert not (tmp_path / "short").exists()
+        manifest = save_covariances(example1, str(tmp_path / "covs"), ["x", "y", "z"])
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for names in (["x"], ["w", "x", "y", "z"]):
+            doc["columns"] = names
+            with open(manifest, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with pytest.raises(SchemaError, match=f"names {len(names)} columns for dimension 3"):
+                load_covariances(manifest)
+
     def test_bad_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{not json", encoding="utf-8")

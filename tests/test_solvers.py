@@ -244,7 +244,7 @@ class TestMixtureDual:
         assert projection_distance(turned.frame, q @ fit.frame) <= 1e-6
 
 
-def _reference_adam(v0, cost_and_grad, iters, tol, frozen=None):
+def _reference_adam(v0, cost_and_grad, iters, tol):
     """The single-frame Stiefel-Adam loop that the batched driver replaced.
 
     Kept as the reference each batch member must match bit for bit.
@@ -260,8 +260,6 @@ def _reference_adam(v0, cost_and_grad, iters, tol, frozen=None):
     for t in range(1, iters + 1):
         vg = v.T @ g
         g = g - v @ ((vg + vg.T) / 2.0)
-        if frozen is not None:
-            g[frozen] = 0.0
         m = solvers._ADAM_BETA1 * m + (1.0 - solvers._ADAM_BETA1) * g
         u = solvers._ADAM_BETA2 * u + (1.0 - solvers._ADAM_BETA2) * (g * g)
         mhat = m / (1.0 - solvers._ADAM_BETA1**t)
@@ -300,11 +298,11 @@ def _worst_case_costs(kind, covs, k):
     return single, batch
 
 
-def _assert_members_match_reference(v0, single, batch, iters, tol, frozen=None):
-    frames, costs, used, plateaued = stiefel_adam(v0, batch, iters, tol, frozen)
+def _assert_members_match_reference(v0, single, batch, iters, tol):
+    frames, costs, used, plateaued = stiefel_adam(v0, batch, iters, tol)
     assert frames.shape == v0.shape
     for r in range(v0.shape[0]):
-        ref_v, ref_cost, ref_iters = _reference_adam(v0[r], single, iters, tol, frozen)
+        ref_v, ref_cost, ref_iters = _reference_adam(v0[r], single, iters, tol)
         assert np.array_equal(frames[r], ref_v)
         assert costs[r] == ref_cost
         assert used[r] == ref_iters
@@ -330,41 +328,24 @@ class TestStiefelAdam:
         assert cost[0] == pytest.approx(-11.0, abs=1e-4)
         assert 1 <= iters[0] <= 3000
 
-    def test_frozen_row_gets_no_step(self):
-        rng = np.random.default_rng(4)
-        cost_and_grad = self._max_var(random_covariance(rng, 6))
-        v0 = np.insert(np.linalg.qr(rng.normal(size=(5, 2)))[0], 4, 0.0, axis=0)[None]
-        frozen = np.zeros(6, dtype=bool)
-        frozen[4] = True
-        free, _, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0)
-        held, _, _, _ = stiefel_adam(v0, cost_and_grad, 200, 0.0, frozen)
-        assert np.abs(free[0, 4]).max() > 1e-3
-        assert np.abs(held[0, 4]).max() <= 1e-12
-        assert np.abs(held[0] - v0[0]).max() > 1e-3
-
     @given(
         st.integers(0, 10_000),
         st.integers(1, 5),
         st.sampled_from(list(LossKind)),
         st.sampled_from([0.0, 1e-8, 1e-6, 1e-3]),
-        st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_members_equal_lone_reference_runs(self, seed, count, kind, tol, freeze):
+    def test_members_equal_lone_reference_runs(self, seed, count, kind, tol):
         rng = make_rng(seed)
         p = int(rng.integers(2, 9))
         k = int(rng.integers(1, p))
         covs = [random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))]
         v0 = np.stack([haar_frame(p, k, rng) for _ in range(count)])
-        frozen = None
-        if freeze:
-            frozen = np.zeros(p, dtype=bool)
-            frozen[int(rng.integers(p))] = True
         single, batch = _worst_case_costs(kind, covs, k)
         # budgets long enough that most members plateau, at different
         # iterations, while some run out the budget
         iters = int(rng.integers(100, 700))
-        _assert_members_match_reference(v0, single, batch, iters, tol, frozen)
+        _assert_members_match_reference(v0, single, batch, iters, tol)
 
     def test_members_stop_apart_and_at_budget(self):
         rng = make_rng(10)

@@ -12,7 +12,8 @@ Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
 with and without ``--order``, all six ``simulate`` studies (1-2 replicates,
 a small ``--n`` or ``--missing-frac`` on some), a ``save_covariances`` directory,
-``complete --predict`` for both objectives, 240
+``complete --predict`` for both objectives (once more with a training
+column that no row observes), 240
 library solves over the six loss kinds (each line in ``solves.txt`` carries
 the solve's dual ``gap``, ``None`` where no dual ran, so certified solves
 show), ``sequential_minpca`` on 6 instances,
@@ -86,7 +87,10 @@ def _write_manifest(root, covs):
     return root
 
 
-def _write_masked_csv(path, rng, rows_per_domain, p, k, hide):
+def _write_masked_csv(path, rng, rows_per_domain, p, k, hide, empty_col=None):
+    """Low-rank rows with ``hide`` random cells per row left empty, and every
+    cell of column ``empty_col``, if given.
+    """
     frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
     lines = ["site," + ",".join(f"f{j}" for j in range(p))]
     for label in ("a", "b", "c"):
@@ -95,6 +99,8 @@ def _write_masked_csv(path, rng, rows_per_domain, p, k, hide):
             cells = [f"{x:.12f}" for x in row]
             for j in rng.choice(p, size=hide, replace=False):
                 cells[int(j)] = ""
+            if empty_col is not None:
+                cells[empty_col] = ""
             lines.append(label + "," + ",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -211,9 +217,14 @@ def main(out):
         _covariances(rng, 3, 6), ids=["a", "b c", "d/e"], weights=[0.5, 0.25, 0.25], ns=[10, 20, None]
     )
     save_covariances(covs, os.path.join(out, "saved-covs"), [f"x{j}" for j in range(6)])
+    never_observed = _write_masked_csv(
+        os.path.join(inputs, "train-empty-col.csv"), np.random.default_rng(12), 40, 12, 3, 3, empty_col=5
+    )
     for method in ("pool", "max"):
         _cli("complete", "--csv", train, "--domain-col", "site", "--objective", method,
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-{method}"))
+        _cli("complete", "--csv", never_observed, "--domain-col", "site", "--objective", method,
+             "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-empty-col-{method}"))
     _solves(out)
     _sequential(out)
     _mc_fits(out)
