@@ -186,6 +186,8 @@ def cmd_complete(args) -> int:
     if method not in ("pool", "max"):
         raise InvalidConfig(f"--objective must be pool or max, got {method!r}")
     k = 5 if args.k is None else args.k
+    if args.missing_frac is not None and not 0.0 <= args.missing_frac < 1.0:
+        raise InvalidConfig(f"--missing-frac must lie in [0, 1), got {args.missing_frac}")
 
     features, blocks = load_masked_csv(args.csv, args.domain_col)
     if args.missing_frac is not None:

@@ -22,9 +22,11 @@ right factor, so ``k`` may not exceed the number of observed columns.
 
 Every least-squares problem here (the L-update, the pooled R-update,
 :func:`inductive_ols`) is a stack of masked problems solved array-at-a-time
-by :func:`_solve_masked`: all k x k normal equations are formed with one
-matrix product and solved in one batch, and only rows whose Gram matrix is
-ill-conditioned fall back to the exact minimum-norm ``lstsq``.
+by the one routine :func:`_solve_masked`: the k x k normal equations of each
+block of columns are formed with one matrix product, summed over blocks and
+solved in one batch, and only rows whose Gram matrix is ill-conditioned fall
+back to the exact minimum-norm ``lstsq``. The pooled R-update is the same
+call on the transposed domains, one block per domain.
 
 After the pooled R-update the raw solution is replaced by its polar factor;
 the L-update that follows refits every ``L_e`` to it. New rows are
@@ -203,55 +205,50 @@ def inductive_ols(x, omega, r):
     empty = np.flatnonzero(~mask.any(axis=1))
     if empty.size:
         raise NoObservations(f"row {int(empty[0])} has no observed entries")
-    coef = _solve_masked(rows, mask, factor)
+    coef = _solve_masked([(rows, mask, factor)])
     recon = coef @ factor.T
     return (coef[0], recon[0]) if single else (coef, recon)
 
 
-def _solve_grams(gram: np.ndarray, rhs: np.ndarray, exact) -> np.ndarray:
-    """Solve the stacked k x k normal equations ``gram[i] c_i = rhs[i]``.
+def _normal_equations(x: np.ndarray, mask: np.ndarray, a: np.ndarray):
+    """Row-wise normal equations of ``min_c ||mask_i * (x_i - a c)||``.
 
-    Rows whose Gram has ``lambda_min <= 1e-6 * lambda_max`` (all-zero Grams
-    included) take ``exact(i)`` instead, the minimum-norm lstsq solution of
-    the underlying problem, so rank-deficient semantics stay exact.
+    ``x`` and ``mask`` are n x p, ``a`` is p x k. Returns ``(gram, rhs)``:
+    all n Grams (n x k x k) are one product ``mask @ (a (x) a)`` and all
+    right-hand sides (n x k) one product ``(x * mask) @ a``; no n x p x k
+    design stack is formed.
     """
+    p, k = a.shape
+    gram = (mask @ (a[:, :, None] * a[:, None, :]).reshape(p, k * k)).reshape(-1, k, k)
+    return gram, (x * mask) @ a
+
+
+def _solve_masked(blocks) -> np.ndarray:
+    """Row-wise masked least squares over column blocks that share their rows.
+
+    Each block is ``(x, mask, a)`` with ``x`` and ``mask`` n x p_b and ``a``
+    p_b x k; row i gets ``c_i = argmin_c sum_b ||mask_b[i] * (x_b[i] - a_b c)||^2``,
+    returned as n x k. The blocks' normal equations are summed in block order
+    and solved in one batch; no block is copied into a stacked array. Rows
+    whose Gram has ``lambda_min <= 1e-6 * lambda_max`` (all-zero Grams
+    included) take the minimum-norm lstsq of their stacked observed design
+    instead, so rank-deficient semantics stay exact.
+    """
+    gram, rhs = _normal_equations(*blocks[0])
+    for block in blocks[1:]:
+        g, b = _normal_equations(*block)
+        gram += g
+        rhs += b
     lam = np.linalg.eigvalsh(gram)
     ill = lam[:, 0] <= _GRAM_RCOND * lam[:, -1]
     out = np.empty(rhs.shape)
     out[~ill] = np.linalg.solve(gram[~ill], rhs[~ill][:, :, None])[:, :, 0]
     for i in np.flatnonzero(ill):
-        out[i] = exact(i)
+        obs = [mask[i] != 0.0 for _, mask, _ in blocks]
+        design = np.vstack([a[o] for (_, _, a), o in zip(blocks, obs)])
+        target = np.concatenate([x[i, o] for (x, _, _), o in zip(blocks, obs)])
+        out[i] = np.linalg.lstsq(design, target, rcond=_LSTSQ_RCOND)[0]
     return out
-
-
-def _solve_masked(x: np.ndarray, mask: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row-wise masked least squares: ``c_i = argmin_c ||mask_i * (x_i - a c)||``.
-
-    ``x`` and ``mask`` are n x p, ``a`` is p x k; returns n x k. All Grams
-    are one product ``mask @ (a (x) a)`` and all right-hand sides one
-    product ``(x * mask) @ a``; no n x p x k design stack is formed.
-    """
-    p, k = a.shape
-    gram = (mask @ (a[:, :, None] * a[:, None, :]).reshape(p, k * k)).reshape(-1, k, k)
-    rhs = (x * mask) @ a
-
-    def exact(i):
-        obs = mask[i] != 0.0
-        return np.linalg.lstsq(a[obs], x[i, obs], rcond=_LSTSQ_RCOND)[0]
-
-    return _solve_grams(gram, rhs, exact)
-
-
-def _column_stats(d: MaskedDomain, l: np.ndarray):
-    """Per-column sufficient statistics of one domain for a fixed ``L``.
-
-    Returns ``H`` (p x k x k, ``H_j = sum_i m_ij l_i l_i.T``) and ``B``
-    (p x k, ``B = (M * X).T L``); the masked error of ``X - L R.T`` is then
-    ``||M * X||^2 - 2 <B, R> + sum_j r_j.T H_j r_j``.
-    """
-    n, k = l.shape
-    h = (d.mask.T @ (l[:, :, None] * l[:, None, :]).reshape(n, k * k)).reshape(-1, k, k)
-    return h, (d.x * d.mask).T @ l
 
 
 def _ensure_dataset(data) -> MaskedDataset:
@@ -278,7 +275,7 @@ def _init_factors(data: MaskedDataset, k: int):
 
 def _l_update(data: MaskedDataset, r: np.ndarray):
     """Exact per-row OLS against the current right factor, one batch per domain."""
-    return [_solve_masked(d.x, d.mask, r) for d in data]
+    return [_solve_masked([(d.x, d.mask, r)]) for d in data]
 
 
 def _squared_errors(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
@@ -307,25 +304,12 @@ def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
 def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
     """Exact per-column OLS over every domain's observed entries.
 
-    The k x k normal equations of each column are accumulated domain by
-    domain; a column with no observed entry has an all-zero Gram, whose
-    minimum-norm solution is a zero row.
+    Column j of the data is row j of each transposed domain, so the update
+    is one :func:`_solve_masked` call with one ``(X_e.T, M_e.T, L_e)`` block
+    per domain; a column with no observed entry has an all-zero Gram, whose
+    minimum-norm solution is a zero row. ``r`` is not read.
     """
-    p, k = r.shape
-    gram = np.zeros((p, k, k))
-    rhs = np.zeros((p, k))
-    for d, l in zip(data, ls):
-        h, b = _column_stats(d, l)
-        gram += h
-        rhs += b
-
-    def exact(j):
-        obs = [d.mask[:, j] != 0.0 for d in data]
-        design = np.vstack([l[o] for l, o in zip(ls, obs)])
-        target = np.concatenate([d.x[o, j] for d, o in zip(data, obs)])
-        return np.linalg.lstsq(design, target, rcond=_LSTSQ_RCOND)[0]
-
-    return _solve_grams(gram, rhs, exact)
+    return _solve_masked([(d.x.T, d.mask.T, l) for d, l in zip(data, ls)])
 
 
 def _pool_r_step(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
@@ -380,14 +364,16 @@ def _max_r_cost(data: MaskedDataset, ls):
     """Worst-case cost and active gradient in R, for fixed left factors.
 
     Returns ``cost_and_grad(r)`` for an ``(n, p, k)`` batch of factors,
-    computing every domain's objective from the sufficient statistics of
-    :func:`_column_stats`, precomputed once, so one member costs
-    O(E p k^2) rather than rebuilding each ``L_e R.T``. The active domain's
-    gradient is ``2 (H_a r - B_a) / n_a``. The H blocks are stacked per
-    column, ``(p, E k, k)``, so every ``H_ej r_j`` comes from p small
-    products rather than E p.
+    computing every domain's objective from per-column sufficient
+    statistics, precomputed once: the normal equations of the transposed
+    domain, ``H_j = sum_i m_ij l_i l_i.T`` and ``B = (M * X).T L``, give the
+    masked error ``||M * X||^2 - 2 <B, R> + sum_j r_j.T H_j r_j``, so one
+    member costs O(E p k^2) rather than rebuilding each ``L_e R.T``. The
+    active domain's gradient is ``2 (H_a r - B_a) / n_a``. The H blocks are
+    stacked per column, ``(p, E k, k)``, so every ``H_ej r_j`` comes from p
+    small products rather than E p.
     """
-    stats = [_column_stats(d, l) for d, l in zip(data, ls)]
+    stats = [_normal_equations(d.x.T, d.mask.T, l) for d, l in zip(data, ls)]
     h = np.concatenate([s[0] for s in stats], axis=1)
     b = np.stack([s[1] for s in stats])
     xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])
@@ -492,7 +478,7 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     coef_full = row @ factor
     resid_full = row - factor @ coef_full
     den = float(resid_full @ resid_full)
-    coef_sub = _solve_masked(row[None], keep[None].astype(np.float64), factor)[0]
+    coef_sub = _solve_masked([(row[None], keep[None].astype(np.float64), factor)])[0]
     resid_sub = row - factor @ coef_sub
     num = float(resid_sub @ resid_sub)
     if num <= 1e-14 and den <= 1e-14:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import haar_frame, orthocomplement_frame, sym_eigen
-from .losses import DomainCollection, DomainSpec, mixture
+from .losses import _PSD_RTOL, DomainCollection, DomainSpec, mixture
 from .rng import as_rng
 
 __all__ = [
@@ -148,7 +148,7 @@ def sample_gaussian_rows(sigma, n: int, seed) -> np.ndarray:
     spec = sym_eigen(sigma)
     vals = spec.eigenvalues
     tr = float(vals.sum())
-    if float(vals.min()) < -1e-10 * max(tr, 0.0):
+    if float(vals.min()) < -_PSD_RTOL * max(tr, 0.0):
         raise InvalidInput(f"matrix is not PSD: smallest eigenvalue {vals.min():.3e}")
     vals = np.clip(vals, 0.0, None)
     root = (spec.eigenvectors * np.sqrt(vals)) @ spec.eigenvectors.T

@@ -1,12 +1,11 @@
 """Worst-case and average evaluation over source domains and their hull.
 
-For the unnormalized linear losses (Var, RCS) the extremum over the convex
-hull of the source covariances is attained at a vertex, so the reported hull
-supremum is exact; for the regret kind the vertex max is a certified upper
-bound. Normalized kinds are evaluated over the hull of the trace-normalized
-vertices instead. Either way the vertex extremum is ``losses.worst_case``.
-Monte-Carlo hull sampling exists only as a test oracle, never inside
-reported metrics.
+``hull_supremum`` is ``losses.worst_case`` itself, under the hull name:
+every loss is linear in the covariance, so the extremum over the convex hull
+of the source covariances is attained at a vertex. It is exact for Var and
+RCS and a certified upper bound for the regret kinds; normalized kinds are
+evaluated over the hull of the trace-normalized vertices. Monte-Carlo hull
+sampling exists only as a test oracle, never inside reported metrics.
 """
 
 from __future__ import annotations
@@ -47,18 +46,8 @@ __all__ = [
 ]
 
 
-def hull_supremum(kind, v, sources) -> float:
-    """Extremum of a loss over the hull of the sources.
-
-    Exact for Var (vertex min) and RCS (vertex max) by linearity of the
-    trace; for Reg the vertex max is returned as the certified upper bound
-    on the hull supremum. A normalized kind is evaluated over the hull of
-    the trace-normalized sources; it is scale invariant, so its loss on a
-    normalized vertex equals the loss on the original source: NormVar takes
-    the vertex min, NormRCS and NormReg the vertex max (an upper bound for
-    NormReg).
-    """
-    return worst_case(kind, v, sources)
+# The hull extremum is the vertex worst case; see the module docstring.
+hull_supremum = worst_case
 
 
 def sample_hull_members(sources, count: int, seed, normalized: bool = False) -> list[np.ndarray]:

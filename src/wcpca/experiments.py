@@ -46,7 +46,7 @@ from .datagen import (
     sample_target_covariance,
     second_moment_collection,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, InvalidInput
 from .evaluation import hull_supremum, mc_domain_losses, mc_metrics, relative_deltas
 from .losses import LossKind, loss
 from .rng import make_rng, spawn_seed
@@ -69,7 +69,8 @@ class ExperimentConfig:
     Fields left as None fall back to each experiment's defaults; ``alpha``
     and ``beta`` must be given together (a single value would make the grid
     experiments ambiguous). ``n``, ``missing_frac`` and ``paper_scale`` may
-    only be given to a study that reads them.
+    only be given to a study that reads them. The data-generator settings
+    are checked by building the study's ``GenConfig`` once.
     """
 
     name: str
@@ -96,8 +97,14 @@ class ExperimentConfig:
             raise InvalidConfig("--alpha and --beta must be given together")
         if self.replicates is not None and self.replicates < 1:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates}")
+        if self.n is not None and self.n < 1:
+            raise InvalidConfig(f"n must be >= 1, got {self.n}")
         if self.missing_frac is not None and not 0.0 <= self.missing_frac < 1.0:
             raise InvalidConfig(f"missing fraction must lie in [0, 1), got {self.missing_frac}")
+        try:
+            _gen(self, self.seed)
+        except InvalidInput as exc:
+            raise InvalidConfig(str(exc)) from exc
 
     def resolved_replicates(self) -> int:
         return self.replicates if self.replicates is not None else _STUDIES[self.name].replicates

@@ -34,9 +34,6 @@ __all__ = [
 _ASYMMETRY_RTOL = 1e-6
 # Singular values at or below s_max * this ratio count as numerically zero.
 _RANK_RTOL = 1e-12
-# Rank-deficient projected draws have probability zero; give up after this
-# many in a row.
-_COMPLEMENT_RETRIES = 5
 
 
 class Spectrum(NamedTuple):
@@ -242,8 +239,8 @@ def orthocomplement_frame(v, k2: int, seed) -> np.ndarray:
 
     A Gaussian p x k2 matrix is projected by ``I - v v.T`` and orthonormalized
     by QR; a second projection-and-QR pass tightens the orthogonality to
-    ``v`` against rounding. A rank-deficient projected draw (probability
-    zero) is retried with a fresh Gaussian matrix, up to 5 draws in all.
+    ``v`` against rounding. One Gaussian matrix is drawn; its projection is
+    rank-deficient with probability zero.
 
     Raises
     ------
@@ -252,21 +249,18 @@ def orthocomplement_frame(v, k2: int, seed) -> np.ndarray:
     InvalidRank
         If ``k + k2 > p`` or ``k2 < 1``.
     RankDeficient
-        If 5 draws in a row are rank-deficient.
+        If the projected draw is numerically rank-deficient.
     """
     base = as_frame(v)
     p, k = base.shape
     if k2 < 1 or k + k2 > p:
         raise InvalidRank(f"cannot fit {k2} complement columns: k={k}, p={p}")
-    rng = as_rng(seed)
-    for _ in range(_COMPLEMENT_RETRIES):
-        g = rng.standard_normal((p, k2))
-        q, r = np.linalg.qr(g - base @ (base.T @ g))
-        diag = np.abs(np.diag(r))
-        if diag.min() <= 1e-10 * diag.max():
-            continue
-        q, r2 = np.linalg.qr(q - base @ (base.T @ q))
-        d = np.sign(np.diag(r2))
-        d[d == 0] = 1.0
-        return q * d
-    raise RankDeficient(f"projected Gaussian draw rank-deficient {_COMPLEMENT_RETRIES} times in a row")
+    g = as_rng(seed).standard_normal((p, k2))
+    q, r = np.linalg.qr(g - base @ (base.T @ g))
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-10 * diag.max():
+        raise RankDeficient("projected Gaussian draw is rank-deficient")
+    q, r2 = np.linalg.qr(q - base @ (base.T @ q))
+    d = np.sign(np.diag(r2))
+    d[d == 0] = 1.0
+    return q * d

@@ -288,8 +288,11 @@ def worst_case(kind, v, domains):
     Min over domains for Var/NormVar, max for the other kinds; the domain
     that attains it is :func:`worst_index`. Every loss is linear in the
     covariance, so this is also the extremum over the convex hull of the
-    sources (trace-normalized for the normalized kinds); for the regret kinds
-    it is an upper bound.
+    sources, exact for Var and RCS; for the regret kinds it is a certified
+    upper bound. The normalized kinds are taken over the hull of the
+    trace-normalized sources: they are scale invariant, so a normalized
+    vertex has the loss of its source. ``evaluation.hull_supremum`` is this
+    function under its hull name.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)

@@ -319,8 +319,9 @@ def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
     kinds), takes one :func:`sym_eigen` of it and one ``domain_losses`` call
     at its top-k frame U: the domain losses at U are the supergradient, and
     the top-k eigenvalue sum gives the bound. It stops once the best frame
-    seen is within ``_DUAL_GAP_RTOL`` of the best bound. ``eigsums`` are
-    the top-k eigensums for the regret kinds, else None.
+    seen is within ``_DUAL_GAP_RTOL`` of the best bound, or once a step
+    underflows every weight to zero. ``eigsums`` are the top-k eigensums
+    for the regret kinds, else None.
 
     Returns ``(frame, bound, steps)``: the best frame (lowest worst-case
     loss, highest for Var and NormVar), the best bound and the steps taken.
@@ -359,6 +360,8 @@ def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
         # its maximum keeps every factor at most 1.
         step = sign * values
         w = w * np.exp(scale / np.sqrt(t) * (step - step.max()))
+        if not w.any():
+            break  # the step underflowed every weight: no mixture is left
         w = w / w.sum()
     return best_frame, best_bound, t
 

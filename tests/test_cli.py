@@ -6,6 +6,7 @@ capture stderr.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,34 @@ class TestComplete:
 
     def test_unknown_method(self, masked_csv):
         assert main(["complete", "--csv", masked_csv, "--objective", "sep"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "finite-sample", "--n", "0", "--replicates", "1"],
+        ["simulate", "avg-vs-wc", "--domains", "0", "--replicates", "1"],
+        ["simulate", "avg-vs-wc", "--p", "1", "--replicates", "1"],
+        ["simulate", "avg-vs-wc", "--alpha", "2", "--beta", "1", "--replicates", "1"],
+        ["complete", "--objective", "pool", "--missing-frac", "1.0"],
+        ["complete", "--objective", "pool", "--missing-frac", "-0.5"],
+    ],
+    ids=["n-0", "domains-0", "p-1", "alpha-above-beta", "missing-frac-1", "missing-frac-negative"],
+)
+def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys):
+    # the complete cases name a CSV that does not exist: the setting is
+    # rejected before the file is read
+    argv = [*argv, "--out", str(tmp_path)]
+    if argv[0] == "complete":
+        argv += ["--csv", str(tmp_path / "unread.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err
+    assert "RuntimeWarning" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestDeterminism:

@@ -27,10 +27,10 @@ from wcpca import (
     sample_masks,
 )
 from wcpca.completion import (
-    _column_stats,
     _domain_objectives,
     _l_update,
     _max_r_cost,
+    _normal_equations,
     _pool_r_update,
     _solve_masked,
 )
@@ -193,7 +193,7 @@ class TestSolveMasked:
         mask = (rng.random((20, p)) < rng.uniform(0.1, 0.9)).astype(float)
         mask[0] = 0.0
         mask[0, : k - 1] = 1.0  # fewer observed cells than coefficients
-        got = _solve_masked(x, mask, a)
+        got = _solve_masked([(x, mask, a)])
         ref = lstsq_rows(x, mask, a)
         assert got.shape == (20, k)
         assert_close_to_reference(got, ref)
@@ -203,9 +203,37 @@ class TestSolveMasked:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         x = np.array([[0.0, 0.0, 2.0], [1.0, 2.0, 3.0]])
         mask = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-        got = _solve_masked(x, mask, a)
+        got = _solve_masked([(x, mask, a)])
         np.testing.assert_array_equal(got[0], lstsq_rows(x[:1], mask[:1], a)[0])
         np.testing.assert_allclose(got[0], [1.0, 1.0], atol=1e-12)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_stacked_block(self, seed, k, widths, duplicate_column):
+        # column blocks of one problem, solved together, match the stacked problem
+        rng = make_rng(seed)
+        p = sum(widths)
+        a = rng.normal(size=(p, k))
+        if duplicate_column and k > 1:
+            a[:, k - 1] = a[:, 0]  # every Gram singular: all rows take lstsq
+        x = rng.normal(size=(15, p))
+        mask = (rng.random((15, p)) < rng.uniform(0.1, 0.9)).astype(float)
+        mask[0] = 0.0
+        mask[0, : k - 1] = 1.0  # fewer observed cells than coefficients
+        cuts = np.cumsum(widths)[:-1]
+        blocks = list(zip(np.split(x, cuts, axis=1), np.split(mask, cuts, axis=1), np.split(a, cuts)))
+        got = _solve_masked(blocks)
+        ref = _solve_masked([(x, mask, a)])
+        assert got.shape == (15, k)
+        assert_close_to_reference(got, ref)
+        # the fallback solves the same stacked observed design
+        fallback = (mask.sum(axis=1) < k) | (duplicate_column and k > 1)
+        np.testing.assert_array_equal(got[fallback], ref[fallback])
 
     def test_l_update_matches_reference(self):
         data, r = low_rank_dataset(31, p=9, k=3, missing=0.6)
@@ -280,7 +308,7 @@ class TestMaxRCost:
     def test_equals_per_domain_layout_bitwise(self):
         # the reference stacks H as (E, p, k, k) and forms every H_ej r_j
         data, ls, r, _ = self._instance(42)
-        stats = [_column_stats(d, l) for d, l in zip(data, ls)]
+        stats = [_normal_equations(d.x.T, d.mask.T, l) for d, l in zip(data, ls)]
         h = np.stack([s[0] for s in stats])
         b = np.stack([s[1] for s in stats])
         xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])

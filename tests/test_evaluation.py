@@ -37,6 +37,10 @@ def collection(seed, p=5, domains=3):
 
 
 class TestHullSupremum:
+    def test_is_worst_case(self):
+        # one evaluator: the hull name is the vertex worst case itself
+        assert hull_supremum is worst_case
+
     def test_matches_vertex_worst_case(self, example1):
         v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         for kind in LossKind:

@@ -7,7 +7,7 @@ monotonicity, orthonormal outputs, prefix optimality of ordered bases.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcpca import (
@@ -162,6 +162,7 @@ def _sign(kind):
 class TestMixtureDual:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(list(LossKind)))
+    @example(seed=18297, kind=LossKind.NORM_VAR)  # the third step underflows every weight
     def test_bound_on_the_right_side(self, seed, kind):
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 7))

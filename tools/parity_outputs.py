@@ -13,10 +13,12 @@ depend on the package under test. The script covers every ``fit`` objective
 with and without ``--order``, all six ``simulate`` studies (1-2 replicates,
 a small ``--n`` or ``--missing-frac`` on some), a ``save_covariances`` directory,
 ``complete --predict`` for both objectives (once more with a training
-column that no row observes), 240
+column that no row observes, and once with a training column observed in
+fewer than k rows and held-out rows observing fewer than k cells, so every
+least-squares fallback runs), 240
 library solves over the six loss kinds (each line in ``solves.txt`` carries
 the solve's dual ``gap``, ``None`` where no dual ran, so certified solves
-show), ``sequential_minpca`` on 6 instances,
+show, and the frame's values), ``sequential_minpca`` on 6 instances,
 ``fit_max_mc`` and ``fit_pool_mc`` fits on four datasets (one with a
 never-observed column), and the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
@@ -87,9 +89,9 @@ def _write_manifest(root, covs):
     return root
 
 
-def _write_masked_csv(path, rng, rows_per_domain, p, k, hide, empty_col=None):
+def _write_masked_csv(path, rng, rows_per_domain, p, k, hide, empty_col=None, keep=()):
     """Low-rank rows with ``hide`` random cells per row left empty, and every
-    cell of column ``empty_col``, if given.
+    cell of column ``empty_col``, if given, outside the data rows in ``keep``.
     """
     frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
     lines = ["site," + ",".join(f"f{j}" for j in range(p))]
@@ -100,7 +102,7 @@ def _write_masked_csv(path, rng, rows_per_domain, p, k, hide, empty_col=None):
             for j in rng.choice(p, size=hide, replace=False):
                 cells[int(j)] = ""
             if empty_col is not None:
-                cells[empty_col] = ""
+                cells[empty_col] = f"{row[empty_col]:.12f}" if len(lines) - 1 in keep else ""
             lines.append(label + "," + ",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -127,7 +129,7 @@ def _solves(out):
             lines.append(
                 f"{inst} {kind.value} {fit.objective!r} {sorted(fit.active_domains)} "
                 f"{fit.iterations_used} {fit.restart_index} gap={fit.gap!r} "
-                f"{hashlib.sha256(fit.frame.tobytes()).hexdigest()}"
+                f"{fit.frame.ravel().tolist()!r}"
             )
     with open(os.path.join(out, "solves.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -220,11 +222,21 @@ def main(out):
     never_observed = _write_masked_csv(
         os.path.join(inputs, "train-empty-col.csv"), np.random.default_rng(12), 40, 12, 3, 3, empty_col=5
     )
+    # column 7 is observed in two training rows and every held-out row in
+    # two cells, fewer than k = 3: the pooled R-update and the prediction
+    # take the minimum-norm lstsq there
+    sparse_rng = np.random.default_rng(13)
+    sparse_col = _write_masked_csv(
+        os.path.join(inputs, "train-sparse-col.csv"), sparse_rng, 40, 12, 3, 3, empty_col=7, keep=(0, 40)
+    )
+    short_rows = _write_masked_csv(os.path.join(inputs, "holdout-short.csv"), sparse_rng, 10, 12, 3, 10)
     for method in ("pool", "max"):
         _cli("complete", "--csv", train, "--domain-col", "site", "--objective", method,
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-{method}"))
         _cli("complete", "--csv", never_observed, "--domain-col", "site", "--objective", method,
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-empty-col-{method}"))
+        _cli("complete", "--csv", sparse_col, "--domain-col", "site", "--objective", method,
+             "--k", 3, "--predict", short_rows, "--out", os.path.join(out, f"complete-sparse-{method}"))
     _solves(out)
     _sequential(out)
     _mc_fits(out)
