@@ -24,8 +24,8 @@ from dataclasses import fields
 import numpy as np
 
 from .completion import _domain_objectives, fit_max_mc, fit_pool_mc, inductive_ols
-from .datagen import sample_masks
-from .errors import InvalidConfig, NoObservations, WcpcaError, exit_code_for
+from .datagen import hidden_per_row, sample_masks
+from .errors import InvalidConfig, InvalidInput, NoObservations, WcpcaError, exit_code_for
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .losses import LossKind, domain_losses, worst_index
 from .losses import loss, worst_case  # noqa: F401 -- benchmarks/spans.py wraps these names
@@ -191,6 +191,10 @@ def cmd_complete(args) -> int:
 
     features, blocks = load_masked_csv(args.csv, args.domain_col)
     if args.missing_frac is not None:
+        try:
+            hidden_per_row(len(features), args.missing_frac)
+        except InvalidInput as exc:
+            raise InvalidConfig(str(exc)) from exc
         thinned = {}
         for e, (label, (x, mask)) in enumerate(blocks.items()):
             synth = sample_masks(x.shape[0], x.shape[1], args.missing_frac, make_rng(args.seed, e))

@@ -31,6 +31,7 @@ __all__ = [
     "sample_gaussian_rows",
     "second_moment_collection",
     "add_heterogeneous_noise",
+    "hidden_per_row",
     "sample_masks",
 ]
 
@@ -183,19 +184,29 @@ def add_heterogeneous_noise(rows, sigma_noise: float, seed) -> np.ndarray:
     return data + sigma_noise * rng.standard_normal(data.shape)
 
 
+def hidden_per_row(p: int, missing_frac: float) -> int:
+    """How many of a row's ``p`` entries :func:`sample_masks` hides: round(missing_frac * p).
+
+    :raises InvalidInput: if ``missing_frac`` lies outside [0, 1) or would
+        hide every entry of a row.
+    """
+    if not 0.0 <= missing_frac < 1.0:
+        raise InvalidInput(f"missing_frac must lie in [0, 1), got {missing_frac}")
+    hidden = int(np.rint(missing_frac * p))
+    if hidden >= p:
+        raise InvalidInput(f"missing_frac={missing_frac} would mask all {p} entries of a row")
+    return hidden
+
+
 def sample_masks(n: int, p: int, missing_frac: float, seed) -> np.ndarray:
-    """Per-row masks hiding exactly round(missing_frac * p) uniform entries.
+    """Per-row masks hiding exactly :func:`hidden_per_row` uniform entries.
 
     Returns an n x p array with 1 = observed, 0 = masked. The count is exact
     per row, not Bernoulli.
     """
     if n < 1 or p < 1:
         raise InvalidInput(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    if not 0.0 <= missing_frac < 1.0:
-        raise InvalidInput(f"missing_frac must lie in [0, 1), got {missing_frac}")
-    hidden = int(np.rint(missing_frac * p))
-    if hidden >= p:
-        raise InvalidInput(f"missing_frac={missing_frac} would mask every entry of a row")
+    hidden = hidden_per_row(p, missing_frac)
     mask = np.ones((n, p), dtype=np.int8)
     if hidden > 0:
         rng = as_rng(seed)

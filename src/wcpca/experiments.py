@@ -40,6 +40,7 @@ from .completion import MaskedDataset, MaskedDomain, fit_max_mc, fit_pool_mc
 from .datagen import (
     GenConfig,
     add_heterogeneous_noise,
+    hidden_per_row,
     sample_gaussian_rows,
     sample_masks,
     sample_source_covariances,
@@ -70,7 +71,9 @@ class ExperimentConfig:
     and ``beta`` must be given together (a single value would make the grid
     experiments ambiguous). ``n``, ``missing_frac`` and ``paper_scale`` may
     only be given to a study that reads them. The data-generator settings
-    are checked by building the study's ``GenConfig`` once.
+    are checked by building the study's ``GenConfig`` once, and the
+    completion studies' missing fraction against their p
+    (:func:`datagen.hidden_per_row`), before any draw.
     """
 
     name: str
@@ -99,10 +102,11 @@ class ExperimentConfig:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates}")
         if self.n is not None and self.n < 1:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
-        if self.missing_frac is not None and not 0.0 <= self.missing_frac < 1.0:
-            raise InvalidConfig(f"missing fraction must lie in [0, 1), got {self.missing_frac}")
         try:
             _gen(self, self.seed)
+            if "missing_frac" in _STUDIES[self.name].reads:
+                p, _, _, missing_frac = _mc_settings(self)
+                hidden_per_row(p, missing_frac)
         except InvalidInput as exc:
             raise InvalidConfig(str(exc)) from exc
 
@@ -229,11 +233,17 @@ def _het_noise_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
     return rows
 
 
-def _mc_rows(cfg: ExperimentConfig, rep_seed: int, masked_sources: bool) -> list[tuple]:
+def _mc_settings(cfg: ExperimentConfig) -> tuple[int, int, int, float]:
+    """The completion studies' p, n, k and missing fraction, defaults filled in."""
     p = cfg.p if cfg.p is not None else (500 if cfg.paper_scale else 60)
     n = cfg.n if cfg.n is not None else (1000 if cfg.paper_scale else 200)
     k = cfg.k if cfg.k is not None else 5
     missing_frac = cfg.missing_frac if cfg.missing_frac is not None else _MISSING_FRAC
+    return p, n, k, missing_frac
+
+
+def _mc_rows(cfg: ExperimentConfig, rep_seed: int, masked_sources: bool) -> list[tuple]:
+    p, n, k, missing_frac = _mc_settings(cfg)
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0), p=p))
     train_rng = make_rng(spawn_seed(rep_seed, 1))
     train_mask_rng = make_rng(spawn_seed(rep_seed, 2))

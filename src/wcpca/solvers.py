@@ -17,18 +17,22 @@ for the max kinds, with b_e the trace or the top-k eigensum, and
 min_w s_k(Sigma_w) for Var, where s_k sums the k largest eigenvalues of
 the mixture Sigma_w. Any w gives a bound on the optimum, and every domain's
 loss at the top-k frame of Sigma_w is a supergradient (Overton & Womersley,
-*Math. Programming* 1993). :func:`_mixture_dual` ascends it by
-exponentiated gradient; once the best of those frames is within 1e-9
-(relative) of the best bound, it is optimal and the gap certifies it. The
-relaxation need not be tight: its optimum can have rank k+1 (Tantipongpipat
-et al., NeurIPS 2019), and then the gap stays open.
+*Math. Programming* 1993). Wherever lambda_k(Sigma_w) > lambda_{k+1}(Sigma_w)
+the dual is twice differentiable, with a Hessian taken from the same
+eigendecomposition (Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995),
+so :func:`_mixture_dual` ascends it by damped Newton steps, each a QP over
+the E simplex weights; once the best of the top-k frames it meets is within
+1e-9 (relative) of the best bound, that frame is optimal and the gap
+certifies it. The relaxation need not be tight: its optimum can have rank
+k+1 (Tantipongpipat et al., NeurIPS 2019), with lambda_k = lambda_{k+1} at
+the optimal weights, and then the gap stays open.
 
-:func:`solve_wcpca` tries the dual first when one p x p eigendecomposition
-costs no more than one batched Adam iteration (small p). An uncertified or
-skipped dual falls back to :func:`stiefel_adam`: at each iterate the active
-domain (the one attaining the worst case, smallest index on ties) supplies
-the subgradient, an annealed Adam step is taken in the ambient p x k space,
-and the result is retracted to orthonormal columns by ``stiefel_project``.
+:func:`solve_wcpca` runs the dual first on every worst-case solve, at every
+p. An uncertified dual falls back to :func:`stiefel_adam`: at each iterate
+the active domain (the one attaining the worst case, smallest index on ties)
+supplies the subgradient, an annealed Adam step is taken in the ambient
+p x k space, and the result is retracted to orthonormal columns by
+``stiefel_project``.
 All six objectives share one update direction: the Euclidean gradient of
 the active domain's loss is +/- 2 Sigma_a V (divided by the trace for
 normalized kinds, and unchanged for the regret kinds whose baseline does not
@@ -61,6 +65,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank, NumericalFailure
 from .linalg import (
+    Spectrum,
     as_frame,
     haar_frame,
     orthocomplement_frame,
@@ -113,31 +118,35 @@ _ACTIVE_TOL = 1e-6
 # Reduced covariances whose trace falls below this get a diagonal jitter so
 # they remain valid DomainSpec inputs (trace must be positive).
 _TRACE_JITTER = 1e-15
-# The mixture dual takes at most this many exponentiated-gradient steps. The
-# step t has size _DUAL_STEP / (sqrt(t) * spread), with spread the range of
-# the domain losses at the first step; 2 certified the most of 192 pca-study
-# solves among 1, 1.5, 2 and 2.5.
-_DUAL_STEPS = 300
-_DUAL_STEP = 2.0
 # A fit is certified when its gap is at most this times max(1, |objective|).
 _DUAL_GAP_RTOL = 1e-9
-# The dual runs first when _DUAL_EIGH_COST * p <= restarts * E * k, a flop
-# model of "one p x p eigh costs no more than one batched Adam iteration"
-# (E * R products of p x p by p x k). With numpy's eigh on one OpenBLAS
-# thread (2-core Xeon), at R = E = k = 5 the eigh costs 0.37 of an iteration
-# at p = 24 and 1.4 at p = 48, and at R = E = 5, k = 2, 0.83 at p = 24 and
-# 1.9 at p = 48; the rule admits p <= 27 and p <= 11 there, where the eigh
-# is the cheaper.
-_DUAL_EIGH_COST = 4.5
+# The mixture dual takes at most this many Newton steps.
+_NEWTON_STEPS = 30
+# A Newton step is accepted at the first step length 1, 1/2, 1/4, ... that
+# gains at least _ARMIJO of the model's predicted gain; after _HALVINGS
+# failed lengths the search stops.
+_ARMIJO = 1e-4
+_HALVINGS = 6
+# The dual is smooth only while lambda_k > lambda_{k+1} of the mixture; the
+# search stops once that gap is at most this times lambda_1.
+_EIGEN_GAP_RTOL = 1e-10
+# Ridge added to the Hessian of the Newton model, relative to the larger of
+# its largest diagonal entry and the spread of the gradient, so the simplex
+# QP stays strictly convex where the Hessian is singular (at diagonal
+# covariances it is zero).
+_NEWTON_RIDGE = 1e-9
+# h(w) is taken as exact to this times the magnitudes it subtracts (the
+# weighted offsets and the top-k eigensum); weight moves below it end the
+# search.
+_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Budget, plateau tolerance, restarts and seed of the Stiefel-Adam path.
 
-    The mixture dual that :func:`solve_wcpca` may run first has fixed
-    settings; of these fields only ``restarts`` reaches it, through the cost
-    rule that decides whether it runs.
+    The mixture dual that :func:`solve_wcpca` runs first has fixed settings;
+    none of these fields reaches it.
     """
 
     max_iters: int = 2000
@@ -175,11 +184,12 @@ class FitResult:
     the one returned. ``dual_bound`` is the best mixture-dual bound on the
     optimum (a lower bound for the max kinds, an upper bound for Var and
     NormVar) and ``gap`` how far the objective lies from it on the worse
-    side, nonnegative up to rounding; both are None when no dual ran. A
-    fit certified by the dual reports its steps as ``iterations_used``,
-    restart 0 and no restarts. Exact baselines report an empty set
-    (pooled/average PCA) or the selected domain (separate PCA), zero
-    iterations, restart 0, no restarts and no bound.
+    side, nonnegative up to rounding. Every worst-case fit with k < p
+    carries both; they are None for the exact baselines and for k = p. A
+    fit certified by the dual reports its Newton steps as
+    ``iterations_used``, restart 0 and no restarts. Exact baselines report
+    an empty set (pooled/average PCA) or the selected domain (separate PCA),
+    zero iterations, restart 0, no restarts and no bound.
     """
 
     frame: np.ndarray
@@ -310,75 +320,180 @@ def _certifies(gap: float, objective: float) -> bool:
     return gap <= _DUAL_GAP_RTOL * max(1.0, abs(objective))
 
 
-def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
-    """Search the mixture dual of a worst-case PCA problem over simplex weights.
+def _simplex_qp(hess: np.ndarray, lin: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimize ``y.H y / 2 - lin.y`` over the probability simplex.
 
-    Starts from uniform weights and takes at most ``_DUAL_STEPS``
-    exponentiated-gradient steps. Each step builds ``Sigma_w`` with
-    :func:`losses.mixture` (weights ``w / traces`` for the normalized
-    kinds), takes one :func:`sym_eigen` of it and one ``domain_losses`` call
-    at its top-k frame U: the domain losses at U are the supergradient, and
-    the top-k eigenvalue sum gives the bound. It stops once the best frame
-    seen is within ``_DUAL_GAP_RTOL`` of the best bound, or once a step
-    underflows every weight to zero. ``eigsums`` are the top-k eigensums
-    for the regret kinds, else None.
+    A primal active-set method started at the feasible ``y``; ``hess`` must
+    be positive definite. Each pass solves the KKT system on the free
+    weights. A free weight the solution drives negative stops the move and
+    is fixed at zero; otherwise the fixed weight with the most negative
+    multiplier is freed, and when none has one the point is optimal. The
+    pass count is capped at 4 E, against cycling in rounding.
+    """
+    y = y.copy()
+    free = y > 0.0
+    for _ in range(4 * len(y)):
+        idx = np.flatnonzero(free)
+        n = idx.size
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = hess[np.ix_(idx, idx)]
+        kkt[n, n] = 0.0
+        sol = np.linalg.solve(kkt, np.append(lin[idx], 1.0))
+        target, mu = sol[:n], sol[n]
+        blocked = np.flatnonzero(target < 0.0)
+        if blocked.size:
+            ratios = y[idx[blocked]] / (y[idx[blocked]] - target[blocked])
+            j = int(np.argmin(ratios))
+            y[idx] += ratios[j] * (target - y[idx])
+            y[idx[blocked[j]]] = 0.0
+            y = np.maximum(y, 0.0)
+            free[idx[blocked[j]]] = False
+            continue
+        y = np.zeros_like(y)
+        y[idx] = target
+        # Freeing weight i lowers the objective iff its multiplier is negative.
+        multipliers = np.where(free, 0.0, hess @ y - lin + mu)
+        i = int(np.argmin(multipliers))
+        if multipliers[i] >= 0.0:
+            break
+        free[i] = True
+    return y
 
-    Returns ``(frame, bound, steps)``: the best frame (lowest worst-case
-    loss, highest for Var and NormVar), the best bound and the steps taken.
+
+class _DualPoint(NamedTuple):
+    """The mixture dual at one weight vector (see :func:`_dual_point`)."""
+
+    value: float
+    rounding: float
+    frame: np.ndarray
+    losses: np.ndarray
+    products: np.ndarray
+    spectrum: Spectrum
+
+
+def _dual_point(kind: LossKind, domains: DomainCollection, k: int, eigsums, w) -> _DualPoint:
+    """Evaluate the mixture dual ``h(w) = sign * sum_e w_e b_e - s_k(Sigma_w)``.
+
+    ``Sigma_w`` is :func:`losses.mixture` with weights ``w / traces`` for the
+    normalized kinds, else ``w``, so domain e enters as ``S_e`` = Sigma_e or
+    Sigma_e / Tr(Sigma_e). ``sign`` is -1 and ``b`` zero for Var and NormVar;
+    for the other kinds ``b`` holds the traces (the top-k eigensums
+    ``eigsums`` for the regret kinds), scaled like ``S_e``. One
+    :func:`sym_eigen` of ``Sigma_w`` and one ``domain_losses`` call at its
+    top-k frame U give h, U, the domain losses at U (``sign`` times them is
+    the gradient of h) and the products ``S_e U`` that
+    :func:`_eigensum_hessian` needs. ``rounding`` is ``_ROUNDING`` times the
+    magnitudes h subtracts.
     """
     covs, traces = domains.covariances, domains.traces
-    normalized = kind in NORMALIZED_KINDS
-    # sign * (objective - bound) >= 0 for every frame and weight vector.
+    per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(covs))
     sign = -1.0 if kind in MIN_KINDS else 1.0
     if kind in MIN_KINDS:
         offsets = np.zeros(len(covs))
     else:
-        offsets = eigsums if kind in REGRET_KINDS else traces
-        if normalized:
-            offsets = offsets / traces
-    w = np.full(len(covs), 1.0 / len(covs))
-    best_frame, best_value, best_bound = None, sign * np.inf, -sign * np.inf
-    scale = None
-    for t in range(1, _DUAL_STEPS + 1):
-        spec = sym_eigen(mixture(domains, w / traces if normalized else w))
-        frame = spec.eigenvectors[:, :k].copy()
-        values, _ = domain_losses(kind, frame, covs, traces, eigsums)
-        value = values[worst_index(kind, values)]
-        bound = float(w @ offsets) - sign * float(spec.eigenvalues[:k].sum())
-        if sign * (value - best_value) < 0.0:
-            best_frame, best_value = frame, value
-        if sign * (bound - best_bound) > 0.0:
-            best_bound = bound
-        if _certifies(sign * (best_value - best_bound), best_value):
+        offsets = (eigsums if kind in REGRET_KINDS else traces) * per_unit
+    spec = sym_eigen(mixture(domains, w * per_unit))
+    frame = spec.eigenvectors[:, :k].copy()
+    values, products = domain_losses(kind, frame, covs, traces, eigsums)
+    shift, eigensum = sign * float(w @ offsets), float(spec.eigenvalues[:k].sum())
+    rounding = _ROUNDING * (abs(shift) + abs(eigensum))
+    scaled = products * per_unit[:, None, None]
+    return _DualPoint(shift - eigensum, rounding, frame, values, scaled, spec)
+
+
+def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int) -> np.ndarray:
+    """Hessian in w of ``s_k(sum_e w_e S_e)``, valid while lambda_k > lambda_{k+1}.
+
+    ``spec`` is the spectrum of the mixture and ``products`` the ``(E, p, k)``
+    stack of ``S_e U``, with U its top-k frame. Entry ``(a, b)`` is
+    ``2 sum_{i<=k<j} (u_i.S_a u_j)(u_i.S_b u_j) / (lambda_i - lambda_j)``
+    (Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995): the products
+    projected on the other eigenvectors, weighted by the eigen-gaps.
+    """
+    lam = spec.eigenvalues
+    coupling = spec.eigenvectors[:, k:].T @ products
+    coupling *= np.sqrt(2.0 / (lam[None, :k] - lam[k:, None]))
+    return np.einsum("aji,bji->ab", coupling, coupling)
+
+
+def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
+    """Search the mixture dual of a worst-case PCA problem over simplex weights.
+
+    Maximizes ``h`` (:func:`_dual_point`) by damped Newton ascent from
+    uniform weights; ``sign * h(w)`` bounds the optimum at every w. A step
+    solves the QP of h's second-order model on the simplex
+    (:func:`_simplex_qp`, Hessian from :func:`_eigensum_hessian` plus a small
+    ridge) and backtracks along it until h gains enough (Armijo). Every
+    point's top-k frame is a primal candidate. The search stops once the
+    best frame seen is within ``_DUAL_GAP_RTOL`` of the best bound, when
+    ``lambda_k - lambda_{k+1}`` collapses (h is not smooth there), when no
+    step gains, or after ``_NEWTON_STEPS`` steps. ``eigsums`` are the top-k
+    eigensums for the regret kinds, else None.
+
+    Returns ``(frame, bound, steps)``: the best frame (lowest worst-case
+    loss, highest for Var and NormVar), the best bound and the Newton steps
+    taken.
+    """
+    # The search runs over the domains in an order fixed by their covariances,
+    # so its result does not depend, bit for bit, on the order they come in.
+    order = sorted(range(len(domains)), key=lambda e: domains[e].covariance.tobytes())
+    domains = DomainCollection(tuple(domains[e] for e in order))
+    eigsums = None if eigsums is None else eigsums[order]
+    # sign * (objective - bound) >= 0 for every frame and weight vector.
+    sign = -1.0 if kind in MIN_KINDS else 1.0
+    best = {"frame": None, "value": sign * np.inf, "bound": -sign * np.inf}
+
+    def evaluate(w):
+        point = _dual_point(kind, domains, k, eigsums, w)
+        value = point.losses[worst_index(kind, point.losses)]
+        if sign * (value - best["value"]) < 0.0:
+            best.update(frame=point.frame, value=value)
+        best["bound"] = sign * max(sign * best["bound"], point.value)
+        return point
+
+    w = np.full(len(domains), 1.0 / len(domains))
+    point = evaluate(w)
+    steps = 0
+    while not _certifies(sign * (best["value"] - best["bound"]), best["value"]):
+        lam, grad = point.spectrum.eigenvalues, sign * point.losses
+        # Equal losses make w stationary, hence optimal: h is concave.
+        spread = float(np.ptp(grad))
+        collapsed = lam[k - 1] - lam[k] <= _EIGEN_GAP_RTOL * lam[0]
+        if steps == _NEWTON_STEPS or spread == 0.0 or collapsed:
             break
-        if scale is None:
-            spread = float(values.max() - values.min())
-            if spread == 0.0:
+        hess = _eigensum_hessian(point.spectrum, point.products, k)
+        hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(len(w))
+        move = _simplex_qp(hess, grad + hess @ w, w) - w
+        slope = float(grad @ move)
+        if not slope > -point.rounding or np.max(np.abs(move)) <= _ROUNDING:
+            break
+        for halving in range(_HALVINGS):
+            alpha = 0.5**halving
+            trial = np.maximum(w + alpha * move, 0.0)
+            trial /= trial.sum()
+            candidate = evaluate(trial)
+            # Near the optimum h changes below its rounding while the frames
+            # still improve, so a step within the rounding is taken.
+            if candidate.value >= point.value + _ARMIJO * alpha * slope - point.rounding:
                 break
-            scale = _DUAL_STEP / spread
-        # Ascent for the max kinds, descent for Var; shifting the exponent by
-        # its maximum keeps every factor at most 1.
-        step = sign * values
-        w = w * np.exp(scale / np.sqrt(t) * (step - step.max()))
-        if not w.any():
-            break  # the step underflowed every weight: no mixture is left
-        w = w / w.sum()
-    return best_frame, best_bound, t
+        else:
+            break
+        w, point = trial, candidate
+        steps += 1
+    return best["frame"], best["bound"], steps
 
 
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
     """Solve a worst-case PCA problem, dual first, else by multi-restart Stiefel-Adam.
 
-    When ``4.5 p <= cfg.restarts * E * k`` (one p x p eigendecomposition
-    costs no more than one batched Adam iteration), :func:`_mixture_dual`
-    runs first; if it certifies a frame, that frame is returned with its
-    bound, its gap and no restarts. Otherwise ``cfg.restarts`` independent
-    restarts from Haar-random initial frames (restart r uses stream r of
-    ``cfg.seed``) run as one :func:`stiefel_adam` batch and the best final
-    objective is kept, the first restart on ties; the fit carries the dual's
-    bound and gap when the dual ran. ``cfg.max_iters``, ``restarts``,
-    ``tol_objective`` and ``seed`` drive only this Adam path (and
-    ``restarts`` the cost rule).
+    :func:`_mixture_dual` runs first, at every p; if it certifies a frame,
+    that frame is returned with its bound, its gap, its Newton steps as
+    ``iterations_used`` and no restarts. Otherwise ``cfg.restarts``
+    independent restarts from Haar-random initial frames (restart r uses
+    stream r of ``cfg.seed``) run as one :func:`stiefel_adam` batch and the
+    best final objective is kept, the first restart on ties; the fit
+    carries the dual's bound and gap. ``cfg.max_iters``, ``restarts``,
+    ``tol_objective`` and ``seed`` drive only this Adam path.
     Non-convergence is not an error: the best frame found is returned with
     ``iterations_used == cfg.max_iters``. The degenerate case k = p
     short-circuits to the identity frame, where every objective is constant
@@ -413,12 +528,10 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     if k == p:
         return result(np.eye(p), 0, 0, ())
 
-    bound = None
-    if _DUAL_EIGH_COST * p <= cfg.restarts * len(covs) * k:
-        frame, bound, steps = _mixture_dual(kind, domains, k, eigsums)
-        fit = result(frame, steps, 0, (), bound)
-        if _certifies(fit.gap, fit.objective):
-            return fit
+    frame, bound, steps = _mixture_dual(kind, domains, k, eigsums)
+    fit = result(frame, steps, 0, (), bound)
+    if _certifies(fit.gap, fit.objective):
+        return fit
 
     v0 = np.stack([haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
     frames, costs, iters, plateaued = stiefel_adam(

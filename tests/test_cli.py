@@ -11,7 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from wcpca import LossKind, load_covariances, loss, make_collection, save_covariances, worst_case
+from wcpca import (
+    LossKind,
+    load_covariances,
+    loss,
+    make_collection,
+    save_covariances,
+    solvers,
+    worst_case,
+)
 from wcpca.cli import main
 from conftest import random_covariance
 
@@ -121,14 +129,16 @@ class TestFit:
             assert report["worst_case"][kind.value] == worst_case(kind, frame, collection)
 
     def test_report_lists_every_restart(self, tmp_path, cov_dir):
-        # at k=1 (4.5 p > R E k) the fit skips the dual and runs Adam alone
+        # example1's covariances are diagonal and its rank-1 optimum ties the
+        # top eigenvalues of the optimal mixture, so the dual cannot certify it
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:
             argv = ["fit", "--from-cov", cov_dir, "--k", "1", "--objective", "max-rcs"]
             assert main([*argv, "--seed", "6", "--out", str(out)]) == 0
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         report = json.loads((outs[0] / "report.json").read_text())
-        assert report["dual_bound"] is None and report["gap"] is None
+        assert report["gap"] > solvers._DUAL_GAP_RTOL * max(1.0, abs(report["objective_value"]))
+        assert report["gap"] == report["objective_value"] - report["dual_bound"]
         restarts = report["restarts"]
         assert len(restarts) == 5
         for r in restarts:
@@ -140,19 +150,22 @@ class TestFit:
         assert chosen["objective"] == report["objective_value"]
         assert chosen["iterations"] == report["iterations_used"]
 
-    def test_report_carries_dual_bound_and_gap(self, tmp_path):
+    def test_report_carries_dual_bound_and_gap(self, tmp_path, cov_dir):
         rng = np.random.default_rng(0)
         collection = make_collection([random_covariance(rng, 8) for _ in range(4)])
-        cov_dir = tmp_path / "covs"
-        save_covariances(collection, str(cov_dir))
+        random_dir = tmp_path / "random"
+        save_covariances(collection, str(random_dir))
+        # the dual certifies norm-max-rcs on the random stack, but not
+        # example1's rank-1 max-rcs, whose optimal mixture ties its top
+        # eigenvalues
+        runs = {"certified": (random_dir, "3", "norm-max-rcs"), "fallback": (cov_dir, "1", "max-rcs")}
         reports = {}
-        for objective in ("norm-max-rcs", "max-rcs"):
-            out = tmp_path / objective
-            argv = ["fit", "--from-cov", str(cov_dir), "--k", "3", "--objective", objective]
+        for name, (source, k, objective) in runs.items():
+            out = tmp_path / name
+            argv = ["fit", "--from-cov", str(source), "--k", k, "--objective", objective]
             assert main([*argv, "--out", str(out)]) == 0
-            reports[objective] = json.loads((out / "report.json").read_text())
-        # the dual certifies norm-max-rcs here and not max-rcs
-        certified, fallback = reports["norm-max-rcs"], reports["max-rcs"]
+            reports[name] = json.loads((out / "report.json").read_text())
+        certified, fallback = reports["certified"], reports["fallback"]
         assert certified["restarts"] == []
         assert 0.0 <= certified["gap"] <= 1e-9
         assert certified["gap"] == certified["objective_value"] - certified["dual_bound"]
@@ -450,6 +463,14 @@ class TestComplete:
     def test_requires_csv(self):
         assert main(["complete", "--objective", "pool"]) == 3
 
+    def test_missing_frac_hiding_a_row_exits_3(self, tmp_path, masked_csv, capsys):
+        # round(0.95 * 5) hides all five features of a row
+        out = tmp_path / "out"
+        argv = ["complete", "--csv", masked_csv, "--domain-col", "site", "--objective", "pool"]
+        assert main([*argv, "--missing-frac", "0.95", "--out", str(out)]) == 3
+        assert "InvalidConfig" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method(self, masked_csv):
         assert main(["complete", "--csv", masked_csv, "--objective", "sep"]) == 3
 
@@ -463,8 +484,17 @@ class TestComplete:
         ["simulate", "avg-vs-wc", "--alpha", "2", "--beta", "1", "--replicates", "1"],
         ["complete", "--objective", "pool", "--missing-frac", "1.0"],
         ["complete", "--objective", "pool", "--missing-frac", "-0.5"],
+        ["simulate", "mc-masked", "--p", "10", "--k", "2", "--n", "30", "--missing-frac", "0.97", "--replicates", "1"],
     ],
-    ids=["n-0", "domains-0", "p-1", "alpha-above-beta", "missing-frac-1", "missing-frac-negative"],
+    ids=[
+        "n-0",
+        "domains-0",
+        "p-1",
+        "alpha-above-beta",
+        "missing-frac-1",
+        "missing-frac-negative",
+        "missing-frac-hides-row",
+    ],
 )
 def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys):
     # the complete cases name a CSV that does not exist: the setting is

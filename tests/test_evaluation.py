@@ -22,6 +22,7 @@ from wcpca import (
     mc_domain_losses,
     mc_metrics,
     sample_hull_members,
+    solvers,
     worst_case,
 )
 
@@ -162,7 +163,10 @@ class TestConsistencyCurve:
         # problem, up to solver tolerance
         assert abs(table[1]["median"]) <= 1e-4
 
-    def test_solver_config_is_used(self):
+    def test_solver_config_is_used(self, monkeypatch):
+        # the config drives the Adam fallback; with no Newton step the dual
+        # stops at uniform weights, uncertified, so every solve falls back
+        monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
         gen = GenConfig(p=8, n_domains=3, shared_rank=2, specific_rank=2, seed=51)
         default = consistency_curve(gen, LossKind.RCS, 2, [50], replicates=2)
         starved = consistency_curve(

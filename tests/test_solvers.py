@@ -111,10 +111,12 @@ class TestSolveWcpca:
         assert fit.objective == pytest.approx(1.1, abs=1e-5)
 
     @pytest.mark.parametrize("kind", list(LossKind))
-    def test_restarts_equal_lone_reference_runs(self, kind):
+    def test_restarts_equal_lone_reference_runs(self, kind, monkeypatch):
         rng = np.random.default_rng(5)
         collection = make_collection([random_covariance(rng, 6) for _ in range(3)])
         cfg = SolverConfig(max_iters=600, restarts=4, seed=12, tol_objective=3e-4)
+        # with no Newton step the dual stops at uniform weights, uncertified
+        monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
         fit = solve_wcpca(kind, collection, 2, cfg)
         single, _ = _worst_case_costs(kind, collection.covariances, 2)
         sign = -1.0 if kind in MIN_KINDS else 1.0
@@ -128,8 +130,9 @@ class TestSolveWcpca:
             assert restart.iterations == iters
             assert restart.stop == ("plateau" if iters < 600 else "budget")
         best = min(range(4), key=lambda r: refs[r][1])
-        # 4.5 p > R E k here, so no dual runs and Adam alone decides the fit
-        assert fit.dual_bound is None
+        # the dual's bound rides along, but Adam alone decides the fit
+        assert fit.gap > solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
+        assert fit.gap == sign * (fit.objective - fit.dual_bound)
         assert fit.restart_index == best
         assert np.array_equal(fit.frame, refs[best][0])
         assert fit.iterations_used == refs[best][2]
@@ -196,7 +199,7 @@ class TestMixtureDual:
         fit = solve_wcpca(LossKind.NORM_RCS, coll, 3)
         assert fit.restarts == ()
         assert fit.restart_index == 0
-        assert 1 <= fit.iterations_used <= solvers._DUAL_STEPS
+        assert 1 <= fit.iterations_used <= solvers._NEWTON_STEPS
         assert fit.gap <= solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
         assert fit.objective == worst_case(LossKind.NORM_RCS, fit.frame, coll)
         np.testing.assert_allclose(fit.frame.T @ fit.frame, np.eye(3), atol=1e-12)
@@ -213,12 +216,50 @@ class TestMixtureDual:
             if fit.restarts == ()
         ]
         assert len(certified) >= 10
-        # an infinite eigh cost sends every solve down the Adam path
-        monkeypatch.setattr(solvers, "_DUAL_EIGH_COST", np.inf)
+        # when no gap certifies, every solve goes down the Adam path
+        monkeypatch.setattr(solvers, "_certifies", lambda gap, objective: False)
         for coll, kind, k, fit in certified:
             adam = solve_wcpca(kind, coll, k)
-            assert adam.dual_bound is None
+            assert len(adam.restarts) == 5
             assert _sign(kind) * (fit.objective - adam.objective) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [LossKind.VAR, LossKind.NORM_REG])
+    def test_hessian_matches_finite_differences(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        p, k, count = 7, 3, 4
+        coll = make_collection([random_covariance(rng, p, 0.7) for _ in range(count)])
+        eigsums = coll.top_k_eigensums(k)
+        w = rng.dirichlet(np.ones(count))
+        point = solvers._dual_point(kind, coll, k, eigsums, w)
+        lam = point.spectrum.eigenvalues
+        assert lam[k - 1] - lam[k] > 1e-2 * lam[0]
+        hess = solvers._eigensum_hessian(point.spectrum, point.products, k)
+        step = 1e-4
+        basis = step * np.eye(count)
+        central = np.empty((count, count))
+        for a in range(count):
+            for b in range(count):
+                corners = [
+                    solvers._dual_point(kind, coll, k, eigsums, w + sa * basis[a] + sb * basis[b]).value
+                    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                ]
+                central[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * step**2)
+        # h is s_k's negative plus a linear term, so its Hessian is -hess
+        np.testing.assert_allclose(-central, hess, rtol=1e-5, atol=1e-7 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_certifies_wide_fit(self, kind):
+        # at p = 40 an eigendecomposition costs more than an Adam iteration,
+        # and the dual still runs first
+        rng = np.random.default_rng(0)
+        coll = make_collection([random_covariance(rng, 40, 0.9) for _ in range(4)])
+        fit = solve_wcpca(kind, coll, 3)
+        assert fit.restarts == ()
+        assert fit.dual_bound is not None
+        assert fit.gap == _sign(kind) * (fit.objective - fit.dual_bound)
+        assert fit.gap <= solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
+        np.testing.assert_allclose(fit.frame.T @ fit.frame, np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_domain_permutation_changes_nothing(self, kind):

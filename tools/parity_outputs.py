@@ -15,10 +15,9 @@ a small ``--n`` or ``--missing-frac`` on some), a ``save_covariances`` directory
 ``complete --predict`` for both objectives (once more with a training
 column that no row observes, and once with a training column observed in
 fewer than k rows and held-out rows observing fewer than k cells, so every
-least-squares fallback runs), 240
-library solves over the six loss kinds (each line in ``solves.txt`` carries
-the solve's dual ``gap``, ``None`` where no dual ran, so certified solves
-show, and the frame's values), ``sequential_minpca`` on 6 instances,
+least-squares fallback runs), 240 library solves over the six loss kinds
+(each line in ``solves.txt`` carries the solve's dual ``gap``, so certified
+solves show, and the frame's values), ``sequential_minpca`` on 6 instances,
 ``fit_max_mc`` and ``fit_pool_mc`` fits on four datasets (one with a
 never-observed column), and the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
