@@ -72,7 +72,10 @@ def cmd_fit(args) -> int:
         raise InvalidConfig(f"--objective must be one of {known}, got {objective!r}")
 
     if args.csv is not None:
-        collection = preprocess(load_csv(args.csv, args.domain_col)).collection
+        domain_col = "domain" if args.domain_col is None else args.domain_col
+        collection = preprocess(load_csv(args.csv, domain_col)).collection
+    elif args.domain_col is not None:
+        raise InvalidConfig("--domain-col applies to --csv only, not --from-cov")
     else:
         collection, _ = load_covariances(args.from_cov)
 
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a shared frame on multi-domain data")
     fit.add_argument("--csv", help="long CSV with a domain label column")
     fit.add_argument("--from-cov", dest="from_cov", help="covariance manifest file or directory")
-    fit.add_argument("--domain-col", default="domain")
+    fit.add_argument("--domain-col", help="label column for --csv (default: domain)")
     fit.add_argument("--k", type=int, help="number of components")
     fit.add_argument(
         "--objective",

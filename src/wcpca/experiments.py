@@ -48,7 +48,7 @@ from .datagen import (
     second_moment_collection,
 )
 from .errors import InvalidConfig, InvalidInput
-from .evaluation import hull_supremum, mc_domain_losses, mc_metrics, relative_deltas
+from .evaluation import _loss_deltas, hull_supremum, mc_domain_losses, relative_deltas
 from .losses import LossKind, loss
 from .rng import make_rng, spawn_seed
 from .solvers import SolverConfig, pool_pca, solve_wcpca
@@ -262,11 +262,11 @@ def _mc_rows(cfg: ExperimentConfig, rep_seed: int, masked_sources: bool) -> list
     test = MaskedDataset(tuple(test_domains))
     pool_model = fit_pool_mc(train, k)
     max_model = fit_max_mc(train, k)
-    d_avg, d_wc = mc_metrics(max_model, pool_model, test)
-    condition = "masked" if masked_sources else "observed"
-    rows = []
     pool_losses = mc_domain_losses(pool_model, test)
     max_losses = mc_domain_losses(max_model, test)
+    d_avg, d_wc = _loss_deltas(max_losses, pool_losses)
+    condition = "masked" if masked_sources else "observed"
+    rows = []
     for e, d in enumerate(test):
         rows.append((condition, "pool-mc", f"test-mse-{d.id}", pool_losses[e]))
         rows.append((condition, "max-mc", f"test-mse-{d.id}", max_losses[e]))

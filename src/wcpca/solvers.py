@@ -115,8 +115,7 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 # Domains within this absolute gap of the worst-case value count as active.
 _ACTIVE_TOL = 1e-6
-# Reduced covariances whose trace falls below this get a diagonal jitter so
-# they remain valid DomainSpec inputs (trace must be positive).
+# A reduced covariance with trace at most this gets this much diagonal jitter.
 _TRACE_JITTER = 1e-15
 # A fit is certified when its gap is at most this times max(1, |objective|).
 _DUAL_GAP_RTOL = 1e-9
@@ -545,40 +544,43 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     return result(frames[best], int(iters[best]), best, restarts, bound)
 
 
-def _jitter_if_flat(m: np.ndarray) -> np.ndarray:
-    # A domain fully explained by the directions chosen so far reduces to a
-    # zero matrix, which DomainSpec rejects; nudge it back to positive trace.
-    if float(np.trace(m)) <= _TRACE_JITTER:
-        return m + _TRACE_JITTER * np.eye(m.shape[0])
-    return m
+def _reduced_matrices(kind, domains, basis) -> list[np.ndarray]:
+    """Each domain's covariance in the coordinates of ``basis``, symmetrized.
 
-
-def _reduced_collection(domains, basis, scale_by_trace: bool) -> DomainCollection:
-    """Project each domain covariance into the coordinates of ``basis``.
-
-    With ``scale_by_trace`` the reduced matrices are divided by the original
-    full-space traces, so a plain Var solve on the result optimizes the
-    NormVar objective of the original problem (the denominator must stay
-    Tr(Sigma_e), not the trace of the reduced block).
+    For NormVar each is divided by its full-space trace Tr(Sigma_e), not the
+    reduced one, so a Var solve on them optimizes the original NormVar
+    objective. A domain with no variance in the basis, which DomainSpec would
+    reject for its zero trace, gets a diagonal jitter.
     """
-    specs = []
+    out = []
     for d in domains:
         m = basis.T @ (d.covariance @ basis)
         m = (m + m.T) / 2.0
-        if scale_by_trace:
+        if kind is LossKind.NORM_VAR:
             m = m / d.trace
-        specs.append(DomainSpec(id=d.id, covariance=_jitter_if_flat(m), weight=d.weight, n=d.n))
-    return DomainCollection(tuple(specs))
+        if float(np.trace(m)) <= _TRACE_JITTER:
+            m = m + _TRACE_JITTER * np.eye(m.shape[0])
+        out.append(m)
+    return out
+
+
+def _rank1_var(domains, matrices, cfg: SolverConfig, seed: int) -> np.ndarray:
+    """The rank-1 Var solve on ``matrices``, one per domain of ``domains`` (keeping
+    its id, weight and n), with ``cfg`` reseeded to ``seed``; returns the direction."""
+    specs = [DomainSpec(id=d.id, covariance=m, weight=d.weight, n=d.n) for d, m in zip(domains, matrices)]
+    return solve_wcpca(LossKind.VAR, specs, 1, replace(cfg, seed=seed)).frame[:, 0]
 
 
 def sequential_minpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> list[np.ndarray]:
     """Greedy variant: pick rank-1 worst-case directions one at a time.
 
     Direction j is the rank-1 solution of the worst-case problem restricted
-    to the orthogonal complement of the directions chosen so far. Only the
-    Var and NormVar objectives are defined for this scheme. Returns the
-    ordered unit vectors; their joint worst-case value can be strictly worse
-    than the rank-k solve, which is the point of having both.
+    to the orthogonal complement of the directions chosen so far: a Var solve
+    by :func:`_rank1_var` on the covariances :func:`_reduced_matrices` gives
+    in a basis of that complement (the identity for the first direction).
+    Only the Var and NormVar objectives are defined for this scheme. Returns
+    the ordered unit vectors; their joint worst-case value can be strictly
+    worse than the rank-k solve, which is the point of having both.
     """
     kind = as_kind(kind)
     if kind not in MIN_KINDS:
@@ -589,18 +591,16 @@ def sequential_minpca(kind, domains, k: int, cfg: SolverConfig | None = None) ->
     if not 1 <= k <= p:
         raise InvalidRank(f"k must be in 1..{p}, got {k}")
     comp_rng = make_rng(spawn_seed(cfg.seed, 0))
-    directions: list[np.ndarray] = []
-    for j in range(k):
-        if j == 0:
-            basis = np.eye(p)
-        else:
-            chosen = np.column_stack(directions)
-            basis = orthocomplement_frame(chosen, p - j, comp_rng)
-        reduced = _reduced_collection(domains, basis, kind is LossKind.NORM_VAR)
-        inner_cfg = replace(cfg, seed=spawn_seed(cfg.seed, j + 1))
-        res = solve_wcpca(LossKind.VAR, reduced, 1, inner_cfg)
-        u = basis @ res.frame[:, 0]
-        directions.append(u / np.linalg.norm(u))
+
+    def direction(basis, j):
+        a = _rank1_var(domains, _reduced_matrices(kind, domains, basis), cfg, spawn_seed(cfg.seed, j + 1))
+        u = basis @ a
+        return u / np.linalg.norm(u)
+
+    directions = [direction(np.eye(p), 0)]
+    for j in range(1, k):
+        basis = orthocomplement_frame(np.column_stack(directions), p - j, comp_rng)
+        directions.append(direction(basis, j))
     return directions
 
 
@@ -611,9 +611,9 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     direction whose removal maximizes the worst-case explained variance of
     what remains. On the unit sphere the removal objective
     ``min_e (Tr(M_e) - a.T M_e a)`` equals ``min_e a.T (Tr(M_e) I - M_e) a``,
-    so each removal is a rank-1 Var solve on the PSD matrices
-    ``Tr(M_e) I - M_e``, with ``M_e`` from :func:`_reduced_collection`, and
-    reuses :func:`solve_wcpca`. The last direction
+    so each removal is a rank-1 Var solve by :func:`_rank1_var` on the PSD
+    matrices ``Tr(M_e) I - M_e``, with ``M_e`` from
+    :func:`_reduced_matrices` in the current basis. The last direction
     standing is the best single direction in the span and comes first; the
     direction removed first needed the least and comes last. The output spans
     the same subspace as the input.
@@ -626,19 +626,11 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     b = as_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match domain dimension {domains.p}")
-    k = b.shape[1]
-    if k == 1:
-        return b.copy()
     comp_rng = make_rng(spawn_seed(cfg.seed, 0))
     removed: list[np.ndarray] = []
-    b = b.copy()
-    for j in range(k, 1, -1):
-        reduced = _reduced_collection(domains, b, kind is LossKind.NORM_VAR)
-        removal = [replace(d, covariance=d.trace * np.eye(j) - d.covariance) for d in reduced]
-        inner_cfg = replace(cfg, seed=spawn_seed(cfg.seed, j))
-        res = solve_wcpca(LossKind.VAR, removal, 1, inner_cfg)
-        a = res.frame[:, 0]
+    for j in range(b.shape[1], 1, -1):
+        removal = [np.trace(m) * np.eye(j) - m for m in _reduced_matrices(kind, domains, b)]
+        a = _rank1_var(domains, removal, cfg, spawn_seed(cfg.seed, j))
         removed.append(b @ a)
         b = b @ orthocomplement_frame(a, j - 1, comp_rng)
-    columns = [b[:, 0]] + removed[::-1]
-    return np.column_stack(columns)
+    return np.column_stack([b[:, 0]] + removed[::-1])

@@ -199,6 +199,15 @@ class TestFit:
     def test_neither_source_rejected(self):
         assert main(["fit", "--k", "1", "--objective", "pool"]) == 3
 
+    def test_domain_col_with_from_cov_rejected(self, tmp_path, cov_dir, capsys):
+        # --domain-col names a --csv column; with a manifest it exits 3
+        # before the manifest is read, whether or not one exists
+        for manifest in (cov_dir, str(tmp_path / "missing")):
+            argv = ["fit", "--from-cov", manifest, "--domain-col", "no-such-col", "--k", "1"]
+            assert main([*argv, "--objective", "max-rcs", "--out", str(tmp_path / "fit")]) == 3
+            assert "InvalidConfig" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_missing_k(self, cov_dir):
         assert main(["fit", "--from-cov", cov_dir, "--objective", "pool"]) == 3
 

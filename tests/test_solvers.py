@@ -472,3 +472,25 @@ class TestOrderBasis:
         a = order_basis(LossKind.VAR, fit.frame, quarter_triple, SolverConfig(seed=7))
         b = order_basis(LossKind.VAR, fit.frame, quarter_triple, SolverConfig(seed=7))
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", [LossKind.VAR, LossKind.NORM_VAR])
+class TestVanishedDomain:
+    """The second domain has no variance in span(e3, e1, e4), so the greedy
+    routines reduce it to a zero matrix there and must jitter it."""
+
+    @pytest.fixture
+    def domains(self):
+        return make_collection([np.diag([1.0, 0.0, 0.0, 0.5]), np.diag([0.0, 1.0, 0.0, 0.0])])
+
+    def test_order_basis(self, domains, kind):
+        frame = np.eye(4)[:, [2, 0, 3]]
+        ordered = order_basis(kind, frame, domains)
+        np.testing.assert_allclose(ordered.T @ ordered, np.eye(3), atol=1e-10)
+        assert projection_distance(ordered, frame) <= 1e-10
+        np.testing.assert_array_equal(order_basis(kind, frame, domains), ordered)
+
+    def test_sequential_full_rank(self, domains, kind):
+        v = np.column_stack(sequential_minpca(kind, domains, 4))
+        np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-10)
+        np.testing.assert_array_equal(np.column_stack(sequential_minpca(kind, domains, 4)), v)

@@ -17,7 +17,10 @@ column that no row observes, and once with a training column observed in
 fewer than k rows and held-out rows observing fewer than k cells, so every
 least-squares fallback runs), 240 library solves over the six loss kinds
 (each line in ``solves.txt`` carries the solve's dual ``gap``, so certified
-solves show, and the frame's values), ``sequential_minpca`` on 6 instances,
+solves show, and the frame's values), ``sequential_minpca`` on 6 random
+instances, ``order_basis`` on random frames of every rank from 1 to
+min(4, p) on the same instances (both routines also on one instance where a
+domain has no variance in the working basis, so its reduction is jittered),
 ``fit_max_mc`` and ``fit_pool_mc`` fits on four datasets (one with a
 never-observed column), and the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
@@ -51,6 +54,7 @@ from wcpca import (
     fit_max_mc,
     fit_pool_mc,
     make_collection,
+    order_basis,
     pool_pca,
     relative_deltas,
     sample_hull_members,
@@ -161,18 +165,50 @@ def _mc_fits(out):
             fh.write("\n".join(text) + "\n")
 
 
-def _sequential(out):
+def _greedy_instances():
+    """(index, collection, k, cfg) for the random greedy-routine instances."""
     rng = np.random.default_rng(505)
-    lines = []
     for inst in range(6):
         p = int(rng.integers(3, 9))
         k = int(rng.integers(1, p + 1))
         coll = make_collection(_covariances(rng, int(rng.integers(1, 5)), p))
-        cfg = SolverConfig(max_iters=200, restarts=2, seed=inst)
+        yield inst, coll, k, SolverConfig(max_iters=200, restarts=2, seed=inst)
+
+
+def _vanished_instance():
+    """Domain 1 has no variance in span(e3, e1, e4): it reduces to zero there."""
+    coll = make_collection([np.diag([1.0, 0.0, 0.0, 0.5]), np.diag([0.0, 1.0, 0.0, 0.0])])
+    return coll, np.eye(4)[:, [2, 0, 3]]
+
+
+def _sequential(out):
+    lines = []
+    for inst, coll, k, cfg in _greedy_instances():
         for kind in (LossKind.VAR, LossKind.NORM_VAR):
             dirs = sequential_minpca(kind, coll, k, cfg)
             lines.append(f"{inst} {kind.value} {[d.tolist() for d in dirs]!r}")
+    coll, _ = _vanished_instance()
+    for kind in (LossKind.VAR, LossKind.NORM_VAR):
+        dirs = sequential_minpca(kind, coll, 4, SolverConfig(max_iters=200, restarts=2, seed=9))
+        lines.append(f"vanished {kind.value} {[d.tolist() for d in dirs]!r}")
     with open(os.path.join(out, "sequential.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _order_bases(out):
+    frame_rng = np.random.default_rng(606)
+    lines = []
+    for inst, coll, _, cfg in _greedy_instances():
+        for k in range(1, min(4, coll.p) + 1):
+            frame = np.linalg.qr(frame_rng.normal(size=(coll.p, k)))[0]
+            for kind in (LossKind.VAR, LossKind.NORM_VAR):
+                ordered = order_basis(kind, frame, coll, cfg)
+                lines.append(f"{inst} k={k} {kind.value} {ordered.ravel().tolist()!r}")
+    coll, frame = _vanished_instance()
+    for kind in (LossKind.VAR, LossKind.NORM_VAR):
+        ordered = order_basis(kind, frame, coll, SolverConfig(max_iters=200, restarts=2, seed=9))
+        lines.append(f"vanished {kind.value} {ordered.ravel().tolist()!r}")
+    with open(os.path.join(out, "order_basis.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -238,6 +274,7 @@ def main(out):
              "--k", 3, "--predict", short_rows, "--out", os.path.join(out, f"complete-sparse-{method}"))
     _solves(out)
     _sequential(out)
+    _order_bases(out)
     _mc_fits(out)
     _evaluation(out)
 
