@@ -7,15 +7,14 @@ factor ``R`` constrained to orthonormal columns:
 * :func:`fit_pool_mc` minimizes the pooled squared error over all observed
   entries; the R-update is an exact per-column least squares.
 * :func:`fit_max_mc` minimizes the maximum across domains of the per-domain
-  mean squared error on observed entries; the R-update runs the worst-case
-  PCA driver ``solvers.stiefel_adam`` (annealed Adam step through the active
-  domain, then retraction to orthonormal columns) on per-column sufficient
-  statistics, so one inner iteration costs O(E p k^2) instead of O(n p k).
+  mean squared error on observed entries; the R-update solves that minimax
+  in R through its dual over simplex weights on the domains, a weighted
+  per-column least squares for fixed weights, by worst-case PCA's Newton
+  loop (``solvers._simplex_newton``), whose gap certifies the step.
 
 Both run one alternation loop (R-update, then the exact per-row L-update,
 from a rank-k SVD start) whose budgets are module constants, not options: at
-most 100 rounds, a stop once a round gains less than 1e-4, and 500
-Stiefel-Adam iterations with plateau tolerance 1e-6 per maxMC R-update.
+most 100 rounds, and a stop once a round gains less than 1e-4.
 A column that no domain observes says nothing about ``R``: the loop drops
 it before the SVD start and gives it an exact-zero row of the returned
 right factor, so ``k`` may not exceed the number of observed columns.
@@ -28,7 +27,7 @@ solved in one batch, and only rows whose Gram matrix is ill-conditioned fall
 back to the exact minimum-norm ``lstsq``. The pooled R-update is the same
 call on the transposed domains, one block per domain.
 
-After the pooled R-update the raw solution is replaced by its polar factor;
+After either R-update the raw solution is replaced by its polar factor;
 the L-update that follows refits every ``L_e`` to it. New rows are
 reconstructed with :func:`inductive_ols`, and the incoherence machinery
 (:func:`incoherence`, :func:`missingness_budget`,
@@ -38,13 +37,14 @@ factor tolerates.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidRank, NoObservations
 from .linalg import stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps this name
-from .solvers import stiefel_adam
+from .solvers import _ROUNDING, _simplex_newton
 
 __all__ = [
     "MaskedDomain",
@@ -68,9 +68,6 @@ _GRAM_RCOND = 1e-6
 # counts as progress.
 _MAX_ROUNDS = 100
 _ROUND_TOL = 1e-4
-# Stiefel-Adam budget and plateau tolerance of one maxMC R-update.
-_INNER_ITERS = 500
-_INNER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -301,21 +298,15 @@ def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
     return total / sum(d.n for d in data)
 
 
-def _pool_r_update(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
+def _pool_r_update(data: MaskedDataset, ls) -> np.ndarray:
     """Exact per-column OLS over every domain's observed entries.
 
     Column j of the data is row j of each transposed domain, so the update
     is one :func:`_solve_masked` call with one ``(X_e.T, M_e.T, L_e)`` block
     per domain; a column with no observed entry has an all-zero Gram, whose
-    minimum-norm solution is a zero row. ``r`` is not read.
+    minimum-norm solution is a zero row.
     """
     return _solve_masked([(d.x.T, d.mask.T, l) for d, l in zip(data, ls)])
-
-
-def _pool_r_step(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
-    """The pooled R-update orthonormalized: the polar factor U W.T of R = U S W.T."""
-    u, _, wt = np.linalg.svd(_pool_r_update(data, ls, r), full_matrices=False)
-    return u @ wt
 
 
 def _alternate(data, k: int, r_update, objective) -> CompletionModel:
@@ -324,11 +315,11 @@ def _alternate(data, k: int, r_update, objective) -> CompletionModel:
     Columns that no domain observes are dropped before the fit and get
     exact-zero rows in the returned right factor; everything else runs on
     the observed columns, so ``k`` may not exceed their number.
-    ``r_update(data, ls, r)`` returns the new orthonormal R, to which the
-    L-update then refits every ``L_e``; ``objective(data, ls, r)`` is the
-    scalar being minimized. Stops after ``_MAX_ROUNDS`` rounds or when a
-    round improves the objective by less than ``_ROUND_TOL``; the trace of
-    objective values (initialization first) is kept on the model.
+    The polar factor U W.T of ``r_update(data, ls)`` = U S W.T is the new R,
+    to which the L-update then refits every ``L_e``; ``objective(data, ls,
+    r)`` is the scalar being minimized. Stops after ``_MAX_ROUNDS`` rounds
+    or when a round improves the objective by less than ``_ROUND_TOL``; the
+    trace of objective values (initialization first) is kept on the model.
     """
     data = _ensure_dataset(data)
     seen = np.logical_or.reduce([d.mask.any(axis=0) for d in data])
@@ -339,7 +330,8 @@ def _alternate(data, k: int, r_update, objective) -> CompletionModel:
     ls, r = _init_factors(data, k)
     trace = [objective(data, ls, r)]
     for _ in range(_MAX_ROUNDS):
-        r = r_update(data, ls, r)
+        u, _, wt = np.linalg.svd(r_update(data, ls), full_matrices=False)
+        r = u @ wt
         ls = _l_update(data, r)
         trace.append(objective(data, ls, r))
         if trace[-2] - trace[-1] < _ROUND_TOL:
@@ -357,52 +349,51 @@ def fit_pool_mc(data, k: int) -> CompletionModel:
     the R-update is the exact per-column least squares, re-orthonormalized
     through its polar factor.
     """
-    return _alternate(data, k, _pool_r_step, _pooled_objective)
+    return _alternate(data, k, _pool_r_update, _pooled_objective)
 
 
-def _max_r_cost(data: MaskedDataset, ls):
-    """Worst-case cost and active gradient in R, for fixed left factors.
+# The maxMC R-step's dual at one weight vector (see _max_r_dual).
+_RPoint = namedtuple("_RPoint", "value rounding grad objective candidate pinv slopes")
 
-    Returns ``cost_and_grad(r)`` for an ``(n, p, k)`` batch of factors,
-    computing every domain's objective from per-column sufficient
-    statistics, precomputed once: the normal equations of the transposed
-    domain, ``H_j = sum_i m_ij l_i l_i.T`` and ``B = (M * X).T L``, give the
-    masked error ``||M * X||^2 - 2 <B, R> + sum_j r_j.T H_j r_j``, so one
-    member costs O(E p k^2) rather than rebuilding each ``L_e R.T``. The
-    active domain's gradient is ``2 (H_a r - B_a) / n_a``. The H blocks are
-    stacked per column, ``(p, E k, k)``, so every ``H_ej r_j`` comes from p
-    small products rather than E p.
+
+def _max_r_dual(data: MaskedDataset, ls):
+    """``(evaluate, hessian)`` of the dual of ``min_R max_e f_e(R)``, L fixed.
+
+    ``f_e(R) = (||M_e * X_e||^2 - 2 <B_e, R> + sum_j r_j.T H_ej r_j) / n_e``
+    with ``H_ej``, ``b_ej`` the normal equations of the transposed domain.
+    At weights w, with ``u = w / n`` and ``A_j = sum_e u_e H_ej``, the
+    candidate ``R(w)`` has rows ``pinv(A_j) sum_e u_e b_ej``, the minimum-norm
+    minimizer of ``h(w) = sum_e w_e f_e(R)``; the gradient of h is
+    ``f_e(R(w))`` and the Hessian of -h is ``2 sum_j G_j pinv(A_j) G_j.T``,
+    with G_j stacking ``(H_ej r_j - b_ej) / n_e``. A weight below
+    ``_ROUNDING`` counts as ``_ROUNDING``, so a column that only domains at
+    zero weight observe takes their fit, the limit from positive weights.
     """
     stats = [_normal_equations(d.x.T, d.mask.T, l) for d, l in zip(data, ls)]
-    h = np.concatenate([s[0] for s in stats], axis=1)
-    b = np.stack([s[1] for s in stats])
+    grams = np.stack([s[0] for s in stats])
+    rhs = np.stack([s[1] for s in stats])
     xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])
     n = np.array([float(d.n) for d in data])
-    count, k = len(n), b.shape[-1]
 
-    def cost_and_grad(r):
-        rows = r[:, None]
-        hr = (h @ r[..., None]).reshape(r.shape[0], r.shape[1], count, k)
-        hr = np.ascontiguousarray(hr.swapaxes(1, 2))
-        vals = (xx + np.sum((hr - 2.0 * b) * rows, axis=(-2, -1))) / n
-        a = vals.argmax(axis=-1)
-        members = np.arange(len(a))
-        return vals[members, a], (2.0 / n[a])[:, None, None] * (hr[members, a] - b[a])
+    def evaluate(w):
+        u = np.maximum(w, _ROUNDING) / n
+        pinv = np.linalg.pinv(np.tensordot(u, grams, 1), rcond=_LSTSQ_RCOND, hermitian=True)
+        r = (pinv @ np.tensordot(u, rhs, 1)[..., None])[..., 0]
+        hr = (grams @ r[None, ..., None])[..., 0]
+        values = (xx + np.sum((hr - 2.0 * rhs) * r, axis=(1, 2))) / n
+        slopes = (hr - rhs) / n[:, None, None]
+        rounding = _ROUNDING * float(u @ xx)
+        return _RPoint(float(w @ values), rounding, values, float(values.max()), r, pinv, slopes)
 
-    return cost_and_grad
+    def hessian(point):
+        return 2.0 * np.einsum("ejk,jkl,fjl->ef", point.slopes, point.pinv, point.slopes)
+
+    return evaluate, hessian
 
 
-def _max_r_update(data: MaskedDataset, ls, r0: np.ndarray) -> np.ndarray:
-    """Minimize max_e (1/n_e)||(X_e - L_e R.T) * mask_e||^2 over orthonormal R.
-
-    Runs :func:`stiefel_adam` (``_INNER_ITERS`` iterations, plateau tolerance
-    ``_INNER_TOL``) from the incoming R, as a batch of one, with the active
-    domain's gradient (see :func:`_max_r_cost`); the best iterate seen
-    (possibly R itself) is returned, so the outer objective cannot increase
-    beyond rounding.
-    """
-    r, _, _, _ = stiefel_adam(r0[None], _max_r_cost(data, ls), _INNER_ITERS, _INNER_TOL)
-    return r[0]
+def _max_r_update(data: MaskedDataset, ls) -> np.ndarray:
+    """The best R(w) of worst-case PCA's Newton loop on :func:`_max_r_dual`."""
+    return _simplex_newton(*_max_r_dual(data, ls), len(data))[0]
 
 
 def _worst_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
@@ -414,8 +405,7 @@ def fit_max_mc(data, k: int) -> CompletionModel:
 
     The objective is ``max_e (1/n_e) ||(X_e - L_e R.T) * mask_e||_F^2``. The
     L-update is the exact per-row OLS (it can only shrink every domain's
-    error); the R-update is one :func:`stiefel_adam` run (see
-    :func:`_max_r_update`).
+    error); the R-update is the exact minimax in R (see :func:`_max_r_update`).
     """
     return _alternate(data, k, _max_r_update, _worst_objective)
 

@@ -71,9 +71,9 @@ class ExperimentConfig:
     and ``beta`` must be given together (a single value would make the grid
     experiments ambiguous). ``n``, ``missing_frac`` and ``paper_scale`` may
     only be given to a study that reads them. The data-generator settings
-    are checked by building the study's ``GenConfig`` once, and the
-    completion studies' missing fraction against their p
-    (:func:`datagen.hidden_per_row`), before any draw.
+    are checked by building the study's ``GenConfig`` once, the completion
+    studies' missing fraction (:func:`datagen.hidden_per_row`) and every
+    rank the study fits against the resolved p, before any draw.
     """
 
     name: str
@@ -103,15 +103,23 @@ class ExperimentConfig:
         if self.n is not None and self.n < 1:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
         try:
-            _gen(self, self.seed)
+            p = _gen(self, self.seed).p
             if "missing_frac" in _STUDIES[self.name].reads:
                 p, _, _, missing_frac = _mc_settings(self)
                 hidden_per_row(p, missing_frac)
         except InvalidInput as exc:
             raise InvalidConfig(str(exc)) from exc
+        for k in _ranks(self):
+            if not 1 <= k <= p:
+                raise InvalidConfig(f"k must be in 1..{p}, got {k}")
 
     def resolved_replicates(self) -> int:
         return self.replicates if self.replicates is not None else _STUDIES[self.name].replicates
+
+
+def _ranks(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """The ranks a study fits: ``k`` if given, else the study's defaults."""
+    return (cfg.k,) if cfg.k is not None else _STUDIES[cfg.name].ranks
 
 
 def _component_ranks(p: int) -> tuple[int, int]:
@@ -139,7 +147,7 @@ def _gen(cfg: ExperimentConfig, seed: int, **overrides) -> GenConfig:
 
 
 def _hull_bound_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
-    k = cfg.k if cfg.k is not None else 5
+    (k,) = _ranks(cfg)
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0)))
     pool = pool_pca(sources, k)
     wc = solve_wcpca(LossKind.RCS, sources, k, SolverConfig(seed=spawn_seed(rep_seed, 1)))
@@ -156,7 +164,7 @@ def _hull_bound_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
 
 
 def _avg_vs_wc_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
-    k = cfg.k if cfg.k is not None else 5
+    (k,) = _ranks(cfg)
     pairs = [(cfg.alpha, cfg.beta)] if cfg.alpha is not None else list(_ALPHA_BETA_GRID)
     rows = []
     for pi, (alpha, beta) in enumerate(pairs):
@@ -175,7 +183,7 @@ def _avg_vs_wc_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
 
 
 def _finite_sample_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
-    k = cfg.k if cfg.k is not None else 5
+    (k,) = _ranks(cfg)
     n_grid = [cfg.n] if cfg.n is not None else list(_N_GRID)
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0)))
     pop_wc = solve_wcpca(LossKind.RCS, sources, k, SolverConfig(seed=spawn_seed(rep_seed, 1)))
@@ -198,7 +206,6 @@ def _finite_sample_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
 
 def _het_noise_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
     n = cfg.n if cfg.n is not None else 2000
-    ranks = [cfg.k] if cfg.k is not None else [10, 5]
     sources = sample_source_covariances(_gen(cfg, spawn_seed(rep_seed, 0), per_domain_gammas=True))
     sigma_rng = make_rng(spawn_seed(rep_seed, 1))
     noise_levels = sigma_rng.uniform(0.0, 0.1, len(sources))
@@ -220,7 +227,7 @@ def _het_noise_rows(cfg: ExperimentConfig, rep_seed: int) -> list[tuple]:
         sources, (sample_gaussian_rows(d.covariance, n, test_rng) for d in sources)
     )
     rows = []
-    for rank in ranks:
+    for rank in _ranks(cfg):
         wc_rcs = solve_wcpca(
             LossKind.RCS, noisy_coll, rank, SolverConfig(seed=spawn_seed(rep_seed, 10 + rank))
         )
@@ -237,7 +244,7 @@ def _mc_settings(cfg: ExperimentConfig) -> tuple[int, int, int, float]:
     """The completion studies' p, n, k and missing fraction, defaults filled in."""
     p = cfg.p if cfg.p is not None else (500 if cfg.paper_scale else 60)
     n = cfg.n if cfg.n is not None else (1000 if cfg.paper_scale else 200)
-    k = cfg.k if cfg.k is not None else 5
+    (k,) = _ranks(cfg)
     missing_frac = cfg.missing_frac if cfg.missing_frac is not None else _MISSING_FRAC
     return p, n, k, missing_frac
 
@@ -280,13 +287,14 @@ class _Study(NamedTuple):
     rows: Callable[[ExperimentConfig, int], list[tuple]]
     replicates: int  # default replicate count
     reads: tuple[str, ...] = ()  # the _OPTIONAL_SETTINGS this study reads
+    ranks: tuple[int, ...] = (5,)  # the ranks fitted when k is not given
 
 
 _STUDIES = {
     "hull-bound": _Study(_hull_bound_rows, 1),
     "avg-vs-wc": _Study(_avg_vs_wc_rows, 25),
     "finite-sample": _Study(_finite_sample_rows, 25, ("n",)),
-    "het-noise": _Study(_het_noise_rows, 25, ("n",)),
+    "het-noise": _Study(_het_noise_rows, 25, ("n",), (10, 5)),
     "mc-observed": _Study(partial(_mc_rows, masked_sources=False), 1, _OPTIONAL_SETTINGS),
     "mc-masked": _Study(partial(_mc_rows, masked_sources=True), 1, _OPTIONAL_SETTINGS),
 }

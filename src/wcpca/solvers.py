@@ -21,11 +21,12 @@ loss at the top-k frame of Sigma_w is a supergradient (Overton & Womersley,
 the dual is twice differentiable, with a Hessian taken from the same
 eigendecomposition (Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995),
 so :func:`_mixture_dual` ascends it by damped Newton steps, each a QP over
-the E simplex weights; once the best of the top-k frames it meets is within
-1e-9 (relative) of the best bound, that frame is optimal and the gap
-certifies it. The relaxation need not be tight: its optimum can have rank
-k+1 (Tantipongpipat et al., NeurIPS 2019), with lambda_k = lambda_{k+1} at
-the optimal weights, and then the gap stays open.
+the E simplex weights (:func:`_simplex_newton`, shared with completion's
+maxMC R-step); once the best top-k frame it meets is within 1e-9 (relative)
+of the best bound, that frame is optimal and the gap certifies it. The
+relaxation need not be tight: its optimum can have rank k+1 (Tantipongpipat
+et al., NeurIPS 2019), with lambda_k = lambda_{k+1} at the optimal weights,
+and then the gap stays open.
 
 :func:`solve_wcpca` runs the dual first on every worst-case solve, at every
 p. An uncertified dual falls back to :func:`stiefel_adam`: at each iterate
@@ -38,8 +39,7 @@ the active domain's loss is +/- 2 Sigma_a V (divided by the trace for
 normalized kinds, and unchanged for the regret kinds whose baseline does not
 depend on V). The losses come from the single kernel
 ``losses.domain_losses``, whose products ``Sigma_e V`` double as the
-gradient. Worst-case matrix completion (``completion.fit_max_mc``) runs the
-same driver on its right factor, as a batch of one.
+gradient.
 
 The driver advances an ``(R, p, k)`` batch: :func:`solve_wcpca` runs all of
 its restarts in one loop, each with its own Adam moments and plateau stop,
@@ -237,21 +237,18 @@ def avgcov_pca(domains, k: int) -> FitResult:
 
 def stiefel_adam(v0, cost_and_grad, iters: int, tol: float):
     """Minimize a worst-case cost over frames with orthonormal columns, for a
-    batch of starting frames at once.
+    batch of starting frames at once; worst-case PCA's fallback.
 
     ``v0`` is an ``(R, p, k)`` batch of starts, and ``cost_and_grad(v)``
     maps an ``(r, p, k)`` batch to the costs ``(r,)`` and the Euclidean
-    gradients ``(r, p, k)`` of each member's active (worst) piece. Every
-    row of the frame moves: a caller whose data leave some coordinates
-    undetermined drops them before the call (completion drops its
-    never-observed columns). Each iteration keeps every gradient's tangent
-    part, takes an Adam step whose size anneals geometrically from 1e-2 to
-    1e-4 over ``iters``, and retracts the batch with one ``stiefel_project``
-    call. Each member keeps its own moments and stops once its best cost has
-    improved by less than ``tol`` over its last 50 iterations; it then
-    leaves the batch, so the loop runs as many iterations as the slowest
-    member. Every member's result is bitwise equal to a run of that member
-    alone.
+    gradients ``(r, p, k)`` of each member's active (worst) piece. Each
+    iteration keeps every gradient's tangent part, takes an Adam step whose
+    size anneals geometrically from 1e-2 to 1e-4 over ``iters``, and
+    retracts the batch with one ``stiefel_project`` call. Each member keeps
+    its own moments and stops once its best cost has improved by less than
+    ``tol`` over its last 50 iterations; it then leaves the batch, so the
+    loop runs as many iterations as the slowest member. Every member's
+    result is bitwise equal to a run of that member alone.
 
     Returns ``(frames, costs, iterations, plateaued)``, each indexed by
     member: the best frame (possibly the start itself), its cost, the
@@ -359,13 +356,59 @@ def _simplex_qp(hess: np.ndarray, lin: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _simplex_newton(evaluate, hessian, count: int):
+    """Maximize a concave dual h over ``count`` simplex weights by damped Newton.
+
+    ``evaluate(w)`` gives a point with ``value`` h(w) (a lower bound on the
+    primal optimum), its ``rounding``, the ``grad`` of h, a primal
+    ``candidate`` and its ``objective`` (lower is better); ``hessian(point)``
+    gives the Hessian of -h, or None where h is not smooth. From uniform
+    weights, each step solves the QP of h's second-order model plus a small
+    ridge on the simplex (:func:`_simplex_qp`) and backtracks until h gains
+    enough (Armijo). The search stops once the best candidate is certified
+    against the best bound (:func:`_certifies`), at a flat gradient (w is
+    then optimal: h is concave), where h is not smooth, when no step gains,
+    or after ``_NEWTON_STEPS`` steps. Returns ``(candidate, bound, steps)``.
+    """
+    w = np.full(count, 1.0 / count)
+    point = evaluate(w)
+    best, best_objective, bound, steps = point.candidate, point.objective, point.value, 0
+    while not _certifies(best_objective - bound, best_objective):
+        spread = float(np.ptp(point.grad))
+        if steps == _NEWTON_STEPS or spread == 0.0 or (hess := hessian(point)) is None:
+            break
+        hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(count)
+        move = _simplex_qp(hess, point.grad + hess @ w, w) - w
+        slope = float(point.grad @ move)
+        if not slope > -point.rounding or np.max(np.abs(move)) <= _ROUNDING:
+            break
+        for halving in range(_HALVINGS):
+            alpha = 0.5**halving
+            trial = np.maximum(w + alpha * move, 0.0)
+            trial /= trial.sum()
+            reached = evaluate(trial)
+            if reached.objective < best_objective:
+                best, best_objective = reached.candidate, reached.objective
+            bound = max(bound, reached.value)
+            # Near the optimum h changes below its rounding while the
+            # candidates still improve, so a step within the rounding is taken.
+            if reached.value >= point.value + _ARMIJO * alpha * slope - point.rounding:
+                break
+        else:
+            break
+        w, point = trial, reached
+        steps += 1
+    return best, bound, steps
+
+
 class _DualPoint(NamedTuple):
     """The mixture dual at one weight vector (see :func:`_dual_point`)."""
 
     value: float
     rounding: float
-    frame: np.ndarray
-    losses: np.ndarray
+    grad: np.ndarray
+    objective: float
+    candidate: np.ndarray
     products: np.ndarray
     spectrum: Spectrum
 
@@ -379,10 +422,10 @@ def _dual_point(kind: LossKind, domains: DomainCollection, k: int, eigsums, w) -
     for the other kinds ``b`` holds the traces (the top-k eigensums
     ``eigsums`` for the regret kinds), scaled like ``S_e``. One
     :func:`sym_eigen` of ``Sigma_w`` and one ``domain_losses`` call at its
-    top-k frame U give h, U, the domain losses at U (``sign`` times them is
-    the gradient of h) and the products ``S_e U`` that
-    :func:`_eigensum_hessian` needs. ``rounding`` is ``_ROUNDING`` times the
-    magnitudes h subtracts.
+    top-k frame U give h, the candidate U, ``sign`` times the domain losses
+    at U (the gradient of h) and ``sign`` times the worst of them (the
+    objective), and the products ``S_e U`` that :func:`_eigensum_hessian`
+    needs. ``rounding`` is ``_ROUNDING`` times the magnitudes h subtracts.
     """
     covs, traces = domains.covariances, domains.traces
     per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(covs))
@@ -396,12 +439,13 @@ def _dual_point(kind: LossKind, domains: DomainCollection, k: int, eigsums, w) -
     values, products = domain_losses(kind, frame, covs, traces, eigsums)
     shift, eigensum = sign * float(w @ offsets), float(spec.eigenvalues[:k].sum())
     rounding = _ROUNDING * (abs(shift) + abs(eigensum))
+    worst = sign * values[worst_index(kind, values)]
     scaled = products * per_unit[:, None, None]
-    return _DualPoint(shift - eigensum, rounding, frame, values, scaled, spec)
+    return _DualPoint(shift - eigensum, rounding, sign * values, worst, frame, scaled, spec)
 
 
-def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int) -> np.ndarray:
-    """Hessian in w of ``s_k(sum_e w_e S_e)``, valid while lambda_k > lambda_{k+1}.
+def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int):
+    """Hessian in w of ``s_k(sum_e w_e S_e)``, or None where lambda_k = lambda_{k+1}.
 
     ``spec`` is the spectrum of the mixture and ``products`` the ``(E, p, k)``
     stack of ``S_e U``, with U its top-k frame. Entry ``(a, b)`` is
@@ -410,6 +454,8 @@ def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int) -> np.ndarra
     projected on the other eigenvectors, weighted by the eigen-gaps.
     """
     lam = spec.eigenvalues
+    if lam[k - 1] - lam[k] <= _EIGEN_GAP_RTOL * lam[0]:
+        return None
     coupling = spec.eigenvectors[:, k:].T @ products
     coupling *= np.sqrt(2.0 / (lam[None, :k] - lam[k:, None]))
     return np.einsum("aji,bji->ab", coupling, coupling)
@@ -418,68 +464,23 @@ def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int) -> np.ndarra
 def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
     """Search the mixture dual of a worst-case PCA problem over simplex weights.
 
-    Maximizes ``h`` (:func:`_dual_point`) by damped Newton ascent from
-    uniform weights; ``sign * h(w)`` bounds the optimum at every w. A step
-    solves the QP of h's second-order model on the simplex
-    (:func:`_simplex_qp`, Hessian from :func:`_eigensum_hessian` plus a small
-    ridge) and backtracks along it until h gains enough (Armijo). Every
-    point's top-k frame is a primal candidate. The search stops once the
-    best frame seen is within ``_DUAL_GAP_RTOL`` of the best bound, when
-    ``lambda_k - lambda_{k+1}`` collapses (h is not smooth there), when no
-    step gains, or after ``_NEWTON_STEPS`` steps. ``eigsums`` are the top-k
-    eigensums for the regret kinds, else None.
-
-    Returns ``(frame, bound, steps)``: the best frame (lowest worst-case
-    loss, highest for Var and NormVar), the best bound and the Newton steps
-    taken.
+    Runs :func:`_simplex_newton` on :func:`_dual_point` and
+    :func:`_eigensum_hessian`; ``eigsums`` are the top-k eigensums for the
+    regret kinds, else None. Returns ``(frame, bound, steps)``: the best
+    frame (lowest worst-case loss, highest for Var and NormVar), the best
+    bound ``sign * h`` and the Newton steps taken.
     """
     # The search runs over the domains in an order fixed by their covariances,
     # so its result does not depend, bit for bit, on the order they come in.
     order = sorted(range(len(domains)), key=lambda e: domains[e].covariance.tobytes())
     domains = DomainCollection(tuple(domains[e] for e in order))
     eigsums = None if eigsums is None else eigsums[order]
-    # sign * (objective - bound) >= 0 for every frame and weight vector.
-    sign = -1.0 if kind in MIN_KINDS else 1.0
-    best = {"frame": None, "value": sign * np.inf, "bound": -sign * np.inf}
-
-    def evaluate(w):
-        point = _dual_point(kind, domains, k, eigsums, w)
-        value = point.losses[worst_index(kind, point.losses)]
-        if sign * (value - best["value"]) < 0.0:
-            best.update(frame=point.frame, value=value)
-        best["bound"] = sign * max(sign * best["bound"], point.value)
-        return point
-
-    w = np.full(len(domains), 1.0 / len(domains))
-    point = evaluate(w)
-    steps = 0
-    while not _certifies(sign * (best["value"] - best["bound"]), best["value"]):
-        lam, grad = point.spectrum.eigenvalues, sign * point.losses
-        # Equal losses make w stationary, hence optimal: h is concave.
-        spread = float(np.ptp(grad))
-        collapsed = lam[k - 1] - lam[k] <= _EIGEN_GAP_RTOL * lam[0]
-        if steps == _NEWTON_STEPS or spread == 0.0 or collapsed:
-            break
-        hess = _eigensum_hessian(point.spectrum, point.products, k)
-        hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(len(w))
-        move = _simplex_qp(hess, grad + hess @ w, w) - w
-        slope = float(grad @ move)
-        if not slope > -point.rounding or np.max(np.abs(move)) <= _ROUNDING:
-            break
-        for halving in range(_HALVINGS):
-            alpha = 0.5**halving
-            trial = np.maximum(w + alpha * move, 0.0)
-            trial /= trial.sum()
-            candidate = evaluate(trial)
-            # Near the optimum h changes below its rounding while the frames
-            # still improve, so a step within the rounding is taken.
-            if candidate.value >= point.value + _ARMIJO * alpha * slope - point.rounding:
-                break
-        else:
-            break
-        w, point = trial, candidate
-        steps += 1
-    return best["frame"], best["bound"], steps
+    frame, bound, steps = _simplex_newton(
+        lambda w: _dual_point(kind, domains, k, eigsums, w),
+        lambda point: _eigensum_hessian(point.spectrum, point.products, k),
+        len(domains),
+    )
+    return frame, (-1.0 if kind in MIN_KINDS else 1.0) * bound, steps
 
 
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:

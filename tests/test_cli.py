@@ -13,6 +13,7 @@ import pytest
 
 from wcpca import (
     LossKind,
+    experiments,
     load_covariances,
     loss,
     make_collection,
@@ -494,6 +495,10 @@ class TestComplete:
         ["complete", "--objective", "pool", "--missing-frac", "1.0"],
         ["complete", "--objective", "pool", "--missing-frac", "-0.5"],
         ["simulate", "mc-masked", "--p", "10", "--k", "2", "--n", "30", "--missing-frac", "0.97", "--replicates", "1"],
+        ["simulate", "het-noise", "--p", "8", "--replicates", "1"],
+        ["simulate", "avg-vs-wc", "--k", "0", "--replicates", "1"],
+        ["simulate", "hull-bound", "--p", "4"],
+        ["simulate", "mc-observed", "--p", "4", "--missing-frac", "0.2", "--replicates", "1"],
     ],
     ids=[
         "n-0",
@@ -503,11 +508,19 @@ class TestComplete:
         "missing-frac-1",
         "missing-frac-negative",
         "missing-frac-hides-row",
+        "het-noise-default-rank-above-p",
+        "k-0",
+        "hull-bound-default-rank-above-p",
+        "mc-default-rank-above-p",
     ],
 )
-def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys):
+def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys, monkeypatch):
     # the complete cases name a CSV that does not exist: the setting is
-    # rejected before the file is read
+    # rejected before the file is read; no simulate case draws a source
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sources drawn before the settings were checked")
+
+    monkeypatch.setattr(experiments, "sample_source_covariances", no_draw)
     argv = [*argv, "--out", str(tmp_path)]
     if argv[0] == "complete":
         argv += ["--csv", str(tmp_path / "unread.csv")]

@@ -29,11 +29,13 @@ from wcpca import (
 from wcpca.completion import (
     _domain_objectives,
     _l_update,
-    _max_r_cost,
-    _normal_equations,
+    _max_r_dual,
+    _max_r_update,
     _pool_r_update,
     _solve_masked,
 )
+from wcpca.linalg import projection_distance
+from wcpca.solvers import _DUAL_GAP_RTOL, _NEWTON_STEPS, _certifies, _simplex_newton
 
 RCOND = 1e-10
 
@@ -261,8 +263,7 @@ class TestPoolRUpdate:
             domains.append(MaskedDomain(id=d.id, x=x, mask=mask))
         data = MaskedDataset(tuple(domains))
         ls = [rng.normal(size=(d.n, k)) for d in data]
-        r = rng.normal(size=(p, k))
-        got = _pool_r_update(data, ls, r)
+        got = _pool_r_update(data, ls)
         x_all = np.vstack([d.x for d in data])
         m_all = np.vstack([d.mask for d in data])
         l_all = np.vstack(ls)
@@ -276,62 +277,135 @@ class TestPoolRUpdate:
             assert_close_to_reference(got[j], ref)
 
 
-class TestMaxRCost:
-    def _instance(self, seed):
-        rng = make_rng(seed)
-        data, _ = low_rank_dataset(seed, p=8, k=3, domains=3, missing=0.4)
-        noisy = MaskedDataset(
-            tuple(
-                MaskedDomain(id=d.id, x=d.x + 0.05 * rng.normal(size=d.x.shape), mask=d.mask)
-                for d in data
-            )
+def r_step_instance(seed, p=8, k=3):
+    """Three noisy domains; column 0 is observed in a single row of domain 1."""
+    rng = make_rng(seed)
+    data, _ = low_rank_dataset(seed, p=p, k=k, domains=3, missing=0.4)
+    domains = []
+    for e, d in enumerate(data):
+        mask = d.mask.copy()
+        mask[:, 0] = 0.0
+        if e == 1:
+            mask[0, 0] = 1.0
+        mask[mask.sum(axis=1) == 0, 1] = 1.0
+        x = d.x + 0.05 * rng.normal(size=d.x.shape)
+        domains.append(MaskedDomain(id=d.id, x=x, mask=mask))
+    noisy = MaskedDataset(tuple(domains))
+    r = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    return noisy, _l_update(noisy, r), r, rng
+
+
+def zero_weight_instance(seed=5, p=8, k=2):
+    """Domain 0 is nearly noiseless and alone observes the last column."""
+    rng = make_rng(seed)
+    frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    domains = []
+    for e, noise in enumerate((0.01, 0.3, 0.3)):
+        x = rng.normal(size=(20, k)) @ frame.T + noise * rng.normal(size=(20, p))
+        mask = sample_masks(20, p, 0.3, make_rng(seed + 1, e))
+        if e:
+            mask[:, p - 1] = 0.0
+        mask[mask.sum(axis=1) == 0, 0] = 1.0
+        domains.append(MaskedDomain(id=f"d{e}", x=x, mask=mask))
+    data = MaskedDataset(tuple(domains))
+    r = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    return data, _l_update(data, r), r
+
+
+def worst_objective_certified(data, ls, r, bound):
+    worst = float(_domain_objectives(data, ls, r).max())
+    assert _certifies(worst - bound, worst)
+    return worst
+
+
+class TestMaxRDual:
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_values_equal_domain_objectives(self, seed):
+        data, ls, _, rng = r_step_instance(seed)
+        evaluate, _ = _max_r_dual(data, ls)
+        for _ in range(3):
+            w = rng.dirichlet(np.ones(3))
+            point = evaluate(w)
+            direct = _domain_objectives(data, ls, point.candidate)
+            np.testing.assert_allclose(point.grad, direct, rtol=1e-12)
+            assert point.objective == pytest.approx(direct.max(), rel=1e-12)
+            assert point.value == pytest.approx(float(w @ direct), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [40, 42])
+    def test_gradient_and_hessian_match_finite_differences(self, seed):
+        data, ls, _, rng = r_step_instance(seed)
+        evaluate, hessian = _max_r_dual(data, ls)
+        w = rng.dirichlet(np.ones(3))
+        point = evaluate(w)
+        hess = hessian(point)
+        step = 1e-4
+        basis = step * np.eye(3)
+        central_grad = [
+            (evaluate(w + basis[a]).value - evaluate(w - basis[a]).value) / (2 * step)
+            for a in range(3)
+        ]
+        np.testing.assert_allclose(central_grad, point.grad, rtol=1e-7)
+        central = np.empty((3, 3))
+        for a in range(3):
+            for b in range(3):
+                corners = [
+                    evaluate(w + sa * basis[a] + sb * basis[b]).value
+                    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                ]
+                central[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * step**2)
+        # hessian() is the Hessian of -h
+        np.testing.assert_allclose(-central, hess, rtol=1e-5, atol=1e-7 * np.abs(hess).max())
+
+    def test_column_seen_in_fewer_than_k_rows_is_minimum_norm(self):
+        # column 0 is observed in one row of domain 1 only, so its weighted
+        # least squares has a rank-1 design in k = 3 unknowns
+        data, ls, _, rng = r_step_instance(43)
+        evaluate, _ = _max_r_dual(data, ls)
+        w = rng.dirichlet(np.ones(3))
+        point = evaluate(w)
+        scale = np.sqrt(w / np.array([d.n for d in data]))
+        rows = [d.mask[:, 0] != 0.0 for d in data]
+        design = np.vstack([s * l[o] for s, l, o in zip(scale, ls, rows)])
+        target = np.concatenate([s * d.x[o, 0] for s, d, o in zip(scale, data, rows)])
+        assert design.shape == (1, 3)
+        ref = np.linalg.lstsq(design, target, rcond=RCOND)[0]
+        np.testing.assert_allclose(point.candidate[0], ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [40, 41, 42, 43])
+    def test_certified_step_no_worse_than_incoming(self, seed):
+        data, ls, r_in, _ = r_step_instance(seed)
+        evaluate, hessian = _max_r_dual(data, ls)
+        r, bound, steps = _simplex_newton(evaluate, hessian, len(data))
+        worst = worst_objective_certified(data, ls, r, bound)
+        assert 1 <= steps <= _NEWTON_STEPS
+        assert worst - bound <= _DUAL_GAP_RTOL * max(1.0, worst)
+        assert worst <= float(_domain_objectives(data, ls, r_in).max())
+        np.testing.assert_array_equal(_max_r_update(data, ls), r)
+
+    def test_zero_weight_domain_still_fits_the_column_only_it_observes(self):
+        data, ls, _ = zero_weight_instance()
+        evaluate, hessian = _max_r_dual(data, ls)
+        weights = {}
+
+        def recorded(w):
+            point = evaluate(w)
+            weights[id(point.candidate)] = w
+            return point
+
+        r, bound, _ = _simplex_newton(recorded, hessian, len(data))
+        worst_objective_certified(data, ls, r, bound)
+        assert weights[id(r)][0] == 0.0
+        # the last column's row is domain 0's own fit, the limit of R(w) as
+        # its weight falls to 0, not a zero row
+        seen = data[0].mask[:, -1] != 0.0
+        own = np.linalg.lstsq(ls[0][seen], data[0].x[seen, -1], rcond=RCOND)[0]
+        np.testing.assert_allclose(r[-1], own, rtol=1e-8)
+        model = fit_max_mc(data, 2)
+        trace = model.objective_trace
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        np.testing.assert_allclose(
+            model.right_factor.T @ model.right_factor, np.eye(2), atol=1e-12
         )
-        ls = [rng.normal(size=(d.n, 3)) for d in noisy]
-        r = np.linalg.qr(rng.normal(size=(8, 3)))[0]
-        return noisy, ls, r, rng
-
-    @staticmethod
-    def _at(cost_and_grad, r):
-        # the cost function takes a batch of factors; evaluate a batch of one
-        cost, grad = cost_and_grad(r[None])
-        return float(cost[0]), grad[0]
-
-    def test_cost_equals_direct_objective(self):
-        data, ls, r, _ = self._instance(40)
-        cost, _ = self._at(_max_r_cost(data, ls), r)
-        direct = _domain_objectives(data, ls, r)
-        assert abs(cost - direct.max()) <= 1e-12 * direct.max()
-        for d, l, value in zip(data, ls, direct):
-            single, _ = self._at(_max_r_cost(MaskedDataset((d,)), [l]), r)
-            assert abs(single - value) <= 1e-12 * value
-
-    def test_equals_per_domain_layout_bitwise(self):
-        # the reference stacks H as (E, p, k, k) and forms every H_ej r_j
-        data, ls, r, _ = self._instance(42)
-        stats = [_normal_equations(d.x.T, d.mask.T, l) for d, l in zip(data, ls)]
-        h = np.stack([s[0] for s in stats])
-        b = np.stack([s[1] for s in stats])
-        xx = np.array([float(np.sum((d.x * d.mask) ** 2)) for d in data])
-        n = np.array([float(d.n) for d in data])
-        rows = r[None, None]
-        hr = (h @ rows[..., None])[..., 0]
-        vals = (xx + np.sum((hr - 2.0 * b) * rows, axis=(-2, -1))) / n
-        a = int(vals[0].argmax())
-        cost, grad = _max_r_cost(data, ls)(r[None])
-        assert cost[0] == vals[0, a]
-        assert np.array_equal(grad[0], 2.0 / n[a] * (hr[0, a] - b[a]))
-
-    def test_gradient_matches_finite_differences(self):
-        data, ls, r, rng = self._instance(41)
-        cost_and_grad = _max_r_cost(data, ls)
-        _, grad = self._at(cost_and_grad, r)
-        h = 1e-6
-        for _ in range(5):
-            direction = rng.normal(size=r.shape)
-            plus, _ = self._at(cost_and_grad, r + h * direction)
-            minus, _ = self._at(cost_and_grad, r - h * direction)
-            fd = (plus - minus) / (2.0 * h)
-            assert fd == pytest.approx(float(np.sum(grad * direction)), rel=1e-6)
 
 
 class TestPoolFit:
@@ -393,6 +467,16 @@ class TestMaxFit:
         pool = fit_pool_mc(data, 3)
         mx = fit_max_mc(data, 3)
         assert abs(pool.objective_trace[-1] - mx.objective_trace[-1]) <= 1e-4
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_single_domain_max_fit_is_the_pool_fit(self, seed):
+        # with one domain the R-step's dual has the single weight 1, where
+        # R(w) is the pooled least squares
+        data, _ = low_rank_dataset(seed, domains=1)
+        pool = fit_pool_mc(data, 3)
+        mx = fit_max_mc(data, 3)
+        assert abs(pool.objective_trace[-1] - mx.objective_trace[-1]) <= 1e-12
+        assert projection_distance(pool.right_factor, mx.right_factor) <= 1e-10
 
     def test_worst_domain_no_worse_than_pool(self):
         # the max fit optimizes the worst domain; give it an asymmetric

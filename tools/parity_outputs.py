@@ -21,8 +21,9 @@ solves show, and the frame's values), ``sequential_minpca`` on 6 random
 instances, ``order_basis`` on random frames of every rank from 1 to
 min(4, p) on the same instances (both routines also on one instance where a
 domain has no variance in the working basis, so its reduction is jittered),
-``fit_max_mc`` and ``fit_pool_mc`` fits on four datasets (one with a
-never-observed column), and the evaluation helpers ``sample_hull_members``
+``fit_max_mc`` and ``fit_pool_mc`` fits on five datasets (one with a
+never-observed column, one with a column that only a nearly noiseless
+domain observes, so maxMC R-steps end with that domain at zero weight), and the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
 ``relative_deltas``.
 
@@ -141,17 +142,23 @@ def _solves(out):
 def _mc_fits(out):
     rng = np.random.default_rng(77)
     lines = {"max_mc.txt": [], "pool_mc.txt": []}
-    for fit_idx, hidden_col in enumerate((None, None, None, 3)):
+    # (column no domain observes, column only domain 0 observes)
+    special = ((None, None),) * 3 + ((3, None), (None, 5))
+    for fit_idx, (hidden_col, solo_col) in enumerate(special):
         p, k = 8, 2
         frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
         domains = []
         for e in range(3):
-            x = rng.normal(size=(30, k)) @ frame.T * (1.0 + e) + 0.05 * rng.normal(size=(30, p))
+            noise = 0.005 if solo_col is not None and e == 0 else 0.05
+            x = rng.normal(size=(30, k)) @ frame.T * (1.0 + e) + noise * rng.normal(size=(30, p))
             mask = (rng.random((30, p)) > 0.3).astype(float)
             mask[np.arange(30), rng.integers(0, p, 30)] = 1.0
             if hidden_col is not None:
                 mask[:, hidden_col] = 0.0
                 mask[:, (hidden_col + 1) % p] = 1.0
+            if solo_col is not None and e > 0:
+                mask[:, solo_col] = 0.0
+                mask[:, (solo_col + 1) % p] = 1.0
             domains.append(MaskedDomain(id=f"d{e}", x=x, mask=mask))
         data = MaskedDataset(tuple(domains))
         for name, fit in (("max_mc.txt", fit_max_mc), ("pool_mc.txt", fit_pool_mc)):
