@@ -70,6 +70,8 @@ def cmd_fit(args) -> int:
     if objective not in _BASELINES and objective not in _WC_OBJECTIVES:
         known = ", ".join([*_BASELINES, *_WC_OBJECTIVES])
         raise InvalidConfig(f"--objective must be one of {known}, got {objective!r}")
+    if args.seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
 
     if args.csv is not None:
         domain_col = "domain" if args.domain_col is None else args.domain_col
@@ -188,6 +190,8 @@ def cmd_complete(args) -> int:
     method = args.objective
     if method not in ("pool", "max"):
         raise InvalidConfig(f"--objective must be pool or max, got {method!r}")
+    if args.seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
     k = 5 if args.k is None else args.k
     if args.missing_frac is not None and not 0.0 <= args.missing_frac < 1.0:
         raise InvalidConfig(f"--missing-frac must lie in [0, 1), got {args.missing_frac}")

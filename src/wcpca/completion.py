@@ -2,14 +2,15 @@
 
 Two alternating-minimization fits are provided. Both factor each domain's
 partially observed matrix as ``X_e ~ L_e R.T`` with one shared p x k right
-factor ``R`` constrained to orthonormal columns:
+factor ``R`` constrained to orthonormal columns, and both minimize a weighted
+average ``sum_e w_e f_e`` of the per-domain mean squared errors ``f_e`` on
+observed entries; they differ only in how the weights are chosen:
 
-* :func:`fit_pool_mc` minimizes the pooled squared error over all observed
-  entries; the R-update is an exact per-column least squares.
-* :func:`fit_max_mc` minimizes the maximum across domains of the per-domain
-  mean squared error on observed entries; the R-update solves that minimax
-  in R through its dual over simplex weights on the domains, a weighted
-  per-column least squares for fixed weights, by worst-case PCA's Newton
+* :func:`fit_pool_mc` holds them at the sample shares ``w_e = n_e / n``,
+  which makes the average the pooled squared error over all observed
+  entries.
+* :func:`fit_max_mc` minimizes ``max_e f_e``, the largest such average over
+  the simplex; its R-update finds the weights by worst-case PCA's Newton
   loop (``solvers._simplex_newton``), whose gap certifies the step.
 
 Both run one alternation loop (R-update, then the exact per-row L-update,
@@ -19,13 +20,17 @@ A column that no domain observes says nothing about ``R``: the loop drops
 it before the SVD start and gives it an exact-zero row of the returned
 right factor, so ``k`` may not exceed the number of observed columns.
 
-Every least-squares problem here (the L-update, the pooled R-update,
-:func:`inductive_ols`) is a stack of masked problems solved array-at-a-time
-by the one routine :func:`_solve_masked`: the k x k normal equations of each
-block of columns are formed with one matrix product, summed over blocks and
-solved in one batch, and only rows whose Gram matrix is ill-conditioned fall
-back to the exact minimum-norm ``lstsq``. The pooled R-update is the same
-call on the transposed domains, one block per domain.
+Both R-updates are the one weighted per-column least squares of
+:func:`_max_r_dual`: at weights w, row j of R solves the k x k system
+``sum_e (w_e / n_e) H_ej r_j = sum_e (w_e / n_e) b_ej`` through the
+pseudoinverse of its Gram at rcond 1e-10. A rank-deficient column (say one
+observed in fewer than k rows) thus takes the minimum-norm solution, and a
+never-observed one a zero row, in the pooled fit as in the max fit; no
+column problem goes through ``lstsq``. The row problems (the L-update,
+:func:`inductive_ols`, :func:`ols_subset_stability_check`) go through the
+one routine :func:`_solve_masked`: every row's k x k normal equations are
+formed with one matrix product and solved in one batch, and only rows whose
+Gram matrix is ill-conditioned fall back to the exact minimum-norm ``lstsq``.
 
 After either R-update the raw solution is replaced by its polar factor;
 the L-update that follows refits every ``L_e`` to it. New rows are
@@ -202,7 +207,7 @@ def inductive_ols(x, omega, r):
     empty = np.flatnonzero(~mask.any(axis=1))
     if empty.size:
         raise NoObservations(f"row {int(empty[0])} has no observed entries")
-    coef = _solve_masked([(rows, mask, factor)])
+    coef = _solve_masked(rows, mask, factor)
     recon = coef @ factor.T
     return (coef[0], recon[0]) if single else (coef, recon)
 
@@ -220,31 +225,23 @@ def _normal_equations(x: np.ndarray, mask: np.ndarray, a: np.ndarray):
     return gram, (x * mask) @ a
 
 
-def _solve_masked(blocks) -> np.ndarray:
-    """Row-wise masked least squares over column blocks that share their rows.
+def _solve_masked(x: np.ndarray, mask: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-wise masked least squares ``c_i = argmin_c ||mask_i * (x_i - a c)||``.
 
-    Each block is ``(x, mask, a)`` with ``x`` and ``mask`` n x p_b and ``a``
-    p_b x k; row i gets ``c_i = argmin_c sum_b ||mask_b[i] * (x_b[i] - a_b c)||^2``,
-    returned as n x k. The blocks' normal equations are summed in block order
-    and solved in one batch; no block is copied into a stacked array. Rows
-    whose Gram has ``lambda_min <= 1e-6 * lambda_max`` (all-zero Grams
-    included) take the minimum-norm lstsq of their stacked observed design
-    instead, so rank-deficient semantics stay exact.
+    ``x`` and ``mask`` are n x p and ``a`` is p x k; returns n x k. The rows'
+    normal equations are solved in one batch. Rows whose Gram has
+    ``lambda_min <= 1e-6 * lambda_max`` (all-zero Grams included) take the
+    minimum-norm lstsq of their observed design instead, so rank-deficient
+    semantics stay exact.
     """
-    gram, rhs = _normal_equations(*blocks[0])
-    for block in blocks[1:]:
-        g, b = _normal_equations(*block)
-        gram += g
-        rhs += b
+    gram, rhs = _normal_equations(x, mask, a)
     lam = np.linalg.eigvalsh(gram)
     ill = lam[:, 0] <= _GRAM_RCOND * lam[:, -1]
     out = np.empty(rhs.shape)
     out[~ill] = np.linalg.solve(gram[~ill], rhs[~ill][:, :, None])[:, :, 0]
     for i in np.flatnonzero(ill):
-        obs = [mask[i] != 0.0 for _, mask, _ in blocks]
-        design = np.vstack([a[o] for (_, _, a), o in zip(blocks, obs)])
-        target = np.concatenate([x[i, o] for (x, _, _), o in zip(blocks, obs)])
-        out[i] = np.linalg.lstsq(design, target, rcond=_LSTSQ_RCOND)[0]
+        obs = mask[i] != 0.0
+        out[i] = np.linalg.lstsq(a[obs], x[i, obs], rcond=_LSTSQ_RCOND)[0]
     return out
 
 
@@ -272,41 +269,28 @@ def _init_factors(data: MaskedDataset, k: int):
 
 def _l_update(data: MaskedDataset, r: np.ndarray):
     """Exact per-row OLS against the current right factor, one batch per domain."""
-    return [_solve_masked([(d.x, d.mask, r)]) for d in data]
-
-
-def _squared_errors(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
-    """Per-domain sum of squared errors of ``L_e R.T`` over observed entries."""
-    sse = np.empty(len(ls))
-    for e, (d, l) in enumerate(zip(data, ls)):
-        resid = (d.x - l @ r.T) * d.mask
-        sse[e] = np.sum(resid * resid)
-    return sse
+    return [_solve_masked(d.x, d.mask, r) for d in data]
 
 
 def _domain_objectives(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
     """Per-domain mean squared error over observed entries, normalized by n_e."""
-    return _squared_errors(data, ls, r) / np.array([d.n for d in data])
+    resids = [(d.x - l @ r.T) * d.mask for d, l in zip(data, ls)]
+    return np.array([np.sum(res * res) / d.n for d, res in zip(data, resids)])
+
+
+def _pool_weights(data: MaskedDataset) -> np.ndarray:
+    """The sample shares ``n_e / n`` that weight the pooled objective."""
+    n = np.array([float(d.n) for d in data])
+    return n / n.sum()
 
 
 def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
-    # A plain loop, not sum(): Python 3.12's float sum() is compensated, so
-    # its result would not be bitwise the running total.
-    total = 0.0
-    for value in _squared_errors(data, ls, r).tolist():
-        total += value
-    return total / sum(d.n for d in data)
+    return float(_pool_weights(data) @ _domain_objectives(data, ls, r))
 
 
 def _pool_r_update(data: MaskedDataset, ls) -> np.ndarray:
-    """Exact per-column OLS over every domain's observed entries.
-
-    Column j of the data is row j of each transposed domain, so the update
-    is one :func:`_solve_masked` call with one ``(X_e.T, M_e.T, L_e)`` block
-    per domain; a column with no observed entry has an all-zero Gram, whose
-    minimum-norm solution is a zero row.
-    """
-    return _solve_masked([(d.x.T, d.mask.T, l) for d, l in zip(data, ls)])
+    """The candidate R(w) of :func:`_max_r_dual` at the pool weights ``n_e / n``."""
+    return _max_r_dual(data, ls)[0](_pool_weights(data)).candidate
 
 
 def _alternate(data, k: int, r_update, objective) -> CompletionModel:
@@ -345,9 +329,11 @@ def _alternate(data, k: int, r_update, objective) -> CompletionModel:
 def fit_pool_mc(data, k: int) -> CompletionModel:
     """Alternating minimization of the pooled observed-entry squared error.
 
-    The objective is ``sum_e ||(X_e - L_e R.T) * mask_e||_F^2 / sum_e n_e``;
-    the R-update is the exact per-column least squares, re-orthonormalized
-    through its polar factor.
+    The objective is ``sum_e ||(X_e - L_e R.T) * mask_e||_F^2 / sum_e n_e``,
+    the average of the per-domain errors at the weights ``n_e / n``. The
+    R-update is maxMC's weighted per-column least squares held at those
+    weights (see :func:`_pool_r_update`), re-orthonormalized through its
+    polar factor.
     """
     return _alternate(data, k, _pool_r_update, _pooled_objective)
 
@@ -362,10 +348,12 @@ def _max_r_dual(data: MaskedDataset, ls):
     ``f_e(R) = (||M_e * X_e||^2 - 2 <B_e, R> + sum_j r_j.T H_ej r_j) / n_e``
     with ``H_ej``, ``b_ej`` the normal equations of the transposed domain.
     At weights w, with ``u = w / n`` and ``A_j = sum_e u_e H_ej``, the
-    candidate ``R(w)`` has rows ``pinv(A_j) sum_e u_e b_ej``, the minimum-norm
-    minimizer of ``h(w) = sum_e w_e f_e(R)``; the gradient of h is
-    ``f_e(R(w))`` and the Hessian of -h is ``2 sum_j G_j pinv(A_j) G_j.T``,
-    with G_j stacking ``(H_ej r_j - b_ej) / n_e``. A weight below
+    candidate ``R(w)`` has rows ``pinv(A_j) sum_e u_e b_ej``: at those fixed
+    weights it is the minimum-norm minimizer of ``sum_e w_e f_e(R)``, whose
+    minimum is the dual ``h(w)`` (at ``w = n / n.sum()`` it is the pooled
+    R-step). The gradient of h is ``f_e(R(w))`` and the Hessian of -h is
+    ``2 sum_j G_j pinv(A_j) G_j.T``, with G_j stacking
+    ``(H_ej r_j - b_ej) / n_e``. A weight below
     ``_ROUNDING`` counts as ``_ROUNDING``, so a column that only domains at
     zero weight observe takes their fit, the limit from positive weights.
     """
@@ -468,7 +456,7 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     coef_full = row @ factor
     resid_full = row - factor @ coef_full
     den = float(resid_full @ resid_full)
-    coef_sub = _solve_masked([(row[None], keep[None].astype(np.float64), factor)])[0]
+    coef_sub = _solve_masked(row[None], keep[None].astype(np.float64), factor)[0]
     resid_sub = row - factor @ coef_sub
     num = float(resid_sub @ resid_sub)
     if num <= 1e-14 and den <= 1e-14:

@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates}")
         if self.n is not None and self.n < 1:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         try:
             p = _gen(self, self.seed).p
             if "missing_frac" in _STUDIES[self.name].reads:

@@ -158,6 +158,8 @@ class SolverConfig:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise InvalidInput(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 class Restart(NamedTuple):

@@ -499,6 +499,10 @@ class TestComplete:
         ["simulate", "avg-vs-wc", "--k", "0", "--replicates", "1"],
         ["simulate", "hull-bound", "--p", "4"],
         ["simulate", "mc-observed", "--p", "4", "--missing-frac", "0.2", "--replicates", "1"],
+        ["simulate", "hull-bound", "--seed", "-1", "--replicates", "1"],
+        ["complete", "--objective", "pool", "--seed", "-1"],
+        ["complete", "--objective", "pool", "--seed", "-1", "--missing-frac", "0.2"],
+        ["fit", "--k", "1", "--objective", "max-rcs", "--seed", "-1"],
     ],
     ids=[
         "n-0",
@@ -512,11 +516,15 @@ class TestComplete:
         "k-0",
         "hull-bound-default-rank-above-p",
         "mc-default-rank-above-p",
+        "simulate-negative-seed",
+        "complete-negative-seed",
+        "complete-negative-seed-missing-frac",
+        "fit-negative-seed",
     ],
 )
 def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys, monkeypatch):
-    # the complete cases name a CSV that does not exist: the setting is
-    # rejected before the file is read; no simulate case draws a source
+    # the complete and fit cases name an input that does not exist: the
+    # setting is rejected before it is read; no simulate case draws a source
     def no_draw(*args, **kwargs):
         raise AssertionError("sources drawn before the settings were checked")
 
@@ -524,6 +532,8 @@ def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys, monkeypatch
     argv = [*argv, "--out", str(tmp_path)]
     if argv[0] == "complete":
         argv += ["--csv", str(tmp_path / "unread.csv")]
+    elif argv[0] == "fit":
+        argv += ["--from-cov", str(tmp_path / "unread")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 3

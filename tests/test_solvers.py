@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wcpca import (
     MIN_KINDS,
     NORMALIZED_KINDS,
+    InvalidInput,
     InvalidKind,
     InvalidRank,
     LossKind,
@@ -63,6 +64,12 @@ class TestBaselines:
     def test_rank_validation(self, example1):
         with pytest.raises(InvalidRank):
             pool_pca(example1, 4)
+
+
+@pytest.mark.parametrize("setting", [{"max_iters": 0}, {"restarts": 0}, {"seed": -1}])
+def test_solver_config_rejects_bad_settings(setting):
+    with pytest.raises(InvalidInput):
+        SolverConfig(**setting)
 
 
 class TestSolveWcpca:

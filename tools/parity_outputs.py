@@ -21,9 +21,11 @@ solves show, and the frame's values), ``sequential_minpca`` on 6 random
 instances, ``order_basis`` on random frames of every rank from 1 to
 min(4, p) on the same instances (both routines also on one instance where a
 domain has no variance in the working basis, so its reduction is jittered),
-``fit_max_mc`` and ``fit_pool_mc`` fits on five datasets (one with a
+``fit_max_mc`` and ``fit_pool_mc`` fits on six datasets (one with a
 never-observed column, one with a column that only a nearly noiseless
-domain observes, so maxMC R-steps end with that domain at zero weight), and the evaluation helpers ``sample_hull_members``
+domain observes, so maxMC R-steps end with that domain at zero weight, and
+one with a single domain, where both fits must print the same line), and
+the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
 ``relative_deltas``.
 
@@ -142,13 +144,14 @@ def _solves(out):
 def _mc_fits(out):
     rng = np.random.default_rng(77)
     lines = {"max_mc.txt": [], "pool_mc.txt": []}
-    # (column no domain observes, column only domain 0 observes)
-    special = ((None, None),) * 3 + ((3, None), (None, 5))
-    for fit_idx, (hidden_col, solo_col) in enumerate(special):
+    # (column no domain observes, column only domain 0 observes, domains);
+    # with one domain the max and pool fits are the same fit, bit for bit
+    special = ((None, None, 3),) * 3 + ((3, None, 3), (None, 5, 3), (None, None, 1))
+    for fit_idx, (hidden_col, solo_col, count) in enumerate(special):
         p, k = 8, 2
         frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
         domains = []
-        for e in range(3):
+        for e in range(count):
             noise = 0.005 if solo_col is not None and e == 0 else 0.05
             x = rng.normal(size=(30, k)) @ frame.T * (1.0 + e) + noise * rng.normal(size=(30, p))
             mask = (rng.random((30, p)) > 0.3).astype(float)
@@ -265,8 +268,8 @@ def main(out):
         os.path.join(inputs, "train-empty-col.csv"), np.random.default_rng(12), 40, 12, 3, 3, empty_col=5
     )
     # column 7 is observed in two training rows and every held-out row in
-    # two cells, fewer than k = 3: the pooled R-update and the prediction
-    # take the minimum-norm lstsq there
+    # two cells, fewer than k = 3: the pooled R-update takes the minimum-norm
+    # pinv of that column's Gram, and the prediction the minimum-norm lstsq
     sparse_rng = np.random.default_rng(13)
     sparse_col = _write_masked_csv(
         os.path.join(inputs, "train-sparse-col.csv"), sparse_rng, 40, 12, 3, 3, empty_col=7, keep=(0, 40)
