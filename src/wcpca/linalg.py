@@ -32,7 +32,8 @@ __all__ = [
 
 # Relative asymmetry beyond this is rejected rather than silently averaged.
 _ASYMMETRY_RTOL = 1e-6
-# Singular values at or below s_max * this ratio count as numerically zero.
+# A Gram eigenvalue (a squared singular value) at or below mu_max * this
+# ratio counts as numerically zero.
 _RANK_RTOL = 1e-12
 
 
@@ -166,30 +167,39 @@ def stiefel_project(m) -> np.ndarray:
     """Project a full-column-rank p x k matrix, or an (R, p, k) batch of them,
     onto the orthonormal frames.
 
-    Returns the polar factor U @ W.T of the thin SVD ``m = U S W.T``, the
-    closest orthonormal frame in Frobenius norm; a batch is retracted by one
-    batched SVD, and each member equals its own 2-D projection bit for bit.
-    Matrices that already have orthonormal columns map to themselves within
-    1e-10.
+    Returns the polar factor ``A (A.T A)^{-1/2}`` of ``A = m``, the closest
+    orthonormal frame in Frobenius norm (``U @ W.T`` of the thin SVD
+    ``A = U S W.T``). It is computed from the k x k Gram matrix: with
+    ``A.T A = W diag(mu) W.T`` from ``eigh``, the factor is
+    ``A @ (W / sqrt(mu)) @ W.T``, so no SVD of the p x k matrix is taken.
+    Forming the Gram squares the condition number kappa = s_max / s_min,
+    so the result is accurate to about kappa**2 times machine epsilon: at
+    the rounding level for the near-orthonormal iterates of a retraction,
+    looser than an SVD for ill-conditioned input. A batch is retracted by
+    one batched ``eigh`` and each member equals its own 2-D projection bit
+    for bit. Matrices that already have orthonormal columns map to
+    themselves within 1e-10.
 
     Raises
     ------
     InvalidInput
         If ``m`` is not 2-D or 3-D or has more columns than rows.
     RankDeficient
-        If, in any member, the smallest singular value is at or below 1e-12
-        times the largest (no well-defined polar factor).
+        If, in any member, the smallest Gram eigenvalue is at or below
+        1e-12 times the largest, i.e. the smallest singular value is at or
+        below 1e-6 times the largest (no accurate polar factor from the
+        Gram).
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3):
         raise InvalidInput(f"expected a 2-D array or a 3-D batch, got shape {a.shape}")
     if a.shape[-1] > a.shape[-2]:
         raise InvalidInput(f"cannot orthonormalize {a.shape[-1]} columns in {a.shape[-2]} rows")
-    u, s, wt = np.linalg.svd(a, full_matrices=False)
-    # Singular values are nonnegative, so this also rejects an all-zero s.
-    if not (s[..., -1] > s[..., 0] * _RANK_RTOL).all():
+    mu, w = np.linalg.eigh(a.swapaxes(-1, -2) @ a)
+    # eigh sorts ascending; the comparison also rejects an all-zero or NaN Gram.
+    if not (mu[..., 0] > mu[..., -1] * _RANK_RTOL).all():
         raise RankDeficient("matrix is numerically rank-deficient")
-    return u @ wt
+    return a @ (w / np.sqrt(mu)[..., None, :]) @ w.swapaxes(-1, -2)
 
 
 def projection_distance(v, w) -> float:

@@ -245,21 +245,27 @@ def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     """Every domain's loss of frame ``v``, plus the products ``covs[e] @ v``.
 
     ``v`` is one p x k frame (1-D input is one column) or a batch of frames
-    of shape ``(..., p, k)``. ``traces`` (and, for the regret kinds,
+    of shape ``(..., p, k)``. ``covs`` is a sequence of p x p covariances or
+    one stacked ``(E, p, p)`` array. ``traces`` (and, for the regret kinds,
     ``eigsums``, the top-k eigenvalue sums at k = frame width) are arrays
     aligned with ``covs``. Returns ``(values, products)`` with values of
     shape ``(..., E)``, each bitwise equal to ``loss(kind, frame, covs[e])``,
     and products of shape ``(..., E, p, k)``; solvers reuse the active
-    domain's product as its gradient. One ``c @ v`` per domain covers the
-    whole batch, and the covariances are not copied into a stack, only the
-    small products are.
+    domain's product as its gradient. A sequence takes one ``c @ v`` per
+    domain and is never copied into a stack; a stack takes one broadcast
+    product for the whole batch, with the same bits. Callers that evaluate
+    many frames of one problem stack once and pass the stack; a single
+    evaluation at large p passes the sequence.
     """
     frame = as_frame(v) if np.ndim(v) < 3 else np.asarray(v, dtype=np.float64)
     if covs[0].shape[0] != frame.shape[-2]:
         raise InvalidInput(
             f"frame rows {frame.shape[-2]} do not match covariance dim {covs[0].shape[0]}"
         )
-    products = np.stack([c @ frame for c in covs], axis=-3)
+    if isinstance(covs, np.ndarray):
+        products = covs @ frame[..., None, :, :]
+    else:
+        products = np.stack([c @ frame for c in covs], axis=-3)
     var = np.sum(frame[..., None, :, :] * products, axis=(-2, -1))
     if kind in MIN_KINDS:
         values = var

@@ -33,13 +33,14 @@ p. An uncertified dual falls back to :func:`stiefel_adam`: at each iterate
 the active domain (the one attaining the worst case, smallest index on ties)
 supplies the subgradient, an annealed Adam step is taken in the ambient
 p x k space, and the result is retracted to orthonormal columns by
-``stiefel_project``.
+``stiefel_project`` (the polar factor, from an ``eigh`` of the k x k Gram).
 All six objectives share one update direction: the Euclidean gradient of
 the active domain's loss is +/- 2 Sigma_a V (divided by the trace for
 normalized kinds, and unchanged for the regret kinds whose baseline does not
 depend on V). The losses come from the single kernel
 ``losses.domain_losses``, whose products ``Sigma_e V`` double as the
-gradient.
+gradient; the fallback stacks the covariances once per solve, so each
+iteration takes all of its products in one broadcast ``matmul``.
 
 The driver advances an ``(R, p, k)`` batch: :func:`solve_wcpca` runs all of
 its restarts in one loop, each with its own Adam moments and plateau stop,
@@ -145,7 +146,9 @@ class SolverConfig:
     """Budget, plateau tolerance, restarts and seed of the Stiefel-Adam path.
 
     The mixture dual that :func:`solve_wcpca` runs first has fixed settings;
-    none of these fields reaches it.
+    none of these fields reaches it. ``tol_objective`` must be a number
+    >= 0; 0 never stops on a plateau, so every restart runs the whole
+    ``max_iters`` budget.
     """
 
     max_iters: int = 2000
@@ -158,6 +161,9 @@ class SolverConfig:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise InvalidInput(f"restarts must be >= 1, got {self.restarts}")
+        # NaN fails this comparison too; it would turn the plateau stop off.
+        if not self.tol_objective >= 0.0:
+            raise InvalidInput(f"tol_objective must be >= 0, got {self.tol_objective}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
@@ -244,9 +250,10 @@ def stiefel_adam(v0, cost_and_grad, iters: int, tol: float):
     ``v0`` is an ``(R, p, k)`` batch of starts, and ``cost_and_grad(v)``
     maps an ``(r, p, k)`` batch to the costs ``(r,)`` and the Euclidean
     gradients ``(r, p, k)`` of each member's active (worst) piece. Each
-    iteration keeps every gradient's tangent part, takes an Adam step whose
-    size anneals geometrically from 1e-2 to 1e-4 over ``iters``, and
-    retracts the batch with one ``stiefel_project`` call. Each member keeps
+    iteration keeps every gradient's tangent part, updates the Adam moments
+    in place, takes a step whose size anneals geometrically from 1e-2 to
+    1e-4 over ``iters``, and retracts the batch with one call of the
+    module-level ``stiefel_project`` (the polar factor). Each member keeps
     its own moments and stops once its best cost has improved by less than
     ``tol`` over its last 50 iterations; it then leaves the batch, so the
     loop runs as many iterations as the slowest member. Every member's
@@ -278,8 +285,10 @@ def stiefel_adam(v0, cost_and_grad, iters: int, tol: float):
         # point (Example-1-type instances expose this).
         vg = v.swapaxes(1, 2) @ g
         g = g - v @ ((vg + vg.swapaxes(1, 2)) / 2.0)
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
-        u = _ADAM_BETA2 * u + (1.0 - _ADAM_BETA2) * (g * g)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        u *= _ADAM_BETA2
+        u += (1.0 - _ADAM_BETA2) * (g * g)
         mhat = m / (1.0 - _ADAM_BETA1**t)
         uhat = u / (1.0 - _ADAM_BETA2**t)
         step = _STEP_SIZE * 0.01 ** (t / iters)
@@ -514,12 +523,6 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     sign = -1.0 if kind in MIN_KINDS else 1.0
     scale = -2.0 / (traces if kind in NORMALIZED_KINDS else np.ones(len(covs)))
 
-    def cost_and_grad(v):
-        values, products = domain_losses(kind, v, covs, traces, eigsums)
-        members = np.arange(v.shape[0])
-        idx = worst_index(kind, values)
-        return sign * values[members, idx], scale[idx, None, None] * products[members, idx]
-
     def result(frame, iters, restart, restarts, bound=None):
         values, _ = domain_losses(kind, frame, covs, traces, eigsums)
         worst = float(values[worst_index(kind, values)])
@@ -534,6 +537,15 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     fit = result(frame, steps, 0, (), bound)
     if _certifies(fit.gap, fit.objective):
         return fit
+
+    # Adam evaluates thousands of batches, so the covariances are stacked once.
+    stack = np.stack(covs)
+
+    def cost_and_grad(v):
+        values, products = domain_losses(kind, v, stack, traces, eigsums)
+        members = np.arange(v.shape[0])
+        idx = worst_index(kind, values)
+        return sign * values[members, idx], scale[idx, None, None] * products[members, idx]
 
     v0 = np.stack([haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
     frames, costs, iters, plateaued = stiefel_adam(

@@ -126,6 +126,55 @@ class TestStiefelProject:
             stiefel_project(np.ones((2, 2, 4, 2)))
 
 
+def _svd_polar(m):
+    u, _, wt = np.linalg.svd(m, full_matrices=False)
+    return u @ wt
+
+
+class TestGramRetraction:
+    """The Gram-eigh retraction against the SVD polar factor U @ W.T."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_svd_polar_near_frames(self, seed, count):
+        rng = make_rng(seed)
+        p = int(rng.integers(1, 41))
+        k = int(rng.integers(1, min(p, 10) + 1))
+        m = np.stack([haar_frame(p, k, rng) for _ in range(count)])
+        m += 1e-2 * rng.normal(size=m.shape)
+        assert np.abs(stiefel_project(m) - _svd_polar(m)).max() <= 1e-13
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_svd_polar_on_well_conditioned_matrices(self, seed):
+        # singular values in [1, 10] at a random overall scale
+        rng = make_rng(seed)
+        p = int(rng.integers(1, 41))
+        k = int(rng.integers(1, min(p, 10) + 1))
+        m = np.stack(
+            [
+                haar_frame(p, k, rng) @ np.diag(rng.uniform(1.0, 10.0, k)) @ haar_frame(k, k, rng).T
+                for _ in range(3)
+            ]
+        )
+        m *= 10.0 ** rng.uniform(-3.0, 3.0)
+        assert np.abs(stiefel_project(m) - _svd_polar(m)).max() <= 1e-13
+
+    def test_singular_value_ratio_below_threshold_rejected(self):
+        rng = make_rng(8)
+        u = haar_frame(6, 2, rng)
+        w = haar_frame(2, 2, rng)
+        m = np.stack([haar_frame(6, 2, rng), u @ np.diag([1.0, 1e-8]) @ w.T])
+        # a ratio of 1e-8 has a well-defined SVD polar factor but a Gram
+        # eigenvalue ratio of 1e-16
+        with pytest.raises(RankDeficient):
+            stiefel_project(m)
+        with pytest.raises(RankDeficient):
+            stiefel_project(m[1])
+        # a ratio of 1e-4 is still accepted
+        stiefel_project(np.diag([1.0, 1e-4]))
+
+
 class TestProjectionDistance:
     def test_basis_invariance(self):
         v = haar_frame(6, 2, make_rng(3))

@@ -119,6 +119,9 @@ class TestDomainLosses:
         traces = np.array([float(np.trace(c)) for c in covs])
         eigsums = np.array([top_k_eigensum(c, k) for c in covs])
         values, products = domain_losses(kind, v, covs, traces, eigsums)
+        stacked_values, stacked_products = domain_losses(kind, v, np.stack(covs), traces, eigsums)
+        np.testing.assert_array_equal(stacked_values, values)
+        np.testing.assert_array_equal(stacked_products, products)
         members = list(v) if layout == "batch" else [v]
         assert values.shape == v.shape[:-2] + (len(covs),)
         assert products.shape == values.shape + (p, k)
@@ -133,6 +136,8 @@ class TestDomainLosses:
     def test_row_mismatch(self):
         with pytest.raises(InvalidInput):
             domain_losses(LossKind.VAR, np.eye(3)[:, :1], [np.eye(2)], np.ones(1), None)
+        with pytest.raises(InvalidInput):
+            domain_losses(LossKind.VAR, np.eye(3)[:, :1], np.eye(2)[None], np.ones(1), None)
         with pytest.raises(InvalidInput):
             domain_losses(LossKind.VAR, np.ones((2, 3, 1)), [np.eye(2)], np.ones(1), None)
 

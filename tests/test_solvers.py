@@ -66,10 +66,27 @@ class TestBaselines:
             pool_pca(example1, 4)
 
 
-@pytest.mark.parametrize("setting", [{"max_iters": 0}, {"restarts": 0}, {"seed": -1}])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"max_iters": 0},
+        {"restarts": 0},
+        {"seed": -1},
+        {"tol_objective": -1e-8},
+        {"tol_objective": float("nan")},
+    ],
+)
 def test_solver_config_rejects_bad_settings(setting):
     with pytest.raises(InvalidInput):
         SolverConfig(**setting)
+
+
+def test_zero_tolerance_runs_the_whole_budget():
+    cost_and_grad = _worst_case_costs(LossKind.VAR, [np.diag(np.arange(1.0, 7.0))], 2)[1]
+    v0 = haar_frame(6, 2, make_rng(4))[None]
+    cfg = SolverConfig(max_iters=300, tol_objective=0.0)
+    _, _, used, plateaued = stiefel_adam(v0, cost_and_grad, cfg.max_iters, cfg.tol_objective)
+    assert used.tolist() == [300] and plateaued.tolist() == [False]
 
 
 class TestSolveWcpca:
