@@ -1,5 +1,5 @@
-"""Baselines, the mixture dual and the Stiefel-Adam solver for worst-case
-subspace fitting.
+"""Baselines, the mixture dual and the Grassmann SQP for worst-case subspace
+fitting.
 
 The exact baselines (pooled, separate, average-covariance PCA) reduce to
 eigendecompositions. The worst-case problems
@@ -7,64 +7,57 @@ eigendecompositions. The worst-case problems
     maximize  min_e Var(V; Sigma_e)        (Var, NormVar)
     minimize  max_e L(V; Sigma_e)          (RCS, NormRCS, Reg, NormReg)
 
-are solved dual first, with Stiefel-Adam as the fallback.
+are solved dual first, with a local minimax SQP as the fallback. Both see
+one scaled problem (:func:`_scaling`): every kind is min_V max_e f_e(V) with
+f_e = c_e - <S_e, V V.T>, where S_e is Sigma_e, or Sigma_e / Tr(Sigma_e) for
+the normalized kinds, and c_e is 0 for Var and NormVar, else the trace or
+the top-k eigensum, scaled like S_e.
 
 Every loss is linear in the covariance, so relaxing V V.T to the Fantope
 {0 <= P <= I, Tr P = k} and swapping min and max gives a dual over simplex
-weights w on the domains (trace-normalized covariances for the normalized
-kinds): by Ky Fan's maximum principle it is max_w sum_e w_e b_e - s_k(Sigma_w)
-for the max kinds, with b_e the trace or the top-k eigensum, and
-min_w s_k(Sigma_w) for Var, where s_k sums the k largest eigenvalues of
-the mixture Sigma_w. Any w gives a bound on the optimum, and every domain's
-loss at the top-k frame of Sigma_w is a supergradient (Overton & Womersley,
-*Math. Programming* 1993). Wherever lambda_k(Sigma_w) > lambda_{k+1}(Sigma_w)
-the dual is twice differentiable, with a Hessian taken from the same
-eigendecomposition (Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995),
-so :func:`_mixture_dual` ascends it by damped Newton steps, each a QP over
-the E simplex weights (:func:`_simplex_newton`, shared with completion's
-maxMC R-step); once the best top-k frame it meets is within 1e-9 (relative)
-of the best bound, that frame is optimal and the gap certifies it. The
+weights w on the domains: by Ky Fan's maximum principle it is
+max_w sum_e w_e c_e - s_k(S_w) for the max kinds and min_w s_k(S_w) for
+Var, where s_k sums the k largest eigenvalues of the mixture S_w. Any w
+gives a bound on the optimum, and every domain's loss at the top-k frame of
+S_w is a supergradient (Overton & Womersley, *Math. Programming* 1993).
+Wherever lambda_k(S_w) > lambda_{k+1}(S_w) the dual is twice
+differentiable, with a Hessian taken from the same eigendecomposition
+(Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995), so
+:func:`_mixture_dual` ascends it by damped Newton steps, each a QP over the
+E simplex weights (:func:`_simplex_newton`, shared with completion's maxMC
+R-step); once the best top-k frame it meets is within 1e-9 (relative) of
+the best bound, that frame is optimal and the gap certifies it. The
 relaxation need not be tight: its optimum can have rank k+1 (Tantipongpipat
 et al., NeurIPS 2019), with lambda_k = lambda_{k+1} at the optimal weights,
 and then the gap stays open.
 
 :func:`solve_wcpca` runs the dual first on every worst-case solve, at every
-p. An uncertified dual falls back to :func:`stiefel_adam`: at each iterate
-the active domain (the one attaining the worst case, smallest index on ties)
-supplies the subgradient, an annealed Adam step is taken in the ambient
-p x k space, and the result is retracted to orthonormal columns by
-``stiefel_project`` (the polar factor, from an ``eigh`` of the k x k Gram).
-All six objectives share one update direction: the Euclidean gradient of
-the active domain's loss is +/- 2 Sigma_a V (divided by the trace for
-normalized kinds, and unchanged for the regret kinds whose baseline does not
-depend on V). The losses come from the single kernel
-``losses.domain_losses``, whose products ``Sigma_e V`` double as the
-gradient; the fallback stacks the covariances once per solve, so each
-iteration takes all of its products in one broadcast ``matmul``.
-
-The driver advances an ``(R, p, k)`` batch: :func:`solve_wcpca` runs all of
-its restarts in one loop, each with its own Adam moments and plateau stop,
-so a solve takes as many iterations as its slowest restart rather than the
-sum over restarts, and each restart's result is bitwise the one a lone run
-would give. The step size anneals geometrically from 1e-2 down to 1e-4 over
-the iteration budget; a constant step leaves Adam oscillating at the step
-scale near a max-min optimum where the active domain alternates. Restart r
-draws its initial frame from stream r of ``cfg.seed`` (a counter-offset of
-the same Philox key), so runs are reproducible and restarts are
-independent. Retraction-based descent follows
-Absil, Mahony & Sepulchre, *Optimization Algorithms on Matrix Manifolds*
-(2008); the update rule is Adam (Kingma & Ba, ICLR 2015).
+p. An uncertified dual falls back to :func:`_grassmann_sqp`, an epigraph
+SQP for finite minimax (Han, *Math. Programming* 1981) on the Grassmann
+manifold (Obara, Okuno & Takeda, *SIAM J. Optim.* 2022). At a frame V with
+multipliers w, the QP of one step, min t + <Z, H Z>/2 over horizontal Z
+subject to f_e + <G_e, Z> <= t, has as its dual the simplex QP
+max_w w.f - w.M w/2 of :func:`_simplex_qp`, with G_e the horizontal
+gradients and M_ef = <G_e, H^-1 G_f>. H, the Lagrangian's Hessian, is
+diagonal in the eigenbases of V.T S_w V and of S_w compressed to the
+complement of V, with entries 2 (theta_j - mu_i) (Edelman, Arias & Smith,
+*SIAM J. Matrix Anal. Appl.* 1998); the step takes their magnitudes,
+floored. The step is retracted by ``stiefel_project`` (the polar factor)
+and accepted by an Armijo search on the max. A run stops at a KKT point,
+with w its multipliers, once the QP's predicted decrease is within the
+tolerance. Run 0 starts from the dual's frame and run r + 1 from the Haar
+frame of stream r of ``cfg.seed`` (a counter-offset of the same Philox
+key), for r < ``cfg.restarts``, so runs are reproducible and independent.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidKind, InvalidRank, NumericalFailure
+from .errors import InvalidInput, InvalidKind, InvalidRank
 from .linalg import (
     Spectrum,
     as_frame,
@@ -99,21 +92,11 @@ __all__ = [
     "pool_pca",
     "sep_pca",
     "avgcov_pca",
-    "stiefel_adam",
     "solve_wcpca",
     "sequential_minpca",
     "order_basis",
 ]
 
-# Stop a run when the best cost has improved by less than its tolerance over
-# this many iterations.
-_PLATEAU_WINDOW = 50
-# Initial Adam step size; it anneals geometrically to a hundredth of this.
-_STEP_SIZE = 1e-2
-# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
 # Domains within this absolute gap of the worst-case value count as active.
 _ACTIVE_TOL = 1e-6
 # A reduced covariance with trace at most this gets this much diagonal jitter.
@@ -122,8 +105,8 @@ _TRACE_JITTER = 1e-15
 _DUAL_GAP_RTOL = 1e-9
 # The mixture dual takes at most this many Newton steps.
 _NEWTON_STEPS = 30
-# A Newton step is accepted at the first step length 1, 1/2, 1/4, ... that
-# gains at least _ARMIJO of the model's predicted gain; after _HALVINGS
+# A Newton or SQP step is accepted at the first step length 1, 1/2, 1/4, ...
+# that gains at least _ARMIJO of the model's predicted gain; after _HALVINGS
 # failed lengths the search stops.
 _ARMIJO = 1e-4
 _HALVINGS = 6
@@ -133,8 +116,14 @@ _EIGEN_GAP_RTOL = 1e-10
 # Ridge added to the Hessian of the Newton model, relative to the larger of
 # its largest diagonal entry and the spread of the gradient, so the simplex
 # QP stays strictly convex where the Hessian is singular (at diagonal
-# covariances it is zero).
+# covariances it is zero). The SQP adds it to M relative to M's largest
+# diagonal entry, centred on the current multipliers as in the Newton step,
+# so it damps their moves without shifting the point where they settle.
 _NEWTON_RIDGE = 1e-9
+# The SQP's Hessian entries |2 (theta_j - mu_i)| are floored at this times
+# the largest |theta|, |mu|: where S_w is a multiple of I on the relevant
+# block every entry is 0.
+_HESSIAN_FLOOR = 1e-3
 # h(w) is taken as exact to this times the magnitudes it subtracts (the
 # weighted offsets and the top-k eigensum); weight moves below it end the
 # search.
@@ -143,12 +132,15 @@ _ROUNDING = 1e-14
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget, plateau tolerance, restarts and seed of the Stiefel-Adam path.
+    """Budget, tolerance, restarts and seed of the SQP fallback.
 
     The mixture dual that :func:`solve_wcpca` runs first has fixed settings;
-    none of these fields reaches it. ``tol_objective`` must be a number
-    >= 0; 0 never stops on a plateau, so every restart runs the whole
-    ``max_iters`` budget.
+    none of these fields reaches it. ``max_iters`` is the SQP budget of each
+    run. ``tol_objective`` must be a number >= 0: a run stops at a KKT point
+    once the QP's predicted decrease is at most ``tol_objective`` times
+    max(1, |objective|), so 0 runs until a step stalls or the budget ends.
+    ``restarts`` is the number of Haar-random starts run besides the dual's
+    frame, and ``seed`` draws them.
     """
 
     max_iters: int = 2000
@@ -161,7 +153,7 @@ class SolverConfig:
             raise InvalidInput(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise InvalidInput(f"restarts must be >= 1, got {self.restarts}")
-        # NaN fails this comparison too; it would turn the plateau stop off.
+        # NaN fails this comparison too; it would turn the KKT stop off.
         if not self.tol_objective >= 0.0:
             raise InvalidInput(f"tol_objective must be >= 0, got {self.tol_objective}")
         if self.seed < 0:
@@ -169,11 +161,12 @@ class SolverConfig:
 
 
 class Restart(NamedTuple):
-    """One restart's final objective, iterations run and stop reason.
+    """One SQP run's final objective, iterations run and stop reason.
 
-    ``stop`` is ``"plateau"`` when the best objective stalled within the
-    tolerance over the plateau window, ``"budget"`` when the iterations ran
-    out first.
+    ``stop`` is ``"kkt"`` when the QP's predicted decrease fell within the
+    tolerance (or every horizontal gradient vanished), ``"stalled"`` when no
+    step length passed the line search, and ``"budget"`` when the iterations
+    ran out first.
     """
 
     objective: float
@@ -186,13 +179,15 @@ class FitResult:
     """A fitted frame with its objective and solver diagnostics.
 
     ``active_domains`` holds the indices of domains within 1e-6 of the
-    worst-case value at the returned frame. ``restarts`` lists every Adam
-    restart's :class:`Restart` in restart order; entry ``restart_index`` is
-    the one returned. ``dual_bound`` is the best mixture-dual bound on the
-    optimum (a lower bound for the max kinds, an upper bound for Var and
-    NormVar) and ``gap`` how far the objective lies from it on the worse
-    side, nonnegative up to rounding. Every worst-case fit with k < p
-    carries both; they are None for the exact baselines and for k = p. A
+    worst-case value at the returned frame. ``restarts`` lists every SQP
+    run's :class:`Restart`: run 0 starts at the dual's frame, run r + 1 at
+    the Haar frame of stream r; entry ``restart_index`` is the one returned
+    and ``iterations_used`` its iterations. ``dual_bound`` is the best
+    mixture-dual bound on the optimum (a lower bound for the max kinds, an
+    upper bound for Var and NormVar) and ``gap`` how far the objective lies
+    from it on the worse side, nonnegative up to rounding. Every worst-case
+    fit with k < p carries both; they are None for the exact baselines and
+    for k = p. A
     fit certified by the dual reports its Newton steps as
     ``iterations_used``, restart 0 and no restarts. Exact baselines report
     an empty set (pooled/average PCA) or the selected domain (separate PCA),
@@ -241,85 +236,6 @@ def sep_pca(domains, k: int) -> FitResult:
 def avgcov_pca(domains, k: int) -> FitResult:
     """PCA on the unweighted average covariance (1/E) sum_e Sigma_e."""
     return _pca_of(average_covariance(as_collection(domains)), k)
-
-
-def stiefel_adam(v0, cost_and_grad, iters: int, tol: float):
-    """Minimize a worst-case cost over frames with orthonormal columns, for a
-    batch of starting frames at once; worst-case PCA's fallback.
-
-    ``v0`` is an ``(R, p, k)`` batch of starts, and ``cost_and_grad(v)``
-    maps an ``(r, p, k)`` batch to the costs ``(r,)`` and the Euclidean
-    gradients ``(r, p, k)`` of each member's active (worst) piece. Each
-    iteration keeps every gradient's tangent part, updates the Adam moments
-    in place, takes a step whose size anneals geometrically from 1e-2 to
-    1e-4 over ``iters``, and retracts the batch with one call of the
-    module-level ``stiefel_project`` (the polar factor). Each member keeps
-    its own moments and stops once its best cost has improved by less than
-    ``tol`` over its last 50 iterations; it then leaves the batch, so the
-    loop runs as many iterations as the slowest member. Every member's
-    result is bitwise equal to a run of that member alone.
-
-    Returns ``(frames, costs, iterations, plateaued)``, each indexed by
-    member: the best frame (possibly the start itself), its cost, the
-    iterations run, and whether the plateau rule (rather than the budget)
-    stopped the member.
-    """
-    v = np.asarray(v0, dtype=np.float64)
-    count = v.shape[0]
-    frames, costs = [None] * count, [0.0] * count
-    used, plateaued = [iters] * count, [False] * count
-    # Row j of the live state belongs to member live[j]; the arrays are
-    # compacted only when a member stops. The per-member bookkeeping is in
-    # Python floats and frame views: for a handful of restarts that is
-    # cheaper than array calls, and it compares exactly as a lone run does.
-    live = list(range(count))
-    m = np.zeros_like(v)
-    u = np.zeros_like(v)
-    cost, g = cost_and_grad(v)
-    best_cost, best_v = cost.tolist(), list(v)
-    best_hist = deque([best_cost], maxlen=_PLATEAU_WINDOW + 1)
-    for t in range(1, iters + 1):
-        # The moments must see only the tangential part: the radial component
-        # never flips sign, and Adam's coordinatewise normalization would
-        # inflate it into a bias that stalls equalized optima off the KKT
-        # point (Example-1-type instances expose this).
-        vg = v.swapaxes(1, 2) @ g
-        g = g - v @ ((vg + vg.swapaxes(1, 2)) / 2.0)
-        m *= _ADAM_BETA1
-        m += (1.0 - _ADAM_BETA1) * g
-        u *= _ADAM_BETA2
-        u += (1.0 - _ADAM_BETA2) * (g * g)
-        mhat = m / (1.0 - _ADAM_BETA1**t)
-        uhat = u / (1.0 - _ADAM_BETA2**t)
-        step = _STEP_SIZE * 0.01 ** (t / iters)
-        v = v - step * mhat / (np.sqrt(uhat) + _ADAM_EPS)
-        if not np.isfinite(v).all():
-            raise NumericalFailure(f"non-finite iterate at iteration {t}")
-        v = stiefel_project(v)
-        cost, g = cost_and_grad(v)
-        best_cost = best_cost.copy()
-        for j, c in enumerate(cost.tolist()):
-            if c < best_cost[j]:
-                best_cost[j], best_v[j] = c, v[j]
-        best_hist.append(best_cost)
-        if t < _PLATEAU_WINDOW:
-            continue
-        stopped = [j for j, old in enumerate(best_hist[0]) if old - best_cost[j] < tol]
-        if not stopped:
-            continue
-        for j in stopped:
-            i = live[j]
-            frames[i], costs[i], used[i], plateaued[i] = best_v[j], best_cost[j], t, True
-        keep = [j for j in range(len(live)) if j not in stopped]
-        live, best_v = [live[j] for j in keep], [best_v[j] for j in keep]
-        if not live:
-            break
-        v, g, m, u = v[keep], g[keep], m[keep], u[keep]
-        best_hist = deque(([h[j] for j in keep] for h in best_hist), maxlen=_PLATEAU_WINDOW + 1)
-        best_cost = best_hist[-1]
-    for j, i in enumerate(live):
-        frames[i], costs[i] = best_v[j], best_cost[j]
-    return np.stack(frames), np.array(costs), np.array(used), np.array(plateaued)
 
 
 def _certifies(gap: float, objective: float) -> bool:
@@ -424,27 +340,37 @@ class _DualPoint(NamedTuple):
     spectrum: Spectrum
 
 
-def _dual_point(kind: LossKind, domains: DomainCollection, k: int, eigsums, w) -> _DualPoint:
-    """Evaluate the mixture dual ``h(w) = sign * sum_e w_e b_e - s_k(Sigma_w)``.
+def _scaling(kind: LossKind, traces, eigsums):
+    """The scaled problem ``f_e(V) = offsets_e - per_unit_e <Sigma_e, V V.T>``.
 
-    ``Sigma_w`` is :func:`losses.mixture` with weights ``w / traces`` for the
-    normalized kinds, else ``w``, so domain e enters as ``S_e`` = Sigma_e or
-    Sigma_e / Tr(Sigma_e). ``sign`` is -1 and ``b`` zero for Var and NormVar;
-    for the other kinds ``b`` holds the traces (the top-k eigensums
-    ``eigsums`` for the regret kinds), scaled like ``S_e``. One
-    :func:`sym_eigen` of ``Sigma_w`` and one ``domain_losses`` call at its
-    top-k frame U give h, the candidate U, ``sign`` times the domain losses
-    at U (the gradient of h) and ``sign`` times the worst of them (the
-    objective), and the products ``S_e U`` that :func:`_eigensum_hessian`
-    needs. ``rounding`` is ``_ROUNDING`` times the magnitudes h subtracts.
+    Returns ``(per_unit, offsets)``: ``per_unit`` is ``1 / traces`` for the
+    normalized kinds, else ones, so domain e enters as ``S_e`` = Sigma_e or
+    Sigma_e / Tr(Sigma_e); ``offsets`` is zero for Var and NormVar, else the
+    traces (the top-k eigensums ``eigsums`` for the regret kinds) times
+    ``per_unit``. Then ``f_e`` is domain e's loss for the max kinds and its
+    negative for Var and NormVar, and both minimax solves minimize its max.
+    """
+    per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(traces))
+    if kind in MIN_KINDS:
+        return per_unit, np.zeros(len(traces))
+    return per_unit, (eigsums if kind in REGRET_KINDS else traces) * per_unit
+
+
+def _dual_point(kind: LossKind, domains: DomainCollection, k: int, eigsums, w) -> _DualPoint:
+    """Evaluate the mixture dual ``h(w) = sign * w.offsets - s_k(S_w)``.
+
+    ``S_w`` is :func:`losses.mixture` with weights ``w * per_unit``, with
+    ``per_unit`` and ``offsets`` from :func:`_scaling`; ``sign`` is -1 for
+    Var and NormVar, else 1. One :func:`sym_eigen` of ``S_w`` and one
+    ``domain_losses`` call at its top-k frame U give h, the candidate U,
+    ``sign`` times the domain losses at U (the gradient of h) and ``sign``
+    times the worst of them (the objective), and the products ``S_e U`` that
+    :func:`_eigensum_hessian` needs. ``rounding`` is ``_ROUNDING`` times the
+    magnitudes h subtracts.
     """
     covs, traces = domains.covariances, domains.traces
-    per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(covs))
+    per_unit, offsets = _scaling(kind, traces, eigsums)
     sign = -1.0 if kind in MIN_KINDS else 1.0
-    if kind in MIN_KINDS:
-        offsets = np.zeros(len(covs))
-    else:
-        offsets = (eigsums if kind in REGRET_KINDS else traces) * per_unit
     spec = sym_eigen(mixture(domains, w * per_unit))
     frame = spec.eigenvectors[:, :k].copy()
     values, products = domain_losses(kind, frame, covs, traces, eigsums)
@@ -481,11 +407,6 @@ def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
     frame (lowest worst-case loss, highest for Var and NormVar), the best
     bound ``sign * h`` and the Newton steps taken.
     """
-    # The search runs over the domains in an order fixed by their covariances,
-    # so its result does not depend, bit for bit, on the order they come in.
-    order = sorted(range(len(domains)), key=lambda e: domains[e].covariance.tobytes())
-    domains = DomainCollection(tuple(domains[e] for e in order))
-    eigsums = None if eigsums is None else eigsums[order]
     frame, bound, steps = _simplex_newton(
         lambda w: _dual_point(kind, domains, k, eigsums, w),
         lambda point: _eigensum_hessian(point.spectrum, point.products, k),
@@ -494,21 +415,82 @@ def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
     return frame, (-1.0 if kind in MIN_KINDS else 1.0) * bound, steps
 
 
+def _grassmann_sqp(stack, offsets, v, iters: int, tol: float):
+    """Minimize ``max_e f_e(V)``, ``f_e = offsets_e - <stack_e, V V.T>``, from ``v``.
+
+    ``stack`` holds the scaled ``(E, p, p)`` matrices S_e of
+    :func:`_scaling`. From uniform multipliers w, each iteration takes the
+    eigenbases U of V.T S_w V (eigenvalues theta) and W of S_w compressed to
+    the complement V_perp of V (eigenvalues mu), the horizontal gradients
+    ``G_e = -2 (V_perp W).T S_e V U`` and the Hessian entries
+    ``h = |2 (theta_j - mu_i)|``, floored at ``_HESSIAN_FLOOR`` times the
+    largest |theta|, |mu|. The new w solve the simplex QP
+    ``max_w w.f - w.M w / 2`` with ``M_ef = sum G_e G_f / h``
+    (:func:`_simplex_qp`, with the ridge centred on the current w), and the
+    step is ``Z = -V_perp W (sum_e w_e G_e / h) U.T``. Step lengths 1, 1/2,
+    ... are retracted by ``stiefel_project`` and the first that passes
+    Armijo on the max, against the predicted decrease
+    ``F - (w.f - w.M w / 2)``, is taken.
+    Returns ``(frame, iterations, stop)``: ``stop`` is ``"kkt"`` once the
+    predicted decrease is at most ``tol * max(1, |F|)`` or every gradient is
+    exactly 0, ``"stalled"`` when no length passes within ``_HALVINGS``, and
+    ``"budget"`` after ``iters`` iterations.
+    """
+    k = v.shape[1]
+    w = np.full(len(offsets), 1.0 / len(offsets))
+    products = stack @ v
+    f = offsets - np.sum(v * products, axis=(1, 2))
+    for it in range(1, iters + 1):
+        top = float(f.max())
+        s_w = np.tensordot(w, stack, axes=1)
+        perp = np.linalg.qr(v, "complete")[0][:, k:]
+        theta, u = np.linalg.eigh(v.T @ s_w @ v)
+        mu, rot = np.linalg.eigh(perp.T @ s_w @ perp)
+        perp = perp @ rot
+        grads = -2.0 * (perp.T @ products) @ u
+        # A stationary frame: M would be 0 and the QP undefined.
+        if not grads.any():
+            return v, it, "kkt"
+        h = np.abs(2.0 * (theta[None, :] - mu[:, None]))
+        h = np.maximum(h, _HESSIAN_FLOOR * max(np.abs(theta).max(), np.abs(mu).max()))
+        scaled = grads / h
+        m = np.einsum("aij,bij->ab", grads, scaled)
+        ridge = _NEWTON_RIDGE * float(np.max(np.diag(m))) * np.eye(len(f))
+        w = _simplex_qp(m + ridge, f + ridge @ w, w)
+        predicted = top - (float(w @ f) - 0.5 * float(w @ m @ w))
+        if predicted <= tol * max(1.0, abs(top)):
+            return v, it, "kkt"
+        z = -perp @ np.tensordot(w, scaled, axes=1) @ u.T
+        for halving in range(_HALVINGS):
+            alpha = 0.5**halving
+            trial = stiefel_project(v + alpha * z)
+            trial_products = stack @ trial
+            trial_f = offsets - np.sum(trial * trial_products, axis=(1, 2))
+            if trial_f.max() <= top - _ARMIJO * alpha * predicted:
+                break
+        else:
+            return v, it, "stalled"
+        v, products, f = trial, trial_products, trial_f
+    return v, iters, "budget"
+
+
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
-    """Solve a worst-case PCA problem, dual first, else by multi-restart Stiefel-Adam.
+    """Solve a worst-case PCA problem, dual first, else by a multi-start SQP.
 
     :func:`_mixture_dual` runs first, at every p; if it certifies a frame,
     that frame is returned with its bound, its gap, its Newton steps as
-    ``iterations_used`` and no restarts. Otherwise ``cfg.restarts``
-    independent restarts from Haar-random initial frames (restart r uses
-    stream r of ``cfg.seed``) run as one :func:`stiefel_adam` batch and the
-    best final objective is kept, the first restart on ties; the fit
-    carries the dual's bound and gap. ``cfg.max_iters``, ``restarts``,
-    ``tol_objective`` and ``seed`` drive only this Adam path.
-    Non-convergence is not an error: the best frame found is returned with
-    ``iterations_used == cfg.max_iters``. The degenerate case k = p
-    short-circuits to the identity frame, where every objective is constant
-    over the manifold.
+    ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
+    runs from the dual's frame (run 0) and from ``cfg.restarts`` Haar-random
+    frames (run r + 1 uses stream r of ``cfg.seed``), each for at most
+    ``cfg.max_iters`` iterations with tolerance ``cfg.tol_objective``, and
+    the best final objective is kept, the first run on ties; the fit
+    carries every run's :class:`Restart` and the dual's bound and gap. The
+    config fields drive only this SQP path. Non-convergence is not an
+    error: a run that ends on its budget still returns its frame. Both
+    searches see the domains in an order fixed by their covariances, so the
+    result does not depend, bit for bit, on the order they come in. The
+    degenerate case k = p short-circuits to the identity frame, where every
+    objective is constant over the manifold.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
@@ -516,17 +498,16 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     p = domains.p
     if not 1 <= k <= p:
         raise InvalidRank(f"k must be in 1..{p}, got {k}")
+    order = sorted(range(len(domains)), key=lambda e: domains[e].covariance.tobytes())
+    domains = DomainCollection(tuple(domains[e] for e in order))
     covs, traces = domains.covariances, domains.traces
     eigsums = domains.top_k_eigensums(k) if kind in REGRET_KINDS else None
-    # The driver minimizes; Var and NormVar maximize their worst case. The
-    # gradient of domain e's loss is scale[e] * Sigma_e V.
     sign = -1.0 if kind in MIN_KINDS else 1.0
-    scale = -2.0 / (traces if kind in NORMALIZED_KINDS else np.ones(len(covs)))
 
     def result(frame, iters, restart, restarts, bound=None):
         values, _ = domain_losses(kind, frame, covs, traces, eigsums)
         worst = float(values[worst_index(kind, values)])
-        active = frozenset(int(i) for i in np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL))
+        active = frozenset(order[i] for i in np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL))
         gap = None if bound is None else sign * (worst - bound)
         return FitResult(frame, worst, active, iters, restart, restarts, bound, gap)
 
@@ -538,25 +519,13 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     if _certifies(fit.gap, fit.objective):
         return fit
 
-    # Adam evaluates thousands of batches, so the covariances are stacked once.
-    stack = np.stack(covs)
-
-    def cost_and_grad(v):
-        values, products = domain_losses(kind, v, stack, traces, eigsums)
-        members = np.arange(v.shape[0])
-        idx = worst_index(kind, values)
-        return sign * values[members, idx], scale[idx, None, None] * products[members, idx]
-
-    v0 = np.stack([haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
-    frames, costs, iters, plateaued = stiefel_adam(
-        v0, cost_and_grad, cfg.max_iters, cfg.tol_objective
-    )
-    restarts = tuple(
-        Restart(float(sign * c), int(n), "plateau" if stopped else "budget")
-        for c, n, stopped in zip(costs, iters, plateaued)
-    )
-    best = int(np.argmin(costs))
-    return result(frames[best], int(iters[best]), best, restarts, bound)
+    per_unit, offsets = _scaling(kind, traces, eigsums)
+    stack = np.stack(covs) * per_unit[:, None, None]
+    starts = [frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)]
+    runs = [_grassmann_sqp(stack, offsets, v, cfg.max_iters, cfg.tol_objective) for v in starts]
+    fits = [result(v, iters, r, (), bound) for r, (v, iters, _) in enumerate(runs)]
+    restarts = tuple(Restart(f.objective, f.iterations_used, stop) for f, (*_, stop) in zip(fits, runs))
+    return replace(min(fits, key=lambda f: sign * f.objective), restarts=restarts)
 
 
 def _reduced_matrices(kind, domains, basis) -> list[np.ndarray]:

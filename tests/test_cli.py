@@ -141,10 +141,10 @@ class TestFit:
         assert report["gap"] > solvers._DUAL_GAP_RTOL * max(1.0, abs(report["objective_value"]))
         assert report["gap"] == report["objective_value"] - report["dual_bound"]
         restarts = report["restarts"]
-        assert len(restarts) == 5
+        assert len(restarts) == 6
         for r in restarts:
             assert set(r) == {"objective", "iterations", "stop"}
-            assert r["stop"] in ("plateau", "budget")
+            assert r["stop"] in ("kkt", "stalled", "budget")
             assert 1 <= r["iterations"] <= 2000
             assert r["objective"] >= report["objective_value"]
         chosen = restarts[report["restart_index"]]
@@ -170,7 +170,7 @@ class TestFit:
         assert certified["restarts"] == []
         assert 0.0 <= certified["gap"] <= 1e-9
         assert certified["gap"] == certified["objective_value"] - certified["dual_bound"]
-        assert len(fallback["restarts"]) == 5
+        assert len(fallback["restarts"]) == 6
         assert fallback["gap"] > 1e-9
         assert fallback["dual_bound"] <= fallback["objective_value"]
 

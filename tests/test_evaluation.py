@@ -164,7 +164,7 @@ class TestConsistencyCurve:
         assert abs(table[1]["median"]) <= 1e-4
 
     def test_solver_config_is_used(self, monkeypatch):
-        # the config drives the Adam fallback; with no Newton step the dual
+        # the config drives the SQP fallback; with no Newton step the dual
         # stops at uniform weights, uncertified, so every solve falls back
         monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
         gen = GenConfig(p=8, n_domains=3, shared_rank=2, specific_rank=2, seed=51)

@@ -5,6 +5,8 @@ remaining tests assert structural properties: determinism, restart
 monotonicity, orthonormal outputs, prefix optimality of ordered bases.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from wcpca import (
     MIN_KINDS,
-    NORMALIZED_KINDS,
+    REGRET_KINDS,
     InvalidInput,
     InvalidKind,
     InvalidRank,
@@ -29,12 +31,8 @@ from wcpca import (
     sequential_minpca,
     solve_wcpca,
     solvers,
-    stiefel_project,
-    top_k_eigensum,
     worst_case,
 )
-from wcpca.losses import domain_losses, worst_index
-from wcpca.solvers import stiefel_adam
 from conftest import random_covariance
 
 
@@ -79,14 +77,6 @@ class TestBaselines:
 def test_solver_config_rejects_bad_settings(setting):
     with pytest.raises(InvalidInput):
         SolverConfig(**setting)
-
-
-def test_zero_tolerance_runs_the_whole_budget():
-    cost_and_grad = _worst_case_costs(LossKind.VAR, [np.diag(np.arange(1.0, 7.0))], 2)[1]
-    v0 = haar_frame(6, 2, make_rng(4))[None]
-    cfg = SolverConfig(max_iters=300, tol_objective=0.0)
-    _, _, used, plateaued = stiefel_adam(v0, cost_and_grad, cfg.max_iters, cfg.tol_objective)
-    assert used.tolist() == [300] and plateaued.tolist() == [False]
 
 
 class TestSolveWcpca:
@@ -135,32 +125,31 @@ class TestSolveWcpca:
         assert fit.objective == pytest.approx(1.1, abs=1e-5)
 
     @pytest.mark.parametrize("kind", list(LossKind))
-    def test_restarts_equal_lone_reference_runs(self, kind, monkeypatch):
+    def test_runs_equal_lone_sqp_runs(self, kind, monkeypatch):
         rng = np.random.default_rng(5)
-        collection = make_collection([random_covariance(rng, 6) for _ in range(3)])
-        cfg = SolverConfig(max_iters=600, restarts=4, seed=12, tol_objective=3e-4)
+        # already in the solver's domain order, so its runs see this stack
+        covs = sorted((random_covariance(rng, 6) for _ in range(3)), key=lambda c: c.tobytes())
+        collection = make_collection(covs)
+        cfg = SolverConfig(max_iters=600, restarts=4, seed=12)
         # with no Newton step the dual stops at uniform weights, uncertified
         monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
         fit = solve_wcpca(kind, collection, 2, cfg)
-        single, _ = _worst_case_costs(kind, collection.covariances, 2)
-        sign = -1.0 if kind in MIN_KINDS else 1.0
-        refs = [
-            _reference_adam(haar_frame(6, 2, make_rng(12, r)), single, 600, 3e-4)
-            for r in range(4)
-        ]
-        assert len(fit.restarts) == 4
-        for (_, cost, iters), restart in zip(refs, fit.restarts):
-            assert restart.objective == sign * cost
-            assert restart.iterations == iters
-            assert restart.stop == ("plateau" if iters < 600 else "budget")
-        best = min(range(4), key=lambda r: refs[r][1])
-        # the dual's bound rides along, but Adam alone decides the fit
-        assert fit.gap > solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
-        assert fit.gap == sign * (fit.objective - fit.dual_bound)
+        stack, offsets = _scaled_problem(kind, collection, 2)
+        eigsums = collection.top_k_eigensums(2) if kind in REGRET_KINDS else None
+        starts = [solvers._mixture_dual(kind, collection, 2, eigsums)[0]]
+        starts += [haar_frame(6, 2, make_rng(12, r)) for r in range(4)]
+        refs = [solvers._grassmann_sqp(stack, offsets, v, 600, 1e-8) for v in starts]
+        assert len(fit.restarts) == 5
+        for (v, iters, stop), run in zip(refs, fit.restarts):
+            assert run == (worst_case(kind, v, collection), iters, stop)
+        best = min(range(5), key=lambda r: _sign(kind) * fit.restarts[r].objective)
         assert fit.restart_index == best
         assert np.array_equal(fit.frame, refs[best][0])
-        assert fit.iterations_used == refs[best][2]
-        assert fit.restarts[fit.restart_index].objective == fit.objective
+        assert fit.iterations_used == refs[best][1]
+        assert fit.objective == fit.restarts[best].objective
+        # the dual's bound rides along, but the SQP runs decide the fit
+        assert fit.gap > solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
+        assert fit.gap == _sign(kind) * (fit.objective - fit.dual_bound)
 
     def test_exact_paths_report_no_restarts(self, example1):
         assert pool_pca(example1, 1).restarts == ()
@@ -194,7 +183,7 @@ class TestMixtureDual:
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 7))
         k = int(rng.integers(1, p))
-        # enough domains that 4.5 p <= R E k with the default 5 restarts
+        # two or more domains, about p / k of them
         count = max(2, -(-9 * p // (10 * k)))
         coll = make_collection([random_covariance(rng, p) for _ in range(count)])
         fit = solve_wcpca(kind, coll, k, SolverConfig(max_iters=200, seed=seed % 1000))
@@ -206,12 +195,12 @@ class TestMixtureDual:
             other = worst_case(kind, haar_frame(p, k, make_rng(seed, r)), coll)
             assert _sign(kind) * (other - fit.dual_bound) >= -1e-12 * max(1.0, abs(other))
 
-    def test_uncertified_fit_falls_back_to_adam(self, scale_pair):
+    def test_uncertified_fit_falls_back_to_sqp(self, scale_pair):
         # the bound 1/2 is the optimum (the diagonal frame attains it), but
         # at the optimal weights Sigma_w = I/2 has a tied top eigenvalue, so
         # the dual's eigenvector frames never reach it
         fit = solve_wcpca(LossKind.NORM_VAR, scale_pair, 1)
-        assert len(fit.restarts) == 5
+        assert len(fit.restarts) == 6
         assert fit.dual_bound == pytest.approx(0.5, abs=1e-12)
         assert 0.0 < fit.gap < 1e-4
         assert fit.gap == fit.dual_bound - fit.objective
@@ -240,12 +229,12 @@ class TestMixtureDual:
             if fit.restarts == ()
         ]
         assert len(certified) >= 10
-        # when no gap certifies, every solve goes down the Adam path
+        # when no gap certifies, every solve goes down the SQP path
         monkeypatch.setattr(solvers, "_certifies", lambda gap, objective: False)
         for coll, kind, k, fit in certified:
-            adam = solve_wcpca(kind, coll, k)
-            assert len(adam.restarts) == 5
-            assert _sign(kind) * (fit.objective - adam.objective) <= 1e-9
+            fallback = solve_wcpca(kind, coll, k)
+            assert len(fallback.restarts) == 6
+            assert _sign(kind) * (fit.objective - fallback.objective) <= 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("kind", [LossKind.VAR, LossKind.NORM_REG])
@@ -274,8 +263,7 @@ class TestMixtureDual:
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_certifies_wide_fit(self, kind):
-        # at p = 40 an eigendecomposition costs more than an Adam iteration,
-        # and the dual still runs first
+        # the dual runs first at every p, and certifies these at p = 40
         rng = np.random.default_rng(0)
         coll = make_collection([random_covariance(rng, 40, 0.9) for _ in range(4)])
         fit = solve_wcpca(kind, coll, 3)
@@ -310,144 +298,84 @@ class TestMixtureDual:
         assert projection_distance(turned.frame, q @ fit.frame) <= 1e-6
 
 
-def _reference_adam(v0, cost_and_grad, iters, tol):
-    """The single-frame Stiefel-Adam loop that the batched driver replaced.
-
-    Kept as the reference each batch member must match bit for bit.
-    ``cost_and_grad(v)`` takes one p x k frame and returns a float cost and
-    a p x k gradient.
-    """
-    m = np.zeros_like(v0)
-    u = np.zeros_like(v0)
-    v = v0
-    cost, g = cost_and_grad(v)
-    best_cost, best_v = cost, v
-    best_hist = [best_cost]
-    for t in range(1, iters + 1):
-        vg = v.T @ g
-        g = g - v @ ((vg + vg.T) / 2.0)
-        m = solvers._ADAM_BETA1 * m + (1.0 - solvers._ADAM_BETA1) * g
-        u = solvers._ADAM_BETA2 * u + (1.0 - solvers._ADAM_BETA2) * (g * g)
-        mhat = m / (1.0 - solvers._ADAM_BETA1**t)
-        uhat = u / (1.0 - solvers._ADAM_BETA2**t)
-        step = solvers._STEP_SIZE * 0.01 ** (t / iters)
-        v = v - step * mhat / (np.sqrt(uhat) + solvers._ADAM_EPS)
-        v = stiefel_project(v)
-        cost, g = cost_and_grad(v)
-        if cost < best_cost:
-            best_cost, best_v = cost, v
-        best_hist.append(best_cost)
-        window = solvers._PLATEAU_WINDOW
-        if t >= window and best_hist[-1 - window] - best_cost < tol:
-            return best_v, best_cost, t
-    return best_v, best_cost, iters
+def _scaled_problem(kind, coll, k):
+    """The stacked S_e and offsets c_e the SQP minimizes max_e f_e over."""
+    per_unit, offsets = solvers._scaling(kind, coll.traces, coll.top_k_eigensums(k))
+    return np.stack(coll.covariances) * per_unit[:, None, None], offsets
 
 
-def _worst_case_costs(kind, covs, k):
-    """Single-frame and batched worst-case cost functions of one problem."""
-    traces = np.array([float(np.trace(c)) for c in covs])
-    eigsums = np.array([top_k_eigensum(c, k) for c in covs])
-    sign = -1.0 if kind in MIN_KINDS else 1.0
-    scale = -2.0 / (traces if kind in NORMALIZED_KINDS else np.ones(len(covs)))
-
-    def single(v):
-        values, products = domain_losses(kind, v, covs, traces, eigsums)
-        a = worst_index(kind, values)
-        return sign * float(values[a]), scale[a] * products[a]
-
-    def batch(v):
-        values, products = domain_losses(kind, v, covs, traces, eigsums)
-        members = np.arange(v.shape[0])
-        a = worst_index(kind, values)
-        return sign * values[members, a], scale[a][:, None, None] * products[members, a]
-
-    return single, batch
+def _worst(stack, offsets, v):
+    return float(np.max(offsets - np.sum(v * (stack @ v), axis=(1, 2))))
 
 
-def _assert_members_match_reference(v0, single, batch, iters, tol):
-    frames, costs, used, plateaued = stiefel_adam(v0, batch, iters, tol)
-    assert frames.shape == v0.shape
-    for r in range(v0.shape[0]):
-        ref_v, ref_cost, ref_iters = _reference_adam(v0[r], single, iters, tol)
-        assert np.array_equal(frames[r], ref_v)
-        assert costs[r] == ref_cost
-        assert used[r] == ref_iters
-        # only a member that plateaued can stop before the budget
-        assert plateaued[r] or ref_iters == iters
-    return used
-
-
-class TestStiefelAdam:
-    @staticmethod
-    def _max_var(sigma):
-        def cost_and_grad(v):
-            products = sigma @ v
-            return -np.sum(v * products, axis=(1, 2)), -2.0 * products
-
-        return cost_and_grad
-
+class TestGrassmannSqp:
     def test_reaches_top_eigenspace(self):
+        # with one domain, minimizing -Var(V) is plain PCA
+        stack, offsets = np.diag(np.arange(6, 0, -1.0))[None], np.zeros(1)
         v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
-        cost_and_grad = self._max_var(np.diag(np.arange(6, 0, -1.0)))
-        v, cost, iters, _ = stiefel_adam(v0[None], cost_and_grad, 3000, 1e-12)
-        np.testing.assert_allclose(v[0].T @ v[0], np.eye(2), atol=1e-10)
-        assert cost[0] == pytest.approx(-11.0, abs=1e-4)
-        assert 1 <= iters[0] <= 3000
+        v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 3000, 1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
+        assert _worst(stack, offsets, v) == pytest.approx(-11.0, abs=1e-10)
+        assert stop == "kkt"
+        assert 1 <= iters <= 3000
 
-    @given(
-        st.integers(0, 10_000),
-        st.integers(1, 5),
-        st.sampled_from(list(LossKind)),
-        st.sampled_from([0.0, 1e-8, 1e-6, 1e-3]),
-    )
     @settings(max_examples=40, deadline=None)
-    def test_members_equal_lone_reference_runs(self, seed, count, kind, tol):
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(list(LossKind)))
+    def test_runs_descend_and_stop_by_name(self, seed, kind):
         rng = make_rng(seed)
         p = int(rng.integers(2, 9))
         k = int(rng.integers(1, p))
-        covs = [random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))]
-        v0 = np.stack([haar_frame(p, k, rng) for _ in range(count)])
-        single, batch = _worst_case_costs(kind, covs, k)
-        # budgets long enough that most members plateau, at different
-        # iterations, while some run out the budget
-        iters = int(rng.integers(100, 700))
-        _assert_members_match_reference(v0, single, batch, iters, tol)
+        coll = make_collection([random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))])
+        stack, offsets = _scaled_problem(kind, coll, k)
+        v0 = haar_frame(p, k, rng)
+        v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 300, 1e-8)
+        assert stop in ("kkt", "stalled", "budget")
+        assert 1 <= iters <= 300
+        assert _worst(stack, offsets, v) <= _worst(stack, offsets, v0)
+        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-12)
+        # tolerance 0 takes the same iterates and stops on "kkt" only where
+        # the predicted decrease is not positive, so it runs at least as long
+        # and ends no worse; a run that did not stop on "kkt" ends the same
+        exact, exact_iters, exact_stop = solvers._grassmann_sqp(stack, offsets, v0, 300, 0.0)
+        assert exact_iters >= iters
+        assert _worst(stack, offsets, exact) <= _worst(stack, offsets, v)
+        if stop != "kkt":
+            assert (exact_iters, exact_stop) == (iters, stop)
+            assert np.array_equal(exact, v)
 
-    def test_members_stop_apart_and_at_budget(self):
-        rng = make_rng(10)
-        covs = [random_covariance(rng, 7) for _ in range(3)]
-        v0 = np.stack([haar_frame(7, 3, make_rng(10, r)) for r in range(5)])
-        single, batch = _worst_case_costs(LossKind.VAR, covs, 3)
-        used = _assert_members_match_reference(v0, single, batch, 1000, 1e-6)
-        # the case the loop's compaction exists for: members leave the batch
-        # at different iterations while another runs out the budget
-        assert len(set(used.tolist())) == 5
-        assert 1000 in used.tolist()
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_one_iteration_budget(self, kind, quarter_triple):
+        stack, offsets = _scaled_problem(kind, quarter_triple, 2)
+        v0 = haar_frame(5, 2, make_rng(7))
+        v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 1, 1e-8)
+        assert iters == 1
+        # a step taken ends the run on its budget; otherwise the iteration
+        # itself stopped it
+        if np.array_equal(v, v0):
+            assert stop in ("kkt", "stalled")
+        else:
+            assert stop == "budget"
+        assert _worst(stack, offsets, v) <= _worst(stack, offsets, v0)
 
-    def test_flat_cost_stops_after_one_window(self):
-        def flat(v):
-            return np.zeros(v.shape[0]), np.zeros_like(v)
+    def test_stationary_start_stops_at_once(self, example1):
+        # at e1 the minimum of example1's two variances is 0 and every
+        # horizontal gradient is exactly 0, so the QP would be 0/0
+        stack, offsets = _scaled_problem(LossKind.VAR, example1, 1)
+        v0 = np.eye(3)[:, :1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 50, 1e-8)
+        assert (iters, stop) == (1, "kkt")
+        assert np.array_equal(v, v0)
 
-        v0 = np.stack([haar_frame(5, 2, make_rng(3, r)) for r in range(2)])
-        frames, _, used, plateaued = stiefel_adam(v0, flat, 1000, 1e-12)
-        assert used.tolist() == [solvers._PLATEAU_WINDOW] * 2
-        assert plateaued.all()
-        # no iterate beats the start, so the start is returned
-        assert np.array_equal(frames, v0)
-
-    def test_member_result_ignores_its_companions(self):
-        rng = make_rng(21)
-        covs = [random_covariance(rng, 6) for _ in range(4)]
-        v0 = np.stack([haar_frame(6, 2, make_rng(21, r)) for r in range(4)])
-        _, batch = _worst_case_costs(LossKind.NORM_REG, covs, 2)
-        full = stiefel_adam(v0, batch, 200, 1e-6)
-        for members in ([2], [3, 2], [2, 0, 1]):
-            part = stiefel_adam(v0[members], batch, 200, 1e-6)
-            i = members.index(2)
-            assert np.array_equal(part[0][i], full[0][2])
-            assert part[1][i] == full[1][2]
-            assert part[2][i] == full[2][2]
-            assert part[3][i] == full[3][2]
+    @pytest.mark.parametrize(
+        "kind, optimum", [(LossKind.VAR, 0.36), (LossKind.REG, 0.36), (LossKind.RCS, 0.64)]
+    )
+    def test_example1_reaches_the_optimum(self, kind, optimum, example1):
+        fit = solve_wcpca(kind, example1, 1)
+        assert len(fit.restarts) == 6
+        assert fit.objective == pytest.approx(optimum, abs=1e-6)
+        assert all(r.stop in ("kkt", "stalled", "budget") for r in fit.restarts)
 
 
 class TestSequential:
