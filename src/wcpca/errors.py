@@ -36,10 +36,6 @@ class InvalidKind(WcpcaError):
     """An objective kind is not supported by the requested operation."""
 
 
-class NumericalFailure(WcpcaError):
-    """An iterative routine produced NaN or Inf and cannot continue."""
-
-
 class NoObservations(WcpcaError):
     """A least-squares subproblem has an empty observation set."""
 
@@ -67,7 +63,6 @@ class InvalidConfig(WcpcaError):
 # Process exit codes used by the command-line entry point. 0 is success and
 # 1 additionally covers unexpected (non-taxonomy) exceptions.
 EXIT_CODES: dict[type[WcpcaError], int] = {
-    NumericalFailure: 1,
     RankDeficient: 1,
     SchemaError: 2,
     EmptyData: 2,

@@ -164,8 +164,7 @@ def top_k_frame(sigma, k: int) -> np.ndarray:
 
 
 def stiefel_project(m) -> np.ndarray:
-    """Project a full-column-rank p x k matrix, or an (R, p, k) batch of them,
-    onto the orthonormal frames.
+    """Project a full-column-rank p x k matrix onto the orthonormal frames.
 
     Returns the polar factor ``A (A.T A)^{-1/2}`` of ``A = m``, the closest
     orthonormal frame in Frobenius norm (``U @ W.T`` of the thin SVD
@@ -175,31 +174,28 @@ def stiefel_project(m) -> np.ndarray:
     Forming the Gram squares the condition number kappa = s_max / s_min,
     so the result is accurate to about kappa**2 times machine epsilon: at
     the rounding level for the near-orthonormal iterates of a retraction,
-    looser than an SVD for ill-conditioned input. A batch is retracted by
-    one batched ``eigh`` and each member equals its own 2-D projection bit
-    for bit. Matrices that already have orthonormal columns map to
-    themselves within 1e-10.
+    looser than an SVD for ill-conditioned input. Matrices that already
+    have orthonormal columns map to themselves within 1e-10.
 
     Raises
     ------
     InvalidInput
-        If ``m`` is not 2-D or 3-D or has more columns than rows.
+        If ``m`` is not 2-D or has more columns than rows.
     RankDeficient
-        If, in any member, the smallest Gram eigenvalue is at or below
-        1e-12 times the largest, i.e. the smallest singular value is at or
-        below 1e-6 times the largest (no accurate polar factor from the
-        Gram).
+        If the smallest Gram eigenvalue is at or below 1e-12 times the
+        largest, i.e. the smallest singular value is at or below 1e-6 times
+        the largest (no accurate polar factor from the Gram).
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim not in (2, 3):
-        raise InvalidInput(f"expected a 2-D array or a 3-D batch, got shape {a.shape}")
-    if a.shape[-1] > a.shape[-2]:
-        raise InvalidInput(f"cannot orthonormalize {a.shape[-1]} columns in {a.shape[-2]} rows")
-    mu, w = np.linalg.eigh(a.swapaxes(-1, -2) @ a)
+    if a.ndim != 2:
+        raise InvalidInput(f"expected a 2-D array, got shape {a.shape}")
+    if a.shape[1] > a.shape[0]:
+        raise InvalidInput(f"cannot orthonormalize {a.shape[1]} columns in {a.shape[0]} rows")
+    mu, w = np.linalg.eigh(a.T @ a)
     # eigh sorts ascending; the comparison also rejects an all-zero or NaN Gram.
-    if not (mu[..., 0] > mu[..., -1] * _RANK_RTOL).all():
+    if not mu[0] > mu[-1] * _RANK_RTOL:
         raise RankDeficient("matrix is numerically rank-deficient")
-    return a @ (w / np.sqrt(mu)[..., None, :]) @ w.swapaxes(-1, -2)
+    return a @ (w / np.sqrt(mu)) @ w.T
 
 
 def projection_distance(v, w) -> float:

@@ -242,31 +242,28 @@ def loss(kind, v, sigma, k: int | None = None) -> float:
 
 
 def domain_losses(kind: LossKind, v, covs, traces, eigsums):
-    """Every domain's loss of frame ``v``, plus the products ``covs[e] @ v``.
+    """Every domain's loss of one frame ``v``, plus the products ``covs[e] @ v``.
 
-    ``v`` is one p x k frame (1-D input is one column) or a batch of frames
-    of shape ``(..., p, k)``. ``covs`` is a sequence of p x p covariances or
-    one stacked ``(E, p, p)`` array. ``traces`` (and, for the regret kinds,
-    ``eigsums``, the top-k eigenvalue sums at k = frame width) are arrays
-    aligned with ``covs``. Returns ``(values, products)`` with values of
-    shape ``(..., E)``, each bitwise equal to ``loss(kind, frame, covs[e])``,
-    and products of shape ``(..., E, p, k)``; solvers reuse the active
-    domain's product as its gradient. A sequence takes one ``c @ v`` per
-    domain and is never copied into a stack; a stack takes one broadcast
-    product for the whole batch, with the same bits. Callers that evaluate
-    many frames of one problem stack once and pass the stack; a single
-    evaluation at large p passes the sequence.
+    This is the one loss kernel: both minimax solves of ``solvers`` read
+    their losses from it. ``v`` is a p x k frame (1-D input is one column).
+    ``covs`` is a sequence of p x p covariances or one stacked ``(E, p, p)``
+    array. ``traces`` (and, for the regret kinds, ``eigsums``, the top-k
+    eigenvalue sums at k = frame width) are arrays aligned with ``covs``.
+    Returns ``(values, products)``: E values, each bitwise equal to
+    ``loss(kind, v, covs[e])``, and the ``(E, p, k)`` products, which
+    solvers reuse as gradients. A sequence takes one ``c @ v`` per domain
+    and is never copied into a stack; a stack takes one broadcast product,
+    with the same bits. Callers that evaluate many frames of one problem
+    stack once and pass the stack; a single evaluation at large p passes
+    the sequence.
     """
-    frame = as_frame(v) if np.ndim(v) < 3 else np.asarray(v, dtype=np.float64)
-    if covs[0].shape[0] != frame.shape[-2]:
+    frame = as_frame(v)
+    if covs[0].shape[0] != frame.shape[0]:
         raise InvalidInput(
-            f"frame rows {frame.shape[-2]} do not match covariance dim {covs[0].shape[0]}"
+            f"frame rows {frame.shape[0]} do not match covariance dim {covs[0].shape[0]}"
         )
-    if isinstance(covs, np.ndarray):
-        products = covs @ frame[..., None, :, :]
-    else:
-        products = np.stack([c @ frame for c in covs], axis=-3)
-    var = np.sum(frame[..., None, :, :] * products, axis=(-2, -1))
+    products = covs @ frame if isinstance(covs, np.ndarray) else np.stack([c @ frame for c in covs])
+    var = np.sum(frame * products, axis=(1, 2))
     if kind in MIN_KINDS:
         values = var
     elif kind in REGRET_KINDS:
@@ -278,14 +275,10 @@ def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     return values, products
 
 
-def worst_index(kind: LossKind, values):
-    """Index of the worst domain: argmin for Var/NormVar, argmax otherwise.
-
-    Ties go to the smallest index. Values of shape ``(..., E)`` give an
-    index array over the leading axes; a 1-D vector gives an int.
-    """
-    idx = np.argmin(values, axis=-1) if kind in MIN_KINDS else np.argmax(values, axis=-1)
-    return int(idx) if idx.ndim == 0 else idx
+def worst_index(kind: LossKind, values) -> int:
+    """Index of the worst of the domain ``values``: argmin for Var/NormVar,
+    argmax otherwise; ties go to the smallest index."""
+    return int(np.argmin(values) if kind in MIN_KINDS else np.argmax(values))
 
 
 def worst_case(kind, v, domains):

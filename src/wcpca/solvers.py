@@ -8,28 +8,31 @@ eigendecompositions. The worst-case problems
     minimize  max_e L(V; Sigma_e)          (RCS, NormRCS, Reg, NormReg)
 
 are solved dual first, with a local minimax SQP as the fallback. Both see
-one scaled problem (:func:`_scaling`): every kind is min_V max_e f_e(V) with
-f_e = c_e - <S_e, V V.T>, where S_e is Sigma_e, or Sigma_e / Tr(Sigma_e) for
-the normalized kinds, and c_e is 0 for Var and NormVar, else the trace or
-the top-k eigensum, scaled like S_e.
+one scaled problem, min_V max_e f_e(V), where f_e is ``sign`` times domain
+e's loss from the one kernel :func:`losses.domain_losses` (``sign`` is -1
+for Var and NormVar, else 1), and S_e = per_unit_e Sigma_e with per_unit_e
+= 1 / Tr(Sigma_e) for the normalized kinds, else 1. Every loss is then
+f_e = c_e - <S_e, V V.T>, with c_e constant in V: 0 for Var and NormVar,
+else the trace or the top-k eigensum, scaled like S_e.
 
 Every loss is linear in the covariance, so relaxing V V.T to the Fantope
 {0 <= P <= I, Tr P = k} and swapping min and max gives a dual over simplex
 weights w on the domains: by Ky Fan's maximum principle it is
 max_w sum_e w_e c_e - s_k(S_w) for the max kinds and min_w s_k(S_w) for
-Var, where s_k sums the k largest eigenvalues of the mixture S_w. Any w
-gives a bound on the optimum, and every domain's loss at the top-k frame of
-S_w is a supergradient (Overton & Womersley, *Math. Programming* 1993).
-Wherever lambda_k(S_w) > lambda_{k+1}(S_w) the dual is twice
-differentiable, with a Hessian taken from the same eigendecomposition
-(Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995), so
-:func:`_mixture_dual` ascends it by damped Newton steps, each a QP over the
-E simplex weights (:func:`_simplex_newton`, shared with completion's maxMC
-R-step); once the best top-k frame it meets is within 1e-9 (relative) of
-the best bound, that frame is optimal and the gap certifies it. The
-relaxation need not be tight: its optimum can have rank k+1 (Tantipongpipat
-et al., NeurIPS 2019), with lambda_k = lambda_{k+1} at the optimal weights,
-and then the gap stays open.
+Var, where s_k sums the k largest eigenvalues of the mixture S_w. That is
+the Lagrangian sum_e w_e f_e(U) at the top-k frame U of S_w, so any w gives
+a bound on the optimum, and the losses f_e(U) are a supergradient (Overton
+& Womersley, *Math. Programming* 1993). Wherever
+lambda_k(S_w) > lambda_{k+1}(S_w) the dual is twice differentiable, with a
+Hessian taken from the same eigendecomposition (Overton & Womersley,
+*SIAM J. Matrix Anal. Appl.* 1995), so :func:`solve_wcpca` ascends it by
+damped Newton steps, each a QP over the E simplex weights
+(:func:`_simplex_newton`, shared with completion's maxMC R-step); once the
+best top-k frame it meets is within 1e-9 (relative) of the best bound, that
+frame is optimal and the gap certifies it. The relaxation need not be
+tight: its optimum can have rank k+1 (Tantipongpipat et al., NeurIPS 2019),
+with lambda_k = lambda_{k+1} at the optimal weights, and then the gap stays
+open.
 
 :func:`solve_wcpca` runs the dual first on every worst-case solve, at every
 p. An uncertified dual falls back to :func:`_grassmann_sqp`, an epigraph
@@ -78,10 +81,10 @@ from .losses import (
     as_kind,
     average_covariance,
     domain_losses,
+    loss,
     mixture,
     pooled_covariance,
     top_k_eigensum,  # noqa: F401 -- benchmarks/spans.py wraps this name
-    worst_index,
 )
 from .rng import make_rng, spawn_seed
 
@@ -124,9 +127,9 @@ _NEWTON_RIDGE = 1e-9
 # the largest |theta|, |mu|: where S_w is a multiple of I on the relevant
 # block every entry is 0.
 _HESSIAN_FLOOR = 1e-3
-# h(w) is taken as exact to this times the magnitudes it subtracts (the
-# weighted offsets and the top-k eigensum); weight moves below it end the
-# search.
+# h(w) is taken as exact to this times the magnitudes it adds and subtracts
+# (the weighted losses and twice the top-k eigensum); weight moves below it
+# end the search.
 _ROUNDING = 1e-14
 
 
@@ -187,8 +190,7 @@ class FitResult:
     upper bound for Var and NormVar) and ``gap`` how far the objective lies
     from it on the worse side, nonnegative up to rounding. Every worst-case
     fit with k < p carries both; they are None for the exact baselines and
-    for k = p. A
-    fit certified by the dual reports its Newton steps as
+    for k = p. A fit certified by the dual reports its Newton steps as
     ``iterations_used``, restart 0 and no restarts. Exact baselines report
     an empty set (pooled/average PCA) or the selected domain (separate PCA),
     zero iterations, restart 0, no restarts and no bound.
@@ -207,8 +209,7 @@ class FitResult:
 def _pca_of(sigma: np.ndarray, k: int) -> FitResult:
     """Top-k PCA of one covariance, reporting the frame's explained variance."""
     frame = top_k_frame(sigma, k)
-    objective = float(np.sum(frame * (sigma @ frame)))
-    return FitResult(frame, objective, frozenset(), 0, 0)
+    return FitResult(frame, loss(LossKind.VAR, frame, sigma), frozenset(), 0, 0)
 
 
 def pool_pca(domains, k: int) -> FitResult:
@@ -340,45 +341,24 @@ class _DualPoint(NamedTuple):
     spectrum: Spectrum
 
 
-def _scaling(kind: LossKind, traces, eigsums):
-    """The scaled problem ``f_e(V) = offsets_e - per_unit_e <Sigma_e, V V.T>``.
+def _dual_point(losses, domains: DomainCollection, per_unit, k: int, w) -> _DualPoint:
+    """Evaluate the mixture dual h(w): the Lagrangian ``w.f(U)`` at its minimizer U.
 
-    Returns ``(per_unit, offsets)``: ``per_unit`` is ``1 / traces`` for the
-    normalized kinds, else ones, so domain e enters as ``S_e`` = Sigma_e or
-    Sigma_e / Tr(Sigma_e); ``offsets`` is zero for Var and NormVar, else the
-    traces (the top-k eigensums ``eigsums`` for the regret kinds) times
-    ``per_unit``. Then ``f_e`` is domain e's loss for the max kinds and its
-    negative for Var and NormVar, and both minimax solves minimize its max.
+    ``losses(V)`` returns the scaled losses f and products ``S_e V`` of
+    :func:`solve_wcpca`. U is the top-k frame of ``S_w``, the
+    :func:`losses.mixture` at weights ``w * per_unit``, from one
+    :func:`sym_eigen`; by Ky Fan it minimizes ``w.f`` over the Fantope, so
+    h(w) = ``w.f(U)`` = ``w.c - s_k(S_w)``. The point carries h, the
+    candidate U, f(U) (the gradient of h), its max (the objective), and the
+    products and spectrum that :func:`_eigensum_hessian` needs. h adds the
+    terms ``w_e c_e`` and subtracts ``s_k``, and ``|c_e| <= |f_e| +
+    <S_e, U U.T>``, so ``rounding`` is ``_ROUNDING`` times ``w.|f| + 2 s_k``.
     """
-    per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(traces))
-    if kind in MIN_KINDS:
-        return per_unit, np.zeros(len(traces))
-    return per_unit, (eigsums if kind in REGRET_KINDS else traces) * per_unit
-
-
-def _dual_point(kind: LossKind, domains: DomainCollection, k: int, eigsums, w) -> _DualPoint:
-    """Evaluate the mixture dual ``h(w) = sign * w.offsets - s_k(S_w)``.
-
-    ``S_w`` is :func:`losses.mixture` with weights ``w * per_unit``, with
-    ``per_unit`` and ``offsets`` from :func:`_scaling`; ``sign`` is -1 for
-    Var and NormVar, else 1. One :func:`sym_eigen` of ``S_w`` and one
-    ``domain_losses`` call at its top-k frame U give h, the candidate U,
-    ``sign`` times the domain losses at U (the gradient of h) and ``sign``
-    times the worst of them (the objective), and the products ``S_e U`` that
-    :func:`_eigensum_hessian` needs. ``rounding`` is ``_ROUNDING`` times the
-    magnitudes h subtracts.
-    """
-    covs, traces = domains.covariances, domains.traces
-    per_unit, offsets = _scaling(kind, traces, eigsums)
-    sign = -1.0 if kind in MIN_KINDS else 1.0
     spec = sym_eigen(mixture(domains, w * per_unit))
     frame = spec.eigenvectors[:, :k].copy()
-    values, products = domain_losses(kind, frame, covs, traces, eigsums)
-    shift, eigensum = sign * float(w @ offsets), float(spec.eigenvalues[:k].sum())
-    rounding = _ROUNDING * (abs(shift) + abs(eigensum))
-    worst = sign * values[worst_index(kind, values)]
-    scaled = products * per_unit[:, None, None]
-    return _DualPoint(shift - eigensum, rounding, sign * values, worst, frame, scaled, spec)
+    f, products = losses(frame)
+    rounding = _ROUNDING * (float(w @ np.abs(f)) + 2.0 * abs(float(spec.eigenvalues[:k].sum())))
+    return _DualPoint(float(w @ f), rounding, f, float(f.max()), frame, products, spec)
 
 
 def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int):
@@ -398,30 +378,15 @@ def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int):
     return np.einsum("aji,bji->ab", coupling, coupling)
 
 
-def _mixture_dual(kind: LossKind, domains: DomainCollection, k: int, eigsums):
-    """Search the mixture dual of a worst-case PCA problem over simplex weights.
+def _grassmann_sqp(losses, stack, v, iters: int, tol: float):
+    """Minimize ``max_e f_e(V)`` from the frame ``v``.
 
-    Runs :func:`_simplex_newton` on :func:`_dual_point` and
-    :func:`_eigensum_hessian`; ``eigsums`` are the top-k eigensums for the
-    regret kinds, else None. Returns ``(frame, bound, steps)``: the best
-    frame (lowest worst-case loss, highest for Var and NormVar), the best
-    bound ``sign * h`` and the Newton steps taken.
-    """
-    frame, bound, steps = _simplex_newton(
-        lambda w: _dual_point(kind, domains, k, eigsums, w),
-        lambda point: _eigensum_hessian(point.spectrum, point.products, k),
-        len(domains),
-    )
-    return frame, (-1.0 if kind in MIN_KINDS else 1.0) * bound, steps
-
-
-def _grassmann_sqp(stack, offsets, v, iters: int, tol: float):
-    """Minimize ``max_e f_e(V)``, ``f_e = offsets_e - <stack_e, V V.T>``, from ``v``.
-
-    ``stack`` holds the scaled ``(E, p, p)`` matrices S_e of
-    :func:`_scaling`. From uniform multipliers w, each iteration takes the
-    eigenbases U of V.T S_w V (eigenvalues theta) and W of S_w compressed to
-    the complement V_perp of V (eigenvalues mu), the horizontal gradients
+    ``losses(V)`` returns the scaled losses f and products ``S_e V`` of
+    :func:`solve_wcpca`, at the start and at each trial frame; ``stack``
+    holds the ``(E, p, p)`` matrices S_e and serves only to form ``S_w``.
+    From uniform multipliers w, each iteration takes the eigenbases U of
+    V.T S_w V (eigenvalues theta) and W of S_w compressed to the complement
+    V_perp of V (eigenvalues mu), the horizontal gradients
     ``G_e = -2 (V_perp W).T S_e V U`` and the Hessian entries
     ``h = |2 (theta_j - mu_i)|``, floored at ``_HESSIAN_FLOOR`` times the
     largest |theta|, |mu|. The new w solve the simplex QP
@@ -437,9 +402,8 @@ def _grassmann_sqp(stack, offsets, v, iters: int, tol: float):
     ``"budget"`` after ``iters`` iterations.
     """
     k = v.shape[1]
-    w = np.full(len(offsets), 1.0 / len(offsets))
-    products = stack @ v
-    f = offsets - np.sum(v * products, axis=(1, 2))
+    w = np.full(len(stack), 1.0 / len(stack))
+    f, products = losses(v)
     for it in range(1, iters + 1):
         top = float(f.max())
         s_w = np.tensordot(w, stack, axes=1)
@@ -464,8 +428,7 @@ def _grassmann_sqp(stack, offsets, v, iters: int, tol: float):
         for halving in range(_HALVINGS):
             alpha = 0.5**halving
             trial = stiefel_project(v + alpha * z)
-            trial_products = stack @ trial
-            trial_f = offsets - np.sum(trial * trial_products, axis=(1, 2))
+            trial_f, trial_products = losses(trial)
             if trial_f.max() <= top - _ARMIJO * alpha * predicted:
                 break
         else:
@@ -477,20 +440,25 @@ def _grassmann_sqp(stack, offsets, v, iters: int, tol: float):
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
     """Solve a worst-case PCA problem, dual first, else by a multi-start SQP.
 
-    :func:`_mixture_dual` runs first, at every p; if it certifies a frame,
-    that frame is returned with its bound, its gap, its Newton steps as
-    ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
+    Both searches read one closure, ``losses(V)``: one
+    :func:`losses.domain_losses` call gives ``sign`` times the domain losses
+    (f) and the products ``Sigma_e V`` times ``per_unit`` (``S_e V``). The
+    mixture dual runs first, at every p: :func:`_simplex_newton` on
+    :func:`_dual_point` and :func:`_eigensum_hessian`. If it certifies a
+    frame, that frame is returned with its bound, its gap, its Newton steps
+    as ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
     runs from the dual's frame (run 0) and from ``cfg.restarts`` Haar-random
     frames (run r + 1 uses stream r of ``cfg.seed``), each for at most
     ``cfg.max_iters`` iterations with tolerance ``cfg.tol_objective``, and
     the best final objective is kept, the first run on ties; the fit
     carries every run's :class:`Restart` and the dual's bound and gap. The
     config fields drive only this SQP path. Non-convergence is not an
-    error: a run that ends on its budget still returns its frame. Both
-    searches see the domains in an order fixed by their covariances, so the
-    result does not depend, bit for bit, on the order they come in. The
-    degenerate case k = p short-circuits to the identity frame, where every
-    objective is constant over the manifold.
+    error: a run that ends on its budget still returns its frame. The dual
+    reads the covariances as a list; only an open fit stacks them, for the
+    SQP's many evaluations. Both searches see the domains in an order fixed
+    by their covariances, so the result does not depend, bit for bit, on
+    the order they come in. The degenerate case k = p short-circuits to the
+    identity frame, where every objective is constant over the manifold.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
@@ -503,26 +471,36 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     covs, traces = domains.covariances, domains.traces
     eigsums = domains.top_k_eigensums(k) if kind in REGRET_KINDS else None
     sign = -1.0 if kind in MIN_KINDS else 1.0
+    per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(domains))
+
+    def losses(v):
+        # reads covs when called: the list until the dual leaves the fit open
+        values, products = domain_losses(kind, v, covs, traces, eigsums)
+        return sign * values, products * per_unit[:, None, None]
 
     def result(frame, iters, restart, restarts, bound=None):
-        values, _ = domain_losses(kind, frame, covs, traces, eigsums)
-        worst = float(values[worst_index(kind, values)])
-        active = frozenset(order[i] for i in np.flatnonzero(np.abs(values - worst) <= _ACTIVE_TOL))
-        gap = None if bound is None else sign * (worst - bound)
-        return FitResult(frame, worst, active, iters, restart, restarts, bound, gap)
+        f, _ = losses(frame)
+        top = float(f.max())
+        active = frozenset(order[i] for i in np.flatnonzero(top - f <= _ACTIVE_TOL))
+        fit = FitResult(frame, sign * top, active, iters, restart, restarts)
+        return fit if bound is None else replace(fit, dual_bound=sign * bound, gap=top - bound)
 
     if k == p:
         return result(np.eye(p), 0, 0, ())
 
-    frame, bound, steps = _mixture_dual(kind, domains, k, eigsums)
+    frame, bound, steps = _simplex_newton(
+        lambda w: _dual_point(losses, domains, per_unit, k, w),
+        lambda point: _eigensum_hessian(point.spectrum, point.products, k),
+        len(domains),
+    )
     fit = result(frame, steps, 0, (), bound)
     if _certifies(fit.gap, fit.objective):
         return fit
 
-    per_unit, offsets = _scaling(kind, traces, eigsums)
-    stack = np.stack(covs) * per_unit[:, None, None]
+    covs = np.stack(covs)
+    stack = covs * per_unit[:, None, None]
     starts = [frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)]
-    runs = [_grassmann_sqp(stack, offsets, v, cfg.max_iters, cfg.tol_objective) for v in starts]
+    runs = [_grassmann_sqp(losses, stack, v, cfg.max_iters, cfg.tol_objective) for v in starts]
     fits = [result(v, iters, r, (), bound) for r, (v, iters, _) in enumerate(runs)]
     restarts = tuple(Restart(f.objective, f.iterations_used, stop) for f, (*_, stop) in zip(fits, runs))
     return replace(min(fits, key=lambda f: sign * f.objective), restarts=restarts)

@@ -1,0 +1,42 @@
+"""No module of the package imports a name it does not use.
+
+No linter runs on the package, so an import left behind when its last use
+is deleted would go unseen. The only imported names no module reads are the
+four that ``benchmarks/spans.py`` wraps at those modules' attributes to time
+the calls made through them.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wcpca"
+
+WRAPPED_BY_SPANS = {
+    ("cli", "loss"),
+    ("cli", "worst_case"),
+    ("completion", "stiefel_project"),
+    ("solvers", "top_k_eigensum"),
+}
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name listed in __all__ is re-exported, which is a use
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return {(path.stem, name) for name in imported - used}
+
+
+def test_only_the_wrapped_imports_go_unused():
+    unused = set().union(*(_unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert unused == WRAPPED_BY_SPANS

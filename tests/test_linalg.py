@@ -103,27 +103,9 @@ class TestStiefelProject:
         with pytest.raises(InvalidInput):
             stiefel_project(np.ones((2, 3)))
 
-    @given(st.integers(0, 10_000), st.integers(1, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_batch_members_equal_single_projections(self, seed, count):
-        rng = make_rng(seed)
-        p = int(rng.integers(1, 12))
-        k = int(rng.integers(1, p + 1))
-        m = rng.normal(size=(count, p, k))
-        v = stiefel_project(m)
-        assert v.shape == m.shape
-        for r in range(count):
-            assert np.array_equal(v[r], stiefel_project(m[r]))
-
-    def test_batch_with_one_rank_deficient_member_rejected(self):
-        m = make_rng(6).normal(size=(3, 4, 2))
-        m[1] = 1.0
-        with pytest.raises(RankDeficient):
-            stiefel_project(m)
-
-    def test_four_dimensional_input_rejected(self):
+    def test_three_dimensional_input_rejected(self):
         with pytest.raises(InvalidInput):
-            stiefel_project(np.ones((2, 2, 4, 2)))
+            stiefel_project(np.ones((2, 4, 2)))
 
 
 def _svd_polar(m):
@@ -140,9 +122,9 @@ class TestGramRetraction:
         rng = make_rng(seed)
         p = int(rng.integers(1, 41))
         k = int(rng.integers(1, min(p, 10) + 1))
-        m = np.stack([haar_frame(p, k, rng) for _ in range(count)])
-        m += 1e-2 * rng.normal(size=m.shape)
-        assert np.abs(stiefel_project(m) - _svd_polar(m)).max() <= 1e-13
+        for _ in range(count):
+            m = haar_frame(p, k, rng) + 1e-2 * rng.normal(size=(p, k))
+            assert np.abs(stiefel_project(m) - _svd_polar(m)).max() <= 1e-13
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -151,26 +133,21 @@ class TestGramRetraction:
         rng = make_rng(seed)
         p = int(rng.integers(1, 41))
         k = int(rng.integers(1, min(p, 10) + 1))
-        m = np.stack(
-            [
-                haar_frame(p, k, rng) @ np.diag(rng.uniform(1.0, 10.0, k)) @ haar_frame(k, k, rng).T
-                for _ in range(3)
-            ]
-        )
-        m *= 10.0 ** rng.uniform(-3.0, 3.0)
-        assert np.abs(stiefel_project(m) - _svd_polar(m)).max() <= 1e-13
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        for _ in range(3):
+            m = haar_frame(p, k, rng) @ np.diag(rng.uniform(1.0, 10.0, k)) @ haar_frame(k, k, rng).T
+            assert np.abs(stiefel_project(scale * m) - _svd_polar(scale * m)).max() <= 1e-13
 
     def test_singular_value_ratio_below_threshold_rejected(self):
         rng = make_rng(8)
         u = haar_frame(6, 2, rng)
         w = haar_frame(2, 2, rng)
-        m = np.stack([haar_frame(6, 2, rng), u @ np.diag([1.0, 1e-8]) @ w.T])
+        members = [haar_frame(6, 2, rng), u @ np.diag([1.0, 1e-8]) @ w.T]
         # a ratio of 1e-8 has a well-defined SVD polar factor but a Gram
         # eigenvalue ratio of 1e-16
+        stiefel_project(members[0])
         with pytest.raises(RankDeficient):
-            stiefel_project(m)
-        with pytest.raises(RankDeficient):
-            stiefel_project(m[1])
+            stiefel_project(members[1])
         # a ratio of 1e-4 is still accepted
         stiefel_project(np.diag([1.0, 1e-4]))
 

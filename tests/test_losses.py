@@ -99,7 +99,7 @@ class TestDomainLosses:
     @given(
         st.integers(0, 10_000),
         st.sampled_from(list(LossKind)),
-        st.sampled_from(["c", "fortran", "strided", "1-d", "batch"]),
+        st.sampled_from(["c", "fortran", "strided", "1-d"]),
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_scalar_loss_exactly(self, seed, kind, layout):
@@ -114,24 +114,18 @@ class TestDomainLosses:
             v = np.repeat(v, 2, axis=1)[:, ::2]
         elif layout == "1-d":
             v = v[:, 0]
-        elif layout == "batch":
-            v = np.stack([v] + [haar_frame(p, k, rng) for _ in range(int(rng.integers(0, 5)))])
         traces = np.array([float(np.trace(c)) for c in covs])
         eigsums = np.array([top_k_eigensum(c, k) for c in covs])
         values, products = domain_losses(kind, v, covs, traces, eigsums)
         stacked_values, stacked_products = domain_losses(kind, v, np.stack(covs), traces, eigsums)
         np.testing.assert_array_equal(stacked_values, values)
         np.testing.assert_array_equal(stacked_products, products)
-        members = list(v) if layout == "batch" else [v]
-        assert values.shape == v.shape[:-2] + (len(covs),)
-        assert products.shape == values.shape + (p, k)
-        values = values.reshape(len(members), len(covs))
-        products = products.reshape(len(members), len(covs), p, k)
-        for member, member_values, member_products in zip(members, values, products):
-            frame = member.reshape(p, k)
-            for e, c in enumerate(covs):
-                assert member_values[e] == loss(kind, member, c)
-                np.testing.assert_array_equal(member_products[e], c @ frame)
+        assert values.shape == (len(covs),)
+        assert products.shape == (len(covs), p, k)
+        frame = v.reshape(p, k)
+        for e, c in enumerate(covs):
+            assert values[e] == loss(kind, v, c)
+            np.testing.assert_array_equal(products[e], c @ frame)
 
     def test_row_mismatch(self):
         with pytest.raises(InvalidInput):

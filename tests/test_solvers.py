@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from wcpca import (
     MIN_KINDS,
+    NORMALIZED_KINDS,
     REGRET_KINDS,
     InvalidInput,
     InvalidKind,
@@ -33,6 +34,7 @@ from wcpca import (
     solvers,
     worst_case,
 )
+from wcpca.losses import domain_losses
 from conftest import random_covariance
 
 
@@ -134,11 +136,11 @@ class TestSolveWcpca:
         # with no Newton step the dual stops at uniform weights, uncertified
         monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
         fit = solve_wcpca(kind, collection, 2, cfg)
-        stack, offsets = _scaled_problem(kind, collection, 2)
-        eigsums = collection.top_k_eigensums(2) if kind in REGRET_KINDS else None
-        starts = [solvers._mixture_dual(kind, collection, 2, eigsums)[0]]
+        losses, per_unit, stack = _scaled_problem(kind, collection, 2)
+        # the dual's frame at uniform weights
+        starts = [solvers._dual_point(losses, collection, per_unit, 2, np.full(3, 1 / 3)).candidate]
         starts += [haar_frame(6, 2, make_rng(12, r)) for r in range(4)]
-        refs = [solvers._grassmann_sqp(stack, offsets, v, 600, 1e-8) for v in starts]
+        refs = [solvers._grassmann_sqp(losses, stack, v, 600, 1e-8) for v in starts]
         assert len(fit.restarts) == 5
         for (v, iters, stop), run in zip(refs, fit.restarts):
             assert run == (worst_case(kind, v, collection), iters, stop)
@@ -236,15 +238,32 @@ class TestMixtureDual:
             assert len(fallback.restarts) == 6
             assert _sign(kind) * (fit.objective - fallback.objective) <= 1e-9
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_value_is_the_closed_form(self, kind):
+        # h(w) = w.c - s_k(S_w), with c_e = 0 for Var and NormVar, else the
+        # trace or the top-k eigensum, scaled like S_e
+        rng = np.random.default_rng(8)
+        p, k, count = 6, 2, 4
+        coll = make_collection([random_covariance(rng, p) for _ in range(count)])
+        losses, per_unit, stack = _scaled_problem(kind, coll, k)
+        if kind in MIN_KINDS:
+            c = np.zeros(count)
+        else:
+            c = (coll.top_k_eigensums(k) if kind in REGRET_KINDS else coll.traces) * per_unit
+        for w in (rng.dirichlet(np.ones(count)), np.eye(count)[2]):
+            h = float(w @ c) - float(np.linalg.eigvalsh(np.tensordot(w, stack, axes=1))[-k:].sum())
+            value = solvers._dual_point(losses, coll, per_unit, k, w).value
+            assert abs(value - h) <= 1e-12 * max(1.0, abs(h))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("kind", [LossKind.VAR, LossKind.NORM_REG])
     def test_hessian_matches_finite_differences(self, kind, seed):
         rng = np.random.default_rng(seed)
         p, k, count = 7, 3, 4
         coll = make_collection([random_covariance(rng, p, 0.7) for _ in range(count)])
-        eigsums = coll.top_k_eigensums(k)
+        losses, per_unit, _ = _scaled_problem(kind, coll, k)
         w = rng.dirichlet(np.ones(count))
-        point = solvers._dual_point(kind, coll, k, eigsums, w)
+        point = solvers._dual_point(losses, coll, per_unit, k, w)
         lam = point.spectrum.eigenvalues
         assert lam[k - 1] - lam[k] > 1e-2 * lam[0]
         hess = solvers._eigensum_hessian(point.spectrum, point.products, k)
@@ -254,7 +273,7 @@ class TestMixtureDual:
         for a in range(count):
             for b in range(count):
                 corners = [
-                    solvers._dual_point(kind, coll, k, eigsums, w + sa * basis[a] + sb * basis[b]).value
+                    solvers._dual_point(losses, coll, per_unit, k, w + sa * basis[a] + sb * basis[b]).value
                     for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
                 ]
                 central[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * step**2)
@@ -299,23 +318,32 @@ class TestMixtureDual:
 
 
 def _scaled_problem(kind, coll, k):
-    """The stacked S_e and offsets c_e the SQP minimizes max_e f_e over."""
-    per_unit, offsets = solvers._scaling(kind, coll.traces, coll.top_k_eigensums(k))
-    return np.stack(coll.covariances) * per_unit[:, None, None], offsets
+    """The scaled problem as solve_wcpca builds it for the SQP: the closure
+    ``losses(V) -> (f, S_e V)`` (``f`` the sign times the kernel's losses),
+    ``per_unit`` and the stacked ``S_e = per_unit_e Sigma_e``."""
+    traces, eigsums, covs = coll.traces, coll.top_k_eigensums(k), np.stack(coll.covariances)
+    per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(coll))
+
+    def losses(v):
+        values, products = domain_losses(kind, v, covs, traces, eigsums)
+        return _sign(kind) * values, products * per_unit[:, None, None]
+
+    return losses, per_unit, covs * per_unit[:, None, None]
 
 
-def _worst(stack, offsets, v):
-    return float(np.max(offsets - np.sum(v * (stack @ v), axis=(1, 2))))
+def _worst(losses, v):
+    return float(np.max(losses(v)[0]))
 
 
 class TestGrassmannSqp:
     def test_reaches_top_eigenspace(self):
         # with one domain, minimizing -Var(V) is plain PCA
-        stack, offsets = np.diag(np.arange(6, 0, -1.0))[None], np.zeros(1)
+        coll = make_collection([np.diag(np.arange(6, 0, -1.0))])
+        losses, _, stack = _scaled_problem(LossKind.VAR, coll, 2)
         v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
-        v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 3000, 1e-12)
+        v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 3000, 1e-12)
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
-        assert _worst(stack, offsets, v) == pytest.approx(-11.0, abs=1e-10)
+        assert _worst(losses, v) == pytest.approx(-11.0, abs=1e-10)
         assert stop == "kkt"
         assert 1 <= iters <= 3000
 
@@ -326,28 +354,28 @@ class TestGrassmannSqp:
         p = int(rng.integers(2, 9))
         k = int(rng.integers(1, p))
         coll = make_collection([random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))])
-        stack, offsets = _scaled_problem(kind, coll, k)
+        losses, _, stack = _scaled_problem(kind, coll, k)
         v0 = haar_frame(p, k, rng)
-        v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 300, 1e-8)
+        v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 300, 1e-8)
         assert stop in ("kkt", "stalled", "budget")
         assert 1 <= iters <= 300
-        assert _worst(stack, offsets, v) <= _worst(stack, offsets, v0)
+        assert _worst(losses, v) <= _worst(losses, v0)
         np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-12)
         # tolerance 0 takes the same iterates and stops on "kkt" only where
         # the predicted decrease is not positive, so it runs at least as long
         # and ends no worse; a run that did not stop on "kkt" ends the same
-        exact, exact_iters, exact_stop = solvers._grassmann_sqp(stack, offsets, v0, 300, 0.0)
+        exact, exact_iters, exact_stop = solvers._grassmann_sqp(losses, stack, v0, 300, 0.0)
         assert exact_iters >= iters
-        assert _worst(stack, offsets, exact) <= _worst(stack, offsets, v)
+        assert _worst(losses, exact) <= _worst(losses, v)
         if stop != "kkt":
             assert (exact_iters, exact_stop) == (iters, stop)
             assert np.array_equal(exact, v)
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_one_iteration_budget(self, kind, quarter_triple):
-        stack, offsets = _scaled_problem(kind, quarter_triple, 2)
+        losses, _, stack = _scaled_problem(kind, quarter_triple, 2)
         v0 = haar_frame(5, 2, make_rng(7))
-        v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 1, 1e-8)
+        v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 1, 1e-8)
         assert iters == 1
         # a step taken ends the run on its budget; otherwise the iteration
         # itself stopped it
@@ -355,16 +383,16 @@ class TestGrassmannSqp:
             assert stop in ("kkt", "stalled")
         else:
             assert stop == "budget"
-        assert _worst(stack, offsets, v) <= _worst(stack, offsets, v0)
+        assert _worst(losses, v) <= _worst(losses, v0)
 
     def test_stationary_start_stops_at_once(self, example1):
         # at e1 the minimum of example1's two variances is 0 and every
         # horizontal gradient is exactly 0, so the QP would be 0/0
-        stack, offsets = _scaled_problem(LossKind.VAR, example1, 1)
+        losses, _, stack = _scaled_problem(LossKind.VAR, example1, 1)
         v0 = np.eye(3)[:, :1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, iters, stop = solvers._grassmann_sqp(stack, offsets, v0, 50, 1e-8)
+            v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 50, 1e-8)
         assert (iters, stop) == (1, "kkt")
         assert np.array_equal(v, v0)
 
