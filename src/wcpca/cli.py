@@ -183,19 +183,12 @@ def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: s
     return pred_path
 
 
-def cmd_complete(args) -> int:
-    """Fit a completion model; write right_factor.csv, report.json, predictions."""
-    if args.csv is None:
-        raise InvalidConfig("--csv is required")
-    method = args.objective
-    if method not in ("pool", "max"):
-        raise InvalidConfig(f"--objective must be pool or max, got {method!r}")
-    if args.seed < 0:
-        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
-    k = 5 if args.k is None else args.k
-    if args.missing_frac is not None and not 0.0 <= args.missing_frac < 1.0:
-        raise InvalidConfig(f"--missing-frac must lie in [0, 1), got {args.missing_frac}")
+def _training_data(args):
+    """Load, optionally thin, and wrap the training CSV as ``(features, data)``.
 
+    The loader's ``(x, mask)`` blocks die when this returns, so only the
+    dataset's own copies stay alive during the fit.
+    """
     features, blocks = load_masked_csv(args.csv, args.domain_col)
     if args.missing_frac is not None:
         try:
@@ -207,14 +200,21 @@ def cmd_complete(args) -> int:
             synth = sample_masks(x.shape[0], x.shape[1], args.missing_frac, make_rng(args.seed, e))
             thinned[label] = (x, mask * synth)
         blocks = thinned
-    data = masked_dataset_from_blocks(blocks)
+    return features, masked_dataset_from_blocks(blocks)
 
+
+def _fit_and_write(args, method: str, k: int):
+    """Fit the training CSV, write right_factor.csv and report.json.
+
+    Returns ``(features, right_factor)``: the dataset and the model's left
+    factors die on return, before any ``--predict`` rows are read.
+    """
+    features, data = _training_data(args)
     fit = fit_pool_mc if method == "pool" else fit_max_mc
     model = fit(data, k)
 
     out = _ensure_out(args.out)
-    factor_path = os.path.join(out, "right_factor.csv")
-    write_matrix(factor_path, model.right_factor)
+    write_matrix(os.path.join(out, "right_factor.csv"), model.right_factor)
 
     objectives = _domain_objectives(data, model.left_factors, model.right_factor)
     per_domain = {d.id: v for d, v in zip(data, objectives.tolist())}
@@ -229,11 +229,27 @@ def cmd_complete(args) -> int:
         "per_domain_objective": per_domain,
     }
     write_json(os.path.join(out, "report.json"), report)
+    return features, model.right_factor
 
+
+def cmd_complete(args) -> int:
+    """Fit a completion model; write right_factor.csv, report.json, predictions."""
+    if args.csv is None:
+        raise InvalidConfig("--csv is required")
+    method = args.objective
+    if method not in ("pool", "max"):
+        raise InvalidConfig(f"--objective must be pool or max, got {method!r}")
+    if args.seed < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
+    k = 5 if args.k is None else args.k
+    if args.missing_frac is not None and not 0.0 <= args.missing_frac < 1.0:
+        raise InvalidConfig(f"--missing-frac must lie in [0, 1), got {args.missing_frac}")
+
+    features, right_factor = _fit_and_write(args, method, k)
     if args.predict is not None:
-        _predict_csv(args.predict, args.domain_col, features, model.right_factor, out)
+        _predict_csv(args.predict, args.domain_col, features, right_factor, args.out)
 
-    print(factor_path)
+    print(os.path.join(args.out, "right_factor.csv"))
     return 0
 
 

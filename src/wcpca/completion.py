@@ -13,11 +13,13 @@ observed entries; they differ only in how the weights are chosen:
   the simplex; its R-update finds the weights by worst-case PCA's Newton
   loop (``solvers._simplex_newton``), whose gap certifies the step.
 
-Both run one alternation loop (R-update, then the exact per-row L-update,
-from a rank-k SVD start) whose budgets are module constants, not options: at
-most 100 rounds, and a stop once a round gains less than 1e-4.
+Both run one alternation loop (R-update, then the exact per-row L-update)
+whose budgets are module constants, not options: at most 100 rounds, and a
+stop once a round gains less than 1e-4. The loop starts from the top-k right
+singular subspace of the zero-filled data, taken from the eigenvectors of
+its p x p Gram, so no n x p SVD factor is formed.
 A column that no domain observes says nothing about ``R``: the loop drops
-it before the SVD start and gives it an exact-zero row of the returned
+it before the start and gives it an exact-zero row of the returned
 right factor, so ``k`` may not exceed the number of observed columns.
 
 Both R-updates are the one weighted per-column least squares of
@@ -252,19 +254,19 @@ def _ensure_dataset(data) -> MaskedDataset:
 
 
 def _init_factors(data: MaskedDataset, k: int):
-    """Rank-k SVD of the zero-filled stacked data; split U*S into the L_e."""
+    """Top-k right singular subspace of the zero-filled stack S; ``L_e = S_e R0``.
+
+    R0 holds the top-k eigenvectors of the p x p Gram ``S.T S`` in
+    descending order, which span the thin SVD's ``vt[:k].T``, and
+    ``L = S R0`` equals its ``u[:, :k] * s[:k]`` up to column signs; no
+    n x p factor U is formed.
+    """
     stacked = np.vstack([d.x * d.mask for d in data])
     if not 1 <= k <= min(stacked.shape):
         raise InvalidRank(f"k must be in 1..{min(stacked.shape)}, got {k}")
-    u, s, vt = np.linalg.svd(stacked, full_matrices=False)
-    r0 = vt[:k].T.copy()
-    l_all = u[:, :k] * s[:k]
-    ls = []
-    start = 0
-    for d in data:
-        ls.append(l_all[start : start + d.n].copy())
-        start += d.n
-    return ls, r0
+    r0 = np.linalg.eigh(stacked.T @ stacked)[1][:, : -k - 1 : -1].copy()
+    ends = np.cumsum([d.n for d in data])[:-1]
+    return np.split(stacked @ r0, ends), r0
 
 
 def _l_update(data: MaskedDataset, r: np.ndarray):
@@ -294,7 +296,7 @@ def _pool_r_update(data: MaskedDataset, ls) -> np.ndarray:
 
 
 def _alternate(data, k: int, r_update, objective) -> CompletionModel:
-    """Alternate ``r_update`` and the exact L-update from the SVD start.
+    """Alternate ``r_update`` and the exact L-update from :func:`_init_factors`.
 
     Columns that no domain observes are dropped before the fit and get
     exact-zero rows in the returned right factor; everything else runs on

@@ -28,7 +28,6 @@ completion experiments only; ``ExperimentConfig`` rejects them elsewhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
@@ -322,6 +321,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, row_sink=None) -> list[
         raise InvalidConfig(f"jobs must be >= 1, got {jobs}")
     reps = cfg.resolved_replicates()
     parallel = jobs > 1 and reps > 1
+    if parallel:
+        # Imported here: it loads multiprocessing, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
     all_rows: list[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
         batches = (pool.map if parallel else map)(replicate_rows, [cfg] * reps, range(reps))

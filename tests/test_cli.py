@@ -6,6 +6,7 @@ capture stderr.
 """
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -469,6 +470,40 @@ class TestComplete:
         assert report["unidentifiable_columns"] == [2, 3]
         factor = read_frame(tmp_path / "k2" / "right_factor.csv")
         assert np.all(factor[2:] == 0.0)
+
+    def test_predict_holds_about_one_copy_of_the_training_rows(self, tmp_path):
+        # 5 domains x 500 rows x 100 features, 80% of cells missing, in the
+        # training and the held-out CSV. The fit's start comes from the p x p
+        # Gram rather than an n x p SVD factor, and neither the loader's
+        # blocks nor the training dataset outlive the fit, so the traced peak
+        # of the whole command stays below three dense (x, mask) copies.
+        rng = np.random.default_rng(31)
+        domains, rows, p = 5, 500, 100
+        r = np.linalg.qr(rng.normal(size=(p, 5)))[0]
+        paths = []
+        for name in ("train.csv", "held.csv"):
+            lines = ["domain," + ",".join(f"f{j}" for j in range(p))]
+            for e in range(domains):
+                x = rng.normal(size=(rows, 5)) @ r.T + 0.1 * rng.normal(size=(rows, p))
+                hide = rng.random((rows, p)) < 0.8
+                hide[np.arange(rows), rng.integers(p, size=rows)] = False
+                for row, hidden in zip(x.tolist(), hide.tolist()):
+                    cells = ("" if h else f"{v:.6f}" for v, h in zip(row, hidden))
+                    lines.append(f"d{e}," + ",".join(cells))
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            paths.append(str(path))
+        argv = ["complete", "--csv", paths[0], "--k", "5", "--objective", "pool"]
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--predict", paths[1], "--out", str(tmp_path / "mc")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "mc" / "predictions.csv").exists()
+        one_copy = 2 * domains * rows * p * 8
+        assert peak < 3 * one_copy
 
     def test_requires_csv(self):
         assert main(["complete", "--objective", "pool"]) == 3

@@ -28,6 +28,7 @@ from wcpca import (
 )
 from wcpca.completion import (
     _domain_objectives,
+    _init_factors,
     _l_update,
     _max_r_dual,
     _max_r_update,
@@ -120,6 +121,30 @@ def check_rank_bounded_by_observed_columns(fit):
     with pytest.raises(InvalidRank, match=r"1\.\.2"):
         fit(data, 3)
     assert fit(data, 2).right_factor.shape == (6, 2)
+
+
+class TestInitFactors:
+    @pytest.mark.parametrize("hidden", [(), (4,)], ids=["all-seen", "zero-column"])
+    def test_start_is_the_svd_start(self, hidden):
+        # the thin SVD of the zero-filled stack is the reference: R0 spans
+        # its top-k right singular vectors in descending order, and L = S R0
+        # is u[:, j] * s[j] up to each column's sign
+        base, _ = low_rank_dataset(21, p=10, k=3, n=30, domains=3)
+        data = hide_columns(base, list(hidden), noise=0.05, seed=22)
+        k = 3
+        stacked = np.vstack([d.x * d.mask for d in data])
+        assert np.all(stacked[:, list(hidden)] == 0.0)
+        u, s, vt = np.linalg.svd(stacked, full_matrices=False)
+        ls, r0 = _init_factors(data, k)
+        v = vt[:k].T
+        assert r0.shape == (data.p, k)
+        assert np.linalg.norm(r0 @ r0.T - v @ v.T, 2) <= 1e-10
+        signs = np.sign(np.sum(r0 * v, axis=0))
+        np.testing.assert_allclose(np.abs(np.sum(r0 * v, axis=0)), 1.0, atol=1e-10)
+        assert [l.shape for l in ls] == [(d.n, k) for d in data]
+        np.testing.assert_allclose(
+            np.vstack(ls), u[:, :k] * s[:k] * signs, rtol=0.0, atol=1e-10 * s[0]
+        )
 
 
 class TestInductiveOls:

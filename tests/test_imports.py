@@ -1,12 +1,16 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, or a heavy module too early.
 
 No linter runs on the package, so an import left behind when its last use
 is deleted would go unseen. The only imported names no module reads are the
 four that ``benchmarks/spans.py`` wraps at those modules' attributes to time
-the calls made through them.
+the calls made through them. Importing the command line loads no process
+pool; only a parallel ``simulate`` run does.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wcpca"
@@ -40,3 +44,19 @@ def _unused_imports(path):
 def test_only_the_wrapped_imports_go_unused():
     unused = set().union(*(_unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert unused == WRAPPED_BY_SPANS
+
+
+def test_cli_import_loads_no_process_pool():
+    # only `simulate --jobs N` needs a process pool; every other command
+    # should not pay for loading multiprocessing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, wcpca.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
