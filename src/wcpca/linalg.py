@@ -88,11 +88,13 @@ def as_covariance(a) -> np.ndarray:
         raise InvalidInput(f"covariance must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("covariance has non-finite entries")
-    sym = (m + m.T) / 2.0
-    scale = float(np.abs(m).max()) if m.size else 0.0
+    # m is reused for |m - sym| once its scale is read: two p x p arrays
+    scale = max(float(m.max()), -float(m.min())) if m.size else 0.0
+    sym = m + m.T
+    sym /= 2.0
     if scale > 0.0:
         # m - sym is half the antisymmetric part m - m.T
-        asym = 2.0 * float(np.abs(m - sym).max())
+        asym = 2.0 * float(np.abs(np.subtract(m, sym, out=m), out=m).max())
         if asym > _ASYMMETRY_RTOL * scale:
             raise InvalidInput(
                 f"matrix asymmetry {asym:.3e} exceeds {_ASYMMETRY_RTOL:g} relative tolerance"
@@ -141,7 +143,9 @@ def _symmetric(sigma) -> np.ndarray:
         raise InvalidInput(f"expected a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise InvalidInput("matrix has non-finite entries")
-    return (s + s.T) / 2.0
+    out = s + s.T
+    out /= 2.0
+    return out
 
 
 def top_k_frame(sigma, k: int) -> np.ndarray:

@@ -16,7 +16,7 @@ least-explained domain); the other four take the max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,8 +61,8 @@ MIN_KINDS = frozenset({LossKind.VAR, LossKind.NORM_VAR})
 NORMALIZED_KINDS = frozenset({LossKind.NORM_VAR, LossKind.NORM_RCS, LossKind.NORM_REG})
 REGRET_KINDS = frozenset({LossKind.REG, LossKind.NORM_REG})
 
-# Relative diagonal shift under which a covariance must admit a Cholesky
-# factor; it absorbs rounding in PSD inputs but not a real negative direction.
+# A covariance with an eigenvalue below -_PSD_RTOL * trace is not PSD: the
+# allowance absorbs rounding in PSD inputs but not a real negative direction.
 _PSD_RTOL = 1e-10
 
 
@@ -71,35 +71,34 @@ class DomainSpec:
     """One data source: a covariance plus sampling weight and sample count.
 
     The covariance is symmetrized on construction, must have strictly
-    positive trace, and must be positive semidefinite up to a shift of
-    ``1e-10 * trace`` (generated covariances carry eigenvalues near -1e-17);
-    the weight must be positive. ``n`` is optional and only informational
-    here (preprocessing fills it from data).
+    positive trace, and no eigenvalue below ``-1e-10 * trace`` (generated
+    covariances carry eigenvalues near -1e-17); the weight must be positive.
+    ``eigenvalues`` keeps that check's descending spectrum, read-only, for
+    every eigensum. ``n`` is optional and only informational here
+    (preprocessing fills it from data).
     """
 
     id: str
     covariance: np.ndarray
     weight: float = 1.0
     n: int | None = None
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cov = as_covariance(self.covariance)
         trace = float(np.trace(cov))
         if trace <= 0.0:
             raise ZeroTrace(f"domain {self.id!r} has nonpositive trace")
-        shifted = cov.copy()
-        shifted.flat[:: cov.shape[0] + 1] += _PSD_RTOL * trace
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise InvalidInput(
-                f"domain {self.id!r} covariance is not positive semidefinite"
-            ) from None
+        eigenvalues = sym_eigenvalues(cov)
+        if eigenvalues[-1] < -_PSD_RTOL * trace:
+            raise InvalidInput(f"domain {self.id!r} covariance is not positive semidefinite")
         if not self.weight > 0.0:
             raise InvalidWeights(f"domain {self.id!r} has nonpositive weight {self.weight}")
         if self.n is not None and self.n < 1:
             raise InvalidInput(f"domain {self.id!r} has nonpositive sample count {self.n}")
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def p(self) -> int:
@@ -116,8 +115,8 @@ class DomainCollection:
 
     Ids must be unique because they label the rows of a fit report and the
     ``active_domains`` it lists. The per-domain terms every loss needs
-    (``covariances``, ``traces``, ``top_k_eigensums(k)``) are computed on
-    each call; nothing is memoized.
+    (``covariances``, ``traces``, ``top_k_eigensums(k)``) are read from the
+    specs; the eigensums sum the spectra they keep, so none decomposes again.
     """
 
     domains: tuple[DomainSpec, ...]
@@ -155,8 +154,8 @@ class DomainCollection:
         return np.array([d.trace for d in self.domains])
 
     def top_k_eigensums(self, k: int) -> np.ndarray:
-        """Each domain's sum of its k largest eigenvalues (the regret baseline)."""
-        return np.array([top_k_eigensum(d.covariance, k) for d in self.domains])
+        """Each domain's :func:`top_k_eigensum` (the regret baseline), from its kept spectrum."""
+        return np.array([float(d.eigenvalues[:k].sum()) for d in self.domains])
 
 
 def make_collection(covariances, ids=None, weights=None, ns=None) -> DomainCollection:
@@ -201,8 +200,8 @@ def as_kind(kind) -> LossKind:
 def top_k_eigensum(sigma, k: int) -> float:
     """Sum of the k largest eigenvalues of ``sigma``, from one ``eigvalsh`` call.
 
-    Nothing is memoized; :meth:`DomainCollection.top_k_eigensums` gives every
-    domain's value at once.
+    For a domain's covariance, :meth:`DomainCollection.top_k_eigensums` gives
+    the same value from the spectrum its spec keeps, without decomposing.
     """
     return float(sym_eigenvalues(sigma)[:k].sum())
 
@@ -305,6 +304,7 @@ def mixture(domains, weights) -> np.ndarray:
     """The mixture covariance Sigma_w = sum_e w_e Sigma_e, summed in domain order.
 
     With simplex weights, Sigma_w is a member of the sources' convex hull.
+    Terms pass through one reused scratch array, so it holds two p x p arrays.
 
     :raises InvalidInput: if there are no domains or not one weight per domain.
     """
@@ -313,8 +313,9 @@ def mixture(domains, weights) -> np.ndarray:
     if not specs or len(w) != len(specs):
         raise InvalidInput(f"need domains and one weight each, got {len(w)} for {len(specs)}")
     out = np.zeros_like(specs[0].covariance)
+    scratch = np.empty_like(out)
     for weight, d in zip(w, specs):
-        out += weight * d.covariance
+        out += np.multiply(d.covariance, weight, out=scratch)
     return out
 
 

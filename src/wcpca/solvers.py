@@ -61,15 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank
-from .linalg import (
-    Spectrum,
-    as_frame,
-    haar_frame,
-    orthocomplement_frame,
-    stiefel_project,
-    sym_eigen,
-    top_k_frame,
-)
+from .linalg import as_frame, haar_frame, orthocomplement_frame, stiefel_project, top_k_frame
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
@@ -337,8 +329,8 @@ class _DualPoint(NamedTuple):
     grad: np.ndarray
     objective: float
     candidate: np.ndarray
-    products: np.ndarray
-    spectrum: Spectrum
+    eigenvalues: np.ndarray
+    coupling: np.ndarray
 
 
 def _dual_point(losses, domains: DomainCollection, per_unit, k: int, w) -> _DualPoint:
@@ -346,35 +338,38 @@ def _dual_point(losses, domains: DomainCollection, per_unit, k: int, w) -> _Dual
 
     ``losses(V)`` returns the scaled losses f and products ``S_e V`` of
     :func:`solve_wcpca`. U is the top-k frame of ``S_w``, the
-    :func:`losses.mixture` at weights ``w * per_unit``, from one
-    :func:`sym_eigen`; by Ky Fan it minimizes ``w.f`` over the Fantope, so
-    h(w) = ``w.f(U)`` = ``w.c - s_k(S_w)``. The point carries h, the
-    candidate U, f(U) (the gradient of h), its max (the objective), and the
-    products and spectrum that :func:`_eigensum_hessian` needs. h adds the
-    terms ``w_e c_e`` and subtracts ``s_k``, and ``|c_e| <= |f_e| +
-    <S_e, U U.T>``, so ``rounding`` is ``_ROUNDING`` times ``w.|f| + 2 s_k``.
+    :func:`losses.mixture` at weights ``w * per_unit``, from one ``eigh`` of
+    ``S_w`` itself (exactly symmetric and finite), reordered descending into
+    a copy as :func:`sym_eigen` does, so the Hessian sums in the same order.
+    By Ky Fan U minimizes ``w.f`` over the Fantope, so h(w) = ``w.f(U)`` =
+    ``w.c - s_k(S_w)``. The point carries h, U, f(U) (the gradient of h),
+    its max (the objective), and for :func:`_eigensum_hessian` the
+    eigenvalues and the couplings ``u_j.S_e U`` of the other eigenvectors
+    u_j, not the p x p eigenvectors. h adds the terms ``w_e c_e`` and
+    subtracts ``s_k``, and ``|c_e| <= |f_e| + <S_e, U U.T>``, so
+    ``rounding`` is ``_ROUNDING`` times ``w.|f| + 2 s_k``.
     """
-    spec = sym_eigen(mixture(domains, w * per_unit))
-    frame = spec.eigenvectors[:, :k].copy()
+    lam, q = np.linalg.eigh(mixture(domains, w * per_unit))
+    lam, q = lam[::-1].copy(), q[:, ::-1].copy()
+    frame = q[:, :k].copy()
     f, products = losses(frame)
-    rounding = _ROUNDING * (float(w @ np.abs(f)) + 2.0 * abs(float(spec.eigenvalues[:k].sum())))
-    return _DualPoint(float(w @ f), rounding, f, float(f.max()), frame, products, spec)
+    coupling = q[:, k:].T @ products
+    rounding = _ROUNDING * (float(w @ np.abs(f)) + 2.0 * abs(float(lam[:k].sum())))
+    return _DualPoint(float(w @ f), rounding, f, float(f.max()), frame, lam, coupling)
 
 
-def _eigensum_hessian(spec: Spectrum, products: np.ndarray, k: int):
+def _eigensum_hessian(lam: np.ndarray, coupling: np.ndarray, k: int):
     """Hessian in w of ``s_k(sum_e w_e S_e)``, or None where lambda_k = lambda_{k+1}.
 
-    ``spec`` is the spectrum of the mixture and ``products`` the ``(E, p, k)``
-    stack of ``S_e U``, with U its top-k frame. Entry ``(a, b)`` is
+    ``lam`` is the mixture's descending spectrum and ``coupling`` the
+    ``(E, p - k, k)`` stack of ``u_j.S_e u_i`` over its top-k eigenvectors
+    u_i and the others u_j (see :func:`_dual_point`). Entry ``(a, b)`` is
     ``2 sum_{i<=k<j} (u_i.S_a u_j)(u_i.S_b u_j) / (lambda_i - lambda_j)``
-    (Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995): the products
-    projected on the other eigenvectors, weighted by the eigen-gaps.
+    (Overton & Womersley, *SIAM J. Matrix Anal. Appl.* 1995).
     """
-    lam = spec.eigenvalues
     if lam[k - 1] - lam[k] <= _EIGEN_GAP_RTOL * lam[0]:
         return None
-    coupling = spec.eigenvectors[:, k:].T @ products
-    coupling *= np.sqrt(2.0 / (lam[None, :k] - lam[k:, None]))
+    coupling = coupling * np.sqrt(2.0 / (lam[None, :k] - lam[k:, None]))
     return np.einsum("aji,bji->ab", coupling, coupling)
 
 
@@ -490,7 +485,7 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
 
     frame, bound, steps = _simplex_newton(
         lambda w: _dual_point(losses, domains, per_unit, k, w),
-        lambda point: _eigensum_hessian(point.spectrum, point.products, k),
+        lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
         len(domains),
     )
     fit = result(frame, steps, 0, (), bound)
@@ -498,7 +493,7 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
         return fit
 
     covs = np.stack(covs)
-    stack = covs * per_unit[:, None, None]
+    stack = covs * per_unit[:, None, None] if kind in NORMALIZED_KINDS else covs
     starts = [frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)]
     runs = [_grassmann_sqp(losses, stack, v, cfg.max_iters, cfg.tol_objective) for v in starts]
     fits = [result(v, iters, r, (), bound) for r, (v, iters, _) in enumerate(runs)]

@@ -20,6 +20,7 @@ from wcpca import (
     make_collection,
     save_covariances,
     solvers,
+    top_k_eigensum,
     worst_case,
 )
 from wcpca.cli import main
@@ -129,6 +130,33 @@ class TestFit:
             per = [loss(kind, frame, d.covariance, k=2) for d in collection]
             assert report["per_domain_losses"][kind.value] == per
             assert report["worst_case"][kind.value] == worst_case(kind, frame, collection)
+
+    def test_each_covariance_is_decomposed_once(self, tmp_path, monkeypatch):
+        # the PSD check's spectrum serves the solver's and the report's
+        # regret baselines: one eigvalsh per domain, no p x p Cholesky
+        p, count = 40, 4
+        rng = np.random.default_rng(3)
+        cov_dir = tmp_path / "covs"
+        save_covariances(make_collection([random_covariance(rng, p, 0.9) for _ in range(count)]), str(cov_dir))
+        sizes = {"eigvalsh": [], "eigh": [], "cholesky": []}
+        for name, seen in sizes.items():
+
+            def counted(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
+                _seen.append(np.shape(a)[-1])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        argv = ["fit", "--from-cov", str(cov_dir), "--k", "3", "--objective", "norm-max-regret"]
+        assert main([*argv, "--out", str(tmp_path / "fit")]) == 0
+        assert sizes["eigvalsh"] == [p] * count
+        assert p not in sizes["cholesky"]
+        assert p in sizes["eigh"]
+        monkeypatch.undo()
+        collection, _ = load_covariances(str(cov_dir))
+        for d in collection:
+            assert not d.eigenvalues.flags.writeable
+        for k in range(1, p + 1):
+            assert collection.top_k_eigensums(k).tolist() == [top_k_eigensum(d.covariance, k) for d in collection]
 
     def test_report_lists_every_restart(self, tmp_path, cov_dir):
         # example1's covariances are diagonal and its rank-1 optimum ties the

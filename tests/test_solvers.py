@@ -5,6 +5,7 @@ remaining tests assert structural properties: determinism, restart
 monotonicity, orthonormal outputs, prefix optimality of ordered bases.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,9 +265,9 @@ class TestMixtureDual:
         losses, per_unit, _ = _scaled_problem(kind, coll, k)
         w = rng.dirichlet(np.ones(count))
         point = solvers._dual_point(losses, coll, per_unit, k, w)
-        lam = point.spectrum.eigenvalues
+        lam = point.eigenvalues
         assert lam[k - 1] - lam[k] > 1e-2 * lam[0]
-        hess = solvers._eigensum_hessian(point.spectrum, point.products, k)
+        hess = solvers._eigensum_hessian(point.eigenvalues, point.coupling, k)
         step = 1e-4
         basis = step * np.eye(count)
         central = np.empty((count, count))
@@ -333,6 +334,40 @@ def _scaled_problem(kind, coll, k):
 
 def _worst(losses, v):
     return float(np.max(losses(v)[0]))
+
+
+def _traced_peak(kind, coll, k, cfg=None):
+    """A solve and the peak of the memory tracemalloc sees (numpy arrays, not
+    LAPACK's workspaces) while it runs."""
+    tracemalloc.start()
+    try:
+        return solve_wcpca(kind, coll, k, cfg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_dual_keeps_no_eigenvectors(self):
+        # the peak is the domain sort's E = 3 byte keys (3.0 p x p arrays);
+        # it was the dual's 4.1 when each dual point kept its eigenvectors and
+        # the mixture went through symmetrized copies. At E = 5 the keys
+        # alone would reach 5.0 and hide the dual.
+        p = 300
+        rng = np.random.default_rng(0)
+        coll = make_collection([random_covariance(rng, p, 0.98) for _ in range(3)])
+        fit, peak = _traced_peak(LossKind.RCS, coll, 5)
+        assert fit.restarts == ()
+        assert peak < 3.5 * p * p * 8
+
+    def test_open_fit_stacks_once(self):
+        # the SQP of an RCS fit reads the stacked covariances themselves:
+        # about 11 p x p arrays at the peak, 16 with a second, scaled stack
+        p = 60
+        rng = np.random.default_rng(0)
+        coll = make_collection([random_covariance(rng, p, 0.5) for _ in range(5)])
+        fit, peak = _traced_peak(LossKind.RCS, coll, 2, SolverConfig(restarts=1))
+        assert fit.restarts != ()
+        assert peak < 13.5 * p * p * 8
 
 
 class TestGrassmannSqp:
