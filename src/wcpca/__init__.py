@@ -44,10 +44,8 @@ from .errors import (
     exit_code_for,
 )
 from .evaluation import (
-    consistency_curve,
     hull_supremum,
     mc_domain_losses,
-    mc_metrics,
     relative_deltas,
     sample_hull_members,
 )
@@ -182,8 +180,6 @@ __all__ = [
     "sample_hull_members",
     "relative_deltas",
     "mc_domain_losses",
-    "mc_metrics",
-    "consistency_curve",
     # preprocessing and IO
     "RawTable",
     "PreprocessedCollection",

@@ -63,6 +63,8 @@ class GenConfig:
             raise InvalidInput(
                 f"shared_rank + specific_rank = {self.shared_rank + self.specific_rank} exceeds p={self.p}"
             )
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise InvalidInput(f"alpha and beta must be finite, got [{self.alpha}, {self.beta}]")
         if not self.alpha < self.beta:
             raise InvalidInput(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
         if self.alpha < 0.0:

@@ -14,35 +14,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datagen import (
-    GenConfig,
-    sample_gaussian_rows,
-    sample_source_covariances,
-    sample_target_covariance,
-    second_moment_collection,
-)
+from .datagen import sample_target_covariance
 from .completion import CompletionModel, _ensure_dataset, inductive_ols
-from .errors import DegenerateBaseline, InvalidInput
+from .errors import DegenerateBaseline
 from .linalg import as_frame
-from .losses import (
-    MIN_KINDS,
-    LossKind,
-    as_collection,
-    as_kind,
-    average_covariance,
-    loss,
-    worst_case,
-)
-from .rng import as_rng, make_rng, spawn_seed
-from .solvers import SolverConfig, solve_wcpca
+from .losses import LossKind, as_collection, average_covariance, loss, worst_case
+from .rng import as_rng
 
 __all__ = [
     "hull_supremum",
     "sample_hull_members",
     "relative_deltas",
     "mc_domain_losses",
-    "mc_metrics",
-    "consistency_curve",
 ]
 
 
@@ -104,78 +87,3 @@ def mc_domain_losses(model: CompletionModel, test) -> np.ndarray:
         diff = d.x - recon
         out[e] = float(np.sum(diff * diff)) / (d.n * d.p)
     return out
-
-
-def mc_metrics(model_a: CompletionModel, model_b: CompletionModel, test):
-    """Average and worst-case test-MSE deltas of model_a minus model_b.
-
-    Values are scaled by 1e4 (the reporting convention for completion
-    deltas): ``d_avg = 1e4 * mean_e(L_e(a) - L_e(b))`` and
-    ``d_wc = 1e4 * (max_e L_e(a) - max_e L_e(b))``.
-    """
-    return _loss_deltas(mc_domain_losses(model_a, test), mc_domain_losses(model_b, test))
-
-
-def _loss_deltas(la: np.ndarray, lb: np.ndarray) -> tuple[float, float]:
-    # mc_metrics' 1e4-scaled deltas, from per-domain losses already computed
-    return 1e4 * float((la - lb).mean()), 1e4 * float(la.max() - lb.max())
-
-
-def consistency_curve(
-    gen: GenConfig,
-    kind,
-    k: int,
-    n_grid,
-    replicates: int,
-    cfg: SolverConfig | None = None,
-):
-    """Gap between empirical and population fits as sample size grows.
-
-    For every replicate, one population collection is drawn from ``gen`` and
-    solved with ``cfg`` (its seed replaced per fit); for each n in ``n_grid``,
-    n Gaussian rows per domain give empirical covariances (uncentered second
-    moments), the same problem is solved on those, and the difference of
-    hull-extremum losses on the population sources is recorded. The
-    difference is oriented so that 0 means the empirical fit matches the
-    population one (empirical minus population for max-type kinds, reversed
-    for Var/NormVar). A nonpositive n (or inf) feeds the population
-    covariances directly.
-
-    Returns one summary dict per n: median, quartiles, mean, and count.
-    """
-    kind = as_kind(kind)
-    if replicates < 1:
-        raise InvalidInput(f"replicates must be >= 1, got {replicates}")
-    cfg = cfg or SolverConfig()
-    diffs: dict[object, list[float]] = {n: [] for n in n_grid}
-    for rep in range(replicates):
-        base = spawn_seed(gen.seed, rep)
-        sources = sample_source_covariances(replace(gen, seed=spawn_seed(base, 0)))
-        pop_fit = solve_wcpca(kind, sources, k, replace(cfg, seed=spawn_seed(base, 1)))
-        pop_val = worst_case(kind, pop_fit.frame, sources)
-        for ni, n in enumerate(n_grid):
-            if np.isfinite(n) and n > 0:
-                data_rng = make_rng(spawn_seed(base, 2 + ni))
-                emp = second_moment_collection(
-                    sources, (sample_gaussian_rows(d.covariance, int(n), data_rng) for d in sources)
-                )
-            else:
-                emp = sources
-            emp_fit = solve_wcpca(kind, emp, k, replace(cfg, seed=spawn_seed(base, 100 + ni)))
-            emp_val = worst_case(kind, emp_fit.frame, sources)
-            diff = (pop_val - emp_val) if kind in MIN_KINDS else (emp_val - pop_val)
-            diffs[n].append(float(diff))
-    table = []
-    for n in n_grid:
-        vals = np.array(diffs[n])
-        table.append(
-            {
-                "n": n,
-                "replicates": int(vals.size),
-                "median": float(np.median(vals)),
-                "q25": float(np.quantile(vals, 0.25)),
-                "q75": float(np.quantile(vals, 0.75)),
-                "mean": float(vals.mean()),
-            }
-        )
-    return table

@@ -47,7 +47,7 @@ from .datagen import (
     second_moment_collection,
 )
 from .errors import InvalidConfig, InvalidInput
-from .evaluation import _loss_deltas, hull_supremum, mc_domain_losses, relative_deltas
+from .evaluation import hull_supremum, mc_domain_losses, relative_deltas
 from .losses import LossKind, loss
 from .rng import make_rng, spawn_seed
 from .solvers import SolverConfig, pool_pca, solve_wcpca
@@ -272,7 +272,9 @@ def _mc_rows(cfg: ExperimentConfig, rep_seed: int, masked_sources: bool) -> list
     max_model = fit_max_mc(train, k)
     pool_losses = mc_domain_losses(pool_model, test)
     max_losses = mc_domain_losses(max_model, test)
-    d_avg, d_wc = _loss_deltas(max_losses, pool_losses)
+    # max-mc minus pool-mc: mean and worst-case test MSE, reported x1e4
+    d_avg = 1e4 * float((max_losses - pool_losses).mean())
+    d_wc = 1e4 * float(max_losses.max() - pool_losses.max())
     condition = "masked" if masked_sources else "observed"
     rows = []
     for e, d in enumerate(test):

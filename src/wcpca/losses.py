@@ -72,10 +72,10 @@ class DomainSpec:
 
     The covariance is symmetrized on construction, must have strictly
     positive trace, and no eigenvalue below ``-1e-10 * trace`` (generated
-    covariances carry eigenvalues near -1e-17); the weight must be positive.
-    ``eigenvalues`` keeps that check's descending spectrum, read-only, for
-    every eigensum. ``n`` is optional and only informational here
-    (preprocessing fills it from data).
+    covariances carry eigenvalues near -1e-17); the weight must be positive
+    and finite. ``eigenvalues`` keeps that check's descending spectrum,
+    read-only, for every eigensum. ``n`` is optional and only informational
+    here (preprocessing fills it from data).
     """
 
     id: str
@@ -92,8 +92,8 @@ class DomainSpec:
         eigenvalues = sym_eigenvalues(cov)
         if eigenvalues[-1] < -_PSD_RTOL * trace:
             raise InvalidInput(f"domain {self.id!r} covariance is not positive semidefinite")
-        if not self.weight > 0.0:
-            raise InvalidWeights(f"domain {self.id!r} has nonpositive weight {self.weight}")
+        if not 0.0 < self.weight < np.inf:
+            raise InvalidWeights(f"domain {self.id!r} needs a positive finite weight, got {self.weight}")
         if self.n is not None and self.n < 1:
             raise InvalidInput(f"domain {self.id!r} has nonpositive sample count {self.n}")
         eigenvalues.flags.writeable = False

@@ -277,6 +277,20 @@ class TestFit:
         assert main(["fit", "--from-cov", path, "--k", "1", "--objective", "pool"]) == 2
         assert "names 1 columns for dimension 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("objective", ["max-rcs", "min", "sep", "pool"])
+    def test_infinite_manifest_weight_is_rejected(self, tmp_path, cov_dir, objective, capsys):
+        # Python's json reads Infinity; a domain weight must be finite
+        path = f"{cov_dir}/manifest.json"
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["domains"][0]["weight"] = float("inf")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        out = tmp_path / "fit"
+        assert main(["fit", "--from-cov", path, "--k", "1", "--objective", objective, "--out", str(out)]) == 3
+        assert "InvalidWeights" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_k_surfaces_as_config_error(self, cov_dir):
         assert main(["fit", "--from-cov", cov_dir, "--k", "9", "--objective", "pool"]) == 3
 
@@ -555,6 +569,7 @@ class TestComplete:
         ["simulate", "avg-vs-wc", "--domains", "0", "--replicates", "1"],
         ["simulate", "avg-vs-wc", "--p", "1", "--replicates", "1"],
         ["simulate", "avg-vs-wc", "--alpha", "2", "--beta", "1", "--replicates", "1"],
+        ["simulate", "hull-bound", "--alpha", "0.1", "--beta", "inf"],
         ["complete", "--objective", "pool", "--missing-frac", "1.0"],
         ["complete", "--objective", "pool", "--missing-frac", "-0.5"],
         ["simulate", "mc-masked", "--p", "10", "--k", "2", "--n", "30", "--missing-frac", "0.97", "--replicates", "1"],
@@ -572,6 +587,7 @@ class TestComplete:
         "domains-0",
         "p-1",
         "alpha-above-beta",
+        "beta-inf",
         "missing-frac-1",
         "missing-frac-negative",
         "missing-frac-hides-row",

@@ -1,4 +1,4 @@
-"""Hull extrema, relative deltas, completion metrics, consistency curves."""
+"""Hull extrema, relative deltas, completion metrics."""
 
 import numpy as np
 import pytest
@@ -8,21 +8,18 @@ from wcpca import (
     DegenerateBaseline,
     DomainCollection,
     DomainSpec,
-    GenConfig,
+    ExperimentConfig,
     LossKind,
     MaskedDataset,
     MaskedDomain,
-    SolverConfig,
     average_covariance,
-    consistency_curve,
+    experiments,
     fit_pool_mc,
     hull_supremum,
     loss,
     make_rng,
     mc_domain_losses,
-    mc_metrics,
     sample_hull_members,
-    solvers,
     worst_case,
 )
 
@@ -138,38 +135,23 @@ class TestCompletionMetrics:
                 err += float(((d.x[i] - recon) ** 2).sum())
             assert got[e] == pytest.approx(err / (d.n * d.p), abs=1e-12)
 
-    def test_metrics_scale_and_sign(self):
-        train, test = tiny_completion_setup()
-        model = fit_pool_mc(train, 2)
-        d_avg, d_wc = mc_metrics(model, model, test)
-        assert d_avg == 0.0
-        assert d_wc == 0.0
-        la = mc_domain_losses(model, test)
-        worse = fit_pool_mc(train, 1)
-        d_avg, d_wc = mc_metrics(worse, model, test)
-        lw = mc_domain_losses(worse, test)
-        assert d_avg == pytest.approx(1e4 * (lw - la).mean())
-        assert d_wc == pytest.approx(1e4 * (lw.max() - la.max()))
+    def test_study_deltas_are_max_minus_pool_x1e4(self):
+        # the mc studies report 1e4 times the mean and the max difference
+        # of max-mc's per-domain test MSEs minus pool-mc's, to the bit
+        cfg = ExperimentConfig(name="mc-observed", p=10, k=2, n=30, seed=3)
+        rows = experiments.replicate_rows(cfg, 0)
 
+        def test_mse(method):
+            return np.array(
+                [r["value"] for r in rows if r["method"] == method and r["metric"].startswith("test-mse-")]
+            )
 
-class TestConsistencyCurve:
-    def test_population_entry_closes_the_gap(self):
-        gen = GenConfig(p=8, n_domains=3, shared_rank=2, specific_rank=2, seed=50)
-        table = consistency_curve(gen, LossKind.RCS, 2, [50, np.inf], replicates=3)
-        assert [row["n"] for row in table] == [50, np.inf]
-        assert set(table[0]) == {"n", "replicates", "median", "q25", "q75", "mean"}
-        assert table[0]["replicates"] == 3
-        # feeding the population covariances back in should solve the same
-        # problem, up to solver tolerance
-        assert abs(table[1]["median"]) <= 1e-4
-
-    def test_solver_config_is_used(self, monkeypatch):
-        # the config drives the SQP fallback; with no Newton step the dual
-        # stops at uniform weights, uncertified, so every solve falls back
-        monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
-        gen = GenConfig(p=8, n_domains=3, shared_rank=2, specific_rank=2, seed=51)
-        default = consistency_curve(gen, LossKind.RCS, 2, [50], replicates=2)
-        starved = consistency_curve(
-            gen, LossKind.RCS, 2, [50], replicates=2, cfg=SolverConfig(max_iters=1, restarts=1)
-        )
-        assert starved != default
+        pool, worst = test_mse("pool-mc"), test_mse("max-mc")
+        deltas = {r["metric"]: r["value"] for r in rows if r["method"] == "max-vs-pool"}
+        assert len(pool) == len(worst) == 5
+        assert deltas == {
+            "delta-avg-x1e4": 1e4 * float((worst - pool).mean()),
+            "delta-wc-x1e4": 1e4 * float(worst.max() - pool.max()),
+        }
+        # nonzero, so the max-minus-pool sign is pinned too
+        assert all(v != 0.0 for v in deltas.values())

@@ -3,11 +3,13 @@
 No linter runs on the package, so an import left behind when its last use
 is deleted would go unseen. The only imported names no module reads are the
 four that ``benchmarks/spans.py`` wraps at those modules' attributes to time
-the calls made through them. Importing the command line loads no process
-pool; only a parallel ``simulate`` run does.
+the calls made through them. Every name a module exports in ``__all__``
+resolves. Importing the command line loads no process pool; only a parallel
+``simulate`` run does.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -44,6 +46,16 @@ def _unused_imports(path):
 def test_only_the_wrapped_imports_go_unused():
     unused = set().union(*(_unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert unused == WRAPPED_BY_SPANS
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks only
+    # `from wcpca import *`, which nothing else exercises
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "wcpca" if path.stem == "__init__" else f"wcpca.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names {missing}"
 
 
 def test_cli_import_loads_no_process_pool():

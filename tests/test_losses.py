@@ -197,6 +197,11 @@ class TestCollections:
         d = DomainSpec(id="x", covariance=np.array([[1.0, 1e-8], [0.0, 1.0]]))
         np.testing.assert_allclose(d.covariance, d.covariance.T)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan])
+    def test_domain_spec_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(InvalidWeights):
+            DomainSpec(id="x", covariance=np.eye(2), weight=weight)
+
     def test_pooled_needs_unit_weights(self):
         specs = (
             DomainSpec(id="a", covariance=np.eye(2), weight=0.9),
