@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .completion import _domain_objectives, fit_max_mc, fit_pool_mc, inductive_ols
+from .completion import MaskedDataset, _domain_objectives, fit_max_mc, fit_pool_mc, inductive_ols
 from .datagen import hidden_per_row, sample_masks
 from .errors import InvalidConfig, InvalidInput, NoObservations, WcpcaError, exit_code_for
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
@@ -186,8 +186,9 @@ def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: s
 def _training_data(args):
     """Load, optionally thin, and wrap the training CSV as ``(features, data)``.
 
-    The loader's ``(x, mask)`` blocks die when this returns, so only the
-    dataset's own copies stay alive during the fit.
+    The loader's ``(x, mask)`` blocks go to the dataset one domain at a
+    time and die as it copies them, so no second full copy of the training
+    data is alive while the dataset is built or during the fit.
     """
     features, blocks = load_masked_csv(args.csv, args.domain_col)
     if args.missing_frac is not None:
@@ -198,9 +199,13 @@ def _training_data(args):
         thinned = {}
         for e, (label, (x, mask)) in enumerate(blocks.items()):
             synth = sample_masks(x.shape[0], x.shape[1], args.missing_frac, make_rng(args.seed, e))
-            thinned[label] = (x, mask * synth)
+            thinned[label] = (x, np.logical_and(mask, synth))
+        del x, mask, synth
         blocks = thinned
-    return features, masked_dataset_from_blocks(blocks)
+    domains = []
+    for label in list(blocks):
+        domains.extend(masked_dataset_from_blocks({label: blocks.pop(label)}))
+    return features, MaskedDataset(tuple(domains))
 
 
 def _fit_and_write(args, method: str, k: int):

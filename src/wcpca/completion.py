@@ -4,7 +4,9 @@ Two alternating-minimization fits are provided. Both factor each domain's
 partially observed matrix as ``X_e ~ L_e R.T`` with one shared p x k right
 factor ``R`` constrained to orthonormal columns, and both minimize a weighted
 average ``sum_e w_e f_e`` of the per-domain mean squared errors ``f_e`` on
-observed entries; they differ only in how the weights are chosen:
+observed entries; they differ only in how the weights are chosen. Every
+observation mask is boolean (True = observed): :class:`MaskedDomain` stores
+its mask as ``bool``, one byte per cell, and the kernels read it as is.
 
 * :func:`fit_pool_mc` holds them at the sample shares ``w_e = n_e / n``,
   which makes the average the pooled squared error over all observed
@@ -17,7 +19,8 @@ Both run one alternation loop (R-update, then the exact per-row L-update)
 whose budgets are module constants, not options: at most 100 rounds, and a
 stop once a round gains less than 1e-4. The loop starts from the top-k right
 singular subspace of the zero-filled data, taken from the eigenvectors of
-its p x p Gram, so no n x p SVD factor is formed.
+its p x p Gram, so no n x p SVD factor is formed; the zero-filled stack is
+the one n x p float array the start makes.
 A column that no domain observes says nothing about ``R``: the loop drops
 it before the start and gives it an exact-zero row of the returned
 right factor, so ``k`` may not exceed the number of observed columns.
@@ -79,12 +82,14 @@ _ROUND_TOL = 1e-4
 
 @dataclass(frozen=True)
 class MaskedDomain:
-    """One domain's data matrix and binary observation mask (1 = observed).
+    """One domain's data matrix and boolean observation mask (True = observed).
 
-    ``x`` must be finite everywhere; positions with ``mask == 0`` are simply
-    ignored by the fits (loaders fill unobserved cells with 0, while
-    evaluation datasets may carry ground truth there). Every row needs at
-    least one observed entry.
+    ``x`` must be finite everywhere; positions where the mask is False are
+    simply ignored by the fits (loaders fill unobserved cells with 0, while
+    evaluation datasets may carry ground truth there). The mask may come in
+    as any binary-valued array (bool, or integers or floats that are all 0
+    or 1) and is stored as a ``bool`` copy, one byte per cell. Every row
+    needs at least one observed entry.
     """
 
     id: str
@@ -93,18 +98,19 @@ class MaskedDomain:
 
     def __post_init__(self):
         x = np.array(self.x, dtype=np.float64, copy=True)
-        mask = np.array(self.mask, dtype=np.float64, copy=True)
-        if x.ndim != 2 or mask.shape != x.shape:
+        given = np.asarray(self.mask)
+        if x.ndim != 2 or given.shape != x.shape:
             raise InvalidInput(
-                f"domain {self.id!r}: data {x.shape} and mask {mask.shape} must be equal 2-D shapes"
+                f"domain {self.id!r}: data {x.shape} and mask {given.shape} must be equal 2-D shapes"
             )
         if not np.all(np.isfinite(x)):
             raise InvalidInput(f"domain {self.id!r} has non-finite data entries")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
+        if given.dtype != bool and not np.all((given == 0) | (given == 1)):
             raise InvalidInput(f"domain {self.id!r} mask must be binary")
         if x.shape[0] == 0:
             raise InvalidInput(f"domain {self.id!r} has no rows")
-        rows_without = np.flatnonzero(mask.sum(axis=1) == 0)
+        mask = np.array(given, dtype=bool, copy=True)
+        rows_without = np.flatnonzero(~mask.any(axis=1))
         if rows_without.size:
             raise InvalidInput(
                 f"domain {self.id!r} row {int(rows_without[0])} has no observed entries"
@@ -187,14 +193,15 @@ def inductive_ols(x, omega, r):
     ``1e-10 * s_max`` treated as zero).
 
     :param x: length-p data row, or an n x p block of rows.
-    :param omega: binary mask of the same shape as ``x``, 1 = observed.
+    :param omega: boolean mask of the same shape as ``x``, True = observed
+        (0/1 integers or floats read the same).
     :param r: p x k right factor.
     :returns: length-k coefficients and length-p reconstruction for a row;
         n x k and n x p arrays for a block.
     :raises NoObservations: if a row's mask is all zero.
     """
     rows = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(omega, dtype=np.float64)
+    mask = np.asarray(omega)
     factor = np.asarray(r, dtype=np.float64)
     if factor.ndim != 2:
         raise InvalidInput(f"right factor must be 2-D, got shape {factor.shape}")
@@ -223,7 +230,10 @@ def _normal_equations(x: np.ndarray, mask: np.ndarray, a: np.ndarray):
     design stack is formed.
     """
     p, k = a.shape
-    gram = (mask @ (a[:, :, None] * a[:, None, :]).reshape(p, k * k)).reshape(-1, k, k)
+    # astype keeps a transposed mask's layout; matmul's own cast would make
+    # it C-ordered, and BLAS could then round differently than on 0/1 floats
+    outer = (a[:, :, None] * a[:, None, :]).reshape(p, k * k)
+    gram = (mask.astype(np.float64, copy=False) @ outer).reshape(-1, k, k)
     return gram, (x * mask) @ a
 
 
@@ -259,14 +269,17 @@ def _init_factors(data: MaskedDataset, k: int):
     R0 holds the top-k eigenvectors of the p x p Gram ``S.T S`` in
     descending order, which span the thin SVD's ``vt[:k].T``, and
     ``L = S R0`` equals its ``u[:, :k] * s[:k]`` up to column signs; no
-    n x p factor U is formed.
+    n x p factor U is formed. Each domain's ``x * mask`` is written
+    straight into its rows of S, so S is the only n x p array made.
     """
-    stacked = np.vstack([d.x * d.mask for d in data])
+    ends = np.cumsum([d.n for d in data])
+    stacked = np.empty((int(ends[-1]), data.p))
+    for d, end in zip(data, ends):
+        np.multiply(d.x, d.mask, out=stacked[end - d.n : end])
     if not 1 <= k <= min(stacked.shape):
         raise InvalidRank(f"k must be in 1..{min(stacked.shape)}, got {k}")
     r0 = np.linalg.eigh(stacked.T @ stacked)[1][:, : -k - 1 : -1].copy()
-    ends = np.cumsum([d.n for d in data])[:-1]
-    return np.split(stacked @ r0, ends), r0
+    return np.split(stacked @ r0, ends[:-1]), r0
 
 
 def _l_update(data: MaskedDataset, r: np.ndarray):
@@ -276,8 +289,11 @@ def _l_update(data: MaskedDataset, r: np.ndarray):
 
 def _domain_objectives(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
     """Per-domain mean squared error over observed entries, normalized by n_e."""
-    resids = [(d.x - l @ r.T) * d.mask for d, l in zip(data, ls)]
-    return np.array([np.sum(res * res) / d.n for d, res in zip(data, resids)])
+    out = np.empty(len(data))
+    for e, (d, l) in enumerate(zip(data, ls)):
+        res = (d.x - l @ r.T) * d.mask
+        out[e] = np.sum(res * res) / d.n
+    return out
 
 
 def _pool_weights(data: MaskedDataset) -> np.ndarray:
@@ -458,7 +474,7 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     coef_full = row @ factor
     resid_full = row - factor @ coef_full
     den = float(resid_full @ resid_full)
-    coef_sub = _solve_masked(row[None], keep[None].astype(np.float64), factor)[0]
+    coef_sub = _solve_masked(row[None], keep[None], factor)[0]
     resid_sub = row - factor @ coef_sub
     num = float(resid_sub @ resid_sub)
     if num <= 1e-14 and den <= 1e-14:

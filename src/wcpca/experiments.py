@@ -261,7 +261,10 @@ def _mc_rows(cfg: ExperimentConfig, rep_seed: int, masked_sources: bool) -> list
     test_domains = []
     for d in sources:
         x = sample_gaussian_rows(d.covariance, n, train_rng)
-        mask = sample_masks(n, p, missing_frac, train_mask_rng) if masked_sources else np.ones((n, p))
+        if masked_sources:
+            mask = sample_masks(n, p, missing_frac, train_mask_rng)
+        else:
+            mask = np.ones((n, p), dtype=bool)
         train_domains.append(MaskedDomain(id=d.id, x=x, mask=mask))
         x_test = sample_gaussian_rows(d.covariance, n, test_rng)
         test_mask = sample_masks(n, p, missing_frac, test_mask_rng)

@@ -5,7 +5,9 @@ column means, divide every column by its pooled (across-domain) standard
 deviation, and form uncentered second moments Sigma_e = X_e.T X_e / n_e with
 weights w_e = n_e / n. Covariance collections round-trip through CSV at 17
 significant digits, which is lossless for float64; ``write_matrix`` and
-``write_json`` are the package's one matrix and one JSON writer.
+``write_json`` are the package's one matrix and one JSON writer. Masked
+CSVs (:func:`load_masked_csv`) load as float64 rows with zeros in the
+missing cells plus boolean masks, True = observed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import operator
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +100,16 @@ def _cell(text: str) -> float:
 
 
 def _read_rows(path: str, domain_col: str, feature_cols=None, keep=None):
-    """Parse a labelled CSV into per-label lists of float rows.
+    """Parse a labelled CSV into one float64 block per label.
 
     Empty, unparseable and absent (short-row) cells read as nan, an absent
     label as ``""``; blank lines are skipped and extra cells ignored. A
     duplicated header name refers to its last column. Rows for which
-    ``keep(label, values)`` is false are counted and left out. Returns
-    ``(features, rows_by_label, left_out)`` with labels in the order of
-    their first kept row.
+    ``keep(label, values)`` is false are counted and left out. Each kept
+    row is packed straight onto its label's growing buffer of float64
+    bytes, so no Python float objects outlive their row. Returns ``(features, blocks,
+    left_out)``: ``blocks`` maps each label, in the order of its first kept
+    row, to its rows as an n x len(features) array over that buffer.
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
@@ -117,7 +122,8 @@ def _read_rows(path: str, domain_col: str, feature_cols=None, keep=None):
         cols = [index[c] for c in features]
         width = max(label_at, *cols) + 1
         cells_of = operator.itemgetter(*cols)
-        by_label: dict[str, list] = {}
+        pack = struct.Struct(f"{len(cols)}d").pack
+        buffers: dict[str, bytearray] = {}
         left_out = 0
         for row in reader:
             if not row:
@@ -132,8 +138,13 @@ def _read_rows(path: str, domain_col: str, feature_cols=None, keep=None):
             if keep is not None and not keep(label, values):
                 left_out += 1
                 continue
-            by_label.setdefault(label, []).append(values)
-    return features, by_label, left_out
+            buf = buffers.get(label)
+            if buf is None:
+                buf = buffers[label] = bytearray()
+            buf += pack(*values)
+    p = len(features)
+    blocks = {label: np.frombuffer(buf).reshape(-1, p) for label, buf in buffers.items()}
+    return features, blocks, left_out
 
 
 def _complete_row(label: str, values) -> bool:
@@ -147,13 +158,12 @@ def load_csv(path: str, domain_col: str, feature_cols=None) -> RawTable:
     dropped and counted; a domain left with fewer than 2 rows is an error,
     and a file left with no rows at all is EmptyData.
     """
-    features, rows_by_domain, dropped = _read_rows(path, domain_col, feature_cols, _complete_row)
-    if not rows_by_domain:
+    features, blocks, dropped = _read_rows(path, domain_col, feature_cols, _complete_row)
+    if not blocks:
         raise EmptyData(f"{path} has no usable data rows ({dropped} dropped)")
-    for label, rows in rows_by_domain.items():
-        if len(rows) < 2:
+    for label, x in blocks.items():
+        if x.shape[0] < 2:
             raise SchemaError(f"domain {label!r} has fewer than 2 usable rows")
-    blocks = {label: np.array(rows, dtype=np.float64) for label, rows in rows_by_domain.items()}
     return RawTable(tuple(features), domain_col, blocks, dropped)
 
 
@@ -326,7 +336,8 @@ def load_masked_csv(path: str, domain_col: str, feature_cols=None):
     """Read a CSV where empty or non-finite cells mean "missing".
 
     Returns ``(feature_names, blocks)`` with ``blocks`` mapping domain label
-    to ``(x, mask)``; masked cells hold 0 in ``x``. No row-count or
+    to ``(x, mask)``: ``x`` is float64 with 0 in masked cells, and ``mask``
+    is boolean, True where the cell is observed. No row-count or
     all-observed constraints are applied here, so callers decide whether an
     all-masked row is an error.
     """
@@ -334,11 +345,10 @@ def load_masked_csv(path: str, domain_col: str, feature_cols=None):
     if not by_domain:
         raise EmptyData(f"{path} has no data rows")
     blocks = {}
-    for label, rows in by_domain.items():
-        x = np.array(rows, dtype=np.float64)
+    for label, x in by_domain.items():
         observed = np.isfinite(x)
         x[~observed] = 0.0
-        blocks[label] = (x, observed.astype(np.float64))
+        blocks[label] = (x, observed)
     return tuple(features), blocks
 
 

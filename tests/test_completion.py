@@ -6,6 +6,8 @@ problem is min_c (2 - c/sqrt2)^2 + (c/sqrt2)^2 with solution c = sqrt(2),
 reconstruction (1, 1, 0).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from wcpca.completion import (
     _l_update,
     _max_r_dual,
     _max_r_update,
+    _normal_equations,
     _pool_r_update,
     _solve_masked,
 )
@@ -67,6 +70,36 @@ class TestMaskedDomain:
         mask[1] = 0.0
         with pytest.raises(InvalidInput, match="row 1"):
             MaskedDomain(id="a", x=np.zeros((2, 3)), mask=mask)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+    def test_mask_is_stored_as_a_bool_copy(self, dtype):
+        mask = np.array([[1, 0, 1], [0, 1, 1]], dtype=dtype)
+        d = MaskedDomain(id="a", x=np.zeros((2, 3)), mask=mask)
+        assert d.mask.dtype == bool
+        np.testing.assert_array_equal(d.mask, mask != 0)
+        assert not np.shares_memory(d.mask, mask)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8])
+    def test_rejects_fully_masked_bool_or_int_row(self, dtype):
+        mask = np.array([[1, 1, 0], [0, 0, 0]], dtype=dtype)
+        with pytest.raises(InvalidInput, match="row 1"):
+            MaskedDomain(id="a", x=np.zeros((2, 3)), mask=mask)
+
+    def test_rejects_nonbinary_integer_mask(self):
+        with pytest.raises(InvalidInput, match="binary"):
+            MaskedDomain(id="a", x=np.zeros((2, 3)), mask=np.full((2, 3), 2, dtype=np.int8))
+
+    def test_fits_do_not_depend_on_the_mask_dtype(self):
+        data, _ = low_rank_dataset(3, domains=3, missing=0.4)
+        variants = [
+            MaskedDataset(tuple(MaskedDomain(id=d.id, x=d.x, mask=d.mask.astype(t)) for d in data))
+            for t in (bool, np.int8, np.float64)
+        ]
+        for fit in (fit_pool_mc, fit_max_mc):
+            first, *rest = (fit(v, 3) for v in variants)
+            for model in rest:
+                assert model.objective_trace == first.objective_trace
+                assert model.right_factor.tobytes() == first.right_factor.tobytes()
 
     def test_dataset_needs_matching_width(self):
         a = MaskedDomain(id="a", x=np.zeros((2, 3)), mask=np.ones((2, 3)))
@@ -232,6 +265,19 @@ class TestSolveMasked:
         got = _solve_masked(x, mask, a)
         np.testing.assert_array_equal(got[0], lstsq_rows(x[:1], mask[:1], a)[0])
         np.testing.assert_allclose(got[0], [1.0, 1.0], atol=1e-12)
+
+    def test_boolean_masks_give_the_bits_of_01_floats(self):
+        # on rows and on transposes (the R-step passes d.mask.T): a cast
+        # that lost the transposed layout could change BLAS's rounding
+        rng = make_rng(8)
+        for _ in range(100):
+            n, p, k = int(rng.integers(1, 60)), int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            x = rng.normal(size=(n, p))
+            mask = rng.random((n, p)) < 0.5
+            for xs, ms, a in ((x, mask, rng.normal(size=(p, k))), (x.T, mask.T, rng.normal(size=(n, k)))):
+                got = _normal_equations(xs, ms, a)
+                ref = _normal_equations(xs, ms.astype(np.float64), a)
+                assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
     def test_l_update_matches_reference(self):
         data, r = low_rank_dataset(31, p=9, k=3, missing=0.6)
@@ -543,3 +589,22 @@ class TestStabilityCheck:
     def test_removing_everything(self):
         with pytest.raises(NoObservations):
             ols_subset_stability_check([1.0, 2.0], np.eye(2), [0, 1], 0.1)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("fit", [fit_pool_mc, fit_max_mc])
+    def test_fit_holds_one_zero_filled_stack(self, fit):
+        # 3 domains x 400 rows x 60 columns, half missing. The start writes
+        # each x * mask into one preallocated stack and the objective holds
+        # one domain's residual at a time: about 1.2 stacks at the peak,
+        # 2.0 when every product lived beside the stack.
+        data, _ = low_rank_dataset(5, p=60, k=3, n=400, domains=3, missing=0.5)
+        unit = 3 * 400 * 60 * 8
+        tracemalloc.start()
+        try:
+            model = fit(data, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.rounds >= 1
+        assert peak < 1.5 * unit

@@ -15,7 +15,9 @@ a small ``--n`` or ``--missing-frac`` on some), a ``save_covariances`` directory
 ``complete --predict`` for both objectives (once more with a training
 column that no row observes, and once with a training column observed in
 fewer than k rows and held-out rows observing fewer than k cells, so every
-least-squares fallback runs), 240 library solves over the six loss kinds
+least-squares fallback runs, and once on a training and a held-out CSV
+written with quoted numbers, an unparseable cell, ``inf`` text, a short row
+and a blank line, so the loader's fallbacks are held too), 240 library solves over the six loss kinds
 (each line in ``solves.txt`` carries the solve's dual ``gap``, so certified
 solves show, and the frame's values), ``sequential_minpca`` on 6 random
 instances, ``order_basis`` on random frames of every rank from 1 to
@@ -110,6 +112,41 @@ def _write_masked_csv(path, rng, rows_per_domain, p, k, hide, empty_col=None, ke
             if empty_col is not None:
                 cells[empty_col] = f"{row[empty_col]:.12f}" if len(lines) - 1 in keep else ""
             lines.append(label + "," + ",".join(cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def _write_messy_csv(path, rng, rows_per_domain, p, k):
+    """Low-rank rows, 2 empty cells each, written with the loader's quirks.
+
+    Row 0 of every domain quotes its label and numbers (one with spaces),
+    row 1 of ``a`` holds an unparseable cell, row 2 of ``a`` holds ``inf``
+    and ``-inf`` text, row 3 of ``b`` stops after 4 cells, and a blank line
+    follows row 5 of ``b``.
+    """
+    frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    lines = ["site," + ",".join(f"f{j}" for j in range(p))]
+    for label in ("a", "b", "c"):
+        for i in range(rows_per_domain):
+            row = rng.normal(size=k) @ frame.T + 0.05 * rng.normal(size=p)
+            cells = [f"{x:.12f}" for x in row]
+            for j in rng.choice(p, size=2, replace=False):
+                cells[int(j)] = ""
+            head = label
+            if i == 0:
+                head = f'"{label}"'
+                cells = [f'"{c}"' for c in cells]
+                cells[-1] = f'" {row[-1]:.12f} "'
+            elif (label, i) == ("a", 1):
+                cells[3] = "abc"
+            elif (label, i) == ("a", 2):
+                cells[4], cells[6] = "inf", "-inf"
+            elif (label, i) == ("b", 3):
+                cells = cells[:4]
+            lines.append(head + "," + ",".join(cells))
+            if (label, i) == ("b", 5):
+                lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -282,6 +319,12 @@ def main(out):
              "--k", 3, "--predict", holdout, "--out", os.path.join(out, f"complete-empty-col-{method}"))
         _cli("complete", "--csv", sparse_col, "--domain-col", "site", "--objective", method,
              "--k", 3, "--predict", short_rows, "--out", os.path.join(out, f"complete-sparse-{method}"))
+    messy_rng = np.random.default_rng(14)
+    messy = _write_messy_csv(os.path.join(inputs, "train-messy.csv"), messy_rng, 30, 10, 3)
+    messy_holdout = _write_messy_csv(os.path.join(inputs, "holdout-messy.csv"), messy_rng, 8, 10, 3)
+    for method in ("pool", "max"):
+        _cli("complete", "--csv", messy, "--domain-col", "site", "--objective", method,
+             "--k", 3, "--predict", messy_holdout, "--out", os.path.join(out, f"complete-messy-{method}"))
     _solves(out)
     _sequential(out)
     _order_bases(out)
