@@ -237,6 +237,31 @@ def _normal_equations(x: np.ndarray, mask: np.ndarray, a: np.ndarray):
     return gram, (x * mask) @ a
 
 
+def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Which of the n x k x k PSD Grams have ``lambda_min <= 1e-6 * lambda_max``.
+
+    A Gram G is cleared without ``eigvalsh`` when
+    ``(k - 1)^(k - 1) det(G / Tr G) > 2e-6``: the other k - 1 eigenvalues
+    have a product of at most ``(Tr G / (k - 1))^(k - 1)`` (AM-GM) and
+    ``lambda_max <= Tr G``, so ``lambda_min / lambda_max`` is at least that
+    left-hand side. The factor 2 covers the determinant's rounding, and
+    dividing by the trace first keeps ``(Tr G)^k`` from under- or
+    overflowing. (The plain ``det(G / Tr G)`` bound is at most ``k^-k``, so
+    it could clear no Gram at k >= 7.) Only the Grams the screen does not
+    clear go through ``eigvalsh``, so the flags are those of ``eigvalsh``
+    on every Gram.
+    """
+    k = gram.shape[-1]
+    trace = np.trace(gram, axis1=1, axis2=2)
+    scale = np.maximum(trace, np.finfo(np.float64).tiny)[:, None, None]
+    unsure = ~((k - 1) ** (k - 1) * np.linalg.det(gram / scale) > 2.0 * _GRAM_RCOND)
+    ill = np.zeros(len(gram), dtype=bool)
+    if unsure.any():
+        lam = np.linalg.eigvalsh(gram[unsure])
+        ill[unsure] = lam[:, 0] <= _GRAM_RCOND * lam[:, -1]
+    return ill
+
+
 def _solve_masked(x: np.ndarray, mask: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row-wise masked least squares ``c_i = argmin_c ||mask_i * (x_i - a c)||``.
 
@@ -244,11 +269,10 @@ def _solve_masked(x: np.ndarray, mask: np.ndarray, a: np.ndarray) -> np.ndarray:
     normal equations are solved in one batch. Rows whose Gram has
     ``lambda_min <= 1e-6 * lambda_max`` (all-zero Grams included) take the
     minimum-norm lstsq of their observed design instead, so rank-deficient
-    semantics stay exact.
+    semantics stay exact (:func:`_ill_conditioned`).
     """
     gram, rhs = _normal_equations(x, mask, a)
-    lam = np.linalg.eigvalsh(gram)
-    ill = lam[:, 0] <= _GRAM_RCOND * lam[:, -1]
+    ill = _ill_conditioned(gram)
     out = np.empty(rhs.shape)
     out[~ill] = np.linalg.solve(gram[~ill], rhs[~ill][:, :, None])[:, :, 0]
     for i in np.flatnonzero(ill):
@@ -399,7 +423,7 @@ def _max_r_dual(data: MaskedDataset, ls):
 
 def _max_r_update(data: MaskedDataset, ls) -> np.ndarray:
     """The best R(w) of worst-case PCA's Newton loop on :func:`_max_r_dual`."""
-    return _simplex_newton(*_max_r_dual(data, ls), len(data))[0]
+    return _simplex_newton(*_max_r_dual(data, ls), np.full(len(data), 1.0 / len(data)))[0]
 
 
 def _worst_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:

@@ -303,19 +303,21 @@ def worst_case(kind, v, domains):
 def mixture(domains, weights) -> np.ndarray:
     """The mixture covariance Sigma_w = sum_e w_e Sigma_e, summed in domain order.
 
-    With simplex weights, Sigma_w is a member of the sources' convex hull.
-    Terms pass through one reused scratch array, so it holds two p x p arrays.
+    ``domains`` holds DomainSpecs or plain square arrays (such as covariances
+    compressed to a subspace). With simplex weights, Sigma_w is a member of
+    the sources' convex hull. Terms pass through one reused scratch array,
+    so it holds two p x p arrays.
 
     :raises InvalidInput: if there are no domains or not one weight per domain.
     """
-    specs = list(domains)
+    covs = [d.covariance if isinstance(d, DomainSpec) else d for d in domains]
     w = list(weights)
-    if not specs or len(w) != len(specs):
-        raise InvalidInput(f"need domains and one weight each, got {len(w)} for {len(specs)}")
-    out = np.zeros_like(specs[0].covariance)
+    if not covs or len(w) != len(covs):
+        raise InvalidInput(f"need domains and one weight each, got {len(w)} for {len(covs)}")
+    out = np.zeros_like(covs[0])
     scratch = np.empty_like(out)
-    for weight, d in zip(w, specs):
-        out += np.multiply(d.covariance, weight, out=scratch)
+    for weight, c in zip(w, covs):
+        out += np.multiply(c, weight, out=scratch)
     return out
 
 

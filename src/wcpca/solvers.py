@@ -34,6 +34,19 @@ tight: its optimum can have rank k+1 (Tantipongpipat et al., NeurIPS 2019),
 with lambda_k = lambda_{k+1} at the optimal weights, and then the gap stays
 open.
 
+Each dual point costs one p x p ``eigh``. Where the domains' spectra drop
+after their top 2k eigenvalues and 2kE < p, :func:`solve_wcpca` first runs
+the same Newton search on the Rayleigh-Ritz compression of the dual: the
+2kE x 2kE matrices Q.T S_e Q, with Q the top 2kE eigenvectors of the
+uniform mixture and the full-space constants c_e, so a reduced frame U has
+the full-space losses of Q U. The compressed dual overestimates h (Cauchy
+interlacing), so its bound certifies nothing; only its weights are kept,
+as the start of the full-space search, whose points alone give the bound
+and the certificate. This follows the subspace framework for eigenvalue
+optimization of Kangal, Meerbergen, Mengi & Michiels (*SIAM J. Matrix
+Anal. Appl.* 2018), which solves such problems on small Rayleigh-Ritz
+compressions and keeps the full-size decompositions for the last steps.
+
 :func:`solve_wcpca` runs the dual first on every worst-case solve, at every
 p. An uncertified dual falls back to :func:`_grassmann_sqp`, an epigraph
 SQP for finite minimax (Han, *Math. Programming* 1981) on the Grassmann
@@ -119,6 +132,9 @@ _NEWTON_RIDGE = 1e-9
 # the largest |theta|, |mu|: where S_w is a multiple of I on the relevant
 # block every entry is 0.
 _HESSIAN_FLOOR = 1e-3
+# The mixture dual's warm start compresses the domains onto the top
+# _RITZ_PER_KE * k * E eigenvectors of the uniform mixture (see _ritz_start).
+_RITZ_PER_KE = 2
 # h(w) is taken as exact to this times the magnitudes it adds and subtracts
 # (the weighted losses and twice the top-k eigensum); weight moves below it
 # end the search.
@@ -182,10 +198,12 @@ class FitResult:
     upper bound for Var and NormVar) and ``gap`` how far the objective lies
     from it on the worse side, nonnegative up to rounding. Every worst-case
     fit with k < p carries both; they are None for the exact baselines and
-    for k = p. A fit certified by the dual reports its Newton steps as
-    ``iterations_used``, restart 0 and no restarts. Exact baselines report
-    an empty set (pooled/average PCA) or the selected domain (separate PCA),
-    zero iterations, restart 0, no restarts and no bound.
+    for k = p. A fit certified by the dual reports its full-space Newton
+    steps as ``iterations_used`` (0 when the warm start's weights certify at
+    once; the compressed dual's steps are not counted), restart 0 and no
+    restarts. Exact baselines report an empty set (pooled/average PCA) or
+    the selected domain (separate PCA), zero iterations, restart 0, no
+    restarts and no bound.
     """
 
     frame: np.ndarray
@@ -276,28 +294,31 @@ def _simplex_qp(hess: np.ndarray, lin: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _simplex_newton(evaluate, hessian, count: int):
-    """Maximize a concave dual h over ``count`` simplex weights by damped Newton.
+def _simplex_newton(evaluate, hessian, start: np.ndarray):
+    """Maximize a concave dual h over simplex weights by damped Newton.
 
     ``evaluate(w)`` gives a point with ``value`` h(w) (a lower bound on the
     primal optimum), its ``rounding``, the ``grad`` of h, a primal
     ``candidate`` and its ``objective`` (lower is better); ``hessian(point)``
-    gives the Hessian of -h, or None where h is not smooth. From uniform
-    weights, each step solves the QP of h's second-order model plus a small
-    ridge on the simplex (:func:`_simplex_qp`) and backtracks until h gains
-    enough (Armijo). The search stops once the best candidate is certified
-    against the best bound (:func:`_certifies`), at a flat gradient (w is
-    then optimal: h is concave), where h is not smooth, when no step gains,
-    or after ``_NEWTON_STEPS`` steps. Returns ``(candidate, bound, steps)``.
+    gives the Hessian of -h, or None where h is not smooth. From the
+    simplex weights ``start``, each step solves the QP of h's second-order
+    model plus a small ridge on the simplex (:func:`_simplex_qp`) and
+    backtracks until h gains enough (Armijo). The search stops once the
+    best candidate is certified against the best bound (:func:`_certifies`),
+    at a flat gradient (w is then optimal: h is concave), where h is not
+    smooth, when no step gains, or after ``_NEWTON_STEPS`` steps. Returns
+    ``(candidate, weights, bound, steps)``: the best candidate, the weights
+    it was evaluated at (``start`` when no step improved on it), the best
+    bound and the steps taken.
     """
-    w = np.full(count, 1.0 / count)
+    w = start
     point = evaluate(w)
-    best, best_objective, bound, steps = point.candidate, point.objective, point.value, 0
+    best, best_w, best_objective, bound, steps = point.candidate, w, point.objective, point.value, 0
     while not _certifies(best_objective - bound, best_objective):
         spread = float(np.ptp(point.grad))
         if steps == _NEWTON_STEPS or spread == 0.0 or (hess := hessian(point)) is None:
             break
-        hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(count)
+        hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(len(w))
         move = _simplex_qp(hess, point.grad + hess @ w, w) - w
         slope = float(point.grad @ move)
         if not slope > -point.rounding or np.max(np.abs(move)) <= _ROUNDING:
@@ -308,7 +329,7 @@ def _simplex_newton(evaluate, hessian, count: int):
             trial /= trial.sum()
             reached = evaluate(trial)
             if reached.objective < best_objective:
-                best, best_objective = reached.candidate, reached.objective
+                best, best_w, best_objective = reached.candidate, trial, reached.objective
             bound = max(bound, reached.value)
             # Near the optimum h changes below its rounding while the
             # candidates still improve, so a step within the rounding is taken.
@@ -318,7 +339,7 @@ def _simplex_newton(evaluate, hessian, count: int):
             break
         w, point = trial, reached
         steps += 1
-    return best, bound, steps
+    return best, best_w, bound, steps
 
 
 class _DualPoint(NamedTuple):
@@ -333,14 +354,16 @@ class _DualPoint(NamedTuple):
     coupling: np.ndarray
 
 
-def _dual_point(losses, domains: DomainCollection, per_unit, k: int, w) -> _DualPoint:
+def _dual_point(losses, domains, per_unit, k: int, w) -> _DualPoint:
     """Evaluate the mixture dual h(w): the Lagrangian ``w.f(U)`` at its minimizer U.
 
     ``losses(V)`` returns the scaled losses f and products ``S_e V`` of
-    :func:`solve_wcpca`. U is the top-k frame of ``S_w``, the
-    :func:`losses.mixture` at weights ``w * per_unit``, from one ``eigh`` of
-    ``S_w`` itself (exactly symmetric and finite), reordered descending into
-    a copy as :func:`sym_eigen` does, so the Hessian sums in the same order.
+    :func:`solve_wcpca` on ``domains``: the domains themselves, or the
+    compressed matrices of :func:`_ritz_start`. U is the top-k frame of
+    ``S_w``, the :func:`losses.mixture` at weights ``w * per_unit``, from
+    one ``eigh`` of ``S_w`` itself (exactly symmetric and finite), reordered
+    descending into a copy as :func:`sym_eigen` does, so the Hessian sums in
+    the same order.
     By Ky Fan U minimizes ``w.f`` over the Fantope, so h(w) = ``w.f(U)`` =
     ``w.c - s_k(S_w)``. The point carries h, U, f(U) (the gradient of h),
     its max (the objective), and for :func:`_eigensum_hessian` the
@@ -371,6 +394,44 @@ def _eigensum_hessian(lam: np.ndarray, coupling: np.ndarray, k: int):
         return None
     coupling = coupling * np.sqrt(2.0 / (lam[None, :k] - lam[k:, None]))
     return np.einsum("aji,bji->ab", coupling, coupling)
+
+
+def _ritz_start(domains: DomainCollection, per_unit, k: int, losses_on) -> np.ndarray:
+    """Start weights for the mixture dual: its Rayleigh-Ritz warm start, or uniform.
+
+    The Ritz basis Q is the top m = ``_RITZ_PER_KE * k * E`` eigenvectors
+    of the uniform mixture of the S_e, from one ``eigh``, of which only the
+    p x m columns are kept. The start is the weights of the best candidate
+    of :func:`_simplex_newton` on the dual of the m x m matrices Q.T S_e Q,
+    whose losses ``losses_on(matrices)`` gives with the full-space traces
+    and eigensums, so a reduced frame U has the losses of Q U. Q and the
+    compressed matrices die with this call, before the full-space search.
+
+    The warm start applies when E > 1, m < p and
+    ``E max_e lambda_{2k+1}(S_e) <= min_e lambda_k(S_e)``, read from the
+    domains' kept spectra; otherwise the weights are uniform. Every mixture
+    S_w has ``lambda_k(S_w) >= min_e lambda_k(S_e) / E`` and takes at most
+    ``max_e lambda_{2k+1}(S_e)`` from outside the domains' top-2k
+    eigenspaces, whose span Q approximates; so the rule asks that no
+    mixture's top-k eigenspace leans on what Q leaves out. On flat spectra
+    it fails.
+    """
+    count, p = len(domains), domains.p
+    uniform = np.full(count, 1.0 / count)
+    m = _RITZ_PER_KE * k * count
+    if count == 1 or m >= p:
+        return uniform
+    spectra = np.array([d.eigenvalues for d in domains]) * per_unit[:, None]
+    if count * spectra[:, _RITZ_PER_KE * k].max() > spectra[:, k - 1].min():
+        return uniform
+    q = np.linalg.eigh(mixture(domains, uniform * per_unit))[1][:, p - m :].copy()
+    reduced = [(r + r.T) / 2.0 for r in (q.T @ (d.covariance @ q) for d in domains)]
+    losses = losses_on(reduced)
+    return _simplex_newton(
+        lambda w: _dual_point(losses, reduced, per_unit, k, w),
+        lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
+        uniform,
+    )[1]
 
 
 def _grassmann_sqp(losses, stack, v, iters: int, tol: float):
@@ -439,9 +500,11 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     :func:`losses.domain_losses` call gives ``sign`` times the domain losses
     (f) and the products ``Sigma_e V`` times ``per_unit`` (``S_e V``). The
     mixture dual runs first, at every p: :func:`_simplex_newton` on
-    :func:`_dual_point` and :func:`_eigensum_hessian`. If it certifies a
-    frame, that frame is returned with its bound, its gap, its Newton steps
-    as ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
+    :func:`_dual_point` and :func:`_eigensum_hessian`, from the weights of
+    :func:`_ritz_start`: uniform, or those the same search reaches on the
+    domains compressed to a Rayleigh-Ritz basis. If it certifies a frame, that frame is returned
+    with its bound, its gap, its full-space Newton steps as
+    ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
     runs from the dual's frame (run 0) and from ``cfg.restarts`` Haar-random
     frames (run r + 1 uses stream r of ``cfg.seed``), each for at most
     ``cfg.max_iters`` iterations with tolerance ``cfg.tol_objective``, and
@@ -468,10 +531,16 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     sign = -1.0 if kind in MIN_KINDS else 1.0
     per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(domains))
 
-    def losses(v):
-        # reads covs when called: the list until the dual leaves the fit open
-        values, products = domain_losses(kind, v, covs, traces, eigsums)
-        return sign * values, products * per_unit[:, None, None]
+    def losses_on(matrices):
+        # matrices: the list for the dual, the reduced list for its warm
+        # start, the stack once the dual leaves the fit open
+        def losses(v):
+            values, products = domain_losses(kind, v, matrices, traces, eigsums)
+            return sign * values, products * per_unit[:, None, None]
+
+        return losses
+
+    losses = losses_on(covs)
 
     def result(frame, iters, restart, restarts, bound=None):
         f, _ = losses(frame)
@@ -483,16 +552,17 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     if k == p:
         return result(np.eye(p), 0, 0, ())
 
-    frame, bound, steps = _simplex_newton(
+    frame, _, bound, steps = _simplex_newton(
         lambda w: _dual_point(losses, domains, per_unit, k, w),
         lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
-        len(domains),
+        _ritz_start(domains, per_unit, k, losses_on),
     )
     fit = result(frame, steps, 0, (), bound)
     if _certifies(fit.gap, fit.objective):
         return fit
 
     covs = np.stack(covs)
+    losses = losses_on(covs)
     stack = covs * per_unit[:, None, None] if kind in NORMALIZED_KINDS else covs
     starts = [frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)]
     runs = [_grassmann_sqp(losses, stack, v, cfg.max_iters, cfg.tol_objective) for v in starts]

@@ -69,6 +69,34 @@ def random_covariance(rng, p, decay=1.0):
     return (q * lam) @ q.T
 
 
+def spiked_covariances(rng, p, count, k, noise=0.01):
+    """``count`` covariances, each a shared rank-k part, its own rank-k part
+    and ``noise`` times I, at a random scale: a spectrum that drops after its
+    top 2k eigenvalues, as in the fit-wide benchmark inputs."""
+    shared = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    out = []
+    for _ in range(count):
+        own = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        a, b = rng.uniform(0.5, 3.0, k), rng.uniform(0.5, 3.0, k)
+        s = (shared * a) @ shared.T + (own * b) @ own.T + noise * np.eye(p)
+        out.append(rng.uniform(0.5, 2.0) * (s + s.T) / 2.0)
+    return out
+
+
+def record_eigh_sizes(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record the size of every matrix it
+    decomposes; returns the list it appends to."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
 @pytest.fixture
 def random_cov():
     return random_covariance

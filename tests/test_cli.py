@@ -25,7 +25,7 @@ from wcpca import (
     worst_case,
 )
 from wcpca.cli import _training_data, main
-from conftest import random_covariance
+from conftest import random_covariance, record_eigh_sizes, spiked_covariances
 
 
 @pytest.fixture
@@ -158,6 +158,23 @@ class TestFit:
             assert not d.eigenvalues.flags.writeable
         for k in range(1, p + 1):
             assert collection.top_k_eigensums(k).tolist() == [top_k_eigensum(d.covariance, k) for d in collection]
+
+    def test_fit_wide_operation_decomposes_six_mixtures(self, tmp_path, monkeypatch):
+        # the benchmark's fit-wide operation at a smaller p: three certified
+        # fits of 5 spiked domains at k = 5, each warm-started from its
+        # Rayleigh-Ritz dual, take 2 p x p eigh calls apiece (19 from uniform
+        # weights)
+        p = 120
+        cov_dir = tmp_path / "covs"
+        covs = spiked_covariances(np.random.default_rng(8), p, 5, 5)
+        save_covariances(make_collection(covs), str(cov_dir))
+        sizes = record_eigh_sizes(monkeypatch)
+        for objective in ("max-rcs", "norm-max-regret", "min"):
+            argv = ["fit", "--from-cov", str(cov_dir), "--k", "5", "--objective", objective]
+            argv += ["--out", str(tmp_path / objective), *(["--order"] if objective == "min" else [])]
+            assert main(argv) == 0
+            assert json.loads((tmp_path / objective / "report.json").read_text())["restarts"] == []
+        assert sizes.count(p) <= 8
 
     def test_report_lists_every_restart(self, tmp_path, cov_dir):
         # example1's covariances are diagonal and its rank-1 optimum ties the

@@ -29,7 +29,9 @@ from wcpca import (
     sample_masks,
 )
 from wcpca.completion import (
+    _GRAM_RCOND,
     _domain_objectives,
+    _ill_conditioned,
     _init_factors,
     _l_update,
     _max_r_dual,
@@ -279,6 +281,39 @@ class TestSolveMasked:
                 ref = _normal_equations(xs, ms.astype(np.float64), a)
                 assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
+    @pytest.mark.parametrize("exponent", [-60, 0, 60])
+    def test_screen_flags_what_eigvalsh_flags(self, exponent):
+        rng = make_rng(9)
+        grams = []
+        for k in range(1, 11):
+            q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+            for _ in range(40):
+                a = rng.normal(size=(k, k + 3))
+                grams.append(a @ a.T)  # well conditioned
+                a = rng.normal(size=(k, int(rng.integers(0, k))))
+                grams.append(a @ a.T)  # rank deficient, zero included
+                lam = np.sort(rng.uniform(0.0, 1.0, k))
+                lam[0] = rng.uniform(5e-7, 4e-6)  # ratio near the 1e-6 threshold
+                lam[-1] = 1.0
+                grams.append((q * lam) @ q.T)
+        for k in range(1, 11):
+            stack = np.stack([g for g in grams if len(g) == k]) * 2.0**exponent
+            lam = np.linalg.eigvalsh(stack)
+            np.testing.assert_array_equal(_ill_conditioned(stack), lam[:, 0] <= _GRAM_RCOND * lam[:, -1])
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_screen_clears_well_conditioned_grams(self, k, monkeypatch):
+        # Grams of rows with eight observed cells per coefficient: the
+        # screen clears every one, at k = 10 too, and no eigvalsh runs
+        rng = make_rng(10)
+        a = rng.normal(size=(200, k, 8 * k))
+        stack = a @ a.transpose(0, 2, 1)
+        seen = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: seen.append(len(g)) or real(g))
+        assert not _ill_conditioned(stack).any()
+        assert seen == []
+
     def test_l_update_matches_reference(self):
         data, r = low_rank_dataset(31, p=9, k=3, missing=0.6)
         for d, l in zip(data, _l_update(data, r)):
@@ -335,6 +370,11 @@ def r_step_instance(seed, p=8, k=3):
     noisy = MaskedDataset(tuple(domains))
     r = np.linalg.qr(rng.normal(size=(p, k)))[0]
     return noisy, _l_update(noisy, r), r, rng
+
+
+def _uniform(count):
+    """The uniform simplex weights the maxMC R-step starts from."""
+    return np.full(count, 1.0 / count)
 
 
 def zero_weight_instance(seed=5, p=8, k=2):
@@ -417,7 +457,7 @@ class TestMaxRDual:
     def test_certified_step_no_worse_than_incoming(self, seed):
         data, ls, r_in, _ = r_step_instance(seed)
         evaluate, hessian = _max_r_dual(data, ls)
-        r, bound, steps = _simplex_newton(evaluate, hessian, len(data))
+        r, _, bound, steps = _simplex_newton(evaluate, hessian, _uniform(len(data)))
         worst = worst_objective_certified(data, ls, r, bound)
         assert 1 <= steps <= _NEWTON_STEPS
         assert worst - bound <= _DUAL_GAP_RTOL * max(1.0, worst)
@@ -434,9 +474,11 @@ class TestMaxRDual:
             weights[id(point.candidate)] = w
             return point
 
-        r, bound, _ = _simplex_newton(recorded, hessian, len(data))
+        r, w, bound, _ = _simplex_newton(recorded, hessian, _uniform(len(data)))
         worst_objective_certified(data, ls, r, bound)
-        assert weights[id(r)][0] == 0.0
+        # the returned weights are those the returned candidate was evaluated at
+        assert w is weights[id(r)]
+        assert w[0] == 0.0
         # the last column's row is domain 0's own fit, the limit of R(w) as
         # its weight falls to 0, not a zero row
         seen = data[0].mask[:, -1] != 0.0

@@ -220,6 +220,11 @@ class TestCollections:
         with pytest.raises(InvalidInput):
             mixture([], [])
 
+    def test_mixture_of_plain_matrices_is_the_mixture_of_specs(self, example1):
+        weights = [0.3, 0.7]
+        plain = mixture(example1.covariances, weights)
+        assert plain.tobytes() == mixture(example1, weights).tobytes()
+
     def test_pooled_and_average(self, example1):
         pooled = pooled_covariance(example1)
         np.testing.assert_allclose(pooled, np.diag([0.45, 0.25, 0.3]), atol=1e-15)

@@ -7,6 +7,7 @@ monotonicity, orthonormal outputs, prefix optimality of ordered bases.
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from wcpca import (
     worst_case,
 )
 from wcpca.losses import domain_losses
-from conftest import random_covariance
+from conftest import random_covariance, record_eigh_sizes, spiked_covariances
 
 
 class TestBaselines:
@@ -368,6 +369,105 @@ class TestPeakMemory:
         fit, peak = _traced_peak(LossKind.RCS, coll, 2, SolverConfig(restarts=1))
         assert fit.restarts != ()
         assert peak < 13.5 * p * p * 8
+
+
+def _uniform_start(monkeypatch):
+    """Turn the Rayleigh-Ritz warm start off: the dual starts from uniform weights."""
+
+    def uniform(domains, per_unit, k, losses_on):
+        return np.full(len(domains), 1.0 / len(domains))
+
+    monkeypatch.setattr(solvers, "_ritz_start", uniform)
+
+
+def _assert_same_fit(a, b):
+    """Two fits equal bit for bit."""
+    assert a.frame.tobytes() == b.frame.tobytes()
+    fields = ("objective", "dual_bound", "gap", "iterations_used", "active_domains", "restart_index", "restarts")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+class TestRitzWarmStart:
+    # p = 120, E = 5, k = 5: the Ritz basis has 2 k E = 50 columns
+    P, COUNT, K = 120, 5, 5
+
+    def spiked(self, seed):
+        return make_collection(spiked_covariances(np.random.default_rng(seed), self.P, self.COUNT, self.K))
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_certified_fit_takes_two_decompositions(self, kind, monkeypatch):
+        coll = self.spiked(0)
+        sizes = record_eigh_sizes(monkeypatch)
+        steps = []
+        newton = solvers._simplex_newton
+
+        def recorded(*args):
+            out = newton(*args)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(solvers, "_simplex_newton", recorded)
+        fit = solve_wcpca(kind, coll, self.K)
+        assert fit.restarts == ()
+        assert 0 < sizes.count(self.P) <= 2
+        assert sorted(set(sizes)) == [2 * self.K * self.COUNT, self.P]
+        # iterations_used counts the full-space Newton steps, not the
+        # reduced solve's: here the warm start certifies at once
+        assert len(steps) == 2
+        assert fit.iterations_used == steps[1] == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_same_status_as_a_uniform_start(self, kind, seed, monkeypatch):
+        coll = self.spiked(seed)
+        warm = solve_wcpca(kind, coll, self.K, SolverConfig(restarts=1))
+        _uniform_start(monkeypatch)
+        cold = solve_wcpca(kind, coll, self.K, SolverConfig(restarts=1))
+        assert (warm.restarts == ()) == (cold.restarts == ())
+        assert abs(warm.objective - cold.objective) <= 1e-12 * abs(cold.objective)
+
+    @pytest.mark.parametrize("kind", [LossKind.RCS, LossKind.NORM_REG, LossKind.VAR])
+    def test_domain_permutation_is_bitwise(self, kind):
+        covs = spiked_covariances(np.random.default_rng(3), self.P, self.COUNT, self.K)
+        perm = [3, 0, 4, 2, 1]
+        fit = solve_wcpca(kind, make_collection(covs), self.K)
+        moved = solve_wcpca(kind, make_collection([covs[i] for i in perm]), self.K)
+        assert fit.restarts == ()
+        _assert_same_fit(moved, replace(fit, active_domains=frozenset(perm.index(i) for i in fit.active_domains)))
+
+    @pytest.mark.parametrize("kind", [LossKind.RCS, LossKind.NORM_REG, LossKind.VAR])
+    def test_common_rotation_rotates_the_frame(self, kind):
+        covs = spiked_covariances(np.random.default_rng(4), self.P, self.COUNT, self.K)
+        q = haar_frame(self.P, self.P, make_rng(98))
+        fit = solve_wcpca(kind, make_collection(covs), self.K)
+        turned = solve_wcpca(kind, make_collection([q @ c @ q.T for c in covs]), self.K)
+        assert fit.restarts == () and turned.restarts == ()
+        assert turned.objective == pytest.approx(fit.objective, rel=1e-12)
+        assert projection_distance(turned.frame, q @ fit.frame) <= 1e-9
+
+    def test_no_compression_when_the_basis_would_span_p(self, monkeypatch):
+        # 2 k E = 40 = p: the dual starts from uniform weights, as it does
+        # with the warm start turned off, and decomposes only p x p mixtures
+        coll = make_collection(spiked_covariances(np.random.default_rng(5), 40, 4, 5))
+        sizes = record_eigh_sizes(monkeypatch)
+        fit = solve_wcpca(LossKind.RCS, coll, 5)
+        assert fit.restarts == ()
+        assert set(sizes) == {40}
+        _uniform_start(monkeypatch)
+        _assert_same_fit(solve_wcpca(LossKind.RCS, coll, 5), fit)
+
+    def test_no_compression_on_a_flat_spectrum(self, monkeypatch):
+        # sample covariances of 2p white rows: lambda_{2k+1} is near lambda_k
+        # in every domain, so the basis would miss the mixtures' top-k
+        # eigenspaces and the dual starts from uniform weights
+        rng = np.random.default_rng(6)
+        covs = [x.T @ x / 240 for x in rng.normal(size=(3, 240, self.P))]
+        sizes = record_eigh_sizes(monkeypatch)
+        fit = solve_wcpca(LossKind.NORM_RCS, make_collection(covs), 2)
+        assert fit.restarts == ()
+        assert set(sizes) == {self.P}
+        _uniform_start(monkeypatch)
+        _assert_same_fit(solve_wcpca(LossKind.NORM_RCS, make_collection(covs), 2), fit)
 
 
 class TestGrassmannSqp:

@@ -10,7 +10,10 @@ directories number by number with ``--compare``.
 
 Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
-with and without ``--order``, all six ``simulate`` studies (1-2 replicates,
+with and without ``--order``, a ``fit`` of spiked covariances (p=60, E=3,
+k=2, so 2kE < p and the mixture dual is warm-started from its
+Rayleigh-Ritz compression) for ``max-rcs``, ``norm-max-regret`` and
+``min --order``, all six ``simulate`` studies (1-2 replicates,
 a small ``--n`` or ``--missing-frac`` on some), a ``save_covariances`` directory,
 ``complete --predict`` for both objectives (once more with a training
 column that no row observes, and once with a training column observed in
@@ -82,6 +85,17 @@ def _covariances(rng, count, p):
     for _ in range(count):
         a = rng.normal(size=(p, p)) * rng.uniform(0.2, 2.0, p)
         out.append(a @ a.T / p)
+    return out
+
+
+def _spiked_covariances(rng, count, p, k):
+    """A shared rank-k part, an own rank-k part and small noise per domain."""
+    shared = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    out = []
+    for _ in range(count):
+        own = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        s = (shared * rng.uniform(0.5, 3.0, k)) @ shared.T + (own * rng.uniform(0.5, 3.0, k)) @ own.T
+        out.append(s + rng.uniform(0.002, 0.01) * np.eye(p))
     return out
 
 
@@ -289,6 +303,10 @@ def main(out):
             dest = os.path.join(out, f"fit-{objective}{'-order' if order else ''}")
             _cli("fit", "--from-cov", manifest, "--k", 4, "--objective", objective,
                  "--seed", 3, "--out", dest, *(["--order"] if order else []))
+    spiked = _write_manifest(os.path.join(inputs, "spiked"), _spiked_covariances(np.random.default_rng(15), 3, 60, 2))
+    for objective in ("max-rcs", "norm-max-regret", "min"):
+        _cli("fit", "--from-cov", spiked, "--k", 2, "--objective", objective, "--seed", 3,
+             "--out", os.path.join(out, f"fit-spiked-{objective}"), *(["--order"] if objective == "min" else []))
     sim = os.path.join(out, "sim")
     for study in ("avg-vs-wc", "het-noise"):
         _cli("simulate", study, "--replicates", 2, "--seed", 5, "--out", sim)
