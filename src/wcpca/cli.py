@@ -23,7 +23,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .completion import MaskedDataset, _domain_objectives, fit_max_mc, fit_pool_mc, inductive_ols
+from .completion import MaskedDataset, fit_max_mc, fit_pool_mc, inductive_ols
 from .datagen import hidden_per_row, sample_masks
 from .errors import InvalidConfig, InvalidInput, NoObservations, WcpcaError, exit_code_for
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
@@ -221,8 +221,6 @@ def _fit_and_write(args, method: str, k: int):
     out = _ensure_out(args.out)
     write_matrix(os.path.join(out, "right_factor.csv"), model.right_factor)
 
-    objectives = _domain_objectives(data, model.left_factors, model.right_factor)
-    per_domain = {d.id: v for d, v in zip(data, objectives.tolist())}
     report = {
         "method": method,
         "k": k,
@@ -231,7 +229,7 @@ def _fit_and_write(args, method: str, k: int):
         "final_objective": float(model.objective_trace[-1]),
         "objective_trace": [float(v) for v in model.objective_trace],
         "unidentifiable_columns": [int(c) for c in model.unidentifiable_columns],
-        "per_domain_objective": per_domain,
+        "per_domain_objective": {d.id: v for d, v in zip(data, model.domain_objectives)},
     }
     write_json(os.path.join(out, "report.json"), report)
     return features, model.right_factor

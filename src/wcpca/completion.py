@@ -2,22 +2,23 @@
 
 Two alternating-minimization fits are provided. Both factor each domain's
 partially observed matrix as ``X_e ~ L_e R.T`` with one shared p x k right
-factor ``R`` constrained to orthonormal columns, and both minimize a weighted
-average ``sum_e w_e f_e`` of the per-domain mean squared errors ``f_e`` on
-observed entries; they differ only in how the weights are chosen. Every
+factor ``R`` constrained to orthonormal columns. Each round computes the
+per-domain mean squared errors ``f_e`` on observed entries once; the fits
+differ in how the R-step weighs them and in how they are aggregated. Every
 observation mask is boolean (True = observed): :class:`MaskedDomain` stores
 its mask as ``bool``, one byte per cell, and the kernels read it as is.
 
-* :func:`fit_pool_mc` holds them at the sample shares ``w_e = n_e / n``,
-  which makes the average the pooled squared error over all observed
+* :func:`fit_pool_mc` weighs them by the sample shares ``w_e = n_e / n``
+  and minimizes that average, the pooled squared error over all observed
   entries.
-* :func:`fit_max_mc` minimizes ``max_e f_e``, the largest such average over
-  the simplex; its R-update finds the weights by worst-case PCA's Newton
+* :func:`fit_max_mc` minimizes ``max_e f_e``, the largest weighted average
+  over the simplex; its R-update finds the weights by worst-case PCA's Newton
   loop (``solvers._simplex_newton``), whose gap certifies the step.
 
 Both run one alternation loop (R-update, then the exact per-row L-update)
 whose budgets are module constants, not options: at most 100 rounds, and a
-stop once a round gains less than 1e-4. The loop starts from the top-k right
+stop once a round gains less than 1e-4 (a round that raises the objective
+stops it too, and is discarded). The loop starts from the top-k right
 singular subspace of the zero-filled data, taken from the eigenvectors of
 its p x p Gram, so no n x p SVD factor is formed; the zero-filled stack is
 the one n x p float array the start makes.
@@ -157,8 +158,10 @@ class MaskedDataset:
 
 @dataclass(frozen=True)
 class CompletionModel:
-    """Fitted factors plus the per-round objective trace.
+    """Fitted factors, the per-round objective trace and the final errors.
 
+    ``domain_objectives`` are the per-domain errors at the returned factors,
+    in domain order; the fit's aggregate of them is ``objective_trace[-1]``.
     ``unidentifiable_columns`` lists columns never observed in any domain.
     The fit runs on the other columns only, so their number bounds ``k``;
     the rows of ``right_factor`` for the unidentifiable columns are exactly
@@ -168,6 +171,7 @@ class CompletionModel:
     right_factor: np.ndarray
     left_factors: tuple[np.ndarray, ...]
     objective_trace: tuple[float, ...]
+    domain_objectives: tuple[float, ...]
     unidentifiable_columns: tuple[int, ...]
 
     @property
@@ -326,26 +330,23 @@ def _pool_weights(data: MaskedDataset) -> np.ndarray:
     return n / n.sum()
 
 
-def _pooled_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
-    return float(_pool_weights(data) @ _domain_objectives(data, ls, r))
-
-
 def _pool_r_update(data: MaskedDataset, ls) -> np.ndarray:
     """The candidate R(w) of :func:`_max_r_dual` at the pool weights ``n_e / n``."""
     return _max_r_dual(data, ls)[0](_pool_weights(data)).candidate
 
 
-def _alternate(data, k: int, r_update, objective) -> CompletionModel:
+def _alternate(data, k: int, r_update, aggregate) -> CompletionModel:
     """Alternate ``r_update`` and the exact L-update from :func:`_init_factors`.
 
     Columns that no domain observes are dropped before the fit and get
     exact-zero rows in the returned right factor; everything else runs on
     the observed columns, so ``k`` may not exceed their number.
     The polar factor U W.T of ``r_update(data, ls)`` = U S W.T is the new R,
-    to which the L-update then refits every ``L_e``; ``objective(data, ls,
-    r)`` is the scalar being minimized. Stops after ``_MAX_ROUNDS`` rounds
-    or when a round improves the objective by less than ``_ROUND_TOL``; the
-    trace of objective values (initialization first) is kept on the model.
+    to which the L-update then refits every ``L_e``. ``aggregate(data,
+    errors)`` of each round's :func:`_domain_objectives`, computed once, is
+    minimized. Stops after ``_MAX_ROUNDS`` rounds, on a gain below
+    ``_ROUND_TOL``, or on a rise, whose round is discarded; the model keeps
+    the trace (initialization first) and the errors of its last entry.
     """
     data = _ensure_dataset(data)
     seen = np.logical_or.reduce([d.mask.any(axis=0) for d in data])
@@ -354,18 +355,24 @@ def _alternate(data, k: int, r_update, objective) -> CompletionModel:
             tuple(MaskedDomain(id=d.id, x=d.x[:, seen], mask=d.mask[:, seen]) for d in data)
         )
     ls, r = _init_factors(data, k)
-    trace = [objective(data, ls, r)]
+    errors = _domain_objectives(data, ls, r)
+    trace = [aggregate(data, errors)]
     for _ in range(_MAX_ROUNDS):
         u, _, wt = np.linalg.svd(r_update(data, ls), full_matrices=False)
-        r = u @ wt
-        ls = _l_update(data, r)
-        trace.append(objective(data, ls, r))
+        r_next = u @ wt
+        ls_next = _l_update(data, r_next)
+        errors_next = _domain_objectives(data, ls_next, r_next)
+        value = aggregate(data, errors_next)
+        if value > trace[-1]:
+            break
+        r, ls, errors = r_next, ls_next, errors_next
+        trace.append(value)
         if trace[-2] - trace[-1] < _ROUND_TOL:
             break
     right = np.zeros((seen.size, r.shape[1]))
     right[seen] = r
     unseen = tuple(int(j) for j in np.flatnonzero(~seen))
-    return CompletionModel(right, tuple(ls), tuple(trace), unseen)
+    return CompletionModel(right, tuple(ls), tuple(trace), tuple(errors.tolist()), unseen)
 
 
 def fit_pool_mc(data, k: int) -> CompletionModel:
@@ -377,7 +384,7 @@ def fit_pool_mc(data, k: int) -> CompletionModel:
     weights (see :func:`_pool_r_update`), re-orthonormalized through its
     polar factor.
     """
-    return _alternate(data, k, _pool_r_update, _pooled_objective)
+    return _alternate(data, k, _pool_r_update, lambda d, errors: float(_pool_weights(d) @ errors))
 
 
 # The maxMC R-step's dual at one weight vector (see _max_r_dual).
@@ -426,10 +433,6 @@ def _max_r_update(data: MaskedDataset, ls) -> np.ndarray:
     return _simplex_newton(*_max_r_dual(data, ls), np.full(len(data), 1.0 / len(data)))[0]
 
 
-def _worst_objective(data: MaskedDataset, ls, r: np.ndarray) -> float:
-    return float(_domain_objectives(data, ls, r).max())
-
-
 def fit_max_mc(data, k: int) -> CompletionModel:
     """Alternating minimization of the worst per-domain observed-entry error.
 
@@ -437,7 +440,7 @@ def fit_max_mc(data, k: int) -> CompletionModel:
     L-update is the exact per-row OLS (it can only shrink every domain's
     error); the R-update is the exact minimax in R (see :func:`_max_r_update`).
     """
-    return _alternate(data, k, _max_r_update, _worst_objective)
+    return _alternate(data, k, _max_r_update, lambda d, errors: float(errors.max()))
 
 
 def incoherence(r) -> IncoherenceReport:

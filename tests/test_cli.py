@@ -7,6 +7,7 @@ capture stderr.
 
 import argparse
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -15,7 +16,10 @@ import pytest
 
 from wcpca import (
     LossKind,
+    completion,
     experiments,
+    fit_max_mc,
+    fit_pool_mc,
     load_covariances,
     loss,
     make_collection,
@@ -24,7 +28,9 @@ from wcpca import (
     top_k_eigensum,
     worst_case,
 )
+from wcpca import cli
 from wcpca.cli import _training_data, main
+from wcpca.completion import _domain_objectives
 from conftest import random_covariance, record_eigh_sizes, spiked_covariances
 
 
@@ -437,6 +443,50 @@ class TestComplete:
         assert report["final_objective"] == report["objective_trace"][-1]
         factor = read_frame(out / "right_factor.csv")
         assert factor.shape == (5, 2)
+
+    @pytest.mark.parametrize("objective", ["pool", "max"])
+    @pytest.mark.parametrize("unseen", [False, True], ids=["all-seen", "one-unseen"])
+    def test_per_domain_objective_is_the_fits(self, tmp_path, objective, unseen, monkeypatch):
+        # the report takes the errors the fit's last round computed: the fit
+        # calls _domain_objectives once per round plus once at the start, and
+        # the command never again
+        rng = np.random.default_rng(17)
+        r = np.linalg.qr(rng.normal(size=(6, 2)))[0]
+        lines = ["site," + ",".join(f"f{j}" for j in range(6))]
+        for label in ("a", "b", "c"):
+            x = rng.normal(size=(20, 2)) @ r.T + 0.1 * rng.normal(size=(20, 6))
+            for row in x:
+                cells = [f"{v:.12f}" for v in row]
+                cells[int(rng.integers(5))] = ""
+                if unseen:
+                    cells[5] = ""
+                lines.append(label + "," + ",".join(cells))
+        path = tmp_path / "train.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        callers = []
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return _domain_objectives(*args)
+
+        monkeypatch.setattr(completion, "_domain_objectives", spy)
+        monkeypatch.setattr(cli, "_domain_objectives", spy, raising=False)
+        out = tmp_path / "mc"
+        argv = ["complete", "--csv", str(path), "--domain-col", "site", "--k", "2"]
+        assert main([*argv, "--objective", objective, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["unidentifiable_columns"] == ([5] if unseen else [])
+        assert callers == ["wcpca.completion"] * (report["rounds"] + 1)
+
+        args = argparse.Namespace(csv=str(path), domain_col="site", missing_frac=None, seed=0)
+        _, data = _training_data(args)
+        model = (fit_pool_mc if objective == "pool" else fit_max_mc)(data, 2)
+        fresh = _domain_objectives(data, model.left_factors, model.right_factor)
+        written = np.array([report["per_domain_objective"][d.id] for d in data])
+        if unseen:
+            np.testing.assert_allclose(written, fresh, rtol=1e-15, atol=0.0)
+        else:
+            np.testing.assert_array_equal(written, fresh)
 
     def test_missing_frac_thins_observations(self, tmp_path, masked_csv):
         common = ["complete", "--csv", masked_csv, "--domain-col", "site", "--k", "2", "--objective", "pool"]

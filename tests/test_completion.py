@@ -28,8 +28,10 @@ from wcpca import (
     ols_subset_stability_check,
     sample_masks,
 )
+from wcpca import completion
 from wcpca.completion import (
     _GRAM_RCOND,
+    _alternate,
     _domain_objectives,
     _ill_conditioned,
     _init_factors,
@@ -38,6 +40,7 @@ from wcpca.completion import (
     _max_r_update,
     _normal_equations,
     _pool_r_update,
+    _pool_weights,
     _solve_masked,
 )
 from wcpca.solvers import _DUAL_GAP_RTOL, _NEWTON_STEPS, _certifies, _simplex_newton
@@ -147,6 +150,7 @@ def check_unidentifiable_column_reported(fit):
     assert np.array_equal(model.right_factor[keep], dropped.right_factor)
     assert all(np.array_equal(a, b) for a, b in zip(model.left_factors, dropped.left_factors))
     assert model.objective_trace == dropped.objective_trace
+    assert model.domain_objectives == dropped.domain_objectives
 
 
 def check_rank_bounded_by_observed_columns(fit):
@@ -588,6 +592,78 @@ class TestMaxFit:
         mx = fit_max_mc(data, 2)
         assert mx.objective_trace[-1] == pytest.approx(worst(mx))
         assert worst(mx) <= worst(pool) + 1e-8
+
+
+AGGREGATES = {
+    fit_pool_mc: lambda data, errors: float(_pool_weights(data) @ errors),
+    fit_max_mc: lambda data, errors: float(np.max(errors)),
+}
+
+
+def rising_round_dataset():
+    # p=9, k=5, E=3, n=(15, 48, 20): rows that observe exactly k cells drive
+    # the left factors to |L| = 2.4e6, and round 14 of the max fit then raises
+    # its objective from 0.18766 to 2.085
+    rng = np.random.default_rng(117)
+    p = int(rng.integers(6, 30))
+    k = int(rng.integers(1, min(6, p - 1)))
+    count = int(rng.integers(2, 6))
+    missing = rng.uniform(0, 0.7)
+    base = np.linalg.qr(rng.normal(size=(p, k)))[0]
+    domains = []
+    for e in range(count):
+        n = int(rng.integers(k + 2, 60))
+        scale = rng.uniform(0.1, 3)
+        x = (rng.normal(size=(n, k)) @ (base + 0.3 * rng.normal(size=(p, k))).T) * scale
+        x = x + rng.uniform(0.01, 1) * rng.normal(size=(n, p))
+        mask = sample_masks(n, p, missing, rng).astype(bool)
+        mask[np.arange(n), rng.integers(0, p, n)] = True
+        domains.append(MaskedDomain(id=f"d{e}", x=x, mask=mask))
+    return MaskedDataset(tuple(domains)), k
+
+
+class TestAlternation:
+    @pytest.mark.parametrize("fit", [fit_pool_mc, fit_max_mc])
+    @pytest.mark.parametrize("seed", [30, 31])
+    def test_domain_objectives_are_those_of_the_last_round(self, fit, seed):
+        data, _ = low_rank_dataset(seed, p=8, k=3, domains=3, missing=0.4)
+        data = hide_columns(data, [], noise=0.1, seed=seed)
+        model = fit(data, 3)
+        errors = np.array(model.domain_objectives)
+        assert AGGREGATES[fit](data, errors) == model.objective_trace[-1]
+        fresh = _domain_objectives(data, model.left_factors, model.right_factor)
+        np.testing.assert_array_equal(errors, fresh)
+
+    def test_rising_round_is_discarded(self, monkeypatch):
+        # a third R-step far from the fit raises the objective: the model is
+        # the two-round fit, bit for bit, in factors, trace and errors
+        data, _ = low_rank_dataset(33, p=8, k=3, domains=2, missing=0.3)
+        data = hide_columns(data, [], noise=0.1, seed=33)
+        aggregate = AGGREGATES[fit_pool_mc]
+        monkeypatch.setattr(completion, "_MAX_ROUNDS", 2)
+        two = _alternate(data, 3, _pool_r_update, aggregate)
+        monkeypatch.undo()
+        steps = []
+
+        def r_update(data, ls):
+            steps.append(1)
+            return _pool_r_update(data, ls) if len(steps) < 3 else np.eye(8)[:, 5:]
+
+        model = _alternate(data, 3, r_update, aggregate)
+        assert len(steps) == 3 and two.rounds == model.rounds == 2
+        np.testing.assert_array_equal(model.right_factor, two.right_factor)
+        assert model.objective_trace == two.objective_trace
+        assert model.domain_objectives == two.domain_objectives
+
+    def test_max_fit_returns_its_best_round(self):
+        data, k = rising_round_dataset()
+        model = fit_max_mc(data, k)
+        trace = model.objective_trace
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == min(trace) <= 0.18766
+        assert max(model.domain_objectives) == trace[-1]
+        fresh = _domain_objectives(data, model.left_factors, model.right_factor)
+        np.testing.assert_array_equal(model.domain_objectives, fresh)
 
 
 class TestIncoherence:

@@ -3,8 +3,10 @@
 No linter runs on the package, so an import left behind when its last use
 is deleted would go unseen. The only imported names no module reads are the
 four that ``benchmarks/spans.py`` wraps at those modules' attributes to time
-the calls made through them. Every name a module exports in ``__all__``
-resolves. Importing the command line loads no process pool; only a parallel
+the calls made through them. A private name one module imports from another
+is a shared internal, and each is listed here, so a new one (a second site
+of a computation that belongs to one module) does not go unseen either.
+Every name a module exports in ``__all__`` resolves. Importing the command line loads no process pool; only a parallel
 ``simulate`` run does.
 """
 
@@ -23,6 +25,25 @@ WRAPPED_BY_SPANS = {
     ("completion", "stiefel_project"),
     ("solvers", "top_k_eigensum"),
 }
+
+SHARED_INTERNALS = {
+    ("cli", "preprocess", "_FLOAT_FMT"),
+    ("completion", "solvers", "_ROUNDING"),
+    ("completion", "solvers", "_simplex_newton"),
+    ("datagen", "losses", "_PSD_RTOL"),
+    ("evaluation", "completion", "_ensure_dataset"),
+}
+
+
+def _private_imports(path):
+    tree = ast.parse(path.read_text())
+    return {
+        (path.stem, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
 
 
 def _unused_imports(path):
@@ -46,6 +67,11 @@ def _unused_imports(path):
 def test_only_the_wrapped_imports_go_unused():
     unused = set().union(*(_unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert unused == WRAPPED_BY_SPANS
+
+
+def test_only_the_listed_internals_cross_modules():
+    private = set().union(*(_private_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert private == SHARED_INTERNALS
 
 
 def test_every_exported_name_resolves():
