@@ -160,6 +160,15 @@ def cmd_simulate(args) -> int:
 
 
 def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: str) -> str:
+    """Reconstruct every row of a held-out CSV; write ``<out_dir>/predictions.csv``.
+
+    The loader groups rows by label, so the written rows come grouped by
+    label too, in order of each label's first appearance and in file order
+    within a label, with no row index: held-out rows labelled b, a, b are
+    written as b, b, a. Each label's block is reconstructed at once and
+    written one row at a time, so no block-sized list of Python floats is
+    made.
+    """
     feats, blocks = load_masked_csv(path, domain_col, feature_cols=features)
     pred_path = os.path.join(out_dir, "predictions.csv")
     cells = ",".join([_FLOAT_FMT] * len(feats)) + "\n"
@@ -179,7 +188,7 @@ def _predict_csv(path: str, domain_col: str, features, r: np.ndarray, out_dir: s
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerow([label, ""])
             head = buf.getvalue()[:-1]
-            fh.writelines(head + cells % tuple(row) for row in recon.tolist())
+            fh.writelines(head + cells % tuple(row.tolist()) for row in recon)
     return pred_path
 
 

@@ -20,8 +20,9 @@ whose budgets are module constants, not options: at most 100 rounds, and a
 stop once a round gains less than 1e-4 (a round that raises the objective
 stops it too, and is discarded). The loop starts from the top-k right
 singular subspace of the zero-filled data, taken from the eigenvectors of
-its p x p Gram, so no n x p SVD factor is formed; the zero-filled stack is
-the one n x p float array the start makes.
+its p x p Gram, which is summed one domain at a time in one buffer of the
+largest domain's size: the start forms neither an n x p stack nor an
+n x p SVD factor.
 A column that no domain observes says nothing about ``R``: the loop drops
 it before the start and gives it an exact-zero row of the returned
 right factor, so ``k`` may not exceed the number of observed columns.
@@ -292,22 +293,26 @@ def _ensure_dataset(data) -> MaskedDataset:
 
 
 def _init_factors(data: MaskedDataset, k: int):
-    """Top-k right singular subspace of the zero-filled stack S; ``L_e = S_e R0``.
+    """Top-k right singular subspace of the zero-filled stack S; ``L_e = Z_e R0``.
 
     R0 holds the top-k eigenvectors of the p x p Gram ``S.T S`` in
     descending order, which span the thin SVD's ``vt[:k].T``, and
     ``L = S R0`` equals its ``u[:, :k] * s[:k]`` up to column signs; no
-    n x p factor U is formed. Each domain's ``x * mask`` is written
-    straight into its rows of S, so S is the only n x p array made.
+    n x p factor U is formed. S is never stacked either: each domain's
+    ``Z_e = x_e * mask_e`` is written into one buffer of the largest
+    domain's size, which adds ``Z_e.T Z_e`` to the Gram and, once R0 is
+    known, gives ``L_e = Z_e R0``.
     """
-    ends = np.cumsum([d.n for d in data])
-    stacked = np.empty((int(ends[-1]), data.p))
-    for d, end in zip(data, ends):
-        np.multiply(d.x, d.mask, out=stacked[end - d.n : end])
-    if not 1 <= k <= min(stacked.shape):
-        raise InvalidRank(f"k must be in 1..{min(stacked.shape)}, got {k}")
-    r0 = np.linalg.eigh(stacked.T @ stacked)[1][:, : -k - 1 : -1].copy()
-    return np.split(stacked @ r0, ends[:-1]), r0
+    rank = min(sum(d.n for d in data), data.p)
+    if not 1 <= k <= rank:
+        raise InvalidRank(f"k must be in 1..{rank}, got {k}")
+    buf = np.empty((max(d.n for d in data), data.p))
+    gram = np.zeros((data.p, data.p))
+    for d in data:
+        z = np.multiply(d.x, d.mask, out=buf[: d.n])
+        gram += z.T @ z
+    r0 = np.linalg.eigh(gram)[1][:, : -k - 1 : -1].copy()
+    return [np.multiply(d.x, d.mask, out=buf[: d.n]) @ r0 for d in data], r0
 
 
 def _l_update(data: MaskedDataset, r: np.ndarray):

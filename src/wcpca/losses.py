@@ -89,7 +89,9 @@ class DomainSpec:
         trace = float(np.trace(cov))
         if trace <= 0.0:
             raise ZeroTrace(f"domain {self.id!r} has nonpositive trace")
-        eigenvalues = sym_eigenvalues(cov)
+        # cov is already finite and exactly symmetric: sym_eigenvalues would
+        # check and symmetrize it again, one more p x p pass and array
+        eigenvalues = np.linalg.eigvalsh(cov)[::-1].copy()
         if eigenvalues[-1] < -_PSD_RTOL * trace:
             raise InvalidInput(f"domain {self.id!r} covariance is not positive semidefinite")
         if not 0.0 < self.weight < np.inf:

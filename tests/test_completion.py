@@ -186,6 +186,24 @@ class TestInitFactors:
         )
 
 
+    @pytest.mark.parametrize("domains", [1, 3, 9])
+    def test_holds_one_domain_block_whatever_the_domain_count(self, domains):
+        # in units of one domain's n x p float64 block: every domain's
+        # x * mask goes through one reused buffer, so apart from the returned
+        # left factors the traced peak stays near 1.7 blocks (buffer, the
+        # bool mask's cast buffer, the p x p Gram) for any E; writing all E
+        # domains into one zero-filled stack held E blocks
+        data, _ = low_rank_dataset(5, p=60, k=3, n=300, domains=domains, missing=0.5)
+        block = 300 * 60 * 8
+        tracemalloc.start()
+        try:
+            ls, _ = _init_factors(data, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(l.nbytes for l in ls) < 2.0 * block
+
+
 class TestInductiveOls:
     def test_oracle_row(self):
         r = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
@@ -711,11 +729,13 @@ class TestStabilityCheck:
 
 class TestPeakMemory:
     @pytest.mark.parametrize("fit", [fit_pool_mc, fit_max_mc])
-    def test_fit_holds_one_zero_filled_stack(self, fit):
-        # 3 domains x 400 rows x 60 columns, half missing. The start writes
-        # each x * mask into one preallocated stack and the objective holds
-        # one domain's residual at a time: about 1.2 stacks at the peak,
-        # 2.0 when every product lived beside the stack.
+    def test_fit_stacks_no_zero_filled_copy(self, fit):
+        # 3 domains x 400 rows x 60 columns, half missing, in units of all
+        # domains' n x p float64 bytes. The start writes each x * mask into
+        # one buffer of one domain's size (about 0.54 units with the Gram
+        # and the left factors), and the objective holds at most three
+        # domain-sized residual products at a time: about 1.24 units at the
+        # peak, 2.0 when every product lived beside a zero-filled stack.
         data, _ = low_rank_dataset(5, p=60, k=3, n=400, domains=3, missing=0.5)
         unit = 3 * 400 * 60 * 8
         tracemalloc.start()
@@ -725,4 +745,4 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert model.rounds >= 1
-        assert peak < 1.5 * unit
+        assert peak < 1.4 * unit

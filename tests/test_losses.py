@@ -22,12 +22,14 @@ from wcpca import (
     LossKind,
     MIN_KINDS,
     ZeroTrace,
+    as_covariance,
     average_covariance,
     haar_frame,
     loss,
     make_collection,
     make_rng,
     pooled_covariance,
+    sym_eigenvalues,
     top_k_eigensum,
     worst_case,
 )
@@ -196,6 +198,16 @@ class TestCollections:
     def test_domain_spec_symmetrizes(self):
         d = DomainSpec(id="x", covariance=np.array([[1.0, 1e-8], [0.0, 1.0]]))
         np.testing.assert_allclose(d.covariance, d.covariance.T)
+
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-8], ids=["symmetric", "within-tolerance"])
+    def test_domain_spec_spectrum_is_sym_eigenvalues_of_its_copy(self, asymmetry):
+        # the spec decomposes its validated copy directly; checking and
+        # symmetrizing that exactly symmetric copy again changes no bit
+        rng = make_rng(21)
+        m = random_covariance(rng, 30)
+        m += asymmetry * np.abs(m).max() * np.triu(rng.normal(size=m.shape), 1)
+        d = DomainSpec(id="x", covariance=m)
+        np.testing.assert_array_equal(d.eigenvalues, sym_eigenvalues(as_covariance(m)))
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan])
     def test_domain_spec_weight_must_be_positive_and_finite(self, weight):

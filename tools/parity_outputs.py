@@ -36,7 +36,9 @@ the evaluation helpers ``sample_hull_members``
 
 ``--compare`` prints, per file, ``identical`` for equal bytes, otherwise the
 largest absolute difference between the numbers the two files hold in the
-same places, or ``structure differs`` when their non-numeric text differs.
+same places and the largest relative one, ``|a - b| / max(|a|, |b|)`` over
+the pairs that are not both zero, or ``structure differs`` when their
+non-numeric text differs.
 It exits 1 when any file is missing on one side or not byte-identical, so
 parity can gate a refactor.
 """
@@ -370,12 +372,16 @@ def _numbers(text):
     return _NUMBER.sub("#", text), [float(m) for m in _NUMBER.findall(text)]
 
 
+def _relative(a, b):
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
 def compare(out_a, out_b):
-    """Print the largest absolute numeric difference per output file.
+    """Print the largest absolute and relative numeric differences per output file.
 
     Returns the number of files that are not byte-identical on both sides.
     """
-    worst = 0.0
+    worst = worst_rel = 0.0
     differing = 0
     for rel in sorted(_files(out_a) | _files(out_b)):
         paths = [os.path.join(out_a, rel), os.path.join(out_b, rel)]
@@ -396,9 +402,11 @@ def compare(out_a, out_b):
             print(f"structure differs  {rel}")
             continue
         diff = max(0.0 if a == b else abs(a - b) for a, b in zip(num_a, num_b))
+        rel_diff = max(_relative(a, b) for a, b in zip(num_a, num_b))
         worst = max(worst, diff)
-        print(f"max abs diff {diff:.3g}  {rel}")
-    print(f"largest numeric difference {worst:.3g}")
+        worst_rel = max(worst_rel, rel_diff)
+        print(f"max abs diff {diff:.3g}  max rel diff {rel_diff:.3g}  {rel}")
+    print(f"largest numeric difference {worst:.3g}, relative {worst_rel:.3g}")
     return differing
 
 
