@@ -203,15 +203,16 @@ def hidden_per_row(p: int, missing_frac: float) -> int:
 def sample_masks(n: int, p: int, missing_frac: float, seed) -> np.ndarray:
     """Per-row masks hiding exactly :func:`hidden_per_row` uniform entries.
 
-    Returns an n x p array with 1 = observed, 0 = masked. The count is exact
-    per row, not Bernoulli.
+    Returns an n x p ``bool`` array, True = observed, as the loaders and
+    :class:`completion.MaskedDomain` use. The count is exact per row, not
+    Bernoulli.
     """
     if n < 1 or p < 1:
         raise InvalidInput(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     hidden = hidden_per_row(p, missing_frac)
-    mask = np.ones((n, p), dtype=np.int8)
+    mask = np.ones((n, p), dtype=bool)
     if hidden > 0:
         rng = as_rng(seed)
         order = np.argsort(rng.random((n, p)), axis=1)
-        np.put_along_axis(mask, order[:, :hidden], 0, axis=1)
+        np.put_along_axis(mask, order[:, :hidden], False, axis=1)
     return mask

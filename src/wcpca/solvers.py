@@ -74,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank
-from .linalg import as_frame, haar_frame, orthocomplement_frame, stiefel_project, top_k_frame
+from .linalg import as_frame, haar_frame, stiefel_project, top_k_frame
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
@@ -91,7 +91,7 @@ from .losses import (
     pooled_covariance,
     top_k_eigensum,  # noqa: F401 -- benchmarks/spans.py wraps this name
 )
-from .rng import make_rng, spawn_seed
+from .rng import make_rng
 
 __all__ = [
     "SolverConfig",
@@ -151,7 +151,9 @@ class SolverConfig:
     once the QP's predicted decrease is at most ``tol_objective`` times
     max(1, |objective|), so 0 runs until a step stalls or the budget ends.
     ``restarts`` is the number of Haar-random starts run besides the dual's
-    frame, and ``seed`` draws them.
+    frame, and ``seed`` draws them. The greedy routines pass the config
+    unchanged to each rank-1 solve, so ``seed`` reaches them only through
+    the SQP restarts of a rank-1 solve the dual leaves open.
     """
 
     max_iters: int = 2000
@@ -591,73 +593,68 @@ def _reduced_matrices(kind, domains, basis) -> list[np.ndarray]:
     return out
 
 
-def _rank1_var(domains, matrices, cfg: SolverConfig, seed: int) -> np.ndarray:
-    """The rank-1 Var solve on ``matrices``, one per domain of ``domains`` (keeping
-    its id, weight and n), with ``cfg`` reseeded to ``seed``; returns the direction."""
-    specs = [DomainSpec(id=d.id, covariance=m, weight=d.weight, n=d.n) for d, m in zip(domains, matrices)]
-    return solve_wcpca(LossKind.VAR, specs, 1, replace(cfg, seed=seed)).frame[:, 0]
+def _peel(kind, domains, basis, steps: int, objective, cfg: SolverConfig):
+    """Run ``steps`` greedy rank-1 Var solves from ``basis``.
+
+    Each step solves rank-1 Var, with ``cfg`` unchanged, on ``objective`` of
+    the :func:`_reduced_matrices` in ``basis``, one per domain (keeping its
+    id, weight and n). It keeps ``basis @ a`` and shrinks the basis by the
+    complete QR complement of ``a``, drawing no random number. Returns the
+    kept directions and the last basis.
+    """
+    chosen = []
+    for _ in range(steps):
+        matrices = objective(_reduced_matrices(kind, domains, basis))
+        specs = [DomainSpec(id=d.id, covariance=m, weight=d.weight, n=d.n) for d, m in zip(domains, matrices)]
+        a = solve_wcpca(LossKind.VAR, specs, 1, cfg).frame
+        chosen.append(basis @ a[:, 0])
+        basis = basis @ np.linalg.qr(a, "complete")[0][:, 1:]
+    return chosen, basis
 
 
 def sequential_minpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> list[np.ndarray]:
     """Greedy variant: pick rank-1 worst-case directions one at a time.
 
     Direction j is the rank-1 solution of the worst-case problem restricted
-    to the orthogonal complement of the directions chosen so far: a Var solve
-    by :func:`_rank1_var` on the covariances :func:`_reduced_matrices` gives
-    in a basis of that complement (the identity for the first direction).
-    Only the Var and NormVar objectives are defined for this scheme. Returns
-    the ordered unit vectors; their joint worst-case value can be strictly
-    worse than the rank-k solve, which is the point of having both.
+    to the orthogonal complement of the directions chosen so far, a Var
+    solve that :func:`_peel` runs k times from the identity, with
+    deterministic QR complements. Only the Var and NormVar objectives are
+    defined for this scheme. Returns the ordered unit vectors; their joint
+    worst-case value can be strictly worse than the rank-k solve, which is
+    the point of having both.
     """
     kind = as_kind(kind)
     if kind not in MIN_KINDS:
         raise InvalidKind(f"sequential variant is defined for var and norm-var, got {kind.value}")
     domains = as_collection(domains)
-    cfg = cfg or SolverConfig()
-    p = domains.p
-    if not 1 <= k <= p:
-        raise InvalidRank(f"k must be in 1..{p}, got {k}")
-    comp_rng = make_rng(spawn_seed(cfg.seed, 0))
-
-    def direction(basis, j):
-        a = _rank1_var(domains, _reduced_matrices(kind, domains, basis), cfg, spawn_seed(cfg.seed, j + 1))
-        u = basis @ a
-        return u / np.linalg.norm(u)
-
-    directions = [direction(np.eye(p), 0)]
-    for j in range(1, k):
-        basis = orthocomplement_frame(np.column_stack(directions), p - j, comp_rng)
-        directions.append(direction(basis, j))
-    return directions
+    if not 1 <= k <= domains.p:
+        raise InvalidRank(f"k must be in 1..{domains.p}, got {k}")
+    return _peel(kind, domains, np.eye(domains.p), k, lambda matrices: matrices, cfg or SolverConfig())[0]
 
 
 def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.ndarray:
-    """Reorder a fitted frame so every column prefix is worst-case optimal.
+    """Reorder an orthonormal frame so every column prefix is worst-case optimal.
 
     Working inside the span of ``frame``, repeatedly find and remove the unit
     direction whose removal maximizes the worst-case explained variance of
     what remains. On the unit sphere the removal objective
     ``min_e (Tr(M_e) - a.T M_e a)`` equals ``min_e a.T (Tr(M_e) I - M_e) a``,
-    so each removal is a rank-1 Var solve by :func:`_rank1_var` on the PSD
-    matrices ``Tr(M_e) I - M_e``, with ``M_e`` from
-    :func:`_reduced_matrices` in the current basis. The last direction
-    standing is the best single direction in the span and comes first; the
-    direction removed first needed the least and comes last. The output spans
-    the same subspace as the input.
+    so :func:`_peel` runs k - 1 rank-1 Var solves from the frame, with
+    deterministic QR complements, on the PSD matrices ``Tr(M_e) I - M_e``,
+    with ``M_e`` from :func:`_reduced_matrices` in the current basis. The
+    last direction standing is the best single direction in the span and
+    comes first; the direction removed first needed the least and comes
+    last. The output spans the same subspace as the input.
     """
     kind = as_kind(kind)
     if kind not in MIN_KINDS:
         raise InvalidKind(f"basis ordering is defined for var and norm-var, got {kind.value}")
     domains = as_collection(domains)
-    cfg = cfg or SolverConfig()
     b = as_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match domain dimension {domains.p}")
-    comp_rng = make_rng(spawn_seed(cfg.seed, 0))
-    removed: list[np.ndarray] = []
-    for j in range(b.shape[1], 1, -1):
-        removal = [np.trace(m) * np.eye(j) - m for m in _reduced_matrices(kind, domains, b)]
-        a = _rank1_var(domains, removal, cfg, spawn_seed(cfg.seed, j))
-        removed.append(b @ a)
-        b = b @ orthocomplement_frame(a, j - 1, comp_rng)
+    if np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) > 1e-8:
+        raise InvalidInput("frame columns must be orthonormal to within 1e-8")
+    removal = lambda matrices: [np.trace(m) * np.eye(len(m)) - m for m in matrices]  # noqa: E731
+    removed, b = _peel(kind, domains, b, b.shape[1] - 1, removal, cfg or SolverConfig())
     return np.column_stack([b[:, 0]] + removed[::-1])

@@ -634,7 +634,7 @@ def rising_round_dataset():
         scale = rng.uniform(0.1, 3)
         x = (rng.normal(size=(n, k)) @ (base + 0.3 * rng.normal(size=(p, k))).T) * scale
         x = x + rng.uniform(0.01, 1) * rng.normal(size=(n, p))
-        mask = sample_masks(n, p, missing, rng).astype(bool)
+        mask = sample_masks(n, p, missing, rng)
         mask[np.arange(n), rng.integers(0, p, n)] = True
         domains.append(MaskedDomain(id=f"d{e}", x=x, mask=mask))
     return MaskedDataset(tuple(domains)), k

@@ -152,7 +152,7 @@ class TestNoise:
 class TestMasks:
     def test_exact_count_per_row(self):
         mask = sample_masks(50, 10, 0.3, make_rng(2))
-        assert mask.dtype == np.int8
+        assert mask.dtype == bool
         np.testing.assert_array_equal(mask.sum(axis=1), 7)
 
     def test_zero_fraction_observes_everything(self):

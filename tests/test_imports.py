@@ -7,17 +7,21 @@ the calls made through them. A private name one module imports from another
 is a shared internal, and each is listed here, so a new one (a second site
 of a computation that belongs to one module) does not go unseen either.
 Every name a module exports in ``__all__`` resolves. Importing the command line loads no process pool; only a parallel
-``simulate`` run does. Neither that import nor a ``complete --predict`` run
-without ``--missing-frac`` loads ``numpy.random``, which costs about 5.5 MB
-of resident memory and 12-18 ms.
+``simulate`` run does. Neither that import, nor a ``complete --predict`` run
+without ``--missing-frac``, nor a ``fit --order`` whose rank-1 solves the
+dual certifies loads ``numpy.random``, which costs about 5.5 MB of resident
+memory and 12-18 ms.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wcpca"
 
@@ -113,3 +117,32 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     printed = out.stdout.splitlines()
     assert (printed[0], printed[-1]) == ("[]", "0 []")
     assert (tmp_path / "out" / "predictions.csv").exists()
+
+
+def test_certified_ordered_fit_loads_no_random(tmp_path):
+    # the greedy routines take deterministic QR complements and pass the
+    # seed on unchanged, so only a rank-1 solve that falls back to the SQP
+    # draws random numbers; here the fit and its one rank-1 solve certify
+    rng = np.random.default_rng(3)
+    domains = []
+    for e in range(3):
+        a = rng.normal(size=(6, 6)) * rng.uniform(0.2, 2.0, 6)
+        np.savetxt(tmp_path / f"d{e}.csv", a @ a.T / 6, delimiter=",", fmt="%.17g")
+        domains.append({"id": f"d{e}", "file": f"d{e}.csv"})
+    (tmp_path / "manifest.json").write_text(json.dumps({"domains": domains}), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, wcpca.cli; "
+        "code = wcpca.cli.main(['fit', '--from-cov', sys.argv[1], '--objective', 'min', "
+        "'--k', '2', '--order', '--out', sys.argv[2]]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    argv = [str(tmp_path / "manifest.json"), str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["restarts"] == []
+    assert (tmp_path / "out" / "frame_ordered.csv").exists()

@@ -563,6 +563,33 @@ class TestSequential:
         with pytest.raises(InvalidKind):
             sequential_minpca(LossKind.RCS, example1, 2)
 
+    def test_open_rank1_solves_draw_reproducible_restarts(self, monkeypatch):
+        # both rank-1 dual solves stay open here, so each falls back to the
+        # SQP, which draws its Haar restarts from the caller's seed unchanged
+        rng = np.random.default_rng(12)
+        covs = []
+        for _ in range(3):
+            a = rng.normal(size=(5, 5)) * rng.uniform(0.2, 2.0, 5)
+            covs.append(a @ a.T / 5)
+        coll = make_collection(covs)
+        cfg = SolverConfig(max_iters=200, restarts=2, seed=4)
+        seen = []
+        solve = solvers.solve_wcpca
+
+        def recording(kind, domains, k, given=None):
+            fit = solve(kind, domains, k, given)
+            seen.append((given, fit.restarts))
+            return fit
+
+        monkeypatch.setattr(solvers, "solve_wcpca", recording)
+        first = np.column_stack(sequential_minpca(LossKind.VAR, coll, 2, cfg))
+        runs = list(seen)
+        second = np.column_stack(sequential_minpca(LossKind.VAR, coll, 2, cfg))
+        assert len(runs) == 2
+        assert all(given is cfg and len(restarts) == 3 for given, restarts in runs)
+        np.testing.assert_array_equal(first, second)
+        assert seen[2:] == runs
+
 
 class TestOrderBasis:
     def test_k1_is_copy(self, example1):
@@ -581,6 +608,16 @@ class TestOrderBasis:
         for j in range(fit.frame.shape[1]):
             col = worst_case(LossKind.VAR, fit.frame[:, j : j + 1], quarter_triple)
             assert lead >= col - 1e-6
+
+    def test_rejects_a_frame_that_is_not_orthonormal(self):
+        # the reduced problems assume an orthonormal basis of the span; a
+        # general frame used to give an ordered frame far from orthonormal
+        rng = np.random.default_rng(0)
+        coll = make_collection([random_covariance(rng, 5) for _ in range(3)])
+        with pytest.raises(InvalidInput, match="orthonormal"):
+            order_basis(LossKind.VAR, rng.normal(size=(5, 2)), coll)
+        with pytest.raises(InvalidInput, match="orthonormal"):
+            order_basis(LossKind.VAR, 2.0 * np.eye(5)[:, :2], coll)
 
     def test_deterministic(self, quarter_triple):
         fit = solve_wcpca(LossKind.VAR, quarter_triple, 3, SolverConfig(seed=6))

@@ -25,7 +25,9 @@ and a blank line, so the loader's fallbacks are held too), 240 library solves ov
 solves show, and the frame's values), ``sequential_minpca`` on 6 random
 instances, ``order_basis`` on random frames of every rank from 1 to
 min(4, p) on the same instances (both routines also on one instance where a
-domain has no variance in the working basis, so its reduction is jittered),
+domain has no variance in the working basis, so its reduction is jittered;
+each direction they return is written with its largest-magnitude entry
+positive),
 ``fit_max_mc`` and ``fit_pool_mc`` fits on six datasets (one with a
 never-observed column, one with a column that only a nearly noiseless
 domain observes, so maxMC R-steps end with that domain at zero weight, and
@@ -38,7 +40,10 @@ the evaluation helpers ``sample_hull_members``
 largest absolute difference between the numbers the two files hold in the
 same places and the largest relative one, ``|a - b| / max(|a|, |b|)`` over
 the pairs that are not both zero, or ``structure differs`` when their
-non-numeric text differs.
+non-numeric text differs. When both sides parse as numeric matrices of one
+shape (``frame.csv``, ``frame_ordered.csv``), it also prints both
+differences after flipping each of side B's columns to agree in sign with
+side A's, so a flipped column shows apart from a moved one.
 It exits 1 when any file is missing on one side or not byte-identical, so
 parity can gate a refactor.
 """
@@ -244,15 +249,22 @@ def _vanished_instance():
     return coll, np.eye(4)[:, [2, 0, 3]]
 
 
+def _signed(frame):
+    """``frame`` with each column's largest-magnitude entry made positive."""
+    top = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]
+    return frame * np.sign(top)
+
+
 def _sequential(out):
     lines = []
     for inst, coll, k, cfg in _greedy_instances():
         for kind in (LossKind.VAR, LossKind.NORM_VAR):
-            dirs = sequential_minpca(kind, coll, k, cfg)
+            dirs = _signed(np.column_stack(sequential_minpca(kind, coll, k, cfg))).T
             lines.append(f"{inst} {kind.value} {[d.tolist() for d in dirs]!r}")
     coll, _ = _vanished_instance()
     for kind in (LossKind.VAR, LossKind.NORM_VAR):
         dirs = sequential_minpca(kind, coll, 4, SolverConfig(max_iters=200, restarts=2, seed=9))
+        dirs = _signed(np.column_stack(dirs)).T
         lines.append(f"vanished {kind.value} {[d.tolist() for d in dirs]!r}")
     with open(os.path.join(out, "sequential.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -265,11 +277,11 @@ def _order_bases(out):
         for k in range(1, min(4, coll.p) + 1):
             frame = np.linalg.qr(frame_rng.normal(size=(coll.p, k)))[0]
             for kind in (LossKind.VAR, LossKind.NORM_VAR):
-                ordered = order_basis(kind, frame, coll, cfg)
+                ordered = _signed(order_basis(kind, frame, coll, cfg))
                 lines.append(f"{inst} k={k} {kind.value} {ordered.ravel().tolist()!r}")
     coll, frame = _vanished_instance()
     for kind in (LossKind.VAR, LossKind.NORM_VAR):
-        ordered = order_basis(kind, frame, coll, SolverConfig(max_iters=200, restarts=2, seed=9))
+        ordered = _signed(order_basis(kind, frame, coll, SolverConfig(max_iters=200, restarts=2, seed=9)))
         lines.append(f"vanished {kind.value} {ordered.ravel().tolist()!r}")
     with open(os.path.join(out, "order_basis.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -376,6 +388,20 @@ def _relative(a, b):
     return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
 
+def _matrix(path):
+    """The file as a 2-D float array, or None when it is not a numeric CSV matrix."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+
+
+def _diffs(num_a, num_b):
+    """The largest absolute and relative differences between paired numbers."""
+    pairs = list(zip(num_a, num_b))
+    return max(0.0 if a == b else abs(a - b) for a, b in pairs), max(_relative(a, b) for a, b in pairs)
+
+
 def compare(out_a, out_b):
     """Print the largest absolute and relative numeric differences per output file.
 
@@ -401,11 +427,16 @@ def compare(out_a, out_b):
         if skel_a != skel_b:
             print(f"structure differs  {rel}")
             continue
-        diff = max(0.0 if a == b else abs(a - b) for a, b in zip(num_a, num_b))
-        rel_diff = max(_relative(a, b) for a, b in zip(num_a, num_b))
+        diff, rel_diff = _diffs(num_a, num_b)
         worst = max(worst, diff)
         worst_rel = max(worst_rel, rel_diff)
-        print(f"max abs diff {diff:.3g}  max rel diff {rel_diff:.3g}  {rel}")
+        line = f"max abs diff {diff:.3g}  max rel diff {rel_diff:.3g}"
+        mat_a, mat_b = (_matrix(p) for p in paths)
+        if mat_a is not None and mat_b is not None and mat_a.shape == mat_b.shape:
+            mat_b = mat_b * np.where(np.sum(mat_a * mat_b, axis=0) < 0.0, -1.0, 1.0)
+            flipped, rel_flipped = _diffs(mat_a.ravel().tolist(), mat_b.ravel().tolist())
+            line += f"  up to column sign {flipped:.3g}, relative {rel_flipped:.3g}"
+        print(f"{line}  {rel}")
     print(f"largest numeric difference {worst:.3g}, relative {worst_rel:.3g}")
     return differing
 
