@@ -170,10 +170,12 @@ def top_k_frame(sigma, k: int) -> np.ndarray:
 def stiefel_project(m) -> np.ndarray:
     """Project a full-column-rank p x k matrix onto the orthonormal frames.
 
-    Returns the polar factor ``A (A.T A)^{-1/2}`` of ``A = m``, the closest
-    orthonormal frame in Frobenius norm (``U @ W.T`` of the thin SVD
-    ``A = U S W.T``). It is computed from the k x k Gram matrix: with
-    ``A.T A = W diag(mu) W.T`` from ``eigh``, the factor is
+    ``m`` is one p x k matrix or an ``(R, p, k)`` stack of them; a stack is
+    projected slice by slice in one call of each kind, with the bits of the
+    per-slice calls. Returns the polar factor ``A (A.T A)^{-1/2}`` of
+    ``A = m``, the closest orthonormal frame in Frobenius norm (``U @ W.T``
+    of the thin SVD ``A = U S W.T``). It is computed from the k x k Gram
+    matrix: with ``A.T A = W diag(mu) W.T`` from ``eigh``, the factor is
     ``A @ (W / sqrt(mu)) @ W.T``, so no SVD of the p x k matrix is taken.
     Forming the Gram squares the condition number kappa = s_max / s_min,
     so the result is accurate to about kappa**2 times machine epsilon: at
@@ -184,22 +186,22 @@ def stiefel_project(m) -> np.ndarray:
     Raises
     ------
     InvalidInput
-        If ``m`` is not 2-D or has more columns than rows.
+        If ``m`` is neither 2-D nor 3-D or has more columns than rows.
     RankDeficient
-        If the smallest Gram eigenvalue is at or below 1e-12 times the
-        largest, i.e. the smallest singular value is at or below 1e-6 times
-        the largest (no accurate polar factor from the Gram).
+        If, in any slice, the smallest Gram eigenvalue is at or below 1e-12
+        times the largest, i.e. the smallest singular value is at or below
+        1e-6 times the largest (no accurate polar factor from the Gram).
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidInput(f"expected a 2-D array, got shape {a.shape}")
-    if a.shape[1] > a.shape[0]:
-        raise InvalidInput(f"cannot orthonormalize {a.shape[1]} columns in {a.shape[0]} rows")
-    mu, w = np.linalg.eigh(a.T @ a)
+    if a.ndim not in (2, 3):
+        raise InvalidInput(f"expected a 2-D array or a stack of them, got shape {a.shape}")
+    if a.shape[-1] > a.shape[-2]:
+        raise InvalidInput(f"cannot orthonormalize {a.shape[-1]} columns in {a.shape[-2]} rows")
+    mu, w = np.linalg.eigh(a.mT @ a)
     # eigh sorts ascending; the comparison also rejects an all-zero or NaN Gram.
-    if not mu[0] > mu[-1] * _RANK_RTOL:
+    if not np.all(mu[..., 0] > mu[..., -1] * _RANK_RTOL):
         raise RankDeficient("matrix is numerically rank-deficient")
-    return a @ (w / np.sqrt(mu)) @ w.T
+    return a @ (w / np.sqrt(mu)[..., None, :]) @ w.mT
 
 
 def projection_distance(v, w) -> float:

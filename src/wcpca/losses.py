@@ -243,28 +243,35 @@ def loss(kind, v, sigma, k: int | None = None) -> float:
 
 
 def domain_losses(kind: LossKind, v, covs, traces, eigsums):
-    """Every domain's loss of one frame ``v``, plus the products ``covs[e] @ v``.
+    """Every domain's loss of a frame ``v``, plus the products ``covs[e] @ v``.
 
     This is the one loss kernel: both minimax solves of ``solvers`` read
-    their losses from it. ``v`` is a p x k frame (1-D input is one column).
-    ``covs`` is a sequence of p x p covariances or one stacked ``(E, p, p)``
-    array. ``traces`` (and, for the regret kinds, ``eigsums``, the top-k
-    eigenvalue sums at k = frame width) are arrays aligned with ``covs``.
-    Returns ``(values, products)``: E values, each bitwise equal to
-    ``loss(kind, v, covs[e])``, and the ``(E, p, k)`` products, which
-    solvers reuse as gradients. A sequence takes one ``c @ v`` per domain
-    and is never copied into a stack; a stack takes one broadcast product,
-    with the same bits. Callers that evaluate many frames of one problem
-    stack once and pass the stack; a single evaluation at large p passes
-    the sequence.
+    their losses from it. ``v`` is a p x k frame (1-D input is one column)
+    or an ``(R, p, k)`` stack of frames. ``covs`` is a sequence of p x p
+    covariances or one stacked ``(E, p, p)`` array. ``traces`` (and, for
+    the regret kinds, ``eigsums``, the top-k eigenvalue sums at k = frame
+    width) are arrays aligned with ``covs``. Returns ``(values, products)``:
+    E values, each bitwise equal to ``loss(kind, v, covs[e])``, and the
+    ``(E, p, k)`` products, which solvers reuse as gradients; a stack of
+    frames gives ``(R, E)`` values and ``(R, E, p, k)`` products, each
+    frame's bitwise equal to its own call's. A sequence takes one
+    ``c @ v`` per domain and is never copied into a stack; a stack takes
+    one broadcast product, with the same bits. Callers that evaluate many
+    frames of one problem stack once and pass the stack; a single
+    evaluation at large p passes the sequence.
     """
-    frame = as_frame(v)
-    if covs[0].shape[0] != frame.shape[0]:
+    frame = np.asarray(v, dtype=np.float64) if np.ndim(v) == 3 else as_frame(v)
+    if covs[0].shape[0] != frame.shape[-2]:
         raise InvalidInput(
-            f"frame rows {frame.shape[0]} do not match covariance dim {covs[0].shape[0]}"
+            f"frame rows {frame.shape[-2]} do not match covariance dim {covs[0].shape[0]}"
         )
-    products = covs @ frame if isinstance(covs, np.ndarray) else np.stack([c @ frame for c in covs])
-    var = np.sum(frame * products, axis=(1, 2))
+    # a stack of frames meets every domain: (R, 1, p, k) against (E, p, p)
+    right = frame[:, None] if frame.ndim == 3 else frame
+    if isinstance(covs, np.ndarray):
+        products = covs @ right
+    else:
+        products = np.stack([c @ frame for c in covs], axis=-3)
+    var = np.sum(right * products, axis=(-2, -1))
     if kind in MIN_KINDS:
         values = var
     elif kind in REGRET_KINDS:

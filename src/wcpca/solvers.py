@@ -64,6 +64,10 @@ with w its multipliers, once the QP's predicted decrease is within the
 tolerance. Run 0 starts from the dual's frame and run r + 1 from the Haar
 frame of stream r of ``cfg.seed`` (a counter-offset of the same Philox
 key), for r < ``cfg.restarts``, so runs are reproducible and independent.
+The runs advance together, one stacked numpy call of each kind per
+iteration (the simplex QPs too, in lockstep), so the call overhead is paid
+once per iteration rather than once per run; each run keeps its own
+multipliers, line search and stop, with the bits it has when run alone.
 """
 
 from __future__ import annotations
@@ -151,7 +155,11 @@ class SolverConfig:
     once the QP's predicted decrease is at most ``tol_objective`` times
     max(1, |objective|), so 0 runs until a step stalls or the budget ends.
     ``restarts`` is the number of Haar-random starts run besides the dual's
-    frame, and ``seed`` draws them. The greedy routines pass the config
+    frame, and ``seed`` draws them. All ``restarts + 1`` runs advance
+    together, so each costs memory while it runs: about three p x p arrays
+    at the SQP's peak (S_w, the complete QR factor of its frame and a
+    product with the frame's complement), beside the E stacked
+    covariances. The greedy routines pass the config
     unchanged to each rank-1 solve, so ``seed`` reaches them only through
     the SQP restarts of a rank-1 solve the dual leaves open.
     """
@@ -257,42 +265,56 @@ def _certifies(gap: float, objective: float) -> bool:
 
 
 def _simplex_qp(hess: np.ndarray, lin: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimize ``y.H y / 2 - lin.y`` over the probability simplex.
+    """Minimize ``y.H y / 2 - lin.y`` over the probability simplex, for a stack of problems.
 
-    A primal active-set method started at the feasible ``y``; ``hess`` must
-    be positive definite. Each pass solves the KKT system on the free
-    weights. A free weight the solution drives negative stops the move and
-    is fixed at zero; otherwise the fixed weight with the most negative
-    multiplier is freed, and when none has one the point is optimal. The
-    pass count is capped at 4 E, against cycling in rounding.
+    ``hess`` is an ``(R, E, E)`` stack of positive definite matrices, and
+    ``lin`` and the feasible starts ``y`` are ``(R, E)``; the R problems run
+    in lockstep, each by a primal active-set method. Each pass solves the
+    KKT system of every unfinished problem in one stacked ``solve``, each of
+    size E + 1: a fixed weight keeps its row and column of the identity and a
+    zero right-hand side, so the free weights solve their own KKT system. A
+    free weight the solution drives negative stops the move and is fixed at
+    zero (the first of the smallest step ratios); otherwise the fixed weight
+    with the most negative multiplier is freed, and when none has one the
+    problem is solved. The pass count is capped at 4 E, against cycling in
+    rounding. Each problem's result has the bits it has when solved alone.
     """
+    count = y.shape[1]
+    # the bordered KKT matrices [[H, 1], [1.T, 0]] and right-hand sides [lin, 1]
+    bordered = np.ones((len(y), count + 1, count + 1))
+    bordered[:, :count, :count] = hess
+    bordered[:, count, count] = 0.0
+    rhs = np.concatenate([lin, np.ones((len(y), 1))], axis=1)
+    unit = np.eye(count + 1, dtype=bool)
     y = y.copy()
-    free = y > 0.0
-    for _ in range(4 * len(y)):
-        idx = np.flatnonzero(free)
-        n = idx.size
-        kkt = np.ones((n + 1, n + 1))
-        kkt[:n, :n] = hess[np.ix_(idx, idx)]
-        kkt[n, n] = 0.0
-        sol = np.linalg.solve(kkt, np.append(lin[idx], 1.0))
-        target, mu = sol[:n], sol[n]
-        blocked = np.flatnonzero(target < 0.0)
-        if blocked.size:
-            ratios = y[idx[blocked]] / (y[idx[blocked]] - target[blocked])
-            j = int(np.argmin(ratios))
-            y[idx] += ratios[j] * (target - y[idx])
-            y[idx[blocked[j]]] = 0.0
-            y = np.maximum(y, 0.0)
-            free[idx[blocked[j]]] = False
-            continue
-        y = np.zeros_like(y)
-        y[idx] = target
+    # the free weights, and the multiplier of the sum, which is always free
+    free = np.concatenate([y > 0.0, np.ones((len(y), 1), dtype=bool)], axis=1)
+    live = np.arange(len(y))
+    for _ in range(4 * count):
+        f = free[live]
+        kkt = np.where(f[:, :, None] & f[:, None, :], bordered[live], unit)
+        sol = np.linalg.solve(kkt, np.where(f, rhs[live], 0.0)[..., None])[..., 0]
+        f = f[:, :count]
+        target, mu = np.where(f, sol[:, :count], 0.0), sol[:, count]
+        yl = y[live]
+        blocked = f & (target < 0.0)
+        hit = blocked.any(axis=1)
+        ratios = np.where(blocked, yl / np.where(blocked, yl - target, 1.0), np.inf)
+        j = np.argmin(ratios, axis=1)
+        rows = np.arange(live.size)
+        step = np.where(hit, ratios[rows, j], 0.0)[:, None] * (target - yl)
+        moved = np.maximum(yl + step, 0.0)
+        moved[rows, j] = 0.0
         # Freeing weight i lowers the objective iff its multiplier is negative.
-        multipliers = np.where(free, 0.0, hess @ y - lin + mu)
-        i = int(np.argmin(multipliers))
-        if multipliers[i] >= 0.0:
+        multipliers = np.where(f, 0.0, (hess[live] @ target[..., None])[..., 0] - lin[live] + mu[:, None])
+        i = np.argmin(multipliers, axis=1)
+        freeing = ~hit & ~(multipliers[rows, i] >= 0.0)
+        y[live] = np.where(hit[:, None], moved, target)
+        free[live[hit], j[hit]] = False
+        free[live[freeing], i[freeing]] = True
+        live = live[hit | freeing]
+        if not live.size:
             break
-        free[i] = True
     return y
 
 
@@ -304,9 +326,10 @@ def _simplex_newton(evaluate, hessian, start: np.ndarray):
     ``candidate`` and its ``objective`` (lower is better); ``hessian(point)``
     gives the Hessian of -h, or None where h is not smooth. From the
     simplex weights ``start``, each step solves the QP of h's second-order
-    model plus a small ridge on the simplex (:func:`_simplex_qp`) and
-    backtracks until h gains enough (Armijo). The search stops once the
-    best candidate is certified against the best bound (:func:`_certifies`),
+    model plus a small ridge on the simplex (:func:`_simplex_qp`, on a stack
+    of one) and backtracks until h gains enough (Armijo). The search stops
+    once the best candidate is certified against the best bound
+    (:func:`_certifies`),
     at a flat gradient (w is then optimal: h is concave), where h is not
     smooth, when no step gains, or after ``_NEWTON_STEPS`` steps. Returns
     ``(candidate, weights, bound, steps)``: the best candidate, the weights
@@ -321,7 +344,7 @@ def _simplex_newton(evaluate, hessian, start: np.ndarray):
         if steps == _NEWTON_STEPS or spread == 0.0 or (hess := hessian(point)) is None:
             break
         hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(len(w))
-        move = _simplex_qp(hess, point.grad + hess @ w, w) - w
+        move = _simplex_qp(hess[None], (point.grad + hess @ w)[None], w[None])[0] - w
         slope = float(point.grad @ move)
         if not slope > -point.rounding or np.max(np.abs(move)) <= _ROUNDING:
             break
@@ -436,63 +459,122 @@ def _ritz_start(domains: DomainCollection, per_unit, k: int, losses_on) -> np.nd
     )[1]
 
 
-def _grassmann_sqp(losses, stack, v, iters: int, tol: float):
-    """Minimize ``max_e f_e(V)`` from the frame ``v``.
+class _SqpRun(NamedTuple):
+    """One run of :func:`_grassmann_sqp`: its last frame, the iterations it
+    ran, its stop reason and the scaled losses f at that frame."""
 
-    ``losses(V)`` returns the scaled losses f and products ``S_e V`` of
-    :func:`solve_wcpca`, at the start and at each trial frame; ``stack``
-    holds the ``(E, p, p)`` matrices S_e and serves only to form ``S_w``.
-    From uniform multipliers w, each iteration takes the eigenbases U of
-    V.T S_w V (eigenvalues theta) and W of S_w compressed to the complement
-    V_perp of V (eigenvalues mu), the horizontal gradients
-    ``G_e = -2 (V_perp W).T S_e V U`` and the Hessian entries
-    ``h = |2 (theta_j - mu_i)|``, floored at ``_HESSIAN_FLOOR`` times the
-    largest |theta|, |mu|. The new w solve the simplex QP
+    frame: np.ndarray
+    iterations: int
+    stop: str
+    losses: np.ndarray
+
+
+def _grassmann_sqp(losses, stack, starts, iters: int, tol: float) -> list[_SqpRun]:
+    """Minimize ``max_e f_e(V)`` from every frame of ``starts``, in one loop.
+
+    ``starts`` is an ``(R, p, k)`` stack of frames, one per run. ``losses(V)``
+    returns the scaled losses f and products ``S_e V`` of :func:`solve_wcpca`
+    for a stack of frames, at the starts and at each stack of trial frames;
+    ``stack`` holds the ``(E, p, p)`` matrices S_e and serves only to form
+    ``S_w``. Every run has its own multipliers w, from uniform, and each
+    iteration advances the runs still going together, one stacked call of
+    each kind: it takes the eigenbases U of V.T S_w V (eigenvalues theta,
+    the matrix summed from the products ``V.T S_e V``) and W of S_w
+    compressed to the complement V_perp of V (eigenvalues mu), the
+    horizontal gradients ``G_e = -2 (V_perp W).T S_e V U`` and the Hessian
+    entries ``h = |2 (theta_j - mu_i)|``, floored at ``_HESSIAN_FLOOR``
+    times the largest |theta|, |mu|. The new w solve the simplex QP
     ``max_w w.f - w.M w / 2`` with ``M_ef = sum G_e G_f / h``
     (:func:`_simplex_qp`, with the ridge centred on the current w), and the
     step is ``Z = -V_perp W (sum_e w_e G_e / h) U.T``. Step lengths 1, 1/2,
-    ... are retracted by ``stiefel_project`` and the first that passes
-    Armijo on the max, against the predicted decrease
-    ``F - (w.f - w.M w / 2)``, is taken.
-    Returns ``(frame, iterations, stop)``: ``stop`` is ``"kkt"`` once the
-    predicted decrease is at most ``tol * max(1, |F|)`` or every gradient is
-    exactly 0, ``"stalled"`` when no length passes within ``_HALVINGS``, and
-    ``"budget"`` after ``iters`` iterations.
+    ... are retracted by ``stiefel_project`` and each run takes the first
+    that passes Armijo on its max, against the predicted decrease
+    ``F - (w.f - w.M w / 2)``. A run that stops leaves the loop; the others
+    go on. Every call works slice by slice (the mixtures too, as R products
+    ``w_r @ S``), so a run has the same bits whichever runs share its loop.
+    Returns one :class:`_SqpRun` per start, in order: ``stop`` is ``"kkt"``
+    once the predicted decrease is at most ``tol * max(1, |F|)`` or every
+    gradient is exactly 0, ``"stalled"`` when no length passes within
+    ``_HALVINGS``, and ``"budget"`` after ``iters`` iterations. At its peak
+    the loop holds about three p x p arrays per run still going: S_w, the
+    complete QR factor of V and S_w times the complement.
     """
-    k = v.shape[1]
-    w = np.full(len(stack), 1.0 / len(stack))
+    count, p, _ = stack.shape
+    k = starts.shape[2]
+    flat = stack.reshape(count, -1)
+    out: list = [None] * len(starts)
+    # the runs still going: their indices, frames, multipliers, losses, S_e V
+    idx, v = np.arange(len(starts)), starts.copy()
+    w = np.full((len(starts), count), 1.0 / count)
     f, products = losses(v)
     for it in range(1, iters + 1):
-        top = float(f.max())
-        s_w = np.tensordot(w, stack, axes=1)
-        perp = np.linalg.qr(v, "complete")[0][:, k:]
-        theta, u = np.linalg.eigh(v.T @ s_w @ v)
-        mu, rot = np.linalg.eigh(perp.T @ s_w @ perp)
+        n = len(idx)
+        top = f.max(axis=1)
+        s_w = (w[:, None, :] @ flat).reshape(n, p, p)
+        q = np.linalg.qr(v, "complete")[0]
+        vsv = (v.mT[:, None] @ products).reshape(n, count, k * k)
+        theta, u = np.linalg.eigh((w[:, None, :] @ vsv).reshape(n, k, k))
+        perp = q[..., k:]
+        # S_w and each product die once read: about three p x p arrays a run
+        compressed = s_w @ perp
+        del s_w
+        compressed = perp.mT @ compressed
+        mu, rot = np.linalg.eigh(compressed)
+        del compressed
         perp = perp @ rot
-        grads = -2.0 * (perp.T @ products) @ u
+        del q, rot
+        grads = -2.0 * (perp.mT[:, None] @ products) @ u[:, None]
         # A stationary frame: M would be 0 and the QP undefined.
-        if not grads.any():
-            return v, it, "kkt"
-        h = np.abs(2.0 * (theta[None, :] - mu[:, None]))
-        h = np.maximum(h, _HESSIAN_FLOOR * max(np.abs(theta).max(), np.abs(mu).max()))
-        scaled = grads / h
-        m = np.einsum("aij,bij->ab", grads, scaled)
-        ridge = _NEWTON_RIDGE * float(np.max(np.diag(m))) * np.eye(len(f))
-        w = _simplex_qp(m + ridge, f + ridge @ w, w)
-        predicted = top - (float(w @ f) - 0.5 * float(w @ m @ w))
-        if predicted <= tol * max(1.0, abs(top)):
-            return v, it, "kkt"
-        z = -perp @ np.tensordot(w, scaled, axes=1) @ u.T
+        if (stopped := ~grads.reshape(n, -1).any(axis=1)).any():
+            _finish_runs(out, stopped, idx, v, f, it, "kkt")
+            idx, v, w, f, products, top, theta, mu, u, perp, grads = (
+                x[~stopped] for x in (idx, v, w, f, products, top, theta, mu, u, perp, grads)
+            )
+            if not (n := len(idx)):
+                return out
+        h = np.abs(2.0 * (theta[:, None, :] - mu[:, :, None]))
+        floor = _HESSIAN_FLOOR * np.maximum(np.abs(theta).max(axis=1), np.abs(mu).max(axis=1))
+        scaled = grads / np.maximum(h, floor[:, None, None])[:, None]
+        m = grads.reshape(n, count, -1) @ scaled.reshape(n, count, -1).mT
+        ridge = _NEWTON_RIDGE * np.diagonal(m, axis1=1, axis2=2).max(axis=1)
+        w = _simplex_qp(m + ridge[:, None, None] * np.eye(count), f + ridge[:, None] * w, w)
+        gain = w[:, None, :] @ f[:, :, None] - 0.5 * (w[:, None, :] @ m @ w[:, :, None])
+        predicted = top - gain[:, 0, 0]
+        if (stopped := predicted <= tol * np.maximum(1.0, np.abs(top))).any():
+            _finish_runs(out, stopped, idx, v, f, it, "kkt")
+            idx, v, w, f, products, top, predicted, u, perp, scaled = (
+                x[~stopped] for x in (idx, v, w, f, products, top, predicted, u, perp, scaled)
+            )
+            if not (n := len(idx)):
+                return out
+        z = -perp @ (w[:, None, :] @ scaled.reshape(n, count, -1)).reshape(n, p - k, k) @ u.mT
+        # stale arrays of one iteration would hold memory through the next
+        del perp, grads, scaled
+        searching, stopped = np.arange(n), np.ones(n, dtype=bool)
         for halving in range(_HALVINGS):
             alpha = 0.5**halving
-            trial = stiefel_project(v + alpha * z)
+            trial = stiefel_project(v[searching] + alpha * z[searching])
             trial_f, trial_products = losses(trial)
-            if trial_f.max() <= top - _ARMIJO * alpha * predicted:
+            passed = trial_f.max(axis=1) <= top[searching] - _ARMIJO * alpha * predicted[searching]
+            took = searching[passed]
+            v[took], f[took], products[took] = trial[passed], trial_f[passed], trial_products[passed]
+            stopped[took] = False
+            if not (searching := searching[~passed]).size:
                 break
-        else:
-            return v, it, "stalled"
-        v, products, f = trial, trial_products, trial_f
-    return v, iters, "budget"
+        del trial, trial_f, trial_products
+        if stopped.any():
+            _finish_runs(out, stopped, idx, v, f, it, "stalled")
+            idx, v, w, f, products = (x[~stopped] for x in (idx, v, w, f, products))
+            if not len(idx):
+                return out
+    _finish_runs(out, np.ones(len(idx), dtype=bool), idx, v, f, iters, "budget")
+    return out
+
+
+def _finish_runs(out, stopped, idx, v, f, iterations: int, stop: str):
+    """Record the runs of :func:`_grassmann_sqp` that ``stopped`` marks in ``out``."""
+    for j in np.flatnonzero(stopped):
+        out[idx[j]] = _SqpRun(v[j].copy(), iterations, stop, f[j].copy())
 
 
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
@@ -508,10 +590,12 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     with its bound, its gap, its full-space Newton steps as
     ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
     runs from the dual's frame (run 0) and from ``cfg.restarts`` Haar-random
-    frames (run r + 1 uses stream r of ``cfg.seed``), each for at most
-    ``cfg.max_iters`` iterations with tolerance ``cfg.tol_objective``, and
-    the best final objective is kept, the first run on ties; the fit
-    carries every run's :class:`Restart` and the dual's bound and gap. The
+    frames (run r + 1 uses stream r of ``cfg.seed``), all in one loop, each
+    for at most ``cfg.max_iters`` iterations with tolerance
+    ``cfg.tol_objective``, and the best final objective is kept, the first
+    run on ties; each run's objective and active domains are read from the
+    losses its last iteration holds. The fit carries every run's
+    :class:`Restart` and the dual's bound and gap. The
     config fields drive only this SQP path. Non-convergence is not an
     error: a run that ends on its budget still returns its frame. The dual
     reads the covariances as a list; only an open fit stacks them, for the
@@ -544,32 +628,31 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
 
     losses = losses_on(covs)
 
-    def result(frame, iters, restart, restarts, bound=None):
-        f, _ = losses(frame)
+    def result(frame, f, iters, restart, restarts, bound=None):
         top = float(f.max())
         active = frozenset(order[i] for i in np.flatnonzero(top - f <= _ACTIVE_TOL))
         fit = FitResult(frame, sign * top, active, iters, restart, restarts)
         return fit if bound is None else replace(fit, dual_bound=sign * bound, gap=top - bound)
 
     if k == p:
-        return result(np.eye(p), 0, 0, ())
+        return result(np.eye(p), losses(np.eye(p))[0], 0, 0, ())
 
     frame, _, bound, steps = _simplex_newton(
         lambda w: _dual_point(losses, domains, per_unit, k, w),
         lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
         _ritz_start(domains, per_unit, k, losses_on),
     )
-    fit = result(frame, steps, 0, (), bound)
+    fit = result(frame, losses(frame)[0], steps, 0, (), bound)
     if _certifies(fit.gap, fit.objective):
         return fit
 
     covs = np.stack(covs)
     losses = losses_on(covs)
     stack = covs * per_unit[:, None, None] if kind in NORMALIZED_KINDS else covs
-    starts = [frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)]
-    runs = [_grassmann_sqp(losses, stack, v, cfg.max_iters, cfg.tol_objective) for v in starts]
-    fits = [result(v, iters, r, (), bound) for r, (v, iters, _) in enumerate(runs)]
-    restarts = tuple(Restart(f.objective, f.iterations_used, stop) for f, (*_, stop) in zip(fits, runs))
+    starts = np.stack([frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
+    runs = _grassmann_sqp(losses, stack, starts, cfg.max_iters, cfg.tol_objective)
+    fits = [result(run.frame, run.losses, run.iterations, r, (), bound) for r, run in enumerate(runs)]
+    restarts = tuple(Restart(fit.objective, fit.iterations_used, run.stop) for fit, run in zip(fits, runs))
     return replace(min(fits, key=lambda f: sign * f.objective), restarts=restarts)
 
 

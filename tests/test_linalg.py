@@ -103,9 +103,29 @@ class TestStiefelProject:
         with pytest.raises(InvalidInput):
             stiefel_project(np.ones((2, 3)))
 
-    def test_three_dimensional_input_rejected(self):
-        with pytest.raises(InvalidInput):
-            stiefel_project(np.ones((2, 4, 2)))
+    def test_one_and_four_dimensional_input_rejected(self):
+        # a 3-D input is a stack of frames; wide slices are still rejected
+        for shape in [(4,), (1, 2, 4, 2), (2, 2, 3)]:
+            with pytest.raises(InvalidInput):
+                stiefel_project(np.ones(shape))
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_its_slices_bitwise(self, seed, count):
+        rng = make_rng(seed)
+        p = int(rng.integers(1, 41))
+        k = int(rng.integers(1, min(p, 10) + 1))
+        stack = np.stack([haar_frame(p, k, rng) + 1e-2 * rng.normal(size=(p, k)) for _ in range(count)])
+        projected = stiefel_project(stack)
+        assert projected.shape == stack.shape
+        for m, v in zip(stack, projected):
+            assert stiefel_project(m).tobytes() == v.tobytes()
+
+    def test_stack_with_a_rank_deficient_slice_rejected(self):
+        stack = np.stack([np.eye(4)[:, :2], np.ones((4, 2))])
+        stiefel_project(stack[:1])
+        with pytest.raises(RankDeficient):
+            stiefel_project(stack)
 
 
 def _svd_polar(m):

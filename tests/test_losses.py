@@ -129,6 +129,25 @@ class TestDomainLosses:
             assert values[e] == loss(kind, v, c)
             np.testing.assert_array_equal(products[e], c @ frame)
 
+    @given(st.integers(0, 10_000), st.sampled_from(list(LossKind)), st.sampled_from(["list", "stack"]))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_of_frames_equals_each_frame_exactly(self, seed, kind, covs_as):
+        rng = make_rng(seed)
+        p = int(rng.integers(1, 40))
+        k = int(rng.integers(1, p + 1))
+        covs = [random_covariance(rng, p) for _ in range(int(rng.integers(1, 6)))]
+        frames = np.stack([haar_frame(p, k, rng) for _ in range(int(rng.integers(1, 7)))])
+        traces = np.array([float(np.trace(c)) for c in covs])
+        eigsums = np.array([top_k_eigensum(c, k) for c in covs])
+        matrices = covs if covs_as == "list" else np.stack(covs)
+        values, products = domain_losses(kind, frames, matrices, traces, eigsums)
+        assert values.shape == (len(frames), len(covs))
+        assert products.shape == (len(frames), len(covs), p, k)
+        for v, row, block in zip(frames, values, products):
+            alone_values, alone_products = domain_losses(kind, v, matrices, traces, eigsums)
+            assert row.tobytes() == alone_values.tobytes()
+            assert block.tobytes() == alone_products.tobytes()
+
     def test_row_mismatch(self):
         with pytest.raises(InvalidInput):
             domain_losses(LossKind.VAR, np.eye(3)[:, :1], [np.eye(2)], np.ones(1), None)

@@ -137,19 +137,32 @@ class TestSolveWcpca:
         cfg = SolverConfig(max_iters=600, restarts=4, seed=12)
         # with no Newton step the dual stops at uniform weights, uncertified
         monkeypatch.setattr(solvers, "_NEWTON_STEPS", 0)
+        sqp, batches = solvers._grassmann_sqp, []
+
+        def recorded(*args):
+            batches.append(sqp(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(solvers, "_grassmann_sqp", recorded)
         fit = solve_wcpca(kind, collection, 2, cfg)
         losses, per_unit, stack = _scaled_problem(kind, collection, 2)
         # the dual's frame at uniform weights
         starts = [solvers._dual_point(losses, collection, per_unit, 2, np.full(3, 1 / 3)).candidate]
         starts += [haar_frame(6, 2, make_rng(12, r)) for r in range(4)]
-        refs = [solvers._grassmann_sqp(losses, stack, v, 600, 1e-8) for v in starts]
-        assert len(fit.restarts) == 5
-        for (v, iters, stop), run in zip(refs, fit.restarts):
-            assert run == (worst_case(kind, v, collection), iters, stop)
+        # each start run alone, as a batch of one
+        refs = [sqp(losses, stack, v[None], 600, 1e-8)[0] for v in starts]
+        (runs,) = batches
+        assert len(fit.restarts) == len(runs) == 5
+        for ref, run, restart in zip(refs, runs, fit.restarts):
+            assert run.frame.tobytes() == ref.frame.tobytes()
+            assert run.losses.tobytes() == ref.losses.tobytes()
+            assert (run.iterations, run.stop) == (ref.iterations, ref.stop)
+            # the carried losses have the bits of a fresh evaluation
+            assert restart == (worst_case(kind, ref.frame, collection), ref.iterations, ref.stop)
         best = min(range(5), key=lambda r: _sign(kind) * fit.restarts[r].objective)
         assert fit.restart_index == best
-        assert np.array_equal(fit.frame, refs[best][0])
-        assert fit.iterations_used == refs[best][1]
+        assert np.array_equal(fit.frame, refs[best].frame)
+        assert fit.iterations_used == refs[best].iterations
         assert fit.objective == fit.restarts[best].objective
         # the dual's bound rides along, but the SQP runs decide the fit
         assert fit.gap > solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
@@ -177,6 +190,71 @@ class TestSolveWcpca:
 def _sign(kind):
     """+1 where the dual bound lies below the objective (max kinds), -1 for Var."""
     return -1.0 if kind in MIN_KINDS else 1.0
+
+
+def _one_problem_simplex_qp(hess, lin, y):
+    """The one-problem active-set QP that the lockstep ``solvers._simplex_qp``
+    replaced, kept as its reference: each pass solves the KKT system of the
+    free weights alone."""
+    y = y.copy()
+    free = y > 0.0
+    for _ in range(4 * len(y)):
+        idx = np.flatnonzero(free)
+        n = idx.size
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = hess[np.ix_(idx, idx)]
+        kkt[n, n] = 0.0
+        sol = np.linalg.solve(kkt, np.append(lin[idx], 1.0))
+        target, mu = sol[:n], sol[n]
+        blocked = np.flatnonzero(target < 0.0)
+        if blocked.size:
+            ratios = y[idx[blocked]] / (y[idx[blocked]] - target[blocked])
+            j = int(np.argmin(ratios))
+            y[idx] += ratios[j] * (target - y[idx])
+            y[idx[blocked[j]]] = 0.0
+            y = np.maximum(y, 0.0)
+            free[idx[blocked[j]]] = False
+            continue
+        y = np.zeros_like(y)
+        y[idx] = target
+        multipliers = np.where(free, 0.0, hess @ y - lin + mu)
+        i = int(np.argmin(multipliers))
+        if multipliers[i] >= 0.0:
+            break
+        free[i] = True
+    return y
+
+
+class TestSimplexQp:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 8), problems=st.integers(1, 6))
+    def test_lockstep_matches_the_one_problem_routine(self, seed, count, problems):
+        rng = np.random.default_rng(seed)
+        hess, lin, starts = [], [], []
+        for _ in range(problems):
+            a = rng.normal(size=(count, count))
+            hess.append(a @ a.T + rng.uniform(0.01, 1.0) * np.eye(count))
+            lin.append(rng.normal(size=count) * 10.0 ** rng.uniform(-1.0, 1.0))
+            # a vertex, a point of a face or an interior point
+            support = rng.random(count) < rng.uniform(0.2, 1.0)
+            support[rng.integers(count)] = True
+            if rng.random() < 0.3:
+                support[:] = False
+                support[rng.integers(count)] = True
+            start = np.where(support, rng.uniform(0.1, 1.0, count), 0.0)
+            starts.append(start / start.sum())
+        got = solvers._simplex_qp(np.stack(hess), np.stack(lin), np.stack(starts))
+        for h, b, y0, y in zip(hess, lin, starts, got):
+            assert np.abs(y - _one_problem_simplex_qp(h, b, y0)).max() <= 1e-12
+            assert y.tobytes() == solvers._simplex_qp(h[None], b[None], y0[None])[0].tobytes()
+            assert y.min() >= 0.0 and abs(y.sum() - 1.0) <= 1e-12
+            # KKT: with g = H y - lin and c = y.g, every g_e - c >= 0 (dual
+            # feasibility) and y_e (g_e - c) = 0 (complementary slackness)
+            g = h @ y - b
+            slack = g - y @ g
+            scale = 1e-10 * (np.abs(h).max() + np.abs(b).max())
+            assert slack.min() >= -scale
+            assert np.abs(y * slack).max() <= scale
 
 
 class TestMixtureDual:
@@ -370,6 +448,18 @@ class TestPeakMemory:
         assert fit.restarts != ()
         assert peak < 13.5 * p * p * 8
 
+    def test_open_fit_holds_about_three_arrays_a_run(self):
+        # all six SQP runs advance together, each holding S_w, the complete
+        # QR factor of its frame and one product with the complement at the
+        # peak: about 25.2 p x p arrays, against 12.4 with two runs, so
+        # about 3.2 a run
+        p = 60
+        rng = np.random.default_rng(0)
+        coll = make_collection([random_covariance(rng, p, 0.5) for _ in range(5)])
+        fit, peak = _traced_peak(LossKind.RCS, coll, 2, SolverConfig(restarts=5))
+        assert len(fit.restarts) == 6
+        assert peak < 27.0 * p * p * 8
+
 
 def _uniform_start(monkeypatch):
     """Turn the Rayleigh-Ritz warm start off: the dual starts from uniform weights."""
@@ -476,7 +566,7 @@ class TestGrassmannSqp:
         coll = make_collection([np.diag(np.arange(6, 0, -1.0))])
         losses, _, stack = _scaled_problem(LossKind.VAR, coll, 2)
         v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
-        v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 3000, 1e-12)
+        v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 3000, 1e-12)[0]
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
         assert _worst(losses, v) == pytest.approx(-11.0, abs=1e-10)
         assert stop == "kkt"
@@ -491,7 +581,7 @@ class TestGrassmannSqp:
         coll = make_collection([random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))])
         losses, _, stack = _scaled_problem(kind, coll, k)
         v0 = haar_frame(p, k, rng)
-        v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 300, 1e-8)
+        v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 300, 1e-8)[0]
         assert stop in ("kkt", "stalled", "budget")
         assert 1 <= iters <= 300
         assert _worst(losses, v) <= _worst(losses, v0)
@@ -499,7 +589,7 @@ class TestGrassmannSqp:
         # tolerance 0 takes the same iterates and stops on "kkt" only where
         # the predicted decrease is not positive, so it runs at least as long
         # and ends no worse; a run that did not stop on "kkt" ends the same
-        exact, exact_iters, exact_stop = solvers._grassmann_sqp(losses, stack, v0, 300, 0.0)
+        exact, exact_iters, exact_stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 300, 0.0)[0]
         assert exact_iters >= iters
         assert _worst(losses, exact) <= _worst(losses, v)
         if stop != "kkt":
@@ -510,7 +600,7 @@ class TestGrassmannSqp:
     def test_one_iteration_budget(self, kind, quarter_triple):
         losses, _, stack = _scaled_problem(kind, quarter_triple, 2)
         v0 = haar_frame(5, 2, make_rng(7))
-        v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 1, 1e-8)
+        v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 1, 1e-8)[0]
         assert iters == 1
         # a step taken ends the run on its budget; otherwise the iteration
         # itself stopped it
@@ -527,9 +617,39 @@ class TestGrassmannSqp:
         v0 = np.eye(3)[:, :1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, iters, stop = solvers._grassmann_sqp(losses, stack, v0, 50, 1e-8)
+            v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 50, 1e-8)[0]
         assert (iters, stop) == (1, "kkt")
         assert np.array_equal(v, v0)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_permuted_starts_permute_the_runs(self, kind):
+        rng = np.random.default_rng(21)
+        coll = make_collection([random_covariance(rng, 7) for _ in range(4)])
+        losses, _, stack = _scaled_problem(kind, coll, 2)
+        starts = np.stack([haar_frame(7, 2, make_rng(8, r)) for r in range(6)])
+        perm = [4, 0, 5, 2, 1, 3]
+        runs = solvers._grassmann_sqp(losses, stack, starts, 300, 1e-8)
+        moved = solvers._grassmann_sqp(losses, stack, starts[perm], 300, 1e-8)
+        # the runs leave the loop at different iterations
+        assert len({run.iterations for run in runs}) > 1
+        for run, src in zip(moved, perm):
+            assert run.frame.tobytes() == runs[src].frame.tobytes()
+            assert run.losses.tobytes() == runs[src].losses.tobytes()
+            assert (run.iterations, run.stop) == (runs[src].iterations, runs[src].stop)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_common_rotation_rotates_every_run(self, kind):
+        rng = np.random.default_rng(22)
+        covs = [random_covariance(rng, 7) for _ in range(4)]
+        q = haar_frame(7, 7, make_rng(97))
+        starts = np.stack([haar_frame(7, 2, make_rng(9, r)) for r in range(6)])
+        losses, _, stack = _scaled_problem(kind, make_collection(covs), 2)
+        runs = solvers._grassmann_sqp(losses, stack, starts, 300, 1e-8)
+        losses, _, stack = _scaled_problem(kind, make_collection([q @ c @ q.T for c in covs]), 2)
+        turned = solvers._grassmann_sqp(losses, stack, q @ starts, 300, 1e-8)
+        for run, rotated in zip(runs, turned):
+            assert (rotated.iterations, rotated.stop) == (run.iterations, run.stop)
+            assert np.abs(rotated.frame - q @ run.frame).max() <= 1e-9
 
     @pytest.mark.parametrize(
         "kind, optimum", [(LossKind.VAR, 0.36), (LossKind.REG, 0.36), (LossKind.RCS, 0.64)]
