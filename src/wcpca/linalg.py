@@ -197,11 +197,11 @@ def stiefel_project(m) -> np.ndarray:
         raise InvalidInput(f"expected a 2-D array or a stack of them, got shape {a.shape}")
     if a.shape[-1] > a.shape[-2]:
         raise InvalidInput(f"cannot orthonormalize {a.shape[-1]} columns in {a.shape[-2]} rows")
-    mu, w = np.linalg.eigh(a.mT @ a)
+    mu, w = np.linalg.eigh(a.swapaxes(-1, -2) @ a)
     # eigh sorts ascending; the comparison also rejects an all-zero or NaN Gram.
     if not np.all(mu[..., 0] > mu[..., -1] * _RANK_RTOL):
         raise RankDeficient("matrix is numerically rank-deficient")
-    return a @ (w / np.sqrt(mu)[..., None, :]) @ w.mT
+    return a @ (w / np.sqrt(mu)[..., None, :]) @ w.swapaxes(-1, -2)
 
 
 def projection_distance(v, w) -> float:
