@@ -197,12 +197,15 @@ def inductive_ols(x, omega, r):
     to the minimum-norm solution (pseudoinverse with singular values below
     ``1e-10 * s_max`` treated as zero).
 
-    :param x: length-p data row, or an n x p block of rows.
+    :param x: length-p data row, or an n x p block of rows. Observed values
+        must be finite; unobserved ones are ignored, NaN included.
     :param omega: boolean mask of the same shape as ``x``, True = observed
         (0/1 integers or floats read the same).
     :param r: p x k right factor.
     :returns: length-k coefficients and length-p reconstruction for a row;
         n x k and n x p arrays for a block.
+    :raises InvalidInput: if the mask is not 0/1 or an observed value is
+        not finite.
     :raises NoObservations: if a row's mask is all zero.
     """
     rows = np.asarray(x, dtype=np.float64)
@@ -218,9 +221,17 @@ def inductive_ols(x, omega, r):
             f"rows {rows.shape} and mask {mask.shape} must match "
             f"factor rows {factor.shape[0]}"
         )
+    if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
+        raise InvalidInput("mask must be binary")
     empty = np.flatnonzero(~mask.any(axis=1))
     if empty.size:
         raise NoObservations(f"row {int(empty[0])} has no observed entries")
+    # min and max carry any NaN or inf, so a finite block needs no temporary
+    if rows.size and not np.isfinite(rows.min() + rows.max()):
+        observed = mask != 0
+        if not np.isfinite(rows[observed]).all():
+            raise InvalidInput("observed values must be finite")
+        rows = np.where(observed, rows, 0.0)
     coef = _solve_masked(rows, mask, factor)
     recon = coef @ factor.T
     return (coef[0], recon[0]) if single else (coef, recon)

@@ -248,29 +248,23 @@ def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     This is the one loss kernel: both minimax solves of ``solvers`` read
     their losses from it. ``v`` is a p x k frame (1-D input is one column)
     or an ``(R, p, k)`` stack of frames. ``covs`` is a sequence of p x p
-    covariances or one stacked ``(E, p, p)`` array. ``traces`` (and, for
-    the regret kinds, ``eigsums``, the top-k eigenvalue sums at k = frame
-    width) are arrays aligned with ``covs``. Returns ``(values, products)``:
-    E values, each bitwise equal to ``loss(kind, v, covs[e])``, and the
-    ``(E, p, k)`` products, which solvers reuse as gradients; a stack of
-    frames gives ``(R, E)`` values and ``(R, E, p, k)`` products, each
-    frame's bitwise equal to its own call's. A sequence takes one
-    ``c @ v`` per domain and is never copied into a stack; a stack takes
-    one broadcast product, with the same bits. Callers that evaluate many
-    frames of one problem stack once and pass the stack; a single
-    evaluation at large p passes the sequence.
+    covariances (a stacked array reads as its slices), each taking one
+    ``c @ v``, so none is copied; ``traces`` (and, for the regret kinds,
+    ``eigsums``, the top-k eigenvalue sums at k = frame width) are arrays
+    aligned with it. Returns ``(values, products)``: E values, each bitwise
+    equal to ``loss(kind, v, covs[e])``, and the ``(E, p, k)`` products,
+    which solvers reuse as gradients; a stack of frames gives ``(R, E)``
+    values and ``(R, E, p, k)`` products, each frame's bitwise equal to its
+    own call's.
     """
     frame = np.asarray(v, dtype=np.float64) if np.ndim(v) == 3 else as_frame(v)
     if covs[0].shape[0] != frame.shape[-2]:
         raise InvalidInput(
             f"frame rows {frame.shape[-2]} do not match covariance dim {covs[0].shape[0]}"
         )
-    # a stack of frames meets every domain: (R, 1, p, k) against (E, p, p)
+    products = np.stack([c @ frame for c in covs], axis=-3)
+    # a stack of frames meets its products: (R, 1, p, k) against (R, E, p, k)
     right = frame[:, None] if frame.ndim == 3 else frame
-    if isinstance(covs, np.ndarray):
-        products = covs @ right
-    else:
-        products = np.stack([c @ frame for c in covs], axis=-3)
     var = np.sum(right * products, axis=(-2, -1))
     if kind in MIN_KINDS:
         values = var
@@ -314,19 +308,21 @@ def mixture(domains, weights) -> np.ndarray:
 
     ``domains`` holds DomainSpecs or plain square arrays (such as covariances
     compressed to a subspace). With simplex weights, Sigma_w is a member of
-    the sources' convex hull. Terms pass through one reused scratch array,
-    so it holds two p x p arrays.
+    the sources' convex hull. ``weights`` is one weight per domain, or an
+    ``(R, E)`` stack of weight vectors, which gives the ``(R, p, p)`` stack
+    of their mixtures, each bitwise equal to its own row's call. Terms pass
+    through one reused scratch array the size of the output.
 
     :raises InvalidInput: if there are no domains or not one weight per domain.
     """
     covs = [d.covariance if isinstance(d, DomainSpec) else d for d in domains]
-    w = list(weights)
-    if not covs or len(w) != len(covs):
-        raise InvalidInput(f"need domains and one weight each, got {len(w)} for {len(covs)}")
-    out = np.zeros_like(covs[0])
+    w = np.asarray(weights, dtype=np.float64)
+    if not covs or w.ndim not in (1, 2) or w.shape[-1] != len(covs):
+        raise InvalidInput(f"need domains and one weight each, got {w.shape} for {len(covs)}")
+    out = np.zeros(w.shape[:-1] + covs[0].shape)
     scratch = np.empty_like(out)
-    for weight, c in zip(w, covs):
-        out += np.multiply(c, weight, out=scratch)
+    for e, c in enumerate(covs):
+        out += np.multiply(c, w[..., e, None, None], out=scratch)
     return out
 
 

@@ -158,12 +158,11 @@ class SolverConfig:
     frame, and ``seed`` draws them. All ``restarts + 1`` runs advance
     together, so each costs memory while it runs: about three p x p arrays
     at the SQP's peak (S_w, the complete QR factor of its frame and a
-    product with the frame's complement), beside the E stacked
-    covariances. An open fit at p = 60 with E = 5 peaks at about 25 p x p
-    arrays with the default five restarts, against about 12 when the starts
-    ran one at a time; fewer restarts lower it. The greedy routines pass
-    the config unchanged to each rank-1 solve, so ``seed`` reaches them
-    only through the SQP restarts of a rank-1 solve the dual leaves open.
+    product with the frame's complement). An open fit at p = 60 with E = 5
+    peaks at about 20 p x p arrays with the default five restarts, and at
+    about 7 with one. The greedy routines pass the config unchanged to
+    each rank-1 solve, so ``seed`` reaches them only through the SQP
+    restarts of a rank-1 solve the dual leaves open.
     """
 
     max_iters: int = 2000
@@ -381,16 +380,15 @@ class _DualPoint(NamedTuple):
     coupling: np.ndarray
 
 
-def _dual_point(losses, domains, per_unit, k: int, w) -> _DualPoint:
+def _dual_point(losses, mixture_of, k: int, w) -> _DualPoint:
     """Evaluate the mixture dual h(w): the Lagrangian ``w.f(U)`` at its minimizer U.
 
-    ``losses(V)`` returns the scaled losses f and products ``S_e V`` of
-    :func:`solve_wcpca` on ``domains``: the domains themselves, or the
-    compressed matrices of :func:`_ritz_start`. U is the top-k frame of
-    ``S_w``, the :func:`losses.mixture` at weights ``w * per_unit``, from
-    one ``eigh`` of ``S_w`` itself (exactly symmetric and finite), reordered
-    descending into a copy as :func:`sym_eigen` does, so the Hessian sums in
-    the same order.
+    ``losses(V)`` and ``mixture_of(w)`` are the scaled problem of
+    :func:`solve_wcpca` (on the domains or on :func:`_ritz_start`'s
+    compressed matrices): the losses f with the products ``S_e V``, and
+    ``S_w``. U is the top-k frame of ``S_w``, from one ``eigh`` of ``S_w``
+    itself (exactly symmetric and finite), reordered descending into a copy
+    as :func:`sym_eigen` does, so the Hessian sums in the same order.
     By Ky Fan U minimizes ``w.f`` over the Fantope, so h(w) = ``w.f(U)`` =
     ``w.c - s_k(S_w)``. The point carries h, U, f(U) (the gradient of h),
     its max (the objective), and for :func:`_eigensum_hessian` the
@@ -399,7 +397,7 @@ def _dual_point(losses, domains, per_unit, k: int, w) -> _DualPoint:
     subtracts ``s_k``, and ``|c_e| <= |f_e| + <S_e, U U.T>``, so
     ``rounding`` is ``_ROUNDING`` times ``w.|f| + 2 s_k``.
     """
-    lam, q = np.linalg.eigh(mixture(domains, w * per_unit))
+    lam, q = np.linalg.eigh(mixture_of(w))
     lam, q = lam[::-1].copy(), q[:, ::-1].copy()
     frame = q[:, :k].copy()
     f, products = losses(frame)
@@ -423,14 +421,14 @@ def _eigensum_hessian(lam: np.ndarray, coupling: np.ndarray, k: int):
     return np.einsum("aji,bji->ab", coupling, coupling)
 
 
-def _ritz_start(domains: DomainCollection, per_unit, k: int, losses_on) -> np.ndarray:
+def _ritz_start(domains: DomainCollection, per_unit, k: int, problem_on) -> np.ndarray:
     """Start weights for the mixture dual: its Rayleigh-Ritz warm start, or uniform.
 
     The Ritz basis Q is the top m = ``_RITZ_PER_KE * k * E`` eigenvectors
     of the uniform mixture of the S_e, from one ``eigh``, of which only the
     p x m columns are kept. The start is the weights of the best candidate
     of :func:`_simplex_newton` on the dual of the m x m matrices Q.T S_e Q,
-    whose losses ``losses_on(matrices)`` gives with the full-space traces
+    whose problem ``problem_on(matrices)`` gives with the full-space traces
     and eigensums, so a reduced frame U has the losses of Q U. Q and the
     compressed matrices die with this call, before the full-space search.
 
@@ -453,9 +451,9 @@ def _ritz_start(domains: DomainCollection, per_unit, k: int, losses_on) -> np.nd
         return uniform
     q = np.linalg.eigh(mixture(domains, uniform * per_unit))[1][:, p - m :].copy()
     reduced = [(r + r.T) / 2.0 for r in (q.T @ (d.covariance @ q) for d in domains)]
-    losses = losses_on(reduced)
+    losses, mixture_of = problem_on(reduced)
     return _simplex_newton(
-        lambda w: _dual_point(losses, reduced, per_unit, k, w),
+        lambda w: _dual_point(losses, mixture_of, k, w),
         lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
         uniform,
     )[1]
@@ -471,29 +469,28 @@ class _SqpRun(NamedTuple):
     losses: np.ndarray
 
 
-def _grassmann_sqp(losses, stack, starts, iters: int, tol: float) -> list[_SqpRun]:
+def _grassmann_sqp(losses, mixture_of, starts, iters: int, tol: float) -> list[_SqpRun]:
     """Minimize ``max_e f_e(V)`` from every frame of ``starts``, in one loop.
 
-    ``starts`` is an ``(R, p, k)`` stack of frames, one per run. ``losses(V)``
-    returns the scaled losses f and products ``S_e V`` of :func:`solve_wcpca`
-    for a stack of frames, at the starts and at each stack of trial frames;
-    ``stack`` holds the ``(E, p, p)`` matrices S_e and serves only to form
-    ``S_w``. Every run has its own multipliers w, from uniform, and each
-    iteration advances the runs still going together, one stacked call of
-    each kind: it takes the eigenbases U of V.T S_w V (eigenvalues theta,
-    the matrix summed from the products ``V.T S_e V``) and W of S_w
-    compressed to the complement V_perp of V (eigenvalues mu), the
-    horizontal gradients ``G_e = -2 (V_perp W).T S_e V U`` and the Hessian
-    entries ``h = |2 (theta_j - mu_i)|``, floored at ``_HESSIAN_FLOOR``
-    times the largest |theta|, |mu|. The new w solve the simplex QP
-    ``max_w w.f - w.M w / 2`` with ``M_ef = sum G_e G_f / h``
+    ``starts`` is an ``(R, p, k)`` stack of frames, one per run. The scaled
+    problem of :func:`solve_wcpca` gives the losses f and products ``S_e V``
+    of a stack of frames, ``losses(V)``, and the mixtures ``S_w`` of a stack
+    of weights, ``mixture_of(w)``. Every run has its own multipliers w, from
+    uniform, and each iteration advances the runs still going together, one
+    stacked call of each kind: it takes the eigenbases U of V.T S_w V
+    (eigenvalues theta, the matrix summed from the products ``V.T S_e V``)
+    and W of S_w compressed to the complement V_perp of V (eigenvalues mu),
+    the horizontal gradients ``G_e = -2 (V_perp W).T S_e V U`` and the
+    Hessian entries ``h = |2 (theta_j - mu_i)|``, floored at
+    ``_HESSIAN_FLOOR`` times the largest |theta|, |mu|. The new w solve the
+    simplex QP ``max_w w.f - w.M w / 2`` with ``M_ef = sum G_e G_f / h``
     (:func:`_simplex_qp`, with the ridge centred on the current w), and the
     step is ``Z = -V_perp W (sum_e w_e G_e / h) U.T``. Step lengths 1, 1/2,
     ... are retracted by ``stiefel_project`` and each run takes the first
     that passes Armijo on its max, against the predicted decrease
     ``F - (w.f - w.M w / 2)``. A run that stops leaves the loop; the others
-    go on. Every call works slice by slice (the mixtures too, as R products
-    ``w_r @ S``), so a run has the same bits whichever runs share its loop.
+    go on. Every call works slice by slice, so a run has the same bits
+    whichever runs share its loop.
     Returns one :class:`_SqpRun` per start, in order: ``stop`` is ``"kkt"``
     once the predicted decrease is at most ``tol * max(1, |F|)`` or every
     gradient is exactly 0, ``"stalled"`` when no length passes within
@@ -501,18 +498,17 @@ def _grassmann_sqp(losses, stack, starts, iters: int, tol: float) -> list[_SqpRu
     the loop holds about three p x p arrays per run still going: S_w, the
     complete QR factor of V and S_w times the complement.
     """
-    count, p, _ = stack.shape
-    k = starts.shape[2]
-    flat = stack.reshape(count, -1)
+    _, p, k = starts.shape
     out: list = [None] * len(starts)
-    # the runs still going: their indices, frames, multipliers, losses, S_e V
+    # the runs still going: their indices, frames, losses, S_e V, multipliers
     idx, v = np.arange(len(starts)), starts.copy()
-    w = np.full((len(starts), count), 1.0 / count)
     f, products = losses(v)
+    count = f.shape[1]
+    w = np.full((len(starts), count), 1.0 / count)
     for it in range(1, iters + 1):
         n = len(idx)
         top = f.max(axis=1)
-        s_w = (w[:, None, :] @ flat).reshape(n, p, p)
+        s_w = mixture_of(w)
         q = np.linalg.qr(v, "complete")[0]
         vsv = (v.swapaxes(-1, -2)[:, None] @ products).reshape(n, count, k * k)
         theta, u = np.linalg.eigh((w[:, None, :] @ vsv).reshape(n, k, k))
@@ -583,29 +579,29 @@ def _finish_runs(out, stopped, idx, v, f, iterations: int, stop: str):
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
     """Solve a worst-case PCA problem, dual first, else by a multi-start SQP.
 
-    Both searches read one closure, ``losses(V)``: one
-    :func:`losses.domain_losses` call gives ``sign`` times the domain losses
-    (f) and the products ``Sigma_e V`` times ``per_unit`` (``S_e V``). The
+    Both searches read one scaled problem through two closures: ``losses(V)``,
+    one :func:`losses.domain_losses` call giving ``sign`` times the losses (f)
+    and ``per_unit`` times the products ``Sigma_e V`` (``S_e V``), and
+    ``mixture_of(w)``, the :func:`losses.mixture` at ``w * per_unit``. The
     mixture dual runs first, at every p: :func:`_simplex_newton` on
     :func:`_dual_point` and :func:`_eigensum_hessian`, from the weights of
     :func:`_ritz_start`: uniform, or those the same search reaches on the
-    domains compressed to a Rayleigh-Ritz basis. If it certifies a frame, that frame is returned
-    with its bound, its gap, its full-space Newton steps as
-    ``iterations_used`` and no restarts. Otherwise :func:`_grassmann_sqp`
-    runs from the dual's frame (run 0) and from ``cfg.restarts`` Haar-random
-    frames (run r + 1 uses stream r of ``cfg.seed``), all in one loop, each
-    for at most ``cfg.max_iters`` iterations with tolerance
-    ``cfg.tol_objective``, and the best final objective is kept, the first
-    run on ties; each run's objective and active domains are read from the
-    losses its last iteration holds. The fit carries every run's
-    :class:`Restart` and the dual's bound and gap. The
-    config fields drive only this SQP path. Non-convergence is not an
-    error: a run that ends on its budget still returns its frame. The dual
-    reads the covariances as a list; only an open fit stacks them, for the
-    SQP's many evaluations. Both searches see the domains in an order fixed
-    by their covariances, so the result does not depend, bit for bit, on
-    the order they come in. The degenerate case k = p short-circuits to the
-    identity frame, where every objective is constant over the manifold.
+    domains compressed to a Rayleigh-Ritz basis. If it certifies a frame,
+    that frame is returned with its bound, its gap, its full-space Newton
+    steps as ``iterations_used`` and no restarts. Otherwise
+    :func:`_grassmann_sqp` runs from the dual's frame (run 0) and from
+    ``cfg.restarts`` Haar-random frames (run r + 1 uses stream r of
+    ``cfg.seed``), all in one loop, each for at most ``cfg.max_iters``
+    iterations with tolerance ``cfg.tol_objective``, and the best final
+    objective is kept, the first run on ties; each run's objective and
+    active domains are read from the losses its last iteration holds. The
+    fit carries every run's :class:`Restart` and the dual's bound and gap.
+    The config fields drive only this SQP path. Non-convergence is not an
+    error: a run that ends on its budget still returns its frame. Both
+    searches see the domains in an order fixed by their covariances, so the
+    result does not depend, bit for bit, on the order they come in. The
+    degenerate case k = p short-circuits to the identity frame, where every
+    objective is constant over the manifold.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
@@ -620,16 +616,15 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     sign = -1.0 if kind in MIN_KINDS else 1.0
     per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(domains))
 
-    def losses_on(matrices):
-        # matrices: the list for the dual, the reduced list for its warm
-        # start, the stack once the dual leaves the fit open
+    def problem_on(matrices):
+        # matrices: the covariances, or the compressed ones of the warm start
         def losses(v):
             values, products = domain_losses(kind, v, matrices, traces, eigsums)
             return sign * values, products * per_unit[:, None, None]
 
-        return losses
+        return losses, lambda w: mixture(matrices, w * per_unit)
 
-    losses = losses_on(covs)
+    losses, mixture_of = problem_on(covs)
 
     def result(frame, f, iters, restart, restarts, bound=None):
         top = float(f.max())
@@ -641,19 +636,16 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
         return result(np.eye(p), losses(np.eye(p))[0], 0, 0, ())
 
     frame, _, bound, steps = _simplex_newton(
-        lambda w: _dual_point(losses, domains, per_unit, k, w),
+        lambda w: _dual_point(losses, mixture_of, k, w),
         lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
-        _ritz_start(domains, per_unit, k, losses_on),
+        _ritz_start(domains, per_unit, k, problem_on),
     )
     fit = result(frame, losses(frame)[0], steps, 0, (), bound)
     if _certifies(fit.gap, fit.objective):
         return fit
 
-    covs = np.stack(covs)
-    losses = losses_on(covs)
-    stack = covs * per_unit[:, None, None] if kind in NORMALIZED_KINDS else covs
     starts = np.stack([frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
-    runs = _grassmann_sqp(losses, stack, starts, cfg.max_iters, cfg.tol_objective)
+    runs = _grassmann_sqp(losses, mixture_of, starts, cfg.max_iters, cfg.tol_objective)
     fits = [result(run.frame, run.losses, run.iterations, r, (), bound) for r, run in enumerate(runs)]
     restarts = tuple(Restart(fit.objective, fit.iterations_used, run.stop) for fit, run in zip(fits, runs))
     return replace(min(fits, key=lambda f: sign * f.objective), restarts=restarts)

@@ -240,6 +240,32 @@ class TestInductiveOls:
         with pytest.raises(InvalidInput):
             inductive_ols(np.zeros(3), np.ones(3), np.eye(2))
 
+    def test_unobserved_values_are_ignored(self):
+        r = np.linalg.qr(make_rng(4).normal(size=(4, 2)))[0]
+        x = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 3.0, 0.0]])
+        mask = np.array([[1, 1, 0, 1], [1, 0, 1, 0]])
+        coef, recon = inductive_ols(x, mask, r)
+        for fill in (np.nan, np.inf, -np.inf, 7.0):
+            got = inductive_ols(np.where(mask == 1, x, fill), mask, r)
+            np.testing.assert_array_equal(got[0], coef)
+            np.testing.assert_array_equal(got[1], recon)
+        row = inductive_ols([1.0, 2.0, np.nan, -1.0], [True, True, False, True], r)
+        np.testing.assert_array_equal(row[0], coef[0])
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_mask_must_be_binary(self, bad):
+        mask = np.ones((2, 4))
+        mask[1, 2] = bad
+        with pytest.raises(InvalidInput, match="binary"):
+            inductive_ols(np.ones((2, 4)), mask, np.eye(4)[:, :2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observed_values_must_be_finite(self, bad):
+        x = np.ones((2, 4))
+        x[1, 2] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            inductive_ols(x, np.ones((2, 4), dtype=bool), np.eye(4)[:, :2])
+
     def test_min_norm_on_deficient_design(self):
         # only one observed row: infinitely many coefficient solutions
         r = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -6,7 +6,9 @@ four that ``benchmarks/spans.py`` wraps at those modules' attributes to time
 the calls made through them. A private name one module imports from another
 is a shared internal, and each is listed here, so a new one (a second site
 of a computation that belongs to one module) does not go unseen either.
-Every name a module exports in ``__all__`` resolves. Importing the command line loads no process pool; only a parallel
+Every name a module exports in ``__all__`` resolves, and no module names
+an attribute that only NumPy 2 has, since the package declares NumPy 1.24
+as its floor. Importing the command line loads no process pool; only a parallel
 ``simulate`` run does. Neither that import, nor a ``complete --predict`` run
 without ``--missing-frac``, nor a ``fit --order`` whose rank-1 solves the
 dual certifies loads ``numpy.random``, which costs about 5.5 MB of resident
@@ -38,6 +40,19 @@ SHARED_INTERNALS = {
     ("completion", "solvers", "_simplex_newton"),
     ("datagen", "losses", "_PSD_RTOL"),
     ("evaluation", "completion", "_ensure_dataset"),
+}
+
+# ndarray attributes and functions that NumPy 2.0 or later added
+NUMPY_2_ONLY = {
+    "mT",
+    "vecdot",
+    "matvec",
+    "vecmat",
+    "matrix_transpose",
+    "permute_dims",
+    "concat",
+    "cumulative_sum",
+    "unstack",
 }
 
 
@@ -78,6 +93,19 @@ def test_only_the_wrapped_imports_go_unused():
 def test_only_the_listed_internals_cross_modules():
     private = set().union(*(_private_imports(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert private == SHARED_INTERNALS
+
+
+def test_no_numpy_2_only_names():
+    # pyproject.toml declares numpy>=1.24, so a name that NumPy 2.0 added
+    # would pass here under NumPy 2 and fail at the floor
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in NUMPY_2_ONLY:
+                named.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                named.update((path.stem, a.name) for a in node.names if a.name in NUMPY_2_ONLY)
+    assert not named
 
 
 def test_every_exported_name_resolves():

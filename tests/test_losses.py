@@ -251,6 +251,20 @@ class TestCollections:
         with pytest.raises(InvalidInput):
             mixture([], [])
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_of_weights_equals_each_row_exactly(self, seed):
+        rng = make_rng(seed)
+        p, count, rows = int(rng.integers(1, 30)), int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        coll = make_collection([random_covariance(rng, p) for _ in range(count)])
+        weights = rng.dirichlet(np.ones(count), size=rows)
+        stacked = mixture(coll, weights)
+        assert stacked.shape == (rows, p, p)
+        for w, block in zip(weights, stacked):
+            assert block.tobytes() == mixture(coll, w).tobytes()
+        with pytest.raises(InvalidInput):
+            mixture(coll, np.ones((rows, count + 1)) / (count + 1))
+
     def test_mixture_of_plain_matrices_is_the_mixture_of_specs(self, example1):
         weights = [0.3, 0.7]
         plain = mixture(example1.covariances, weights)

@@ -36,7 +36,7 @@ from wcpca import (
     solvers,
     worst_case,
 )
-from wcpca.losses import domain_losses
+from wcpca.losses import domain_losses, mixture
 from conftest import random_covariance, record_eigh_sizes, spiked_covariances
 
 
@@ -131,7 +131,7 @@ class TestSolveWcpca:
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_runs_equal_lone_sqp_runs(self, kind, monkeypatch):
         rng = np.random.default_rng(5)
-        # already in the solver's domain order, so its runs see this stack
+        # already in the solver's domain order, so its runs see them in this order
         covs = sorted((random_covariance(rng, 6) for _ in range(3)), key=lambda c: c.tobytes())
         collection = make_collection(covs)
         cfg = SolverConfig(max_iters=600, restarts=4, seed=12)
@@ -145,12 +145,12 @@ class TestSolveWcpca:
 
         monkeypatch.setattr(solvers, "_grassmann_sqp", recorded)
         fit = solve_wcpca(kind, collection, 2, cfg)
-        losses, per_unit, stack = _scaled_problem(kind, collection, 2)
+        losses, mixture_of, _ = _scaled_problem(kind, collection, 2)
         # the dual's frame at uniform weights
-        starts = [solvers._dual_point(losses, collection, per_unit, 2, np.full(3, 1 / 3)).candidate]
+        starts = [solvers._dual_point(losses, mixture_of, 2, np.full(3, 1 / 3)).candidate]
         starts += [haar_frame(6, 2, make_rng(12, r)) for r in range(4)]
         # each start run alone, as a batch of one
-        refs = [sqp(losses, stack, v[None], 600, 1e-8)[0] for v in starts]
+        refs = [sqp(losses, mixture_of, v[None], 600, 1e-8)[0] for v in starts]
         (runs,) = batches
         assert len(fit.restarts) == len(runs) == 5
         for ref, run, restart in zip(refs, runs, fit.restarts):
@@ -325,14 +325,15 @@ class TestMixtureDual:
         rng = np.random.default_rng(8)
         p, k, count = 6, 2, 4
         coll = make_collection([random_covariance(rng, p) for _ in range(count)])
-        losses, per_unit, stack = _scaled_problem(kind, coll, k)
+        losses, mixture_of, per_unit = _scaled_problem(kind, coll, k)
+        stack = np.stack(coll.covariances) * per_unit[:, None, None]
         if kind in MIN_KINDS:
             c = np.zeros(count)
         else:
             c = (coll.top_k_eigensums(k) if kind in REGRET_KINDS else coll.traces) * per_unit
         for w in (rng.dirichlet(np.ones(count)), np.eye(count)[2]):
             h = float(w @ c) - float(np.linalg.eigvalsh(np.tensordot(w, stack, axes=1))[-k:].sum())
-            value = solvers._dual_point(losses, coll, per_unit, k, w).value
+            value = solvers._dual_point(losses, mixture_of, k, w).value
             assert abs(value - h) <= 1e-12 * max(1.0, abs(h))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -341,9 +342,9 @@ class TestMixtureDual:
         rng = np.random.default_rng(seed)
         p, k, count = 7, 3, 4
         coll = make_collection([random_covariance(rng, p, 0.7) for _ in range(count)])
-        losses, per_unit, _ = _scaled_problem(kind, coll, k)
+        losses, mixture_of, _ = _scaled_problem(kind, coll, k)
         w = rng.dirichlet(np.ones(count))
-        point = solvers._dual_point(losses, coll, per_unit, k, w)
+        point = solvers._dual_point(losses, mixture_of, k, w)
         lam = point.eigenvalues
         assert lam[k - 1] - lam[k] > 1e-2 * lam[0]
         hess = solvers._eigensum_hessian(point.eigenvalues, point.coupling, k)
@@ -353,7 +354,7 @@ class TestMixtureDual:
         for a in range(count):
             for b in range(count):
                 corners = [
-                    solvers._dual_point(losses, coll, per_unit, k, w + sa * basis[a] + sb * basis[b]).value
+                    solvers._dual_point(losses, mixture_of, k, w + sa * basis[a] + sb * basis[b]).value
                     for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
                 ]
                 central[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * step**2)
@@ -398,17 +399,18 @@ class TestMixtureDual:
 
 
 def _scaled_problem(kind, coll, k):
-    """The scaled problem as solve_wcpca builds it for the SQP: the closure
-    ``losses(V) -> (f, S_e V)`` (``f`` the sign times the kernel's losses),
-    ``per_unit`` and the stacked ``S_e = per_unit_e Sigma_e``."""
-    traces, eigsums, covs = coll.traces, coll.top_k_eigensums(k), np.stack(coll.covariances)
+    """The scaled problem as solve_wcpca builds it: the closures
+    ``losses(V) -> (f, S_e V)`` (``f`` the sign times the kernel's losses)
+    and ``mixture_of(w) -> S_w``, and ``per_unit``, with
+    ``S_e = per_unit_e Sigma_e``."""
+    traces, eigsums, covs = coll.traces, coll.top_k_eigensums(k), coll.covariances
     per_unit = 1.0 / traces if kind in NORMALIZED_KINDS else np.ones(len(coll))
 
     def losses(v):
         values, products = domain_losses(kind, v, covs, traces, eigsums)
         return _sign(kind) * values, products * per_unit[:, None, None]
 
-    return losses, per_unit, covs * per_unit[:, None, None]
+    return losses, lambda w: mixture(covs, w * per_unit), per_unit
 
 
 def _worst(losses, v):
@@ -438,33 +440,35 @@ class TestPeakMemory:
         assert fit.restarts == ()
         assert peak < 3.5 * p * p * 8
 
-    def test_open_fit_stacks_once(self):
-        # the SQP of an RCS fit reads the stacked covariances themselves:
-        # about 11 p x p arrays at the peak, 16 with a second, scaled stack
+    def test_open_fit_copies_no_covariance(self):
+        # the SQP of an RCS fit reads the domains' own covariances, as the
+        # dual does: about 7.1 p x p arrays at the peak
         p = 60
         rng = np.random.default_rng(0)
         coll = make_collection([random_covariance(rng, p, 0.5) for _ in range(5)])
         fit, peak = _traced_peak(LossKind.RCS, coll, 2, SolverConfig(restarts=1))
         assert fit.restarts != ()
-        assert peak < 13.5 * p * p * 8
+        assert peak < 8.0 * p * p * 8
 
     def test_open_fit_holds_about_three_arrays_a_run(self):
         # all six SQP runs advance together, each holding S_w, the complete
         # QR factor of its frame and one product with the complement at the
-        # peak: about 25.2 p x p arrays, against 12.4 with two runs, so
-        # about 3.2 a run
+        # peak: about 20.1 p x p arrays, against 7.1 with two runs, so
+        # about 3.3 a run. The normalized kinds scale the mixture's weights,
+        # not the covariances, so they hold no scaled copy either.
         p = 60
-        rng = np.random.default_rng(0)
-        coll = make_collection([random_covariance(rng, p, 0.5) for _ in range(5)])
-        fit, peak = _traced_peak(LossKind.RCS, coll, 2, SolverConfig(restarts=5))
-        assert len(fit.restarts) == 6
-        assert peak < 27.0 * p * p * 8
+        for kind, seed in ((LossKind.RCS, 0), (LossKind.NORM_RCS, 1)):
+            rng = np.random.default_rng(seed)
+            coll = make_collection([random_covariance(rng, p, 0.5) for _ in range(5)])
+            fit, peak = _traced_peak(kind, coll, 2, SolverConfig(restarts=5))
+            assert len(fit.restarts) == 6
+            assert peak < 21.5 * p * p * 8, kind
 
 
 def _uniform_start(monkeypatch):
     """Turn the Rayleigh-Ritz warm start off: the dual starts from uniform weights."""
 
-    def uniform(domains, per_unit, k, losses_on):
+    def uniform(domains, per_unit, k, problem_on):
         return np.full(len(domains), 1.0 / len(domains))
 
     monkeypatch.setattr(solvers, "_ritz_start", uniform)
@@ -564,9 +568,9 @@ class TestGrassmannSqp:
     def test_reaches_top_eigenspace(self):
         # with one domain, minimizing -Var(V) is plain PCA
         coll = make_collection([np.diag(np.arange(6, 0, -1.0))])
-        losses, _, stack = _scaled_problem(LossKind.VAR, coll, 2)
+        losses, mixture_of, _ = _scaled_problem(LossKind.VAR, coll, 2)
         v0 = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 2)))[0]
-        v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 3000, 1e-12)[0]
+        v, iters, stop, _ = solvers._grassmann_sqp(losses, mixture_of, v0[None], 3000, 1e-12)[0]
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
         assert _worst(losses, v) == pytest.approx(-11.0, abs=1e-10)
         assert stop == "kkt"
@@ -579,9 +583,9 @@ class TestGrassmannSqp:
         p = int(rng.integers(2, 9))
         k = int(rng.integers(1, p))
         coll = make_collection([random_covariance(rng, p) for _ in range(int(rng.integers(1, 5)))])
-        losses, _, stack = _scaled_problem(kind, coll, k)
+        losses, mixture_of, _ = _scaled_problem(kind, coll, k)
         v0 = haar_frame(p, k, rng)
-        v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 300, 1e-8)[0]
+        v, iters, stop, _ = solvers._grassmann_sqp(losses, mixture_of, v0[None], 300, 1e-8)[0]
         assert stop in ("kkt", "stalled", "budget")
         assert 1 <= iters <= 300
         assert _worst(losses, v) <= _worst(losses, v0)
@@ -589,7 +593,7 @@ class TestGrassmannSqp:
         # tolerance 0 takes the same iterates and stops on "kkt" only where
         # the predicted decrease is not positive, so it runs at least as long
         # and ends no worse; a run that did not stop on "kkt" ends the same
-        exact, exact_iters, exact_stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 300, 0.0)[0]
+        exact, exact_iters, exact_stop, _ = solvers._grassmann_sqp(losses, mixture_of, v0[None], 300, 0.0)[0]
         assert exact_iters >= iters
         assert _worst(losses, exact) <= _worst(losses, v)
         if stop != "kkt":
@@ -598,9 +602,9 @@ class TestGrassmannSqp:
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_one_iteration_budget(self, kind, quarter_triple):
-        losses, _, stack = _scaled_problem(kind, quarter_triple, 2)
+        losses, mixture_of, _ = _scaled_problem(kind, quarter_triple, 2)
         v0 = haar_frame(5, 2, make_rng(7))
-        v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 1, 1e-8)[0]
+        v, iters, stop, _ = solvers._grassmann_sqp(losses, mixture_of, v0[None], 1, 1e-8)[0]
         assert iters == 1
         # a step taken ends the run on its budget; otherwise the iteration
         # itself stopped it
@@ -613,11 +617,11 @@ class TestGrassmannSqp:
     def test_stationary_start_stops_at_once(self, example1):
         # at e1 the minimum of example1's two variances is 0 and every
         # horizontal gradient is exactly 0, so the QP would be 0/0
-        losses, _, stack = _scaled_problem(LossKind.VAR, example1, 1)
+        losses, mixture_of, _ = _scaled_problem(LossKind.VAR, example1, 1)
         v0 = np.eye(3)[:, :1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, iters, stop, _ = solvers._grassmann_sqp(losses, stack, v0[None], 50, 1e-8)[0]
+            v, iters, stop, _ = solvers._grassmann_sqp(losses, mixture_of, v0[None], 50, 1e-8)[0]
         assert (iters, stop) == (1, "kkt")
         assert np.array_equal(v, v0)
 
@@ -625,11 +629,11 @@ class TestGrassmannSqp:
     def test_permuted_starts_permute_the_runs(self, kind):
         rng = np.random.default_rng(21)
         coll = make_collection([random_covariance(rng, 7) for _ in range(4)])
-        losses, _, stack = _scaled_problem(kind, coll, 2)
+        losses, mixture_of, _ = _scaled_problem(kind, coll, 2)
         starts = np.stack([haar_frame(7, 2, make_rng(8, r)) for r in range(6)])
         perm = [4, 0, 5, 2, 1, 3]
-        runs = solvers._grassmann_sqp(losses, stack, starts, 300, 1e-8)
-        moved = solvers._grassmann_sqp(losses, stack, starts[perm], 300, 1e-8)
+        runs = solvers._grassmann_sqp(losses, mixture_of, starts, 300, 1e-8)
+        moved = solvers._grassmann_sqp(losses, mixture_of, starts[perm], 300, 1e-8)
         # the runs leave the loop at different iterations
         assert len({run.iterations for run in runs}) > 1
         for run, src in zip(moved, perm):
@@ -643,10 +647,10 @@ class TestGrassmannSqp:
         covs = [random_covariance(rng, 7) for _ in range(4)]
         q = haar_frame(7, 7, make_rng(97))
         starts = np.stack([haar_frame(7, 2, make_rng(9, r)) for r in range(6)])
-        losses, _, stack = _scaled_problem(kind, make_collection(covs), 2)
-        runs = solvers._grassmann_sqp(losses, stack, starts, 300, 1e-8)
-        losses, _, stack = _scaled_problem(kind, make_collection([q @ c @ q.T for c in covs]), 2)
-        turned = solvers._grassmann_sqp(losses, stack, q @ starts, 300, 1e-8)
+        losses, mixture_of, _ = _scaled_problem(kind, make_collection(covs), 2)
+        runs = solvers._grassmann_sqp(losses, mixture_of, starts, 300, 1e-8)
+        losses, mixture_of, _ = _scaled_problem(kind, make_collection([q @ c @ q.T for c in covs]), 2)
+        turned = solvers._grassmann_sqp(losses, mixture_of, q @ starts, 300, 1e-8)
         for run, rotated in zip(runs, turned):
             assert (rotated.iterations, rotated.stop) == (run.iterations, run.stop)
             assert np.abs(rotated.frame - q @ run.frame).max() <= 1e-9
