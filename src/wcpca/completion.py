@@ -497,12 +497,15 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     An empty removal set gives ratio 1 exactly, as does the convention for a
     consistent system (both residuals at or below 1e-14).
 
+    :raises InvalidInput: if ``x`` or ``r`` holds a NaN or an infinity.
     :raises NoObservations: if the removal set covers every coordinate.
     """
     row = np.asarray(x, dtype=np.float64).ravel()
     factor = np.asarray(r, dtype=np.float64)
     if factor.ndim != 2 or factor.shape[0] != row.shape[0]:
         raise InvalidInput("x and r disagree on the ambient dimension")
+    if not (np.isfinite(row).all() and np.isfinite(factor).all()):
+        raise InvalidInput("x and r must be finite")
     if not eps > 0.0:
         raise InvalidInput(f"eps must be positive, got {eps}")
     removal = sorted(int(i) for i in removal)

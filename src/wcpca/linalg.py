@@ -108,8 +108,10 @@ def sym_eigen(sigma) -> Spectrum:
     Parameters
     ----------
     sigma : array_like
-        Square p x p matrix. Any asymmetry is averaged away: the
-        decomposition is that of ``(sigma + sigma.T) / 2``.
+        Square p x p matrix, checked by :func:`as_covariance`: asymmetry
+        beyond its tolerance is rejected, and rounding-level asymmetry is
+        averaged away, so the decomposition is that of
+        ``(sigma + sigma.T) / 2``.
 
     Returns
     -------
@@ -119,9 +121,10 @@ def sym_eigen(sigma) -> Spectrum:
     Raises
     ------
     InvalidInput
-        On non-finite entries or a non-square input.
+        On non-finite entries, a non-square input or asymmetry beyond 1e-6
+        relative to the largest entry magnitude.
     """
-    w, q = np.linalg.eigh(_symmetric(sigma))
+    w, q = np.linalg.eigh(as_covariance(sigma))
     # eigh returns ascending order; reverse for the descending convention.
     return Spectrum(w[::-1].copy(), q[:, ::-1].copy())
 
@@ -133,19 +136,7 @@ def sym_eigenvalues(sigma) -> np.ndarray:
     ``eigvalsh`` skips the eigenvector work, which more than halves the cost
     at p = 400.
     """
-    return np.linalg.eigvalsh(_symmetric(sigma))[::-1].copy()
-
-
-def _symmetric(sigma) -> np.ndarray:
-    """Check that ``sigma`` is square and finite; return (sigma + sigma.T)/2."""
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInput("matrix has non-finite entries")
-    out = s + s.T
-    out /= 2.0
-    return out
+    return np.linalg.eigvalsh(as_covariance(sigma))[::-1].copy()
 
 
 def top_k_frame(sigma, k: int) -> np.ndarray:

@@ -90,7 +90,7 @@ class DomainSpec:
         if trace <= 0.0:
             raise ZeroTrace(f"domain {self.id!r} has nonpositive trace")
         # cov is already finite and exactly symmetric: sym_eigenvalues would
-        # check and symmetrize it again, one more p x p pass and array
+        # check and symmetrize it again, in two more p x p arrays
         eigenvalues = np.linalg.eigvalsh(cov)[::-1].copy()
         if eigenvalues[-1] < -_PSD_RTOL * trace:
             raise InvalidInput(f"domain {self.id!r} covariance is not positive semidefinite")

@@ -482,25 +482,27 @@ def _grassmann_sqp(losses, mixture_of, starts, iters: int, tol: float) -> list[_
     and W of S_w compressed to the complement V_perp of V (eigenvalues mu),
     the horizontal gradients ``G_e = -2 (V_perp W).T S_e V U`` and the
     Hessian entries ``h = |2 (theta_j - mu_i)|``, floored at
-    ``_HESSIAN_FLOOR`` times the largest |theta|, |mu|. The new w solve the
-    simplex QP ``max_w w.f - w.M w / 2`` with ``M_ef = sum G_e G_f / h``
-    (:func:`_simplex_qp`, with the ridge centred on the current w), and the
-    step is ``Z = -V_perp W (sum_e w_e G_e / h) U.T``. Step lengths 1, 1/2,
-    ... are retracted by ``stiefel_project`` and each run takes the first
-    that passes Armijo on its max, against the predicted decrease
-    ``F - (w.f - w.M w / 2)``. A run that stops leaves the loop; the others
-    go on. Every call works slice by slice, so a run has the same bits
-    whichever runs share its loop.
-    Returns one :class:`_SqpRun` per start, in order: ``stop`` is ``"kkt"``
-    once the predicted decrease is at most ``tol * max(1, |F|)`` or every
-    gradient is exactly 0, ``"stalled"`` when no length passes within
-    ``_HALVINGS``, and ``"budget"`` after ``iters`` iterations. At its peak
-    the loop holds about three p x p arrays per run still going: S_w, the
-    complete QR factor of V and S_w times the complement.
+    ``_HESSIAN_FLOOR`` times the largest |theta|, |mu| (> 0, as Tr S_w > 0).
+    The new w solve the simplex QP ``max_w w.f - w.M w / 2`` with
+    ``M_ef = sum G_e G_f / h`` (:func:`_simplex_qp`, with the ridge centred
+    on the current w; a unit ridge where every G_e is exactly 0, so M = 0),
+    and the step is ``Z = -V_perp W (sum_e w_e G_e / h) U.T``. A run is at a
+    KKT point when its gradients are all 0 or the predicted decrease
+    ``F - (w.f - w.M w / 2)`` is at most ``tol * max(1, |F|)``; the others
+    try step lengths 1, 1/2, ... retracted by ``stiefel_project``, each
+    taking the first that passes Armijo on its max against the predicted
+    decrease. One site at the end of the iteration records the runs that
+    stop: each that did not move, as ``"kkt"`` or as ``"stalled"`` (no
+    length passed within ``_HALVINGS``), and on iteration ``iters`` each
+    that did, as ``"budget"``; the others go on. Every call works slice by
+    slice, so a run has the same bits whichever runs share its loop.
+    Returns one :class:`_SqpRun` per start, in order. At its peak the loop
+    holds about three p x p arrays per run still going: S_w, the complete QR
+    factor of V and S_w times the complement.
     """
     _, p, k = starts.shape
     out: list = [None] * len(starts)
-    # the runs still going: their indices, frames, losses, S_e V, multipliers
+    # the runs still going: their indices, frames, multipliers, losses, S_e V
     idx, v = np.arange(len(starts)), starts.copy()
     f, products = losses(v)
     count = f.shape[1]
@@ -522,58 +524,41 @@ def _grassmann_sqp(losses, mixture_of, starts, iters: int, tol: float) -> list[_
         perp = perp @ rot
         del q, rot
         grads = -2.0 * (perp.swapaxes(-1, -2)[:, None] @ products) @ u[:, None]
-        # A stationary frame: M would be 0 and the QP undefined.
-        if (stopped := ~grads.reshape(n, -1).any(axis=1)).any():
-            _finish_runs(out, stopped, idx, v, f, it, "kkt")
-            idx, v, w, f, products, top, theta, mu, u, perp, grads = (
-                x[~stopped] for x in (idx, v, w, f, products, top, theta, mu, u, perp, grads)
-            )
-            if not (n := len(idx)):
-                return out
+        stationary = ~grads.reshape(n, -1).any(axis=1)
         h = np.abs(2.0 * (theta[:, None, :] - mu[:, :, None]))
         floor = _HESSIAN_FLOOR * np.maximum(np.abs(theta).max(axis=1), np.abs(mu).max(axis=1))
         scaled = grads / np.maximum(h, floor[:, None, None])[:, None]
         m = grads.reshape(n, count, -1) @ scaled.reshape(n, count, -1).swapaxes(-1, -2)
-        ridge = _NEWTON_RIDGE * np.diagonal(m, axis1=1, axis2=2).max(axis=1)
+        ridge = np.where(stationary, 1.0, _NEWTON_RIDGE * np.diagonal(m, axis1=1, axis2=2).max(axis=1))
         w = _simplex_qp(m + ridge[:, None, None] * np.eye(count), f + ridge[:, None] * w, w)
         gain = w[:, None, :] @ f[:, :, None] - 0.5 * (w[:, None, :] @ m @ w[:, :, None])
         predicted = top - gain[:, 0, 0]
-        if (stopped := predicted <= tol * np.maximum(1.0, np.abs(top))).any():
-            _finish_runs(out, stopped, idx, v, f, it, "kkt")
-            idx, v, w, f, products, top, predicted, u, perp, scaled = (
-                x[~stopped] for x in (idx, v, w, f, products, top, predicted, u, perp, scaled)
-            )
-            if not (n := len(idx)):
-                return out
+        kkt = stationary | (predicted <= tol * np.maximum(1.0, np.abs(top)))
         z = (w[:, None, :] @ scaled.reshape(n, count, -1)).reshape(n, p - k, k)
         z = -perp @ z @ u.swapaxes(-1, -2)
         # stale arrays of one iteration would hold memory through the next
         del perp, grads, scaled
-        searching, stopped = np.arange(n), np.ones(n, dtype=bool)
+        searching, moved = np.flatnonzero(~kkt), np.zeros(n, dtype=bool)
         for halving in range(_HALVINGS):
+            if not searching.size:
+                break
             alpha = 0.5**halving
             trial = stiefel_project(v[searching] + alpha * z[searching])
             trial_f, trial_products = losses(trial)
             passed = trial_f.max(axis=1) <= top[searching] - _ARMIJO * alpha * predicted[searching]
             took = searching[passed]
             v[took], f[took], products[took] = trial[passed], trial_f[passed], trial_products[passed]
-            stopped[took] = False
-            if not (searching := searching[~passed]).size:
-                break
-        del trial, trial_f, trial_products
-        if stopped.any():
-            _finish_runs(out, stopped, idx, v, f, it, "stalled")
+            moved[took] = True
+            searching = searching[~passed]
+            del trial, trial_f, trial_products
+        if (stopped := ~moved | (it == iters)).any():
+            for j in np.flatnonzero(stopped):
+                stop = "kkt" if kkt[j] else "budget" if moved[j] else "stalled"
+                out[idx[j]] = _SqpRun(v[j].copy(), it, stop, f[j].copy())
             idx, v, w, f, products = (x[~stopped] for x in (idx, v, w, f, products))
             if not len(idx):
-                return out
-    _finish_runs(out, np.ones(len(idx), dtype=bool), idx, v, f, iters, "budget")
+                break
     return out
-
-
-def _finish_runs(out, stopped, idx, v, f, iterations: int, stop: str):
-    """Record the runs of :func:`_grassmann_sqp` that ``stopped`` marks in ``out``."""
-    for j in np.flatnonzero(stopped):
-        out[idx[j]] = _SqpRun(v[j].copy(), iterations, stop, f[j].copy())
 
 
 def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitResult:
@@ -646,9 +631,11 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
 
     starts = np.stack([frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
     runs = _grassmann_sqp(losses, mixture_of, starts, cfg.max_iters, cfg.tol_objective)
-    fits = [result(run.frame, run.losses, run.iterations, r, (), bound) for r, run in enumerate(runs)]
-    restarts = tuple(Restart(fit.objective, fit.iterations_used, run.stop) for fit, run in zip(fits, runs))
-    return replace(min(fits, key=lambda f: sign * f.objective), restarts=restarts)
+    tops = [float(run.losses.max()) for run in runs]
+    restarts = tuple(Restart(sign * top, run.iterations, run.stop) for top, run in zip(tops, runs))
+    best = int(np.argmin(tops))
+    run = runs[best]
+    return result(run.frame, run.losses, run.iterations, best, restarts, bound)
 
 
 def _reduced_matrices(kind, domains, basis) -> list[np.ndarray]:

@@ -752,6 +752,14 @@ class TestStabilityCheck:
         with pytest.raises(NoObservations):
             ols_subset_stability_check([1.0, 2.0], np.eye(2), [0, 1], 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        # a NaN row once gave (nan, False): a silent "bound violated"
+        with pytest.raises(InvalidInput):
+            ols_subset_stability_check([1.0, bad, 2.0], np.eye(3)[:, :2], [2], 0.1)
+        with pytest.raises(InvalidInput):
+            ols_subset_stability_check([1.0, 2.0, 3.0], np.where(np.eye(3)[:, :2] == 1.0, bad, 0.0), [2], 0.1)
+
 
 class TestPeakMemory:
     @pytest.mark.parametrize("fit", [fit_pool_mc, fit_max_mc])

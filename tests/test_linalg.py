@@ -25,9 +25,11 @@ from wcpca import (
     order_basis,
     orthocomplement_frame,
     projection_distance,
+    sample_gaussian_rows,
     stiefel_project,
     sym_eigen,
     sym_eigenvalues,
+    top_k_eigensum,
     top_k_frame,
 )
 
@@ -282,3 +284,33 @@ def test_three_dimensional_frame_rejected(call, example1):
     # every frame argument goes through one coercion, which names the shape
     with pytest.raises(InvalidInput, match="2-D"):
         call(np.ones((3, 2, 1)), example1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        sym_eigen,
+        sym_eigenvalues,
+        lambda m: top_k_frame(m, 1),
+        lambda m: top_k_eigensum(m, 1),
+        lambda m: sample_gaussian_rows(m, 2, 0),
+    ],
+    ids=["sym_eigen", "sym_eigenvalues", "top_k_frame", "top_k_eigensum", "sample_gaussian_rows"],
+)
+def test_asymmetric_matrix_rejected(call):
+    # every symmetric-matrix argument goes through as_covariance, which
+    # rejects asymmetry instead of decomposing (m + m.T) / 2
+    with pytest.raises(InvalidInput, match="asymmetry"):
+        call(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
+def test_roundoff_asymmetry_is_averaged():
+    # asymmetry within the tolerance is averaged, bit for bit as before
+    rng = make_rng(3)
+    a = rng.normal(size=(6, 6))
+    sigma = a @ a.T + 1e-12 * rng.normal(size=(6, 6))
+    w, q = np.linalg.eigh((sigma + sigma.T) / 2.0)
+    spec = sym_eigen(sigma)
+    assert spec.eigenvalues.tobytes() == w[::-1].tobytes()
+    assert spec.eigenvectors.tobytes() == q[:, ::-1].tobytes()
+    assert sym_eigenvalues(sigma).tobytes() == np.linalg.eigvalsh((sigma + sigma.T) / 2.0)[::-1].tobytes()

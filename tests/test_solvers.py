@@ -625,6 +625,24 @@ class TestGrassmannSqp:
         assert (iters, stop) == (1, "kkt")
         assert np.array_equal(v, v0)
 
+    def test_stationary_start_in_a_mixed_batch(self, example1):
+        # the stationary start e1 shares its batch with three runs that move;
+        # it stops at once and every run keeps the bits of its lone run
+        losses, mixture_of, _ = _scaled_problem(LossKind.VAR, example1, 1)
+        starts = [haar_frame(3, 1, make_rng(5, r)) for r in (0, 1)]
+        starts = np.stack(starts + [np.eye(3)[:, :1], haar_frame(3, 1, make_rng(5, 9))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = solvers._grassmann_sqp(losses, mixture_of, starts, 50, 1e-8)
+            refs = [solvers._grassmann_sqp(losses, mixture_of, v[None], 50, 1e-8)[0] for v in starts]
+        assert (runs[2].iterations, runs[2].stop) == (1, "kkt")
+        assert runs[2].frame.tobytes() == starts[2].tobytes()
+        assert all(run.iterations > 1 for i, run in enumerate(runs) if i != 2)
+        for run, ref in zip(runs, refs):
+            assert run.frame.tobytes() == ref.frame.tobytes()
+            assert run.losses.tobytes() == ref.losses.tobytes()
+            assert (run.iterations, run.stop) == (ref.iterations, ref.stop)
+
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_permuted_starts_permute_the_runs(self, kind):
         rng = np.random.default_rng(21)

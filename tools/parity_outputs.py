@@ -8,6 +8,10 @@ directories number by number with ``--compare``.
     PYTHONPATH=src python3 tools/parity_outputs.py OUT_DIR > digests.txt
     PYTHONPATH=src python3 tools/parity_outputs.py --compare OUT_A OUT_B
 
+To compare against another checkout, run this one script twice, with
+``PYTHONPATH`` set to each checkout's ``src``, so both sides write the same
+files (an older copy of the script may write fewer fields).
+
 Inputs are generated here with plain numpy from fixed seeds, so they do not
 depend on the package under test. The script covers every ``fit`` objective
 with and without ``--order``, a ``fit`` of spiked covariances (p=60, E=3,
@@ -22,7 +26,8 @@ least-squares fallback runs, and once on a training and a held-out CSV
 written with quoted numbers, an unparseable cell, ``inf`` text, a short row
 and a blank line, so the loader's fallbacks are held too), 240 library solves over the six loss kinds
 (each line in ``solves.txt`` carries the solve's dual ``gap``, so certified
-solves show, and the frame's values), ``sequential_minpca`` on 6 random
+solves show, every SQP run's objective, iterations and stop, so each run's
+parity shows, and the frame's values), ``sequential_minpca`` on 6 random
 instances, ``order_basis`` on random frames of every rank from 1 to
 min(4, p) on the same instances (both routines also on one instance where a
 domain has no variance in the working basis, so its reduction is jittered;
@@ -193,7 +198,7 @@ def _solves(out):
             lines.append(
                 f"{inst} {kind.value} {fit.objective!r} {sorted(fit.active_domains)} "
                 f"{fit.iterations_used} {fit.restart_index} gap={fit.gap!r} "
-                f"{fit.frame.ravel().tolist()!r}"
+                f"restarts={[tuple(r) for r in fit.restarts]!r} {fit.frame.ravel().tolist()!r}"
             )
     with open(os.path.join(out, "solves.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
