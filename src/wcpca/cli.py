@@ -39,7 +39,7 @@ from .preprocess import (
     write_json,
     write_matrix,
 )
-from .rng import make_rng
+from .rng import SEED_LIMIT, make_rng
 from .solvers import SolverConfig, avgcov_pca, order_basis, pool_pca, sep_pca, solve_wcpca
 
 __all__ = ["main", "build_parser", "cmd_fit", "cmd_simulate", "cmd_complete"]
@@ -70,8 +70,8 @@ def cmd_fit(args) -> int:
     if objective not in _BASELINES and objective not in _WC_OBJECTIVES:
         known = ", ".join([*_BASELINES, *_WC_OBJECTIVES])
         raise InvalidConfig(f"--objective must be one of {known}, got {objective!r}")
-    if args.seed < 0:
-        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise InvalidConfig(f"--seed must lie in [0, 2**128), got {args.seed}")
 
     if args.csv is not None:
         domain_col = "domain" if args.domain_col is None else args.domain_col
@@ -251,8 +251,8 @@ def cmd_complete(args) -> int:
     method = args.objective
     if method not in ("pool", "max"):
         raise InvalidConfig(f"--objective must be pool or max, got {method!r}")
-    if args.seed < 0:
-        raise InvalidConfig(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise InvalidConfig(f"--seed must lie in [0, 2**128), got {args.seed}")
     k = 5 if args.k is None else args.k
     if args.missing_frac is not None and not 0.0 <= args.missing_frac < 1.0:
         raise InvalidConfig(f"--missing-frac must lie in [0, 1), got {args.missing_frac}")

@@ -13,7 +13,8 @@ its mask as ``bool``, one byte per cell, and the kernels read it as is.
   entries.
 * :func:`fit_max_mc` minimizes ``max_e f_e``, the largest weighted average
   over the simplex; its R-update finds the weights by worst-case PCA's Newton
-  loop (``solvers._simplex_newton``), whose gap certifies the step.
+  loop (``solvers._simplex_newton``) on the R-step's dual, whose points are
+  ``solvers._DualPoint``s as the PCA dual's are; the gap certifies the step.
 
 Both run one alternation loop (R-update, then the exact per-row L-update)
 whose budgets are module constants, not options: at most 100 rounds, and a
@@ -49,14 +50,13 @@ factor tolerates.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidRank, NoObservations
 from .linalg import stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps this name
-from .solvers import _ROUNDING, _simplex_newton
+from .solvers import _ROUNDING, _DualPoint, _simplex_newton
 
 __all__ = [
     "MaskedDomain",
@@ -348,7 +348,7 @@ def _pool_weights(data: MaskedDataset) -> np.ndarray:
 
 def _pool_r_update(data: MaskedDataset, ls) -> np.ndarray:
     """The candidate R(w) of :func:`_max_r_dual` at the pool weights ``n_e / n``."""
-    return _max_r_dual(data, ls)[0](_pool_weights(data)).candidate
+    return _max_r_dual(data, ls)(_pool_weights(data)).candidate
 
 
 def _alternate(data, k: int, r_update, aggregate) -> CompletionModel:
@@ -403,12 +403,8 @@ def fit_pool_mc(data, k: int) -> CompletionModel:
     return _alternate(data, k, _pool_r_update, lambda d, errors: float(_pool_weights(d) @ errors))
 
 
-# The maxMC R-step's dual at one weight vector (see _max_r_dual).
-_RPoint = namedtuple("_RPoint", "value rounding grad objective candidate pinv slopes")
-
-
 def _max_r_dual(data: MaskedDataset, ls):
-    """``(evaluate, hessian)`` of the dual of ``min_R max_e f_e(R)``, L fixed.
+    """``evaluate(w)``: the dual of ``min_R max_e f_e(R)``, L fixed, as ``solvers._DualPoint``s.
 
     ``f_e(R) = (||M_e * X_e||^2 - 2 <B_e, R> + sum_j r_j.T H_ej r_j) / n_e``
     with ``H_ej``, ``b_ej`` the normal equations of the transposed domain.
@@ -416,11 +412,12 @@ def _max_r_dual(data: MaskedDataset, ls):
     candidate ``R(w)`` has rows ``pinv(A_j) sum_e u_e b_ej``: at those fixed
     weights it is the minimum-norm minimizer of ``sum_e w_e f_e(R)``, whose
     minimum is the dual ``h(w)`` (at ``w = n / n.sum()`` it is the pooled
-    R-step). The gradient of h is ``f_e(R(w))`` and the Hessian of -h is
-    ``2 sum_j G_j pinv(A_j) G_j.T``, with G_j stacking
-    ``(H_ej r_j - b_ej) / n_e``. A weight below
-    ``_ROUNDING`` counts as ``_ROUNDING``, so a column that only domains at
-    zero weight observe takes their fit, the limit from positive weights.
+    R-step). The point carries ``R(w)`` as its candidate, ``f_e(R(w))`` as
+    the gradient of h, and as ``hessian()`` the Hessian of -h,
+    ``2 sum_j G_j pinv(A_j) G_j.T`` with G_j stacking
+    ``(H_ej r_j - b_ej) / n_e``. A weight below ``_ROUNDING`` counts as
+    ``_ROUNDING``, so a column that only domains at zero weight observe takes
+    their fit, the limit from positive weights.
     """
     stats = [_normal_equations(d.x.T, d.mask.T, l) for d, l in zip(data, ls)]
     grams = np.stack([s[0] for s in stats])
@@ -435,18 +432,15 @@ def _max_r_dual(data: MaskedDataset, ls):
         hr = (grams @ r[None, ..., None])[..., 0]
         values = (xx + np.sum((hr - 2.0 * rhs) * r, axis=(1, 2))) / n
         slopes = (hr - rhs) / n[:, None, None]
-        rounding = _ROUNDING * float(u @ xx)
-        return _RPoint(float(w @ values), rounding, values, float(values.max()), r, pinv, slopes)
+        hessian = lambda: 2.0 * np.einsum("ejk,jkl,fjl->ef", slopes, pinv, slopes)  # noqa: E731
+        return _DualPoint(float(w @ values), _ROUNDING * float(u @ xx), values, r, hessian)
 
-    def hessian(point):
-        return 2.0 * np.einsum("ejk,jkl,fjl->ef", point.slopes, point.pinv, point.slopes)
-
-    return evaluate, hessian
+    return evaluate
 
 
 def _max_r_update(data: MaskedDataset, ls) -> np.ndarray:
     """The best R(w) of worst-case PCA's Newton loop on :func:`_max_r_dual`."""
-    return _simplex_newton(*_max_r_dual(data, ls), np.full(len(data), 1.0 / len(data)))[0]
+    return _simplex_newton(_max_r_dual(data, ls), np.full(len(data), 1.0 / len(data)))[0].candidate
 
 
 def fit_max_mc(data, k: int) -> CompletionModel:
@@ -460,10 +454,16 @@ def fit_max_mc(data, k: int) -> CompletionModel:
 
 
 def incoherence(r) -> IncoherenceReport:
-    """Row-norm incoherence mu = max_i ||r_i|| * sqrt(p/k) of a frame."""
+    """Row-norm incoherence mu = max_i ||r_i|| * sqrt(p/k) of a frame.
+
+    :raises InvalidInput: unless ``r`` is a finite 2-D frame with at least
+        one row and one column.
+    """
     factor = np.asarray(r, dtype=np.float64)
-    if factor.ndim != 2:
-        raise InvalidInput(f"expected a 2-D frame, got shape {factor.shape}")
+    if factor.ndim != 2 or 0 in factor.shape:
+        raise InvalidInput(f"expected a nonempty 2-D frame, got shape {factor.shape}")
+    if not np.isfinite(factor).all():
+        raise InvalidInput("frame must be finite")
     p, k = factor.shape
     row_norms = np.sqrt(np.sum(factor * factor, axis=1))
     max_norm = float(row_norms.max())
@@ -497,7 +497,8 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     An empty removal set gives ratio 1 exactly, as does the convention for a
     consistent system (both residuals at or below 1e-14).
 
-    :raises InvalidInput: if ``x`` or ``r`` holds a NaN or an infinity.
+    :raises InvalidInput: if ``x`` or ``r`` holds a NaN or an infinity, or
+        if ``r`` is not orthonormal to within 1e-8 (max |R.T R - I|).
     :raises NoObservations: if the removal set covers every coordinate.
     """
     row = np.asarray(x, dtype=np.float64).ravel()
@@ -506,6 +507,8 @@ def ols_subset_stability_check(x, r, removal, eps: float):
         raise InvalidInput("x and r disagree on the ambient dimension")
     if not (np.isfinite(row).all() and np.isfinite(factor).all()):
         raise InvalidInput("x and r must be finite")
+    if np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1])), initial=0.0) > 1e-8:
+        raise InvalidInput("r must have orthonormal columns to within 1e-8")
     if not eps > 0.0:
         raise InvalidInput(f"eps must be positive, got {eps}")
     removal = sorted(int(i) for i in removal)

@@ -176,8 +176,10 @@ def second_moment_collection(sources, blocks) -> DomainCollection:
 
 
 def add_heterogeneous_noise(rows, sigma_noise: float, seed) -> np.ndarray:
-    """Add i.i.d. N(0, sigma_noise^2) noise to every entry."""
+    """Add i.i.d. N(0, sigma_noise^2) noise to every entry; ``sigma_noise`` must be finite and >= 0."""
     data = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(sigma_noise):
+        raise InvalidInput(f"noise level must be finite, got {sigma_noise}")
     if sigma_noise < 0.0:
         raise InvalidInput(f"noise level must be nonnegative, got {sigma_noise}")
     if sigma_noise == 0.0:

@@ -49,7 +49,7 @@ from .datagen import (
 from .errors import InvalidConfig, InvalidInput
 from .evaluation import hull_supremum, mc_domain_losses, relative_deltas
 from .losses import LossKind, loss
-from .rng import make_rng, spawn_seed
+from .rng import SEED_LIMIT, make_rng, spawn_seed
 from .solvers import SolverConfig, pool_pca, solve_wcpca
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "run_experiment", "replicate_rows"]
@@ -101,8 +101,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates}")
         if self.n is not None and self.n < 1:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise InvalidConfig(f"seed must lie in [0, 2**128), got {self.seed}")
         try:
             p = _gen(self, self.seed).p
             if "missing_frac" in _STUDIES[self.name].reads:

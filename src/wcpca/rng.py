@@ -19,16 +19,19 @@ from .errors import InvalidInput
 
 __all__ = ["make_rng", "as_rng", "spawn_seed"]
 
+# Philox takes a 128-bit key, so every seed lies in [0, SEED_LIMIT).
+SEED_LIMIT = 2**128
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Philox generator for stream ``stream`` of ``seed``.
 
-    :param seed: base seed, any nonnegative Python int
+    :param seed: base seed, a Python int with 0 <= seed < 2**128
     :param stream: stream index >= 0; each index yields a generator whose
         counter starts 2**192 draws apart from its neighbours
     """
-    if seed < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidInput(f"seed must lie in [0, 2**128), got {seed}")
     if stream < 0:
         raise InvalidInput(f"stream must be nonnegative, got {stream}")
     bit_gen = np.random.Philox(key=seed)

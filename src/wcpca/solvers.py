@@ -73,7 +73,8 @@ multipliers, line search and stop, with the bits it has when run alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,7 +96,7 @@ from .losses import (
     pooled_covariance,
     top_k_eigensum,  # noqa: F401 -- benchmarks/spans.py wraps this name
 )
-from .rng import make_rng
+from .rng import SEED_LIMIT, make_rng
 
 __all__ = [
     "SolverConfig",
@@ -178,8 +179,8 @@ class SolverConfig:
         # NaN fails this comparison too; it would turn the KKT stop off.
         if not self.tol_objective >= 0.0:
             raise InvalidInput(f"tol_objective must be >= 0, got {self.tol_objective}")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise InvalidInput(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 class Restart(NamedTuple):
@@ -319,30 +320,44 @@ def _simplex_qp(hess: np.ndarray, lin: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _simplex_newton(evaluate, hessian, start: np.ndarray):
+class _DualPoint(NamedTuple):
+    """A minimax dual h at one simplex weight vector w (see :func:`_simplex_newton`).
+
+    ``value`` is h(w), a lower bound on the primal optimum, exact to
+    ``rounding``. ``grad``, the gradient of h, holds the losses of the
+    primal ``candidate``, whose objective is their max. ``hessian()`` gives
+    the Hessian of -h, or None where h is not smooth. Both minimax duals
+    give these points: :func:`_dual_point` and ``completion._max_r_dual``.
+    """
+
+    value: float
+    rounding: float
+    grad: np.ndarray
+    candidate: np.ndarray
+    hessian: Callable[[], np.ndarray | None]
+
+
+def _simplex_newton(evaluate, start: np.ndarray):
     """Maximize a concave dual h over simplex weights by damped Newton.
 
-    ``evaluate(w)`` gives a point with ``value`` h(w) (a lower bound on the
-    primal optimum), its ``rounding``, the ``grad`` of h, a primal
-    ``candidate`` and its ``objective`` (lower is better); ``hessian(point)``
-    gives the Hessian of -h, or None where h is not smooth. From the
+    ``evaluate(w)`` gives the :class:`_DualPoint` of h at w. From the
     simplex weights ``start``, each step solves the QP of h's second-order
     model plus a small ridge on the simplex (:func:`_simplex_qp`, on a stack
     of one) and backtracks until h gains enough (Armijo). The search stops
-    once the best candidate is certified against the best bound
-    (:func:`_certifies`),
-    at a flat gradient (w is then optimal: h is concave), where h is not
-    smooth, when no step gains, or after ``_NEWTON_STEPS`` steps. Returns
-    ``(candidate, weights, bound, steps)``: the best candidate, the weights
-    it was evaluated at (``start`` when no step improved on it), the best
-    bound and the steps taken.
+    once the best point's objective ``max(grad)`` is certified against the
+    best bound (:func:`_certifies`), at a flat gradient (w is then optimal:
+    h is concave), where h is not smooth, when no step gains, or after
+    ``_NEWTON_STEPS`` steps. Returns ``(point, weights, bound, steps)``: the
+    point with the lowest objective (the first on ties), the weights it was
+    evaluated at (``start`` when no step improved on it), the best bound and
+    the steps taken.
     """
     w = start
-    point = evaluate(w)
-    best, best_w, best_objective, bound, steps = point.candidate, w, point.objective, point.value, 0
-    while not _certifies(best_objective - bound, best_objective):
+    best = point = evaluate(w)
+    best_w, bound, steps = w, point.value, 0
+    while not _certifies(float(best.grad.max()) - bound, float(best.grad.max())):
         spread = float(np.ptp(point.grad))
-        if steps == _NEWTON_STEPS or spread == 0.0 or (hess := hessian(point)) is None:
+        if steps == _NEWTON_STEPS or spread == 0.0 or (hess := point.hessian()) is None:
             break
         hess += _NEWTON_RIDGE * max(float(np.max(np.diag(hess))), spread) * np.eye(len(w))
         move = _simplex_qp(hess[None], (point.grad + hess @ w)[None], w[None])[0] - w
@@ -354,8 +369,8 @@ def _simplex_newton(evaluate, hessian, start: np.ndarray):
             trial = np.maximum(w + alpha * move, 0.0)
             trial /= trial.sum()
             reached = evaluate(trial)
-            if reached.objective < best_objective:
-                best, best_w, best_objective = reached.candidate, trial, reached.objective
+            if reached.grad.max() < best.grad.max():
+                best, best_w = reached, trial
             bound = max(bound, reached.value)
             # Near the optimum h changes below its rounding while the
             # candidates still improve, so a step within the rounding is taken.
@@ -368,18 +383,6 @@ def _simplex_newton(evaluate, hessian, start: np.ndarray):
     return best, best_w, bound, steps
 
 
-class _DualPoint(NamedTuple):
-    """The mixture dual at one weight vector (see :func:`_dual_point`)."""
-
-    value: float
-    rounding: float
-    grad: np.ndarray
-    objective: float
-    candidate: np.ndarray
-    eigenvalues: np.ndarray
-    coupling: np.ndarray
-
-
 def _dual_point(losses, mixture_of, k: int, w) -> _DualPoint:
     """Evaluate the mixture dual h(w): the Lagrangian ``w.f(U)`` at its minimizer U.
 
@@ -390,12 +393,12 @@ def _dual_point(losses, mixture_of, k: int, w) -> _DualPoint:
     itself (exactly symmetric and finite), reordered descending into a copy
     as :func:`sym_eigen` does, so the Hessian sums in the same order.
     By Ky Fan U minimizes ``w.f`` over the Fantope, so h(w) = ``w.f(U)`` =
-    ``w.c - s_k(S_w)``. The point carries h, U, f(U) (the gradient of h),
-    its max (the objective), and for :func:`_eigensum_hessian` the
-    eigenvalues and the couplings ``u_j.S_e U`` of the other eigenvectors
-    u_j, not the p x p eigenvectors. h adds the terms ``w_e c_e`` and
-    subtracts ``s_k``, and ``|c_e| <= |f_e| + <S_e, U U.T>``, so
-    ``rounding`` is ``_ROUNDING`` times ``w.|f| + 2 s_k``.
+    ``w.c - s_k(S_w)``. The point carries h, U, f(U) (the gradient of h)
+    and :func:`_eigensum_hessian` bound to the eigenvalues and the
+    couplings ``u_j.S_e U`` of the other eigenvectors u_j, not the p x p
+    eigenvectors. h adds the terms ``w_e c_e`` and subtracts ``s_k``, and
+    ``|c_e| <= |f_e| + <S_e, U U.T>``, so ``rounding`` is ``_ROUNDING``
+    times ``w.|f| + 2 s_k``.
     """
     lam, q = np.linalg.eigh(mixture_of(w))
     lam, q = lam[::-1].copy(), q[:, ::-1].copy()
@@ -403,7 +406,7 @@ def _dual_point(losses, mixture_of, k: int, w) -> _DualPoint:
     f, products = losses(frame)
     coupling = q[:, k:].T @ products
     rounding = _ROUNDING * (float(w @ np.abs(f)) + 2.0 * abs(float(lam[:k].sum())))
-    return _DualPoint(float(w @ f), rounding, f, float(f.max()), frame, lam, coupling)
+    return _DualPoint(float(w @ f), rounding, f, frame, partial(_eigensum_hessian, lam, coupling, k))
 
 
 def _eigensum_hessian(lam: np.ndarray, coupling: np.ndarray, k: int):
@@ -452,11 +455,7 @@ def _ritz_start(domains: DomainCollection, per_unit, k: int, problem_on) -> np.n
     q = np.linalg.eigh(mixture(domains, uniform * per_unit))[1][:, p - m :].copy()
     reduced = [(r + r.T) / 2.0 for r in (q.T @ (d.covariance @ q) for d in domains)]
     losses, mixture_of = problem_on(reduced)
-    return _simplex_newton(
-        lambda w: _dual_point(losses, mixture_of, k, w),
-        lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
-        uniform,
-    )[1]
+    return _simplex_newton(lambda w: _dual_point(losses, mixture_of, k, w), uniform)[1]
 
 
 class _SqpRun(NamedTuple):
@@ -569,11 +568,11 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     and ``per_unit`` times the products ``Sigma_e V`` (``S_e V``), and
     ``mixture_of(w)``, the :func:`losses.mixture` at ``w * per_unit``. The
     mixture dual runs first, at every p: :func:`_simplex_newton` on
-    :func:`_dual_point` and :func:`_eigensum_hessian`, from the weights of
-    :func:`_ritz_start`: uniform, or those the same search reaches on the
-    domains compressed to a Rayleigh-Ritz basis. If it certifies a frame,
-    that frame is returned with its bound, its gap, its full-space Newton
-    steps as ``iterations_used`` and no restarts. Otherwise
+    :func:`_dual_point`, from the weights of :func:`_ritz_start`: uniform,
+    or those the same search reaches on the domains compressed to a
+    Rayleigh-Ritz basis. If it certifies its best point's frame (read with
+    the losses that point holds), the frame is returned with its bound, gap,
+    full-space Newton steps as ``iterations_used`` and no restarts. Otherwise
     :func:`_grassmann_sqp` runs from the dual's frame (run 0) and from
     ``cfg.restarts`` Haar-random frames (run r + 1 uses stream r of
     ``cfg.seed``), all in one loop, each for at most ``cfg.max_iters``
@@ -620,16 +619,13 @@ def solve_wcpca(kind, domains, k: int, cfg: SolverConfig | None = None) -> FitRe
     if k == p:
         return result(np.eye(p), losses(np.eye(p))[0], 0, 0, ())
 
-    frame, _, bound, steps = _simplex_newton(
-        lambda w: _dual_point(losses, mixture_of, k, w),
-        lambda point: _eigensum_hessian(point.eigenvalues, point.coupling, k),
-        _ritz_start(domains, per_unit, k, problem_on),
-    )
-    fit = result(frame, losses(frame)[0], steps, 0, (), bound)
+    start = _ritz_start(domains, per_unit, k, problem_on)
+    dual, _, bound, steps = _simplex_newton(lambda w: _dual_point(losses, mixture_of, k, w), start)
+    fit = result(dual.candidate, dual.grad, steps, 0, (), bound)
     if _certifies(fit.gap, fit.objective):
         return fit
 
-    starts = np.stack([frame] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
+    starts = np.stack([dual.candidate] + [haar_frame(p, k, make_rng(cfg.seed, r)) for r in range(cfg.restarts)])
     runs = _grassmann_sqp(losses, mixture_of, starts, cfg.max_iters, cfg.tol_objective)
     tops = [float(run.losses.max()) for run in runs]
     restarts = tuple(Restart(sign * top, run.iterations, run.stop) for top, run in zip(tops, runs))

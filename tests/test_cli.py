@@ -719,6 +719,9 @@ class TestComplete:
         ["complete", "--objective", "pool", "--seed", "-1"],
         ["complete", "--objective", "pool", "--seed", "-1", "--missing-frac", "0.2"],
         ["fit", "--k", "1", "--objective", "max-rcs", "--seed", "-1"],
+        ["simulate", "avg-vs-wc", "--seed", str(2**128), "--replicates", "1"],
+        ["complete", "--objective", "pool", "--seed", str(2**128), "--missing-frac", "0.2"],
+        ["fit", "--k", "1", "--objective", "max-rcs", "--seed", str(2**128)],
     ],
     ids=[
         "n-0",
@@ -737,6 +740,9 @@ class TestComplete:
         "complete-negative-seed",
         "complete-negative-seed-missing-frac",
         "fit-negative-seed",
+        "simulate-seed-beyond-philox-key",
+        "complete-seed-beyond-philox-key-missing-frac",
+        "fit-seed-beyond-philox-key",
     ],
 )
 def test_bad_setting_exits_3_before_any_work(tmp_path, argv, capsys, monkeypatch):

@@ -452,22 +452,22 @@ class TestMaxRDual:
     @pytest.mark.parametrize("seed", [40, 41])
     def test_values_equal_domain_objectives(self, seed):
         data, ls, _, rng = r_step_instance(seed)
-        evaluate, _ = _max_r_dual(data, ls)
+        evaluate = _max_r_dual(data, ls)
         for _ in range(3):
             w = rng.dirichlet(np.ones(3))
             point = evaluate(w)
             direct = _domain_objectives(data, ls, point.candidate)
             np.testing.assert_allclose(point.grad, direct, rtol=1e-12)
-            assert point.objective == pytest.approx(direct.max(), rel=1e-12)
+            assert point.grad.max() == pytest.approx(direct.max(), rel=1e-12)
             assert point.value == pytest.approx(float(w @ direct), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [40, 42])
     def test_gradient_and_hessian_match_finite_differences(self, seed):
         data, ls, _, rng = r_step_instance(seed)
-        evaluate, hessian = _max_r_dual(data, ls)
+        evaluate = _max_r_dual(data, ls)
         w = rng.dirichlet(np.ones(3))
         point = evaluate(w)
-        hess = hessian(point)
+        hess = point.hessian()
         step = 1e-4
         basis = step * np.eye(3)
         central_grad = [
@@ -490,7 +490,7 @@ class TestMaxRDual:
         # column 0 is observed in one row of domain 1 only, so its weighted
         # least squares has a rank-1 design in k = 3 unknowns
         data, ls, _, rng = r_step_instance(43)
-        evaluate, _ = _max_r_dual(data, ls)
+        evaluate = _max_r_dual(data, ls)
         w = rng.dirichlet(np.ones(3))
         point = evaluate(w)
         scale = np.sqrt(w / np.array([d.n for d in data]))
@@ -504,8 +504,8 @@ class TestMaxRDual:
     @pytest.mark.parametrize("seed", [40, 41, 42, 43])
     def test_certified_step_no_worse_than_incoming(self, seed):
         data, ls, r_in, _ = r_step_instance(seed)
-        evaluate, hessian = _max_r_dual(data, ls)
-        r, _, bound, steps = _simplex_newton(evaluate, hessian, _uniform(len(data)))
+        point, _, bound, steps = _simplex_newton(_max_r_dual(data, ls), _uniform(len(data)))
+        r = point.candidate
         worst = worst_objective_certified(data, ls, r, bound)
         assert 1 <= steps <= _NEWTON_STEPS
         assert worst - bound <= _DUAL_GAP_RTOL * max(1.0, worst)
@@ -514,7 +514,7 @@ class TestMaxRDual:
 
     def test_zero_weight_domain_still_fits_the_column_only_it_observes(self):
         data, ls, _ = zero_weight_instance()
-        evaluate, hessian = _max_r_dual(data, ls)
+        evaluate = _max_r_dual(data, ls)
         weights = {}
 
         def recorded(w):
@@ -522,7 +522,8 @@ class TestMaxRDual:
             weights[id(point.candidate)] = w
             return point
 
-        r, w, bound, _ = _simplex_newton(recorded, hessian, _uniform(len(data)))
+        point, w, bound, _ = _simplex_newton(recorded, _uniform(len(data)))
+        r = point.candidate
         worst_objective_certified(data, ls, r, bound)
         # the returned weights are those the returned candidate was evaluated at
         assert w is weights[id(r)]
@@ -722,6 +723,20 @@ class TestIncoherence:
         v[0] = 1.0
         assert incoherence(v).mu == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 2)])
+    def test_rejects_empty_frame(self, shape):
+        # a p x 0 frame once raised ZeroDivisionError
+        with pytest.raises(InvalidInput):
+            incoherence(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_frame(self, bad):
+        # a NaN entry once gave mu = nan
+        v = np.eye(4)[:, :2]
+        v[1, 1] = bad
+        with pytest.raises(InvalidInput):
+            incoherence(v)
+
     def test_budget_known_values(self):
         assert missingness_budget(500, 2, 0.1, 1.0) == 20
         assert missingness_budget(24, 2, 0.1, 1.0) == 1
@@ -759,6 +774,14 @@ class TestStabilityCheck:
             ols_subset_stability_check([1.0, bad, 2.0], np.eye(3)[:, :2], [2], 0.1)
         with pytest.raises(InvalidInput):
             ols_subset_stability_check([1.0, 2.0, 3.0], np.where(np.eye(3)[:, :2] == 1.0, bad, 0.0), [2], 0.1)
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-6])
+    def test_rejects_frame_that_is_not_orthonormal(self, scale):
+        # the full-data residual x - R R.T x assumes orthonormal columns: at
+        # scale 2 the ratio read 0.1667 where the orthonormal frame gives 1
+        with pytest.raises(InvalidInput, match="orthonormal"):
+            ols_subset_stability_check([1.0, 2.0, 3.0], scale * np.eye(3)[:, :2], [2], 0.1)
+        assert ols_subset_stability_check([1.0, 2.0, 3.0], np.eye(3)[:, :2], [2], 0.1) == (1.0, True)
 
 
 class TestPeakMemory:

@@ -148,6 +148,21 @@ class TestNoise:
         with pytest.raises(InvalidInput):
             add_heterogeneous_noise(np.zeros((2, 2)), -1.0, make_rng(0))
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma):
+        # NaN would give all-NaN rows and inf rows of +-inf
+        with pytest.raises(InvalidInput, match="finite"):
+            add_heterogeneous_noise(np.zeros((2, 2)), sigma, make_rng(0))
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [2**128, 2**130])
+    def test_seed_beyond_the_philox_key_is_rejected(self, seed):
+        # Philox itself raised ValueError here, which the CLI reported as exit 1
+        with pytest.raises(InvalidInput, match=r"\[0, 2\*\*128\)"):
+            make_rng(seed)
+        assert make_rng(2**128 - 1).random() == make_rng(2**128 - 1).random()
+
 
 class TestMasks:
     def test_exact_count_per_row(self):

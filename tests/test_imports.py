@@ -5,7 +5,9 @@ is deleted would go unseen. The only imported names no module reads are the
 four that ``benchmarks/spans.py`` wraps at those modules' attributes to time
 the calls made through them. A private name one module imports from another
 is a shared internal, and each is listed here, so a new one (a second site
-of a computation that belongs to one module) does not go unseen either.
+of a computation that belongs to one module) does not go unseen either;
+``solvers._DualPoint`` is one because both minimax duals, PCA's mixture dual
+and completion's maxMC R-step, hand their points to one Newton routine in it.
 Every name a module exports in ``__all__`` resolves, and no module names
 an attribute that only NumPy 2 has, since the package declares NumPy 1.24
 as its floor. Importing the command line loads no process pool; only a parallel
@@ -36,6 +38,7 @@ WRAPPED_BY_SPANS = {
 
 SHARED_INTERNALS = {
     ("cli", "preprocess", "_FLOAT_FMT"),
+    ("completion", "solvers", "_DualPoint"),
     ("completion", "solvers", "_ROUNDING"),
     ("completion", "solvers", "_simplex_newton"),
     ("datagen", "losses", "_PSD_RTOL"),

@@ -76,6 +76,7 @@ class TestBaselines:
         {"seed": -1},
         {"tol_objective": -1e-8},
         {"tol_objective": float("nan")},
+        {"seed": 2**128},
     ],
 )
 def test_solver_config_rejects_bad_settings(setting):
@@ -345,9 +346,9 @@ class TestMixtureDual:
         losses, mixture_of, _ = _scaled_problem(kind, coll, k)
         w = rng.dirichlet(np.ones(count))
         point = solvers._dual_point(losses, mixture_of, k, w)
-        lam = point.eigenvalues
+        lam = np.linalg.eigvalsh(mixture_of(w))[::-1]
         assert lam[k - 1] - lam[k] > 1e-2 * lam[0]
-        hess = solvers._eigensum_hessian(point.eigenvalues, point.coupling, k)
+        hess = point.hessian()
         step = 1e-4
         basis = step * np.eye(count)
         central = np.empty((count, count))
@@ -372,6 +373,29 @@ class TestMixtureDual:
         assert fit.gap == _sign(kind) * (fit.objective - fit.dual_bound)
         assert fit.gap <= solvers._DUAL_GAP_RTOL * max(1.0, abs(fit.objective))
         np.testing.assert_allclose(fit.frame.T @ fit.frame, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_certified_fit_calls_the_kernel_once_per_dual_point(self, kind, warm, monkeypatch):
+        # the certified frame's losses are those its dual point holds, so no
+        # loss is evaluated besides the dual points' own; the warm instance
+        # also runs the compressed dual of the Rayleigh-Ritz start
+        rng = np.random.default_rng(0)
+        if warm:
+            coll = make_collection(spiked_covariances(rng, 120, 5, 5))
+        else:
+            coll = make_collection([random_covariance(rng, 40, 0.9) for _ in range(4)])
+        calls = {"domain_losses": 0, "_dual_point": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(solvers, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(solvers, name, counted)
+        fit = solve_wcpca(kind, coll, 5 if warm else 3)
+        assert fit.restarts == ()
+        assert calls["domain_losses"] == calls["_dual_point"] > 0
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_domain_permutation_changes_nothing(self, kind):

@@ -36,7 +36,8 @@ positive),
 ``fit_max_mc`` and ``fit_pool_mc`` fits on six datasets (one with a
 never-observed column, one with a column that only a nearly noiseless
 domain observes, so maxMC R-steps end with that domain at zero weight, and
-one with a single domain, where both fits must print the same line), and
+one with a single domain, where both fits must print the same line), each
+line carrying the fit's per-domain errors (``domain_objectives``), and
 the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
 ``relative_deltas``.
@@ -231,7 +232,7 @@ def _mc_fits(out):
             model = fit(data, k)
             lines[name].append(
                 f"{fit_idx} {model.unidentifiable_columns} {list(model.objective_trace)!r} "
-                f"{model.right_factor.ravel().tolist()!r}"
+                f"domain_objectives={list(model.domain_objectives)!r} {model.right_factor.ravel().tolist()!r}"
             )
     for name, text in lines.items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
