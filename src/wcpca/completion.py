@@ -453,17 +453,25 @@ def fit_max_mc(data, k: int) -> CompletionModel:
     return _alternate(data, k, _max_r_update, lambda d, errors: float(errors.max()))
 
 
-def incoherence(r) -> IncoherenceReport:
-    """Row-norm incoherence mu = max_i ||r_i|| * sqrt(p/k) of a frame.
-
-    :raises InvalidInput: unless ``r`` is a finite 2-D frame with at least
-        one row and one column.
-    """
+def _orthonormal_frame(r) -> np.ndarray:
+    """``r`` as a nonempty, finite 2-D frame, orthonormal within 1e-8 (max |R.T R - I|)."""
     factor = np.asarray(r, dtype=np.float64)
     if factor.ndim != 2 or 0 in factor.shape:
         raise InvalidInput(f"expected a nonempty 2-D frame, got shape {factor.shape}")
     if not np.isfinite(factor).all():
         raise InvalidInput("frame must be finite")
+    if np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1]))) > 1e-8:
+        raise InvalidInput("frame must have orthonormal columns to within 1e-8")
+    return factor
+
+
+def incoherence(r) -> IncoherenceReport:
+    """Row-norm incoherence mu = max_i ||r_i|| * sqrt(p/k) of an orthonormal frame.
+
+    :raises InvalidInput: unless ``r`` is a nonempty, finite 2-D frame whose
+        columns are orthonormal to within 1e-8 (max |R.T R - I|).
+    """
+    factor = _orthonormal_frame(r)
     p, k = factor.shape
     row_norms = np.sqrt(np.sum(factor * factor, axis=1))
     max_norm = float(row_norms.max())
@@ -497,18 +505,16 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     An empty removal set gives ratio 1 exactly, as does the convention for a
     consistent system (both residuals at or below 1e-14).
 
-    :raises InvalidInput: if ``x`` or ``r`` holds a NaN or an infinity, or
-        if ``r`` is not orthonormal to within 1e-8 (max |R.T R - I|).
+    :raises InvalidInput: if ``x`` or ``r`` is not finite, if ``r`` is empty or
+        not orthonormal to within 1e-8 (max |R.T R - I|), or if they disagree on p.
     :raises NoObservations: if the removal set covers every coordinate.
     """
     row = np.asarray(x, dtype=np.float64).ravel()
-    factor = np.asarray(r, dtype=np.float64)
-    if factor.ndim != 2 or factor.shape[0] != row.shape[0]:
+    factor = _orthonormal_frame(r)
+    if factor.shape[0] != row.shape[0]:
         raise InvalidInput("x and r disagree on the ambient dimension")
-    if not (np.isfinite(row).all() and np.isfinite(factor).all()):
-        raise InvalidInput("x and r must be finite")
-    if np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1])), initial=0.0) > 1e-8:
-        raise InvalidInput("r must have orthonormal columns to within 1e-8")
+    if not np.isfinite(row).all():
+        raise InvalidInput("x must be finite")
     if not eps > 0.0:
         raise InvalidInput(f"eps must be positive, got {eps}")
     removal = sorted(int(i) for i in removal)

@@ -208,38 +208,17 @@ def top_k_eigensum(sigma, k: int) -> float:
     return float(sym_eigenvalues(sigma)[:k].sum())
 
 
-def loss(kind, v, sigma, k: int | None = None) -> float:
-    """Evaluate one loss functional at frame ``v`` under covariance ``sigma``.
+def loss(kind, v, sigma) -> float:
+    """One loss functional at frame ``v``: :func:`worst_case` over the one domain
+    ``sigma``. So ``sigma`` gets :class:`DomainSpec`'s checks, before the frame's
+    row check, and the regret baseline (k = frame width) sums the kept spectrum.
 
-    ``k`` defaults to the frame width and, for every kind, must equal it
-    (the regret baseline is the top-k eigenvalue sum of ``sigma``).
-    Normalized kinds require a strictly positive trace. This scalar form is
-    the reference that :func:`domain_losses` is tested against.
+    :raises InvalidInput: if ``sigma`` is not square, not finite, asymmetric
+        beyond 1e-6 relative or not PSD within 1e-10 * trace, or if ``v``'s
+        rows do not match it.
+    :raises ZeroTrace: if ``sigma`` has nonpositive trace.
     """
-    kind = as_kind(kind)
-    frame = as_frame(v)
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.shape[0] != frame.shape[0]:
-        raise InvalidInput(f"frame rows {frame.shape[0]} do not match covariance dim {s.shape[0]}")
-    if k is None:
-        k = frame.shape[1]
-    if k != frame.shape[1]:
-        raise InvalidInput(f"rank k={k} must equal the frame width {frame.shape[1]}")
-    var = float(np.sum(frame * (s @ frame)))
-    if kind is LossKind.VAR:
-        return var
-    if kind is LossKind.RCS:
-        return float(np.trace(s)) - var
-    if kind is LossKind.REG:
-        return top_k_eigensum(s, k) - var
-    tr = float(np.trace(s))
-    if tr <= 0.0:
-        raise ZeroTrace(f"normalized loss needs positive trace, got {tr}")
-    if kind is LossKind.NORM_VAR:
-        return var / tr
-    if kind is LossKind.NORM_RCS:
-        return (tr - var) / tr
-    return (top_k_eigensum(s, k) - var) / tr
+    return worst_case(kind, v, [DomainSpec("sigma", sigma)])
 
 
 def domain_losses(kind: LossKind, v, covs, traces, eigsums):
@@ -251,11 +230,10 @@ def domain_losses(kind: LossKind, v, covs, traces, eigsums):
     covariances (a stacked array reads as its slices), each taking one
     ``c @ v``, so none is copied; ``traces`` (and, for the regret kinds,
     ``eigsums``, the top-k eigenvalue sums at k = frame width) are arrays
-    aligned with it. Returns ``(values, products)``: E values, each bitwise
-    equal to ``loss(kind, v, covs[e])``, and the ``(E, p, k)`` products,
-    which solvers reuse as gradients; a stack of frames gives ``(R, E)``
-    values and ``(R, E, p, k)`` products, each frame's bitwise equal to its
-    own call's.
+    aligned with it. Returns ``(values, products)``: E values and the
+    ``(E, p, k)`` products, which solvers reuse as gradients; a stack of
+    frames gives ``(R, E)`` values and ``(R, E, p, k)`` products, each
+    frame's bitwise equal to its own call's.
     """
     frame = np.asarray(v, dtype=np.float64) if np.ndim(v) == 3 else as_frame(v)
     if covs[0].shape[0] != frame.shape[-2]:

@@ -91,7 +91,6 @@ from .losses import (
     as_kind,
     average_covariance,
     domain_losses,
-    loss,
     mixture,
     pooled_covariance,
     top_k_eigensum,  # noqa: F401 -- benchmarks/spans.py wraps this name
@@ -231,7 +230,8 @@ class FitResult:
 def _pca_of(sigma: np.ndarray, k: int) -> FitResult:
     """Top-k PCA of one covariance, reporting the frame's explained variance."""
     frame = top_k_frame(sigma, k)
-    return FitResult(frame, loss(LossKind.VAR, frame, sigma), frozenset(), 0, 0)
+    (explained,), _ = domain_losses(LossKind.VAR, frame, [sigma], None, None)
+    return FitResult(frame, float(explained), frozenset(), 0, 0)
 
 
 def pool_pca(domains, k: int) -> FitResult:

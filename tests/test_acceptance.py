@@ -143,13 +143,13 @@ def test_criterion_04_hull_bound_property_suite():
             (LossKind.REG, True),
         ):
             sup = hull_supremum(kind, v, coll)
-            vertex_vals = [loss(kind, v, d.covariance, k=k) for d in coll]
+            vertex_vals = [loss(kind, v, d.covariance) for d in coll]
             extremum = min(vertex_vals) if kind is LossKind.VAR else max(vertex_vals)
             if not one_sided:
                 # the extremum is attained at a vertex of the hull
                 assert abs(sup - extremum) <= 1e-15
             for m in members:
-                val = loss(kind, v, m, k=k)
+                val = loss(kind, v, m)
                 if kind is LossKind.VAR:
                     assert val >= sup - 1e-10
                 else:
@@ -159,7 +159,7 @@ def test_criterion_04_hull_bound_property_suite():
         for kind in (LossKind.NORM_VAR, LossKind.NORM_RCS, LossKind.NORM_REG):
             sup = hull_supremum(kind, v, coll)
             for m in norm_members:
-                val = loss(kind, v, m, k=k)
+                val = loss(kind, v, m)
                 if kind is LossKind.NORM_VAR:
                     assert val >= sup - 1e-10
                 else:

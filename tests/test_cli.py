@@ -113,7 +113,7 @@ class TestFit:
         report = json.loads((out / "report.json").read_text())
         collection, _ = load_covariances(cov_dir)
         for kind in LossKind:
-            per = [loss(kind, frame, d.covariance, k=1) for d in collection]
+            per = [loss(kind, frame, d.covariance) for d in collection]
             np.testing.assert_allclose(report["per_domain_losses"][kind.value], per, atol=1e-10)
             assert report["worst_case"][kind.value] == pytest.approx(
                 worst_case(kind, frame, collection), abs=1e-10
@@ -134,7 +134,7 @@ class TestFit:
         frame = read_frame(out / "frame.csv")
         collection, _ = load_covariances(str(cov_dir))
         for kind in LossKind:
-            per = [loss(kind, frame, d.covariance, k=2) for d in collection]
+            per = [loss(kind, frame, d.covariance) for d in collection]
             assert report["per_domain_losses"][kind.value] == per
             assert report["worst_case"][kind.value] == worst_case(kind, frame, collection)
 

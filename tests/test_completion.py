@@ -737,6 +737,14 @@ class TestIncoherence:
         with pytest.raises(InvalidInput):
             incoherence(v)
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6])
+    def test_rejects_frame_that_is_not_orthonormal(self, scale):
+        # mu is defined for orthonormal columns: at scale 0.5 it read 0.707,
+        # below the bound mu >= 1 that every orthonormal frame meets
+        with pytest.raises(InvalidInput, match="orthonormal"):
+            incoherence(scale * np.eye(4)[:, :2])
+        assert incoherence(np.eye(4)[:, :2]).mu == pytest.approx(np.sqrt(2.0))
+
     def test_budget_known_values(self):
         assert missingness_budget(500, 2, 0.1, 1.0) == 20
         assert missingness_budget(24, 2, 0.1, 1.0) == 1
@@ -782,6 +790,9 @@ class TestStabilityCheck:
         with pytest.raises(InvalidInput, match="orthonormal"):
             ols_subset_stability_check([1.0, 2.0, 3.0], scale * np.eye(3)[:, :2], [2], 0.1)
         assert ols_subset_stability_check([1.0, 2.0, 3.0], np.eye(3)[:, :2], [2], 0.1) == (1.0, True)
+        # a frame with no columns once raised a bare ValueError from the solve
+        with pytest.raises(InvalidInput):
+            ols_subset_stability_check([1.0, 2.0, 3.0], np.zeros((3, 0)), [1], 0.1)
 
 
 class TestPeakMemory:

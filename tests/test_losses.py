@@ -33,6 +33,7 @@ from wcpca import (
     top_k_eigensum,
     worst_case,
 )
+from wcpca.linalg import as_frame
 from wcpca.losses import domain_losses, mixture, worst_index
 from conftest import random_covariance
 
@@ -40,6 +41,27 @@ from conftest import random_covariance
 def _instance(seed, p=6, k=2):
     rng = make_rng(seed)
     return haar_frame(p, k, rng), random_covariance(rng, p)
+
+
+def _scalar_loss(kind, v, sigma):
+    """Each kind's formula on its own, as the library's scalar ``loss`` once
+    computed it, kept as the reference for the kernel ``domain_losses``: no
+    input checks, the regret baseline is ``top_k_eigensum`` at k = frame
+    width."""
+    frame = as_frame(v)
+    var = float(np.sum(frame * (sigma @ frame)))
+    if kind is LossKind.VAR:
+        return var
+    tr = float(np.trace(sigma))
+    if kind is LossKind.RCS:
+        return tr - var
+    if kind is LossKind.REG:
+        return top_k_eigensum(sigma, frame.shape[1]) - var
+    if kind is LossKind.NORM_VAR:
+        return var / tr
+    if kind is LossKind.NORM_RCS:
+        return (tr - var) / tr
+    return (top_k_eigensum(sigma, frame.shape[1]) - var) / tr
 
 
 class TestIdentities:
@@ -61,7 +83,7 @@ class TestIdentities:
     @settings(max_examples=50, deadline=None)
     def test_regret_decomposition(self, seed):
         v, sigma = _instance(seed)
-        reg = loss(LossKind.REG, v, sigma, k=2)
+        reg = loss(LossKind.REG, v, sigma)
         expected = top_k_eigensum(sigma, 2) - loss(LossKind.VAR, v, sigma)
         assert reg == pytest.approx(expected, abs=1e-10)
         assert reg >= -1e-10  # no frame beats the top-k eigenspace
@@ -76,12 +98,33 @@ class TestLossValues:
     def test_regret_zero_at_top_frame(self):
         sigma = np.diag([4.0, 1.0, 0.5])
         v = np.eye(3)[:, :2]
-        assert loss(LossKind.REG, v, sigma, k=2) == pytest.approx(0.0, abs=1e-12)
+        assert loss(LossKind.REG, v, sigma) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
-    def test_k_must_match_frame_width(self, kind):
-        with pytest.raises(InvalidInput):
-            loss(kind, np.eye(3)[:, :2], np.eye(3), k=1)
+    @pytest.mark.parametrize(
+        "kind, sigma, error, message",
+        [
+            (LossKind.VAR, np.ones((3, 5)), InvalidInput, "square"),
+            (LossKind.RCS, np.diag([1.0, np.nan]), InvalidInput, "non-finite"),
+            (LossKind.VAR, np.array([[2.0, 5.0], [0.0, 2.0]]), InvalidInput, "asymmetry"),
+            (LossKind.VAR, np.diag([1.0, -1.0]), ZeroTrace, "trace"),
+            (LossKind.REG, np.diag([2.0, -1.0]), InvalidInput, "positive semidefinite"),
+            (LossKind.RCS, -np.eye(3), ZeroTrace, "trace"),
+        ],
+        ids=["non-square", "nan", "asymmetric", "zero-trace", "indefinite", "negative-definite"],
+    )
+    def test_sigma_gets_the_domain_checks(self, kind, sigma, error, message):
+        # each once returned a number or raised a bare numpy error
+        rows = sigma.shape[0]
+        with pytest.raises(error, match=message):
+            loss(kind, np.eye(rows)[:, :1], sigma)
+        # sigma is checked before the frame: with one row too many, the
+        # call still raises sigma's error, not the row mismatch
+        with pytest.raises(error, match=message):
+            loss(kind, np.eye(rows + 1)[:, :1], sigma)
+
+    def test_frame_rows_must_match(self):
+        with pytest.raises(InvalidInput, match="frame rows"):
+            loss(LossKind.VAR, np.eye(3)[:, :1], np.eye(2))
 
     def test_normalized_rejects_zero_trace(self):
         with pytest.raises(ZeroTrace):
@@ -126,7 +169,7 @@ class TestDomainLosses:
         assert products.shape == (len(covs), p, k)
         frame = v.reshape(p, k)
         for e, c in enumerate(covs):
-            assert values[e] == loss(kind, v, c)
+            assert values[e] == _scalar_loss(kind, v, c)
             np.testing.assert_array_equal(products[e], c @ frame)
 
     @given(st.integers(0, 10_000), st.sampled_from(list(LossKind)), st.sampled_from(["list", "stack"]))

@@ -27,8 +27,9 @@ written with quoted numbers, an unparseable cell, ``inf`` text, a short row
 and a blank line, so the loader's fallbacks are held too), 240 library solves over the six loss kinds
 (each line in ``solves.txt`` carries the solve's dual ``gap``, so certified
 solves show, every SQP run's objective, iterations and stop, so each run's
-parity shows, and the frame's values), ``sequential_minpca`` on 6 random
-instances, ``order_basis`` on random frames of every rank from 1 to
+parity shows, and the frame's values; ``losses.txt`` holds ``loss`` of all
+six kinds at each solve's frame on each of its domains),
+``sequential_minpca`` on 6 random instances, ``order_basis`` on random frames of every rank from 1 to
 min(4, p) on the same instances (both routines also on one instance where a
 domain has no variance in the working basis, so its reduction is jittered;
 each direction they return is written with its largest-magnitude entry
@@ -74,6 +75,7 @@ from wcpca import (
     explained_variance_table,
     fit_max_mc,
     fit_pool_mc,
+    loss,
     make_collection,
     order_basis,
     pool_pca,
@@ -188,7 +190,7 @@ def _cli(*argv):
 
 def _solves(out):
     rng = np.random.default_rng(2024)
-    lines = []
+    lines, losses = [], []
     for inst in range(40):
         p = int(rng.integers(3, 13))
         k = int(rng.integers(1, p))
@@ -201,8 +203,12 @@ def _solves(out):
                 f"{fit.iterations_used} {fit.restart_index} gap={fit.gap!r} "
                 f"restarts={[tuple(r) for r in fit.restarts]!r} {fit.frame.ravel().tolist()!r}"
             )
-    with open(os.path.join(out, "solves.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            for each in LossKind:
+                values = [loss(each, fit.frame, d.covariance) for d in coll]
+                losses.append(f"{inst} {kind.value} {each.value} {values!r}")
+    for name, text in (("solves.txt", lines), ("losses.txt", losses)):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(text) + "\n")
 
 
 def _mc_fits(out):
