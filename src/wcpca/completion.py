@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidRank, NoObservations
-from .linalg import stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps this name
+from .linalg import orthonormal_frame, stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps stiefel_project
 from .solvers import _ROUNDING, _DualPoint, _simplex_newton
 
 __all__ = [
@@ -204,15 +204,15 @@ def inductive_ols(x, omega, r):
     :param r: p x k right factor.
     :returns: length-k coefficients and length-p reconstruction for a row;
         n x k and n x p arrays for a block.
-    :raises InvalidInput: if the mask is not 0/1 or an observed value is
-        not finite.
+    :raises InvalidInput: if the mask is not 0/1, an observed value is not
+        finite or the right factor is not a finite 2-D array.
     :raises NoObservations: if a row's mask is all zero.
     """
     rows = np.asarray(x, dtype=np.float64)
     mask = np.asarray(omega)
     factor = np.asarray(r, dtype=np.float64)
-    if factor.ndim != 2:
-        raise InvalidInput(f"right factor must be 2-D, got shape {factor.shape}")
+    if factor.ndim != 2 or not np.isfinite(factor).all():
+        raise InvalidInput(f"right factor must be a finite 2-D array, got shape {factor.shape}")
     single = rows.ndim != 2
     if single:
         rows, mask = rows.reshape(1, -1), mask.reshape(1, -1)
@@ -453,25 +453,13 @@ def fit_max_mc(data, k: int) -> CompletionModel:
     return _alternate(data, k, _max_r_update, lambda d, errors: float(errors.max()))
 
 
-def _orthonormal_frame(r) -> np.ndarray:
-    """``r`` as a nonempty, finite 2-D frame, orthonormal within 1e-8 (max |R.T R - I|)."""
-    factor = np.asarray(r, dtype=np.float64)
-    if factor.ndim != 2 or 0 in factor.shape:
-        raise InvalidInput(f"expected a nonempty 2-D frame, got shape {factor.shape}")
-    if not np.isfinite(factor).all():
-        raise InvalidInput("frame must be finite")
-    if np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1]))) > 1e-8:
-        raise InvalidInput("frame must have orthonormal columns to within 1e-8")
-    return factor
-
-
 def incoherence(r) -> IncoherenceReport:
     """Row-norm incoherence mu = max_i ||r_i|| * sqrt(p/k) of an orthonormal frame.
 
-    :raises InvalidInput: unless ``r`` is a nonempty, finite 2-D frame whose
-        columns are orthonormal to within 1e-8 (max |R.T R - I|).
+    :raises InvalidInput: unless ``r`` passes :func:`linalg.orthonormal_frame`
+        (nonempty, finite, max |R.T R - I| <= 1e-8; 1-D is one column).
     """
-    factor = _orthonormal_frame(r)
+    factor = orthonormal_frame(r)
     p, k = factor.shape
     row_norms = np.sqrt(np.sum(factor * factor, axis=1))
     max_norm = float(row_norms.max())
@@ -510,7 +498,7 @@ def ols_subset_stability_check(x, r, removal, eps: float):
     :raises NoObservations: if the removal set covers every coordinate.
     """
     row = np.asarray(x, dtype=np.float64).ravel()
-    factor = _orthonormal_frame(r)
+    factor = orthonormal_frame(r)
     if factor.shape[0] != row.shape[0]:
         raise InvalidInput("x and r disagree on the ambient dimension")
     if not np.isfinite(row).all():

@@ -17,7 +17,6 @@ import numpy as np
 from .datagen import sample_target_covariance
 from .completion import CompletionModel, _ensure_dataset, inductive_ols
 from .errors import DegenerateBaseline
-from .linalg import as_frame
 from .losses import LossKind, as_collection, average_covariance, loss, worst_case
 from .rng import as_rng
 
@@ -59,8 +58,8 @@ def relative_deltas(method, baseline, sources):
     Accepts FitResults or plain frames.
     """
     sources = as_collection(sources)
-    vm = as_frame(getattr(method, "frame", method))
-    vb = as_frame(getattr(baseline, "frame", baseline))
+    vm = getattr(method, "frame", method)
+    vb = getattr(baseline, "frame", baseline)
     mean_cov = average_covariance(sources)
     base = loss(LossKind.RCS, vb, mean_cov)
     if base <= 1e-13 * float(np.trace(mean_cov)):

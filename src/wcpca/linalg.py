@@ -20,6 +20,7 @@ from .rng import as_rng
 __all__ = [
     "Spectrum",
     "as_frame",
+    "orthonormal_frame",
     "as_covariance",
     "sym_eigen",
     "sym_eigenvalues",
@@ -61,6 +62,17 @@ def as_frame(v) -> np.ndarray:
         a = a[:, None]
     if a.ndim != 2:
         raise InvalidInput(f"frame must be 2-D, got shape {a.shape}")
+    return a
+
+
+def orthonormal_frame(v) -> np.ndarray:
+    """:func:`as_frame` of ``v``, which must be nonempty, finite and orthonormal
+    (max |V.T V - I| <= 1e-8), else InvalidInput."""
+    a = as_frame(v)
+    if 0 in a.shape or not np.isfinite(a).all():
+        raise InvalidInput(f"frame must be nonempty and finite, got shape {a.shape}")
+    if np.max(np.abs(a.T @ a - np.eye(a.shape[1]))) > 1e-8:
+        raise InvalidInput("frame columns must be orthonormal to within 1e-8")
     return a
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidWeights, ZeroTrace
-from .linalg import as_covariance, as_frame, sym_eigenvalues
+from .linalg import as_covariance, as_frame, orthonormal_frame, sym_eigenvalues
 
 __all__ = [
     "LossKind",
@@ -214,7 +214,8 @@ def loss(kind, v, sigma) -> float:
     row check, and the regret baseline (k = frame width) sums the kept spectrum.
 
     :raises InvalidInput: if ``sigma`` is not square, not finite, asymmetric
-        beyond 1e-6 relative or not PSD within 1e-10 * trace, or if ``v``'s
+        beyond 1e-6 relative or not PSD within 1e-10 * trace, or if ``v`` is
+        not an orthonormal frame (:func:`linalg.orthonormal_frame`) or its
         rows do not match it.
     :raises ZeroTrace: if ``sigma`` has nonpositive trace.
     """
@@ -271,11 +272,12 @@ def worst_case(kind, v, domains):
     upper bound. The normalized kinds are taken over the hull of the
     trace-normalized sources: they are scale invariant, so a normalized
     vertex has the loss of its source. ``evaluation.hull_supremum`` is this
-    function under its hull name.
+    function under its hull name. ``v`` must pass
+    :func:`linalg.orthonormal_frame`, else InvalidInput.
     """
     kind = as_kind(kind)
     domains = as_collection(domains)
-    frame = as_frame(v)
+    frame = orthonormal_frame(v)
     eigsums = domains.top_k_eigensums(frame.shape[1]) if kind in REGRET_KINDS else None
     values, _ = domain_losses(kind, frame, domains.covariances, domains.traces, eigsums)
     return float(values[worst_index(kind, values)])

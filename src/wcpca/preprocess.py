@@ -24,7 +24,7 @@ import numpy as np
 
 from .completion import MaskedDataset, MaskedDomain
 from .errors import ConstantColumn, EmptyData, InvalidInput, SchemaError
-from .linalg import as_frame
+from .linalg import orthonormal_frame
 from .losses import DomainCollection, DomainSpec, as_collection
 
 __all__ = [
@@ -209,11 +209,12 @@ def explained_variance_table(frame, collection) -> list[dict]:
 
     The frame's columns are taken in order; row j of the output gives the
     proportion of domain variance captured by columns 1..j. Pass an ordered
-    frame (see the solvers' order_basis) for prefix-optimal semantics.
+    frame (see the solvers' order_basis) for prefix-optimal semantics. The
+    frame must pass :func:`linalg.orthonormal_frame`, else InvalidInput.
     """
     domains = collection.collection if isinstance(collection, PreprocessedCollection) else collection
     domains = as_collection(domains)
-    b = as_frame(frame)
+    b = orthonormal_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match dimension {domains.p}")
     rows = []

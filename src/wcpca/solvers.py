@@ -65,9 +65,9 @@ tolerance. Run 0 starts from the dual's frame and run r + 1 from the Haar
 frame of stream r of ``cfg.seed`` (a counter-offset of the same Philox
 key), for r < ``cfg.restarts``, so runs are reproducible and independent.
 The runs advance together, one stacked numpy call of each kind per
-iteration (the simplex QPs too, in lockstep), so the call overhead is paid
-once per iteration rather than once per run; each run keeps its own
-multipliers, line search and stop, with the bits it has when run alone.
+iteration (the simplex QPs too), so the call overhead is paid once per
+iteration rather than once per run; each run keeps its own multipliers,
+line search and stop, with the bits it has when run alone.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, InvalidKind, InvalidRank
-from .linalg import as_frame, haar_frame, stiefel_project, top_k_frame
+from .linalg import haar_frame, orthonormal_frame, stiefel_project, top_k_frame
 from .losses import (
     MIN_KINDS,
     NORMALIZED_KINDS,
@@ -270,53 +270,49 @@ def _simplex_qp(hess: np.ndarray, lin: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimize ``y.H y / 2 - lin.y`` over the probability simplex, for a stack of problems.
 
     ``hess`` is an ``(R, E, E)`` stack of positive definite matrices, and
-    ``lin`` and the feasible starts ``y`` are ``(R, E)``; the R problems run
-    in lockstep, each by a primal active-set method. Each pass solves the
-    KKT system of every unfinished problem in one stacked ``solve``, each of
-    size E + 1: a fixed weight keeps its row and column of the identity and a
-    zero right-hand side, so the free weights solve their own KKT system. A
-    free weight the solution drives negative stops the move and is fixed at
-    zero (the first of the smallest step ratios); otherwise the fixed weight
-    with the most negative multiplier is freed, and when none has one the
-    problem is solved. The pass count is capped at 4 E, against cycling in
-    rounding. Each problem's result has the bits it has when solved alone.
+    ``lin`` and the feasible starts ``y`` (never written) are ``(R, E)``.
+    Each problem runs a primal active-set method, and each pass solves every
+    problem's KKT system, of size E + 1, in one stacked ``solve``: a fixed
+    weight keeps its row and column of the identity and a zero right-hand
+    side. A free weight the solution drives negative stops the move and is
+    fixed at zero (the first of the smallest step ratios); otherwise the
+    fixed weight with the most negative multiplier is freed. A solved
+    problem re-solves the same system on its next pass and neither fixes
+    nor frees a weight, so it keeps the bits it has when solved alone; the
+    loop ends once no problem fixes or frees one, or after 4 E passes
+    (against cycling in rounding).
     """
     count = y.shape[1]
+    rows = np.arange(len(y))
     # the bordered KKT matrices [[H, 1], [1.T, 0]] and right-hand sides [lin, 1]
     bordered = np.ones((len(y), count + 1, count + 1))
     bordered[:, :count, :count] = hess
     bordered[:, count, count] = 0.0
     rhs = np.concatenate([lin, np.ones((len(y), 1))], axis=1)
     unit = np.eye(count + 1, dtype=bool)
-    y = y.copy()
     # the free weights, and the multiplier of the sum, which is always free
     free = np.concatenate([y > 0.0, np.ones((len(y), 1), dtype=bool)], axis=1)
-    live = np.arange(len(y))
     for _ in range(4 * count):
-        f = free[live]
-        kkt = np.where(f[:, :, None] & f[:, None, :], bordered[live], unit)
-        sol = np.linalg.solve(kkt, np.where(f, rhs[live], 0.0)[..., None])[..., 0]
-        f = f[:, :count]
+        kkt = np.where(free[:, :, None] & free[:, None, :], bordered, unit)
+        sol = np.linalg.solve(kkt, np.where(free, rhs, 0.0)[..., None])[..., 0]
+        f = free[:, :count]
         target, mu = np.where(f, sol[:, :count], 0.0), sol[:, count]
-        yl = y[live]
         blocked = f & (target < 0.0)
         hit = blocked.any(axis=1)
-        ratios = np.where(blocked, yl / np.where(blocked, yl - target, 1.0), np.inf)
+        ratios = np.where(blocked, y / np.where(blocked, y - target, 1.0), np.inf)
         j = np.argmin(ratios, axis=1)
-        rows = np.arange(live.size)
-        step = np.where(hit, ratios[rows, j], 0.0)[:, None] * (target - yl)
-        moved = np.maximum(yl + step, 0.0)
+        step = np.where(hit, ratios[rows, j], 0.0)[:, None] * (target - y)
+        moved = np.maximum(y + step, 0.0)
         moved[rows, j] = 0.0
         # Freeing weight i lowers the objective iff its multiplier is negative.
-        multipliers = np.where(f, 0.0, (hess[live] @ target[..., None])[..., 0] - lin[live] + mu[:, None])
+        multipliers = np.where(f, 0.0, (hess @ target[..., None])[..., 0] - lin + mu[:, None])
         i = np.argmin(multipliers, axis=1)
         freeing = ~hit & ~(multipliers[rows, i] >= 0.0)
-        y[live] = np.where(hit[:, None], moved, target)
-        free[live[hit], j[hit]] = False
-        free[live[freeing], i[freeing]] = True
-        live = live[hit | freeing]
-        if not live.size:
+        y = np.where(hit[:, None], moved, target)
+        if not (hit | freeing).any():
             break
+        free[hit, j[hit]] = False
+        free[freeing, i[freeing]] = True
     return y
 
 
@@ -711,11 +707,9 @@ def order_basis(kind, frame, domains, cfg: SolverConfig | None = None) -> np.nda
     if kind not in MIN_KINDS:
         raise InvalidKind(f"basis ordering is defined for var and norm-var, got {kind.value}")
     domains = as_collection(domains)
-    b = as_frame(frame)
+    b = orthonormal_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match domain dimension {domains.p}")
-    if np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) > 1e-8:
-        raise InvalidInput("frame columns must be orthonormal to within 1e-8")
     removal = lambda matrices: [np.trace(m) * np.eye(len(m)) - m for m in matrices]  # noqa: E731
     removed, b = _peel(kind, domains, b, b.shape[1] - 1, removal, cfg or SolverConfig())
     return np.column_stack([b[:, 0]] + removed[::-1])

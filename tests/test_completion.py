@@ -266,6 +266,14 @@ class TestInductiveOls:
         with pytest.raises(InvalidInput, match="finite"):
             inductive_ols(x, np.ones((2, 4), dtype=bool), np.eye(4)[:, :2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_right_factor_must_be_finite(self, bad):
+        # a NaN factor once gave NaN coefficients and a RuntimeWarning from det
+        r = np.eye(4)[:, :2]
+        r[3, 1] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            inductive_ols(np.ones((2, 4)), np.ones((2, 4), dtype=bool), r)
+
     def test_min_norm_on_deficient_design(self):
         # only one observed row: infinitely many coefficient solutions
         r = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -21,16 +21,23 @@ from wcpca import (
     as_covariance,
     explained_variance_table,
     haar_frame,
+    hull_supremum,
+    incoherence,
+    loss,
+    make_collection,
     make_rng,
+    ols_subset_stability_check,
     order_basis,
     orthocomplement_frame,
     projection_distance,
+    relative_deltas,
     sample_gaussian_rows,
     stiefel_project,
     sym_eigen,
     sym_eigenvalues,
     top_k_eigensum,
     top_k_frame,
+    worst_case,
 )
 
 
@@ -284,6 +291,46 @@ def test_three_dimensional_frame_rejected(call, example1):
     # every frame argument goes through one coercion, which names the shape
     with pytest.raises(InvalidInput, match="2-D"):
         call(np.ones((3, 2, 1)), example1)
+
+
+_TWO_DOMAINS = make_collection([np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 2.0, 3.0])])
+
+
+def _nan_frame():
+    frame = np.eye(3)[:, :2]
+    frame[1, 1] = np.nan
+    return frame
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [_nan_frame(), np.zeros((3, 0)), 2.0 * np.eye(3)[:, :1]],
+    ids=["nan", "no-columns", "twice-e1"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda frame: worst_case(LossKind.RCS, frame, _TWO_DOMAINS),
+        lambda frame: worst_case(LossKind.REG, frame, _TWO_DOMAINS),
+        lambda frame: loss(LossKind.VAR, frame, np.eye(3)),
+        lambda frame: hull_supremum(LossKind.RCS, frame, _TWO_DOMAINS),
+        lambda frame: relative_deltas(frame, np.eye(3)[:, :1], _TWO_DOMAINS),
+        lambda frame: explained_variance_table(frame, _TWO_DOMAINS),
+        lambda frame: order_basis(LossKind.VAR, frame, _TWO_DOMAINS),
+        incoherence,
+        lambda frame: ols_subset_stability_check([1.0, 2.0, 3.0], frame, [2], 0.1),
+    ],
+    ids=[
+        "worst_case-rcs", "worst_case-reg", "loss", "hull_supremum", "relative_deltas",
+        "explained_variance_table", "order_basis", "incoherence", "ols_subset_stability_check",
+    ],
+)
+def test_frame_that_is_not_orthonormal_rejected(call, frame):
+    # every entry point that reads a frame as one checks it the same way: a
+    # NaN entry once gave nan, no columns gave 0.0 (a bare ValueError from
+    # order_basis), and 2 e1 gave a "reconstruction error" of -6 on domain 0
+    with pytest.raises(InvalidInput):
+        call(frame)
 
 
 @pytest.mark.parametrize(

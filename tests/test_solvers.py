@@ -257,6 +257,18 @@ class TestSimplexQp:
             assert slack.min() >= -scale
             assert np.abs(y * slack).max() <= scale
 
+    def test_leaves_its_starts_unchanged(self):
+        # the loop rebinds y instead of writing it, so it takes no copy
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 4, 4))
+        hess = a @ a.swapaxes(-1, -2) + np.eye(4)
+        lin = 5.0 * rng.normal(size=(3, 4))
+        starts = np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.5, 0.0]])
+        kept = starts.copy()
+        got = solvers._simplex_qp(hess, lin, starts)
+        np.testing.assert_array_equal(starts, kept)
+        assert not np.array_equal(got, starts)
+
 
 class TestMixtureDual:
     @settings(max_examples=30, deadline=None)

@@ -41,7 +41,11 @@ one with a single domain, where both fits must print the same line), each
 line carrying the fit's per-domain errors (``domain_objectives``), and
 the evaluation helpers ``sample_hull_members``
 (plain and trace-normalized), ``explained_variance_table`` and
-``relative_deltas``.
+``relative_deltas``, and ``census.txt``: every worst-case solve of the
+24-seed pca-study pool (``avg-vs-wc`` and ``het-noise``, one replicate each,
+at the seeds ``benchmarks/inputs.study_pool`` draws), one line each with its
+kind, k, whether the dual certified it, ``iterations_used``, gap and every
+SQP run's objective, iterations and stop, then a totals line.
 
 ``--compare`` prints, per file, ``identical`` for equal bytes, otherwise the
 largest absolute difference between the numbers the two files hold in the
@@ -64,10 +68,12 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 
 from wcpca import (
+    ExperimentConfig,
     LossKind,
     MaskedDataset,
     MaskedDomain,
@@ -80,11 +86,13 @@ from wcpca import (
     order_basis,
     pool_pca,
     relative_deltas,
+    run_experiment,
     sample_hull_members,
     save_covariances,
     sequential_minpca,
     solve_wcpca,
 )
+from wcpca import experiments
 from wcpca.cli import main as cli_main
 
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|inf|nan)")
@@ -317,6 +325,51 @@ def _evaluation(out):
         fh.write("\n".join(lines) + "\n")
 
 
+def _study_pool():
+    """The 24 pca-study seeds, drawn as ``benchmarks/inputs.study_pool`` draws them."""
+    rng = np.random.default_rng(20260311 + 2)
+    return [int(s) for s in rng.choice(2**31 - 1, 24, replace=False)]
+
+
+def _census(out):
+    """One line per worst-case solve of the pca-study pool, and a totals line.
+
+    Runs ``avg-vs-wc`` and ``het-noise`` at one replicate for each pool seed,
+    with ``experiments.solve_wcpca`` wrapped to record each fit.
+    """
+    lines, stops = [], Counter()
+    solves = certified = runs = iterations = 0
+    real = experiments.solve_wcpca
+
+    def recorded(kind, domains, k, cfg=None):
+        nonlocal solves, certified, runs, iterations
+        fit = real(kind, domains, k, cfg)
+        done = fit.gap is not None and not fit.restarts
+        solves, certified, runs = solves + 1, certified + done, runs + len(fit.restarts)
+        iterations += sum(r.iterations for r in fit.restarts)
+        stops.update(r.stop for r in fit.restarts)
+        lines.append(
+            f"{LossKind(kind).value} k={k} certified={done} {fit.iterations_used} gap={fit.gap!r} "
+            f"restarts={[tuple(r) for r in fit.restarts]!r}"
+        )
+        return fit
+
+    experiments.solve_wcpca = recorded
+    try:
+        for seed in _study_pool():
+            for study in ("avg-vs-wc", "het-noise"):
+                lines.append(f"# {study} seed={seed}")
+                run_experiment(ExperimentConfig(study, replicates=1, seed=seed))
+    finally:
+        experiments.solve_wcpca = real
+    lines.append(
+        f"total solves={solves} certified={certified} sqp_runs={runs} iterations={iterations} "
+        f"stops={dict(sorted(stops.items()))}"
+    )
+    with open(os.path.join(out, "census.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def main(out):
     rng = np.random.default_rng(11)
     inputs = os.path.join(out, "inputs")
@@ -374,6 +427,7 @@ def main(out):
     _order_bases(out)
     _mc_fits(out)
     _evaluation(out)
+    _census(out)
 
     for root, _, files in sorted(os.walk(out)):
         for name in sorted(files):
