@@ -20,7 +20,7 @@ Both run one alternation loop (R-update, then the exact per-row L-update)
 whose budgets are module constants, not options: at most 100 rounds, and a
 stop once a round gains less than 1e-4 (a round that raises the objective
 stops it too, and is discarded). The loop starts from the top-k right
-singular subspace of the zero-filled data, taken from the eigenvectors of
+singular subspace of the zero-filled data, the ``linalg.top_k_frame`` of
 its p x p Gram, which is summed one domain at a time in one buffer of the
 largest domain's size: the start forms neither an n x p stack nor an
 n x p SVD factor.
@@ -55,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidRank, NoObservations
-from .linalg import orthonormal_frame, stiefel_project  # noqa: F401 -- benchmarks/spans.py wraps stiefel_project
+from .linalg import orthonormal_frame, stiefel_project, top_k_frame  # noqa: F401 -- benchmarks/spans.py wraps stiefel_project
+from .losses import mixture
 from .solvers import _ROUNDING, _DualPoint, _simplex_newton
 
 __all__ = [
@@ -306,8 +307,8 @@ def _ensure_dataset(data) -> MaskedDataset:
 def _init_factors(data: MaskedDataset, k: int):
     """Top-k right singular subspace of the zero-filled stack S; ``L_e = Z_e R0``.
 
-    R0 holds the top-k eigenvectors of the p x p Gram ``S.T S`` in
-    descending order, which span the thin SVD's ``vt[:k].T``, and
+    R0 is :func:`linalg.top_k_frame` of the p x p Gram ``S.T S`` (InvalidInput
+    if it overflowed), which spans the thin SVD's ``vt[:k].T``, and
     ``L = S R0`` equals its ``u[:, :k] * s[:k]`` up to column signs; no
     n x p factor U is formed. S is never stacked either: each domain's
     ``Z_e = x_e * mask_e`` is written into one buffer of the largest
@@ -322,7 +323,7 @@ def _init_factors(data: MaskedDataset, k: int):
     for d in data:
         z = np.multiply(d.x, d.mask, out=buf[: d.n])
         gram += z.T @ z
-    r0 = np.linalg.eigh(gram)[1][:, : -k - 1 : -1].copy()
+    r0 = top_k_frame(gram, k)
     return [np.multiply(d.x, d.mask, out=buf[: d.n]) @ r0 for d in data], r0
 
 
@@ -337,6 +338,7 @@ def _domain_objectives(data: MaskedDataset, ls, r: np.ndarray) -> np.ndarray:
     for e, (d, l) in enumerate(zip(data, ls)):
         res = (d.x - l @ r.T) * d.mask
         out[e] = np.sum(res * res) / d.n
+        del res  # freed before the next domain's residual is formed
     return out
 
 
@@ -409,15 +411,15 @@ def _max_r_dual(data: MaskedDataset, ls):
     ``f_e(R) = (||M_e * X_e||^2 - 2 <B_e, R> + sum_j r_j.T H_ej r_j) / n_e``
     with ``H_ej``, ``b_ej`` the normal equations of the transposed domain.
     At weights w, with ``u = w / n`` and ``A_j = sum_e u_e H_ej``, the
-    candidate ``R(w)`` has rows ``pinv(A_j) sum_e u_e b_ej``: at those fixed
-    weights it is the minimum-norm minimizer of ``sum_e w_e f_e(R)``, whose
-    minimum is the dual ``h(w)`` (at ``w = n / n.sum()`` it is the pooled
-    R-step). The point carries ``R(w)`` as its candidate, ``f_e(R(w))`` as
-    the gradient of h, and as ``hessian()`` the Hessian of -h,
-    ``2 sum_j G_j pinv(A_j) G_j.T`` with G_j stacking
-    ``(H_ej r_j - b_ej) / n_e``. A weight below ``_ROUNDING`` counts as
-    ``_ROUNDING``, so a column that only domains at zero weight observe takes
-    their fit, the limit from positive weights.
+    candidate ``R(w)`` has rows ``pinv(A_j) sum_e u_e b_ej`` (both sums are
+    :func:`losses.mixture`'s): at those weights it is the minimum-norm
+    minimizer of ``sum_e w_e f_e(R)``, whose minimum is the dual ``h(w)``
+    (at ``w = n / n.sum()``, the pooled R-step). The point carries ``R(w)``
+    as its candidate, ``f_e(R(w))`` as the gradient of h, and as
+    ``hessian()`` the Hessian of -h, ``2 sum_j G_j pinv(A_j) G_j.T`` with
+    G_j stacking ``(H_ej r_j - b_ej) / n_e``. A weight below ``_ROUNDING``
+    counts as ``_ROUNDING``, so a column that only domains at zero weight
+    observe takes their fit, the limit from positive weights.
     """
     stats = [_normal_equations(d.x.T, d.mask.T, l) for d, l in zip(data, ls)]
     grams = np.stack([s[0] for s in stats])
@@ -427,8 +429,8 @@ def _max_r_dual(data: MaskedDataset, ls):
 
     def evaluate(w):
         u = np.maximum(w, _ROUNDING) / n
-        pinv = np.linalg.pinv(np.tensordot(u, grams, 1), rcond=_LSTSQ_RCOND, hermitian=True)
-        r = (pinv @ np.tensordot(u, rhs, 1)[..., None])[..., 0]
+        pinv = np.linalg.pinv(mixture(grams, u), rcond=_LSTSQ_RCOND, hermitian=True)
+        r = (pinv @ mixture(rhs, u)[..., None])[..., 0]
         hr = (grams @ r[None, ..., None])[..., 0]
         values = (xx + np.sum((hr - 2.0 * rhs) * r, axis=(1, 2))) / n
         slopes = (hr - rhs) / n[:, None, None]

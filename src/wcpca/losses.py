@@ -284,14 +284,15 @@ def worst_case(kind, v, domains):
 
 
 def mixture(domains, weights) -> np.ndarray:
-    """The mixture covariance Sigma_w = sum_e w_e Sigma_e, summed in domain order.
+    """The mixture Sigma_w = sum_e w_e Sigma_e, summed in domain order.
 
-    ``domains`` holds DomainSpecs or plain square arrays (such as covariances
-    compressed to a subspace). With simplex weights, Sigma_w is a member of
-    the sources' convex hull. ``weights`` is one weight per domain, or an
-    ``(R, E)`` stack of weight vectors, which gives the ``(R, p, p)`` stack
-    of their mixtures, each bitwise equal to its own row's call. Terms pass
-    through one reused scratch array the size of the output.
+    The one weighted sum of all three minimax searches: every Sigma_w and
+    the maxMC R-step's Grams and right-hand sides. ``domains`` holds
+    DomainSpecs or plain arrays of one shape (an ``(E, ...)`` stack reads
+    as its slices). ``weights`` is one weight per domain or, for 2-D terms,
+    an ``(R, E)`` stack of weight vectors, which gives the ``(R, p, p)``
+    stack of their mixtures, each bitwise equal to its own row's call.
+    Terms pass through one reused scratch array the size of the output.
 
     :raises InvalidInput: if there are no domains or not one weight per domain.
     """

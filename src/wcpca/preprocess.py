@@ -25,7 +25,7 @@ import numpy as np
 from .completion import MaskedDataset, MaskedDomain
 from .errors import ConstantColumn, EmptyData, InvalidInput, SchemaError
 from .linalg import orthonormal_frame
-from .losses import DomainCollection, DomainSpec, as_collection
+from .losses import DomainCollection, DomainSpec, LossKind, as_collection, domain_losses
 
 __all__ = [
     "RawTable",
@@ -208,7 +208,8 @@ def explained_variance_table(frame, collection) -> list[dict]:
     """Per-domain explained-variance proportions of each column prefix.
 
     The frame's columns are taken in order; row j of the output gives the
-    proportion of domain variance captured by columns 1..j. Pass an ordered
+    proportion of domain variance captured by columns 1..j, from the products
+    ``Sigma_e V`` of one :func:`losses.domain_losses` call. Pass an ordered
     frame (see the solvers' order_basis) for prefix-optimal semantics. The
     frame must pass :func:`linalg.orthonormal_frame`, else InvalidInput.
     """
@@ -217,19 +218,13 @@ def explained_variance_table(frame, collection) -> list[dict]:
     b = orthonormal_frame(frame)
     if b.shape[0] != domains.p:
         raise InvalidInput(f"frame rows {b.shape[0]} do not match dimension {domains.p}")
-    rows = []
-    for d in domains:
-        contributions = np.sum(b * (d.covariance @ b), axis=0)
-        cumulative = np.cumsum(contributions) / d.trace
-        for j in range(b.shape[1]):
-            rows.append(
-                {
-                    "domain": d.id,
-                    "components": j + 1,
-                    "explained_variance": float(cumulative[j]),
-                }
-            )
-    return rows
+    _, products = domain_losses(LossKind.VAR, b, domains.covariances, domains.traces, None)
+    cumulative = np.cumsum(np.sum(b * products, axis=1), axis=1) / domains.traces[:, None]
+    return [
+        {"domain": d.id, "components": j + 1, "explained_variance": float(share)}
+        for d, shares in zip(domains, cumulative)
+        for j, share in enumerate(shares)
+    ]
 
 
 def _safe_name(label: str) -> str:

@@ -426,10 +426,10 @@ def _ritz_start(domains: DomainCollection, per_unit, k: int, problem_on) -> np.n
     The Ritz basis Q is the top m = ``_RITZ_PER_KE * k * E`` eigenvectors
     of the uniform mixture of the S_e, from one ``eigh``, of which only the
     p x m columns are kept. The start is the weights of the best candidate
-    of :func:`_simplex_newton` on the dual of the m x m matrices Q.T S_e Q,
-    whose problem ``problem_on(matrices)`` gives with the full-space traces
-    and eigensums, so a reduced frame U has the losses of Q U. Q and the
-    compressed matrices die with this call, before the full-space search.
+    of :func:`_simplex_newton` on the dual of the m x m Q.T S_e Q (Var's
+    :func:`_reduced_matrices`), whose ``problem_on(matrices)`` has the
+    full-space traces and eigensums, so a reduced frame U has the losses of
+    Q U. Q and the compressed matrices die with this call.
 
     The warm start applies when E > 1, m < p and
     ``E max_e lambda_{2k+1}(S_e) <= min_e lambda_k(S_e)``, read from the
@@ -449,8 +449,7 @@ def _ritz_start(domains: DomainCollection, per_unit, k: int, problem_on) -> np.n
     if count * spectra[:, _RITZ_PER_KE * k].max() > spectra[:, k - 1].min():
         return uniform
     q = np.linalg.eigh(mixture(domains, uniform * per_unit))[1][:, p - m :].copy()
-    reduced = [(r + r.T) / 2.0 for r in (q.T @ (d.covariance @ q) for d in domains)]
-    losses, mixture_of = problem_on(reduced)
+    losses, mixture_of = problem_on(_reduced_matrices(LossKind.VAR, domains, q))
     return _simplex_newton(lambda w: _dual_point(losses, mixture_of, k, w), uniform)[1]
 
 
@@ -636,7 +635,8 @@ def _reduced_matrices(kind, domains, basis) -> list[np.ndarray]:
     For NormVar each is divided by its full-space trace Tr(Sigma_e), not the
     reduced one, so a Var solve on them optimizes the original NormVar
     objective. A domain with no variance in the basis, which DomainSpec would
-    reject for its zero trace, gets a diagonal jitter.
+    reject for its zero trace, gets a diagonal jitter; :func:`_ritz_start`,
+    which also compresses through it, already excludes one by its rule.
     """
     out = []
     for d in domains:

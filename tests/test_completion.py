@@ -26,6 +26,7 @@ from wcpca import (
     make_rng,
     missingness_budget,
     ols_subset_stability_check,
+    projection_distance,
     sample_masks,
 )
 from wcpca import completion
@@ -202,6 +203,13 @@ class TestInitFactors:
         finally:
             tracemalloc.stop()
         assert peak - sum(l.nbytes for l in ls) < 2.0 * block
+
+    def test_overflowing_gram_is_invalid_input(self):
+        # the start is top_k_frame's, whose covariance check rejects a Gram
+        # that overflowed before any eigh
+        data = [MaskedDomain(id="a", x=np.full((4, 3), 1e200), mask=np.ones((4, 3)))]
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput):
+            _init_factors(MaskedDataset(data), 1)
 
 
 class TestInductiveOls:
@@ -719,6 +727,33 @@ class TestAlternation:
         np.testing.assert_array_equal(model.domain_objectives, fresh)
 
 
+def invariance_variants(data, cols):
+    """The dataset with its domains permuted, each domain's rows reversed, or
+    its columns permuted by ``cols``, each with the row order of R it implies."""
+    keep = np.arange(data.p)
+    return {
+        "domains": (MaskedDataset(tuple(data[e] for e in (2, 0, 1))), keep),
+        "rows": (MaskedDataset(tuple(MaskedDomain(d.id, d.x[::-1], d.mask[::-1]) for d in data)), keep),
+        "columns": (MaskedDataset(tuple(MaskedDomain(d.id, d.x[:, cols], d.mask[:, cols]) for d in data)), cols),
+    }
+
+
+class TestInvariance:
+    # p=12, k=3, E=3 with noise: relabelling domains, rows or columns keeps
+    # every round and moves R by rounding only (measured: at most 1.1e-14).
+    # The R-step's weighted sums run in domain order, so a permutation of
+    # the domains reorders their additions.
+    @pytest.mark.parametrize("fit", [fit_pool_mc, fit_max_mc])
+    @pytest.mark.parametrize("change", ["domains", "rows", "columns"])
+    def test_relabelling_keeps_rounds_and_right_factor(self, fit, change):
+        data = hide_columns(low_rank_dataset(42, p=12, k=3, n=30, domains=3)[0], [], noise=0.1, seed=42)
+        base = fit(data, 3)
+        changed, rows = invariance_variants(data, make_rng(42).permutation(12))[change]
+        model = fit(changed, 3)
+        assert model.rounds == base.rounds >= 3
+        assert projection_distance(model.right_factor, base.right_factor[rows]) <= 1e-10
+
+
 class TestIncoherence:
     def test_flat_frame_is_tight(self):
         p = 16
@@ -822,3 +857,17 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert model.rounds >= 1
         assert peak < 1.4 * unit
+
+    def test_objective_holds_one_residual_at_a_time(self):
+        # each domain's residual is released before the next one is formed:
+        # about 0.78 units at the peak, 1.12 when the last one lived on
+        data, _ = low_rank_dataset(5, p=60, k=3, n=400, domains=3, missing=0.5)
+        unit = 3 * 400 * 60 * 8
+        ls, r = _init_factors(data, 3)
+        tracemalloc.start()
+        try:
+            _domain_objectives(data, ls, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.9 * unit

@@ -308,6 +308,21 @@ class TestCollections:
         with pytest.raises(InvalidInput):
             mixture(coll, np.ones((rows, count + 1)) / (count + 1))
 
+    def test_mixture_of_r_step_stacks_sums_in_domain_order(self):
+        # the maxMC R-step mixes (E, p, k, k) Grams and (E, p, k) right-hand
+        # sides: each is sum_e w_e X_e added in domain order, bit for bit
+        rng = make_rng(8)
+        count, p, k = 4, 7, 3
+        weights = rng.dirichlet(np.ones(count))
+        for shape in ((p, k, k), (p, k)):
+            stack = rng.normal(size=(count,) + shape)
+            expected = np.zeros(shape)
+            for w, x in zip(weights, stack):
+                expected = expected + w * x
+            assert mixture(stack, weights).tobytes() == expected.tobytes()
+            with pytest.raises(InvalidInput):
+                mixture(stack, weights[:-1])
+
     def test_mixture_of_plain_matrices_is_the_mixture_of_specs(self, example1):
         weights = [0.3, 0.7]
         plain = mixture(example1.covariances, weights)

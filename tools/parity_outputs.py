@@ -6,7 +6,9 @@ checkouts, then compare the printed digests, or compare the two output
 directories number by number with ``--compare``.
 
     PYTHONPATH=src python3 tools/parity_outputs.py OUT_DIR > digests.txt
-    PYTHONPATH=src python3 tools/parity_outputs.py --compare OUT_A OUT_B
+    python3 tools/parity_outputs.py --compare OUT_A OUT_B
+
+``--compare`` reads only the two directories and needs numpy, not ``wcpca``.
 
 To compare against another checkout, run this one script twice, with
 ``PYTHONPATH`` set to each checkout's ``src``, so both sides write the same
@@ -71,29 +73,6 @@ import sys
 from collections import Counter
 
 import numpy as np
-
-from wcpca import (
-    ExperimentConfig,
-    LossKind,
-    MaskedDataset,
-    MaskedDomain,
-    SolverConfig,
-    explained_variance_table,
-    fit_max_mc,
-    fit_pool_mc,
-    loss,
-    make_collection,
-    order_basis,
-    pool_pca,
-    relative_deltas,
-    run_experiment,
-    sample_hull_members,
-    save_covariances,
-    sequential_minpca,
-    solve_wcpca,
-)
-from wcpca import experiments
-from wcpca.cli import main as cli_main
 
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 
@@ -511,6 +490,30 @@ if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(1 if compare(sys.argv[2], sys.argv[3]) else 0)
     elif len(sys.argv) == 2:
+        # only writing outputs needs the package, so --compare runs without it
+        from wcpca import (
+            ExperimentConfig,
+            LossKind,
+            MaskedDataset,
+            MaskedDomain,
+            SolverConfig,
+            explained_variance_table,
+            fit_max_mc,
+            fit_pool_mc,
+            loss,
+            make_collection,
+            order_basis,
+            pool_pca,
+            relative_deltas,
+            run_experiment,
+            sample_hull_members,
+            save_covariances,
+            sequential_minpca,
+            solve_wcpca,
+        )
+        from wcpca import experiments
+        from wcpca.cli import main as cli_main
+
         main(sys.argv[1])
     else:
         raise SystemExit("usage: parity_outputs.py OUT_DIR | --compare OUT_A OUT_B")
