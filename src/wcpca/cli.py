@@ -251,6 +251,11 @@ def cmd_complete(args) -> int:
     method = args.objective
     if method not in ("pool", "max"):
         raise InvalidConfig(f"--objective must be pool or max, got {method!r}")
+    if args.seed is None:
+        args.seed = 0
+    elif args.missing_frac is None:
+        # only the thinning step draws random numbers
+        raise InvalidConfig("--seed applies to --missing-frac only")
     if not 0 <= args.seed < SEED_LIMIT:
         raise InvalidConfig(f"--seed must lie in [0, 2**128), got {args.seed}")
     k = 5 if args.k is None else args.k
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally hide this fraction of entries per row",
     )
     comp.add_argument("--predict", help="held-out CSV whose rows to reconstruct")
-    comp.add_argument("--seed", type=int, default=0)
+    comp.add_argument("--seed", type=int, help="seed of --missing-frac's thinning (default 0)")
     comp.add_argument("--out", default=".")
     comp.set_defaults(func=cmd_complete)
 

@@ -7,6 +7,8 @@ per-domain mean squared errors ``f_e`` on observed entries once; the fits
 differ in how the R-step weighs them and in how they are aggregated. Every
 observation mask is boolean (True = observed): :class:`MaskedDomain` stores
 its mask as ``bool``, one byte per cell, and the kernels read it as is.
+:class:`MaskedDataset` is ``losses.Domains``, the container PCA's
+``DomainCollection`` shares: nonempty, one width, unique ids.
 
 * :func:`fit_pool_mc` weighs them by the sample shares ``w_e = n_e / n``
   and minimizes that average, the pooled squared error over all observed
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidRank, NoObservations
 from .linalg import orthonormal_frame, stiefel_project, top_k_frame  # noqa: F401 -- benchmarks/spans.py wraps stiefel_project
-from .losses import mixture
+from .losses import Domains, mixture
 from .solvers import _ROUNDING, _DualPoint, _simplex_newton
 
 __all__ = [
@@ -130,32 +132,8 @@ class MaskedDomain:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class MaskedDataset:
-    """Nonempty ordered list of masked domains sharing one column count."""
-
-    domains: tuple[MaskedDomain, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "domains", tuple(self.domains))
-        if not self.domains:
-            raise InvalidInput("masked dataset is empty")
-        widths = {d.p for d in self.domains}
-        if len(widths) != 1:
-            raise InvalidInput(f"domains disagree on column count: {sorted(widths)}")
-
-    @property
-    def p(self) -> int:
-        return self.domains[0].p
-
-    def __len__(self) -> int:
-        return len(self.domains)
-
-    def __iter__(self):
-        return iter(self.domains)
-
-    def __getitem__(self, idx) -> MaskedDomain:
-        return self.domains[idx]
+class MaskedDataset(Domains):
+    """:class:`losses.Domains` of MaskedDomains, whose width p is the column count."""
 
 
 @dataclass(frozen=True)
@@ -298,12 +276,6 @@ def _solve_masked(x: np.ndarray, mask: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ensure_dataset(data) -> MaskedDataset:
-    if isinstance(data, MaskedDataset):
-        return data
-    return MaskedDataset(tuple(data))
-
-
 def _init_factors(data: MaskedDataset, k: int):
     """Top-k right singular subspace of the zero-filled stack S; ``L_e = Z_e R0``.
 
@@ -366,7 +338,7 @@ def _alternate(data, k: int, r_update, aggregate) -> CompletionModel:
     ``_ROUND_TOL``, or on a rise, whose round is discarded; the model keeps
     the trace (initialization first) and the errors of its last entry.
     """
-    data = _ensure_dataset(data)
+    data = MaskedDataset(data)
     seen = np.logical_or.reduce([d.mask.any(axis=0) for d in data])
     if not seen.all():
         data = MaskedDataset(

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .datagen import sample_target_covariance
-from .completion import CompletionModel, _ensure_dataset, inductive_ols
+from .completion import CompletionModel, MaskedDataset, inductive_ols
 from .errors import DegenerateBaseline
 from .losses import LossKind, as_collection, average_covariance, loss, worst_case
 from .rng import as_rng
@@ -79,7 +79,7 @@ def mc_domain_losses(model: CompletionModel, test) -> np.ndarray:
     must carry ground truth even at masked positions. Returns one value per
     domain: ||X_e - Xhat_e||_F^2 / (n_e * p).
     """
-    test = _ensure_dataset(test)
+    test = MaskedDataset(test)
     out = np.empty(len(test))
     for e, d in enumerate(test):
         _, recon = inductive_ols(d.x, d.mask, model.right_factor)

@@ -12,6 +12,10 @@ with trace t and top-k eigenvalue sum s_k:
 
 Var and NormVar are "min over domains" objectives (the worst case is the
 least-explained domain); the other four take the max.
+
+:class:`Domains` is the one container of named domains: its checks and
+sequence methods serve :class:`DomainCollection` (covariances) and
+``completion.MaskedDataset`` (masked data) alike.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "NORMALIZED_KINDS",
     "REGRET_KINDS",
     "DomainSpec",
+    "Domains",
     "DomainCollection",
     "make_collection",
     "as_collection",
@@ -112,24 +117,29 @@ class DomainSpec:
 
 
 @dataclass(frozen=True)
-class DomainCollection:
-    """Nonempty ordered set of uniquely named domains sharing one dimension p.
+class Domains:
+    """Nonempty ordered tuple of uniquely named domains sharing one width p.
 
-    Ids must be unique because they label the rows of a fit report and the
-    ``active_domains`` it lists. The per-domain terms every loss needs
-    (``covariances``, ``traces``, ``top_k_eigensums(k)``) are read from the
-    specs; the eigensums sum the spectra they keep, so none decomposes again.
+    The one container of both models: :class:`DomainCollection` holds
+    :class:`DomainSpec` covariances and ``completion.MaskedDataset`` holds
+    masked data matrices. Any iterable of domains (a container too) is
+    stored as a tuple. Ids must be unique because they label the rows of
+    both reports: a fit's per-domain losses and ``active_domains``, and a
+    completion's ``per_domain_objective``.
+
+    :raises InvalidInput: if there are no domains, their widths differ or
+        an id repeats.
     """
 
-    domains: tuple[DomainSpec, ...]
+    domains: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
         if not self.domains:
-            raise InvalidInput("domain collection is empty")
-        dims = {d.p for d in self.domains}
-        if len(dims) != 1:
-            raise InvalidInput(f"domains disagree on dimension: {sorted(dims)}")
+            raise InvalidInput(f"{type(self).__name__} needs at least one domain")
+        widths = {d.p for d in self.domains}
+        if len(widths) != 1:
+            raise InvalidInput(f"domains disagree on width p: {sorted(widths)}")
         ids = [d.id for d in self.domains]
         if len(set(ids)) != len(ids):
             raise InvalidInput(f"domain ids must be unique, got {ids}")
@@ -144,8 +154,16 @@ class DomainCollection:
     def __iter__(self):
         return iter(self.domains)
 
-    def __getitem__(self, idx) -> DomainSpec:
+    def __getitem__(self, idx):
         return self.domains[idx]
+
+
+class DomainCollection(Domains):
+    """:class:`Domains` of DomainSpecs, with the terms every loss needs.
+
+    ``covariances``, ``traces`` and ``top_k_eigensums(k)`` are read from the
+    specs; the eigensums sum the spectra they keep, so none decomposes again.
+    """
 
     @property
     def covariances(self) -> list[np.ndarray]:
@@ -185,9 +203,7 @@ def make_collection(covariances, ids=None, weights=None, ns=None) -> DomainColle
 
 def as_collection(domains) -> DomainCollection:
     """Return ``domains`` as a DomainCollection, wrapping an iterable of specs."""
-    if isinstance(domains, DomainCollection):
-        return domains
-    return DomainCollection(tuple(domains))
+    return domains if isinstance(domains, DomainCollection) else DomainCollection(domains)
 
 
 def as_kind(kind) -> LossKind:
@@ -289,10 +305,10 @@ def mixture(domains, weights) -> np.ndarray:
     The one weighted sum of all three minimax searches: every Sigma_w and
     the maxMC R-step's Grams and right-hand sides. ``domains`` holds
     DomainSpecs or plain arrays of one shape (an ``(E, ...)`` stack reads
-    as its slices). ``weights`` is one weight per domain or, for 2-D terms,
-    an ``(R, E)`` stack of weight vectors, which gives the ``(R, p, p)``
-    stack of their mixtures, each bitwise equal to its own row's call.
-    Terms pass through one reused scratch array the size of the output.
+    as its slices). ``weights`` is one weight per domain or an ``(R, E)``
+    stack of weight vectors, which gives the ``(R, ...)`` stack of their
+    mixtures, each bitwise equal to its own row's call. Terms pass through
+    one reused scratch array the size of the output.
 
     :raises InvalidInput: if there are no domains or not one weight per domain.
     """
@@ -303,7 +319,8 @@ def mixture(domains, weights) -> np.ndarray:
     out = np.zeros(w.shape[:-1] + covs[0].shape)
     scratch = np.empty_like(out)
     for e, c in enumerate(covs):
-        out += np.multiply(c, w[..., e, None, None], out=scratch)
+        # w[..., e] broadcast over every axis of the term, however many
+        out += np.multiply(c, w[(..., e) + (None,) * c.ndim], out=scratch)
     return out
 
 

@@ -696,6 +696,23 @@ class TestComplete:
         assert "InvalidConfig" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_without_missing_frac_exits_3(self, tmp_path, masked_csv, capsys):
+        # only the --missing-frac thinning reads the seed, so given alone it
+        # exits 3 before the CSV is read; a run without it reports seed 0,
+        # byte for byte as a run at --seed 0 that thins nothing
+        common = ["complete", "--domain-col", "site", "--k", "2", "--objective", "pool"]
+        seeded = tmp_path / "seeded"
+        for csv_path in (masked_csv, str(tmp_path / "missing.csv")):
+            for seed in ("0", "4"):
+                assert main([*common, "--csv", csv_path, "--seed", seed, "--out", str(seeded)]) == 3
+                assert "--seed applies to --missing-frac only" in capsys.readouterr().err
+        assert not seeded.exists()
+        plain, zero = tmp_path / "plain", tmp_path / "zero"
+        assert main([*common, "--csv", masked_csv, "--out", str(plain)]) == 0
+        assert main([*common, "--csv", masked_csv, "--missing-frac", "0", "--seed", "0", "--out", str(zero)]) == 0
+        assert json.loads((plain / "report.json").read_text())["seed"] == 0
+        assert (plain / "report.json").read_bytes() == (zero / "report.json").read_bytes()
+
     def test_unknown_method(self, masked_csv):
         assert main(["complete", "--csv", masked_csv, "--objective", "sep"]) == 3
 

@@ -107,12 +107,6 @@ class TestMaskedDomain:
                 assert model.objective_trace == first.objective_trace
                 assert model.right_factor.tobytes() == first.right_factor.tobytes()
 
-    def test_dataset_needs_matching_width(self):
-        a = MaskedDomain(id="a", x=np.zeros((2, 3)), mask=np.ones((2, 3)))
-        b = MaskedDomain(id="b", x=np.zeros((2, 4)), mask=np.ones((2, 4)))
-        with pytest.raises(InvalidInput):
-            MaskedDataset((a, b))
-
 
 def hide_columns(data, cols, noise=0.0, seed=0):
     """The dataset with ``cols`` never observed (and optional data noise).

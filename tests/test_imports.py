@@ -42,7 +42,6 @@ SHARED_INTERNALS = {
     ("completion", "solvers", "_ROUNDING"),
     ("completion", "solvers", "_simplex_newton"),
     ("datagen", "losses", "_PSD_RTOL"),
-    ("evaluation", "completion", "_ensure_dataset"),
 }
 
 # ndarray attributes and functions that NumPy 2.0 or later added

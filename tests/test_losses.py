@@ -20,6 +20,8 @@ from wcpca import (
     InvalidKind,
     InvalidWeights,
     LossKind,
+    MaskedDataset,
+    MaskedDomain,
     MIN_KINDS,
     ZeroTrace,
     as_covariance,
@@ -242,6 +244,24 @@ class TestCollections:
         with pytest.raises(InvalidInput):
             make_collection([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize(
+        "container, domain",
+        [
+            (DomainCollection, lambda i, p: DomainSpec(id=i, covariance=np.eye(p))),
+            (MaskedDataset, lambda i, p: MaskedDomain(id=i, x=np.ones((2, p)), mask=np.ones((2, p)))),
+        ],
+        ids=["DomainCollection", "MaskedDataset"],
+    )
+    def test_both_containers_share_one_set_of_checks(self, container, domain):
+        # ids label the rows of both reports, so neither container may repeat one
+        for bad in ([], [("a", 2), ("b", 3)], [("a", 2), ("a", 2)]):
+            with pytest.raises(InvalidInput):
+                container(domain(i, p) for i, p in bad)
+        made = container(domain(i, 3) for i in "abc")
+        again = container(made)
+        assert again == made and again is not made
+        assert (again.p, len(again), [d.id for d in again], again[1]) == (3, 3, ["a", "b", "c"], made[1])
+
     def test_domain_spec_rejects_indefinite(self):
         with pytest.raises(InvalidInput, match="positive semidefinite"):
             DomainSpec(id="x", covariance=np.diag([1.0, -0.5]))
@@ -307,6 +327,17 @@ class TestCollections:
             assert block.tobytes() == mixture(coll, w).tobytes()
         with pytest.raises(InvalidInput):
             mixture(coll, np.ones((rows, count + 1)) / (count + 1))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 4), (5, 4, 3)], ids=["1-D", "2-D", "3-D"])
+    def test_stack_of_weights_over_any_terms_equals_each_row_exactly(self, shape):
+        # each row of an (R, E) weight stack mixes the terms over their own axes
+        rng = make_rng(9)
+        terms = rng.normal(size=(3,) + shape)
+        weights = rng.dirichlet(np.ones(3), size=4)
+        stacked = mixture(terms, weights)
+        assert stacked.shape == (4,) + shape
+        for w, block in zip(weights, stacked):
+            assert block.tobytes() == mixture(terms, w).tobytes()
 
     def test_mixture_of_r_step_stacks_sums_in_domain_order(self):
         # the maxMC R-step mixes (E, p, k, k) Grams and (E, p, k) right-hand
